@@ -292,16 +292,16 @@ def _projection_seeds(
     for key in sorted(stage):
         polygon, _ = stage[key]
         for edge in pg.edges(polygon):
-            for sign in (1, -1):
-                xi = (sign * edge.normal[0], sign * edge.normal[1])
-                graph = cg.graph_from_polygon(polygon, xi)
-                serial = cg.canonical_serialization(graph)
-                if serial in target:
-                    continue
-                target[serial] = (
-                    cg.canonical_form(graph),
-                    CircleProvenance("projection", stage_index, None, polygon, xi),
-                )
+            # The graph of -xi is the mirror image: the same canonical key.
+            xi = edge.normal
+            graph = cg.graph_from_polygon(polygon, xi)
+            serial = cg.canonical_serialization(graph)
+            if serial in target:
+                continue
+            target[serial] = (
+                cg.canonical_form(graph),
+                CircleProvenance("projection", stage_index, None, polygon, xi),
+            )
 
 
 def _cremona_reduced(spec: ManifoldSpec) -> ManifoldSpec:
@@ -335,6 +335,39 @@ def _cremona_reduced(spec: ManifoldSpec) -> ManifoldSpec:
     return ManifoldSpec(CP2, 0, lam, Q(1), caps)
 
 
+def _require_ruled_in_cone(spec: ManifoldSpec) -> None:
+    """Refuse a ruled recipe outside the symplectic cone (fiber area 1).
+
+    A genus-0 recipe is checked through its cp2 presentation, which
+    Cremona reduction accepts exactly inside the cone:
+    product(mu; d, rest) = cp2(mu+1-d; mu-d, 1-d, rest) and
+    twisted(mu; c) = cp2(mu+1; mu, c).  On a positive-genus base the
+    exceptional classes are E_i and F-E_i, so every capacity must stay
+    below the fiber area.
+    """
+    if spec.base == CP2 or not spec.capacities:
+        return
+    if spec.genus > 0:
+        if spec.capacities[0] >= spec.fiber:
+            raise PreconditionError(
+                "recipe outside the symplectic cone: F-E1 has nonpositive area"
+            )
+        return
+    mu, caps = spec.base_area, spec.capacities
+    if spec.base == PRODUCT_RULED:
+        lam, moved = mu + 1 - caps[0], (mu - caps[0], 1 - caps[0]) + caps[1:]
+    else:
+        lam, moved = mu + 1, (mu,) + caps
+    if min(moved) <= 0:
+        raise PreconditionError(
+            "recipe outside the symplectic cone: some capacity reaches a "
+            "section or fiber area"
+        )
+    _cremona_reduced(
+        ManifoldSpec(CP2, 0, lam, Q(1), tuple(sorted(moved, reverse=True)))
+    )
+
+
 def run_census(spec: ManifoldSpec) -> CensusResult:
     """Full toric and maximal-circle census of a recipe, with provenance.
 
@@ -343,6 +376,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     result still carries the recipe as given, and its warnings.
     """
     warnings = _regime_warnings(spec)
+    _require_ruled_in_cone(spec)
     model = _cremona_reduced(spec)
     stages = _toric_stages(model)
     final_stage = stages[-1]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Q
 from math import gcd
 from typing import Iterable
@@ -70,13 +71,23 @@ class S1Graph:
                 return vertex
         raise PreconditionError(f"unknown vertex: {vertex_id}")
 
-    @property
+    # Graphs are immutable, so derived facts are computed once per instance.
+
+    @cached_property
     def min_moment(self) -> Q:
         return min(v.moment for v in self.vertices)
 
-    @property
+    @cached_property
     def max_moment(self) -> Q:
         return max(v.moment for v in self.vertices)
+
+    @cached_property
+    def _diagnostics(self) -> tuple[str, ...]:
+        return _diagnose(self)
+
+    @cached_property
+    def _canonical_serialization(self) -> tuple:
+        return min(_serialize(self, False), _serialize(self, True))
 
 
 def edge_area(graph: S1Graph, edge: tuple[int, int, int]) -> Q:
@@ -86,13 +97,17 @@ def edge_area(graph: S1Graph, edge: tuple[int, int, int]) -> Q:
 
 def validate(graph: S1Graph) -> tuple[bool, tuple[str, ...]]:
     """Check every graph axiom; returns (ok, diagnostics)."""
-    problems: list[str] = []
+    problems = graph._diagnostics
+    return (not problems, problems)
+
+
+def _diagnose(graph: S1Graph) -> tuple[str, ...]:
     if not graph.vertices:
-        return (False, ("graph has no fixed components",))
+        return ("graph has no fixed components",)
     ids = [v.id for v in graph.vertices]
     if len(set(ids)) != len(ids):
-        problems.append("vertex ids must be distinct")
-        return (False, tuple(problems))
+        return ("vertex ids must be distinct",)
+    problems: list[str] = []
     by_id = {v.id: v for v in graph.vertices}
 
     lo = graph.min_moment
@@ -163,7 +178,7 @@ def validate(graph: S1Graph) -> tuple[bool, tuple[str, ...]]:
         for left in slots:
             if abs(left) >= 2:
                 problems.append(f"{tag}: weight {left} has no matching Z_k edge")
-    return (not problems, tuple(problems))
+    return tuple(problems)
 
 
 def _require_valid(graph: S1Graph) -> None:
@@ -283,6 +298,12 @@ def can_blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> tuple[bool, str]:
             return (
                 False,
                 f"fixed surface area {format_rational(vertex.area)} must exceed delta",
+            )
+        # The new (1,-1) point sits delta inside the surface's extremum.
+        if hi - lo <= delta:
+            return (
+                False,
+                f"moment span {format_rational(hi - lo)} must exceed delta",
             )
         return (True, "")
 
@@ -477,7 +498,7 @@ def _serialize(graph: S1Graph, flip: bool) -> tuple:
 
 def canonical_serialization(graph: S1Graph) -> tuple:
     _require_valid(graph)
-    return min(_serialize(graph, False), _serialize(graph, True))
+    return graph._canonical_serialization
 
 
 def canonical_form(graph: S1Graph) -> S1Graph:

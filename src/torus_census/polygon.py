@@ -18,6 +18,7 @@ total anticanonical area.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Q
 from math import gcd
 from typing import Iterable, Sequence
@@ -67,6 +68,35 @@ class RationalPolygon:
     @property
     def edge_count(self) -> int:
         return len(self.vertices)
+
+    # Polygons are immutable, so edge data and the Delzant test run once.
+
+    @cached_property
+    def _edges(self) -> tuple[EdgeData, ...]:
+        n = self.edge_count
+        out = []
+        for i in range(n):
+            vector = _sub(self.vertices[(i + 1) % n], self.vertices[i])
+            direction, length = _primitive_direction(vector)
+            normal = (direction[1], -direction[0])
+            out.append(EdgeData(i, direction, normal, length))
+        return tuple(out)
+
+    @cached_property
+    def _delzant_diagnostics(self) -> tuple[str, ...]:
+        edge_list = self._edges
+        diagnostics = []
+        for i in range(self.edge_count):
+            incoming = edge_list[i - 1].direction
+            outgoing = edge_list[i].direction
+            det = incoming[0] * outgoing[1] - incoming[1] * outgoing[0]
+            if det != 1:
+                diagnostics.append(
+                    f"vertex {i} at ({format_rational(self.vertices[i][0])}, "
+                    f"{format_rational(self.vertices[i][1])}): "
+                    f"edge direction determinant {det}"
+                )
+        return tuple(diagnostics)
 
 
 @dataclass(frozen=True)
@@ -122,32 +152,13 @@ def _primitive_direction(vector: Point) -> tuple[tuple[int, int], Q]:
 
 def edges(polygon: RationalPolygon) -> tuple[EdgeData, ...]:
     """Counterclockwise edge data; edge i runs from vertex i to vertex i+1."""
-    out = []
-    n = polygon.edge_count
-    for i in range(n):
-        vector = _sub(polygon.vertices[(i + 1) % n], polygon.vertices[i])
-        direction, length = _primitive_direction(vector)
-        normal = (direction[1], -direction[0])
-        out.append(EdgeData(i, direction, normal, length))
-    return tuple(out)
+    return polygon._edges
 
 
 def is_delzant(polygon: RationalPolygon) -> tuple[bool, tuple[str, ...]]:
     """Whether each vertex's primitive edge directions form a lattice basis."""
-    edge_list = edges(polygon)
-    diagnostics = []
-    n = polygon.edge_count
-    for i in range(n):
-        incoming = edge_list[i - 1].direction
-        outgoing = edge_list[i].direction
-        det = incoming[0] * outgoing[1] - incoming[1] * outgoing[0]
-        if det != 1:
-            diagnostics.append(
-                f"vertex {i} at ({format_rational(polygon.vertices[i][0])}, "
-                f"{format_rational(polygon.vertices[i][1])}): "
-                f"edge direction determinant {det}"
-            )
-    return (not diagnostics, tuple(diagnostics))
+    diagnostics = polygon._delzant_diagnostics
+    return (not diagnostics, diagnostics)
 
 
 def _require_delzant(polygon: RationalPolygon) -> None:
@@ -218,16 +229,24 @@ def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, Unimodula
     For each vertex and each traversal direction, map the vertex to the
     origin and its two outgoing primitive edge directions to the standard
     basis; the smallest flattened vertex list among the 2N candidates is a
-    complete invariant.
+    complete invariant.  A candidate flattens to (0, 0, L, 0, ...) with L
+    the rational length of the edge it starts along, so only the starts
+    along a shortest edge are compared.
     """
     _require_delzant(polygon)
     n = polygon.edge_count
     edge_list = edges(polygon)
+    shortest = min(e.rational_length for e in edge_list)
     best: tuple[tuple[Q, ...], tuple[Point, ...], UnimodularAffineMap] | None = None
     for i in range(n):
         outgoing = edge_list[i].direction
         backwards = tuple(-c for c in edge_list[i - 1].direction)
-        for first, second, step in ((outgoing, backwards, 1), (backwards, outgoing, -1)):
+        for first, second, step, along in (
+            (outgoing, backwards, 1, edge_list[i]),
+            (backwards, outgoing, -1, edge_list[i - 1]),
+        ):
+            if along.rational_length != shortest:
+                continue
             matrix = _inverse_of_columns(first, second)
             origin = polygon.vertices[i]
             seq = []

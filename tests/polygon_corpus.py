@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 
+from torus_census.errors import CapacityError
 from torus_census.polygon import (
     RationalPolygon,
     blow_up,
@@ -41,3 +42,20 @@ def build_corpus() -> list[RationalPolygon]:
     polygons.extend(chopped)
     polygons.append(hexagon)
     return polygons
+
+
+CHOP_CAPACITIES = (Q(1, 8), Q(1, 5), Q(1, 3))
+
+
+def build_chopped_corpus() -> list[RationalPolygon]:
+    """The corpus plus every corner chop of it at three capacities."""
+    polygons = build_corpus()
+    chops = []
+    for polygon in polygons:
+        for vertex in range(polygon.edge_count):
+            for delta in CHOP_CAPACITIES:
+                try:
+                    chops.append(blow_up(polygon, vertex, delta))
+                except CapacityError:
+                    continue
+    return polygons + chops

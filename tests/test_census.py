@@ -5,6 +5,7 @@ checking the small cells by hand against direct polygon and graph
 enumeration; the tables here pin those runs exactly.
 """
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -326,6 +327,46 @@ def test_recipes_outside_cone_are_rejected():
     for spec in (plane(1, *["2/5"] * 5), plane(1, "1/2", "1/2")):
         with pytest.raises(PreconditionError):
             run_census(spec)
+
+
+def test_ruled_recipes_outside_cone_are_rejected():
+    for spec in (
+        ruled("product_ruled", 0, "1/2", "3/4"),  # S - E1 has area -1/4
+        ruled("product_ruled", 0, "2", "1"),  # F - E1 has area 0
+        ruled("twisted_ruled", 0, "1/2", "3/4", "3/4"),  # L - E1 - E2 has area 0
+        ruled("product_ruled", 1, "3", "3/2"),  # F - E1 has area -1/2
+        ruled("twisted_ruled", 2, "3", "1"),  # F - E1 has area 0
+    ):
+        with pytest.raises(PreconditionError, match="outside the symplectic cone"):
+            run_census(spec)
+
+
+def test_random_ruled_recipes_are_censused_or_refused():
+    # Every ruled recipe either runs, with toric entries of the recipe's
+    # volume, or is refused with PreconditionError; a refused genus-0
+    # product recipe with one cap has d >= min(mu, 1).
+    rng = random.Random(73)
+    for _ in range(40):
+        kind = rng.choice(("product_ruled", "twisted_ruled"))
+        genus = rng.choice((0, 0, 1))
+        mu = Q(rng.randrange(1, 9), rng.randrange(1, 4))
+        caps = sorted(
+            (Q(rng.randrange(1, 7), rng.randrange(2, 7)) for _ in range(rng.randrange(1, 3))),
+            reverse=True,
+        )
+        try:
+            spec = ruled(kind, genus, mu, *caps)
+        except PreconditionError:
+            continue
+        try:
+            result = run_census(spec)
+        except PreconditionError as error:
+            assert "outside the symplectic cone" in str(error)
+            if kind == "product_ruled" and genus == 0 and len(caps) == 1:
+                assert caps[0] >= min(mu, 1)
+        else:
+            for polygon in result.toric:
+                assert pg.invariants(polygon).euclidean_area == spec.volume
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from polygon_corpus import build_corpus
+from polygon_corpus import build_chopped_corpus, build_corpus
 from torus_census.circle_graph import (
     S1Graph,
     blow_up,
@@ -231,13 +231,18 @@ def test_twisted_base_graph_odd_degrees():
 
 
 def test_surface_blow_up_needs_area_margin():
-    graph = ruled_base_graph(2, 0, Q(5, 2), False)
-    some_surface = graph.vertices[0].id
-    ok, _ = can_blow_up(graph, some_surface, Q(2))
+    # Bottom section of area 1/2 at moment 0, top of area 5/2 at moment 1.
+    graph = ruled_base_graph(2, 2, Q(3, 2), False)
+    bottom, top = (v.id for v in sorted(graph.vertices, key=lambda v: v.moment))
+    ok, _ = can_blow_up(graph, bottom, Q(1, 3))
     assert ok
-    ok, reason = can_blow_up(graph, some_surface, Q(5, 2))
+    ok, reason = can_blow_up(graph, bottom, Q(1, 2))
     assert not ok
-    assert "must exceed delta" in reason
+    assert "surface area 1/2 must exceed delta" in reason
+    # The area suffices, but the new (1,-1) point would reach the bottom.
+    ok, reason = can_blow_up(graph, top, Q(1))
+    assert not ok
+    assert "moment span 1 must exceed delta" in reason
 
 
 def test_interior_blow_up_needs_strict_margin():
@@ -269,6 +274,74 @@ def test_extremal_blow_up_needs_distance_to_other_fixed_points():
     assert not ok
     assert "moment distance" in reason
     _ = half_square
+
+
+def test_surface_blow_up_needs_moment_span():
+    # Each surface has room in its area but not in the moment span.
+    rectangle = hirzebruch(Q(1), Q(1, 2), 0)
+    for graph, delta in (
+        (graph_from_polygon(rectangle, (0, 1)), Q(3, 4)),
+        (graph_from_polygon(rectangle, (0, -1)), Q(3, 4)),
+        (ruled_base_graph(1, 0, Q(3), False), Q(3, 2)),
+    ):
+        for vertex in graph.vertices:
+            ok, reason = can_blow_up(graph, vertex.id, delta)
+            assert not ok
+            assert "moment span" in reason
+            with pytest.raises(PreconditionError):
+                blow_up(graph, vertex.id, delta)
+
+
+def _small_frontiers():
+    """Graphs of small census frontiers: seeds and two stages of blow-ups."""
+    seeds = [
+        ruled_base_graph(0, 0, Q(1, 2), False),
+        ruled_base_graph(1, 2, Q(3, 2), False),
+        ruled_base_graph(2, 1, Q(1), True),
+    ]
+    for polygon in build_corpus()[:12]:
+        seeds.extend(graph_from_polygon(polygon, e.normal) for e in edges(polygon))
+    graphs = list(seeds)
+    stage = seeds
+    for delta in (Q(1, 5), Q(1, 7)):
+        stage = [g for parent in stage for g in enumerate_equivariant_blowups(parent, delta)]
+        graphs.extend(stage)
+    return graphs
+
+
+def test_can_blow_up_agrees_with_blow_up():
+    rng = random.Random(71)
+    graphs = _small_frontiers()
+    for _ in range(3000):
+        graph = rng.choice(graphs)
+        vertex = rng.choice(graph.vertices)
+        delta = Q(rng.randrange(1, 25), rng.randrange(1, 13))
+        feasible, _ = can_blow_up(graph, vertex.id, delta)
+        try:
+            blown = blow_up(graph, vertex.id, delta)
+        except PreconditionError:
+            assert not feasible
+        else:
+            assert feasible
+            assert_valid(blown)
+
+
+def test_invalid_graph_stays_invalid():
+    graph = S1Graph(
+        (
+            isolated(0, Q(0), (1, 1)),
+            isolated(1, Q(0), (1, 1)),
+            isolated(2, Q(1), (-1, -1)),
+        )
+    )
+    first = validate(graph)
+    assert not first[0]
+    for _ in range(3):
+        assert validate(graph) == first
+        with pytest.raises(PreconditionError):
+            can_blow_up(graph, 2, Q(1, 4))
+        with pytest.raises(PreconditionError):
+            canonical_serialization(graph)
 
 
 def test_can_blow_up_rejects_unknown_vertex():
@@ -439,6 +512,16 @@ def test_opposite_projections_are_equivalent():
         graph_from_polygon(trapezoid, (1, 0)),
         graph_from_polygon(trapezoid, (-1, 0)),
     )
+
+
+def test_opposite_projections_agree_on_chopped_corpus():
+    for polygon in build_chopped_corpus():
+        for edge in edges(polygon):
+            xi = edge.normal
+            opposite = (-xi[0], -xi[1])
+            assert canonical_serialization(
+                graph_from_polygon(polygon, xi)
+            ) == canonical_serialization(graph_from_polygon(polygon, opposite))
 
 
 # ---------------------------------------------------------------------------

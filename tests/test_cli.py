@@ -402,6 +402,22 @@ def test_recipe_outside_cone_is_exit_two(capsys):
     assert "outside the symplectic cone" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # F - E1 and S - E1: a cap of 3/4 exceeds the section area 1/2.
+        '{"base":{"kind":"product_ruled","mu":"1/2"},"capacities":["3/4"]}',
+        # On a genus-1 base F - E1 has area 1 - 3/2 < 0.
+        '{"base":{"kind":"product_ruled","genus":1,"mu":"3"},"capacities":["3/2"]}',
+    ],
+)
+def test_ruled_recipe_outside_cone_is_exit_two(capsys, spec):
+    code, out, err = run(capsys, "census", "--spec", spec)
+    assert code == 2
+    assert out == ""
+    assert "outside the symplectic cone" in err
+
+
 def test_blowup_too_large_is_exit_two(capsys):
     code, out, err = run(
         capsys, "blowup", "--polygon", SQUARE, "--vertex", "0", "--delta", "2"

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from polygon_corpus import build_corpus
+from polygon_corpus import build_chopped_corpus, build_corpus
 from torus_census.errors import CapacityError, PreconditionError
 from torus_census.polygon import (
     RationalPolygon,
@@ -227,6 +227,49 @@ def test_canonical_form_returns_witness_map():
         canonical, witness = canonical_form(image)
         mapped = witness.apply_polygon(image)
         assert set(mapped.vertices) == set(canonical.vertices)
+
+
+def _reference_canonical_form(polygon):
+    """Least flattened vertex list over all 2N starts, with no pruning."""
+    n = polygon.edge_count
+    directions = [e.direction for e in edges(polygon)]
+    best = None
+    for i in range(n):
+        outgoing = directions[i]
+        backwards = (-directions[i - 1][0], -directions[i - 1][1])
+        for first, second, step in ((outgoing, backwards, 1), (backwards, outgoing, -1)):
+            det = first[0] * second[1] - first[1] * second[0]
+            matrix = (
+                (second[1] * det, -second[0] * det),
+                (-first[1] * det, first[0] * det),
+            )
+            ox, oy = polygon.vertices[i]
+            seq = []
+            for j in range(n):
+                x, y = polygon.vertices[(i + step * j) % n]
+                x, y = x - ox, y - oy
+                seq.append(
+                    (matrix[0][0] * x + matrix[0][1] * y, matrix[1][0] * x + matrix[1][1] * y)
+                )
+            flat = tuple(c for p in seq for c in p)
+            if best is None or flat < best[0]:
+                translation = (
+                    -(matrix[0][0] * ox + matrix[0][1] * oy),
+                    -(matrix[1][0] * ox + matrix[1][1] * oy),
+                )
+                best = (flat, tuple(seq), matrix, translation)
+    return best[1], best[2], best[3]
+
+
+def test_canonical_form_matches_full_search():
+    rng = random.Random(67)
+    for polygon in build_chopped_corpus():
+        for subject in (polygon, _random_unimodular_map(rng).apply_polygon(polygon)):
+            canonical, witness = canonical_form(subject)
+            vertices, matrix, translation = _reference_canonical_form(subject)
+            assert canonical.vertices == vertices
+            assert witness.matrix == matrix
+            assert witness.translation == translation
 
 
 def test_equivalent_distinguishes_hirzebruch_parity():
