@@ -25,7 +25,7 @@ from . import circle_graph as cg
 from . import polygon as pg
 from .errors import CapacityError, FormatError, PreconditionError
 from .homology import Basis, SymplecticData
-from .rationals import ceil_rational, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 
 CP2 = "cp2"
 PRODUCT_RULED = "product_ruled"
@@ -102,7 +102,11 @@ class ManifoldSpec:
 
 
 def spec_to_symplectic(spec: ManifoldSpec) -> SymplecticData:
-    """The homology-level form of a recipe, for chains and enumeration."""
+    """The homology-level form of a recipe, for chains and enumeration.
+
+    Recipes outside the symplectic cone are refused, as by the census.
+    """
+    _in_cone_model(spec)
     if spec.base == CP2:
         basis = Basis("rational", 0, spec.blowups)
         return SymplecticData(basis, spec.capacities, lam=spec.base_area)
@@ -224,16 +228,9 @@ def base_toric_actions(spec: ManifoldSpec) -> tuple[pg.RationalPolygon, ...]:
     if spec.base == CP2:
         triangle = pg.delzant_triangle(spec.base_area)
         return (pg.canonical_form(triangle)[0],)
-    if spec.base == PRODUCT_RULED:
-        width = max(spec.base_area, spec.fiber)
-        height = min(spec.base_area, spec.fiber)
-        start = 0
-    else:
-        width = spec.base_area + spec.fiber / 2
-        height = spec.fiber
-        start = 1
+    width, height, twisted = _ruled_model_box(spec)
     models = {}
-    m = start
+    m = 1 if twisted else 0
     while 2 * width > m * height:
         trapezoid = pg._trapezoid(width, height, m)
         canonical = pg.canonical_form(trapezoid)[0]
@@ -242,14 +239,19 @@ def base_toric_actions(spec: ManifoldSpec) -> tuple[pg.RationalPolygon, ...]:
     return tuple(models[key] for key in sorted(models))
 
 
+def _ruled_model_box(spec: ManifoldSpec) -> tuple[Q, Q, bool]:
+    """Width, height and twist of the trapezoid models of a ruled base."""
+    if spec.base == PRODUCT_RULED:
+        width = max(spec.base_area, spec.fiber)
+        return width, min(spec.base_area, spec.fiber), False
+    return spec.base_area + spec.fiber / 2, spec.fiber, True
+
+
 def ruled_base_count(spec: ManifoldSpec) -> int:
-    """Closed-form count of base models: ceil of the width/height ratio."""
+    """Closed-form count of base models (see polygon.count_toric_actions_ruled)."""
     if spec.base == CP2:
         return 1
-    if spec.base == PRODUCT_RULED:
-        ratio = max(spec.base_area, spec.fiber) / min(spec.base_area, spec.fiber)
-        return ceil_rational(ratio)
-    return ceil_rational(spec.base_area / spec.fiber)
+    return pg.count_toric_actions_ruled(*_ruled_model_box(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +370,12 @@ def _require_ruled_in_cone(spec: ManifoldSpec) -> None:
     )
 
 
+def _in_cone_model(spec: ManifoldSpec) -> ManifoldSpec:
+    """The Cremona-reduced form of a recipe, refusing one outside the cone."""
+    _require_ruled_in_cone(spec)
+    return _cremona_reduced(spec)
+
+
 def run_census(spec: ManifoldSpec) -> CensusResult:
     """Full toric and maximal-circle census of a recipe, with provenance.
 
@@ -376,8 +384,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     result still carries the recipe as given, and its warnings.
     """
     warnings = _regime_warnings(spec)
-    _require_ruled_in_cone(spec)
-    model = _cremona_reduced(spec)
+    model = _in_cone_model(spec)
     stages = _toric_stages(model)
     final_stage = stages[-1]
 

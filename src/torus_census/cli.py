@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
@@ -26,24 +25,6 @@ from . import polygon as pg
 from . import render
 from .errors import FormatError, PreconditionError
 from .rationals import format_rational, parse_rational
-
-DEFAULT_SEARCH_CEILING = 512
-MAX_THREADS = 64
-
-
-def thread_budget() -> int:
-    """Thread cap from TORUS_CENSUS_THREADS, clamped to [1, 64].
-
-    All computations here are single-threaded; the budget is accepted
-    and clamped so wrapper scripts can set it uniformly across tools.
-    """
-    raw = os.environ.get("TORUS_CENSUS_THREADS", "1")
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise FormatError(f"TORUS_CENSUS_THREADS must be an integer, got {raw!r}")
-    return max(1, min(MAX_THREADS, requested))
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -414,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact-arithmetic censuses of toric and circle actions on "
             "blow-ups of rational and ruled symplectic four-manifolds."
         ),
-        epilog=(
-            "TORUS_CENSUS_THREADS caps worker threads (clamped to 1..64); "
-            "the current engine runs every verb on a single thread."
-        ),
     )
     subparsers = parser.add_subparsers(dest="verb", metavar="verb")
     subparsers.required = True
@@ -477,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--ceiling",
                 type=int,
-                default=DEFAULT_SEARCH_CEILING,
+                default=hm.DEFAULT_SEARCH_CEILING,
                 help="safety cap on lattice search coefficients",
             )
 
@@ -488,7 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        thread_budget()
         _HANDLERS[args.verb](args)
     except FormatError as exc:
         print(str(exc), file=sys.stderr)

@@ -30,9 +30,13 @@ from .errors import (
 )
 from .linalg import (
     ball_coordinate_bounds,
+    bilinear,
+    dot,
     enumerate_quadratic_ball,
+    identity_matrix,
     integer_kernel,
     mat_inverse,
+    mat_mul,
     mat_vec,
     primitive_vector,
 )
@@ -103,6 +107,20 @@ class Basis:
             head = [1 - 2 * self.genus, 2]
         return head + [1] * self.blowups
 
+    def dual(self, covector: Sequence[Q]) -> list[Q]:
+        """gram^-1 . covector: the class whose pairings are the covector.
+
+        The rational and product Grams are their own inverses; the twisted
+        head [[-1, 1], [1, 0]] has inverse [[0, 1], [1, 1]].
+        """
+        if self.kind == RATIONAL:
+            head = [covector[0]]
+        elif self.kind == PRODUCT_RULED:
+            head = [covector[1], covector[0]]
+        else:
+            head = [covector[1], covector[0] + covector[1]]
+        return head + [-c for c in covector[self.base_rank :]]
+
 
 @dataclass(frozen=True)
 class HomologyClass:
@@ -136,21 +154,21 @@ def _require_same_basis(a: HomologyClass, b: HomologyClass) -> None:
         raise PreconditionError("basis mismatch")
 
 
+def _invariant(holds: bool, what: str) -> None:
+    """A broken invariant is a program fault; unlike assert, this survives -O."""
+    if not holds:
+        raise AssertionError(what)
+
+
 def intersect(a: HomologyClass, b: HomologyClass) -> int:
     """Symmetric bilinear intersection pairing."""
     _require_same_basis(a, b)
-    gram = a.basis.gram()
-    return sum(
-        a.coeffs[i] * gram[i][j] * b.coeffs[j]
-        for i in range(len(a.coeffs))
-        for j in range(len(b.coeffs))
-        if gram[i][j] != 0
-    )
+    return bilinear(a.basis.gram(), a.coeffs, b.coeffs)
 
 
 def chern(a: HomologyClass) -> int:
     """Pairing of the first Chern class with a class."""
-    return sum(t * c for t, c in zip(a.basis.chern_vector(), a.coeffs))
+    return dot(a.basis.chern_vector(), a.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +232,22 @@ class SymplecticData:
 
     def dual_coords(self) -> list[Q]:
         """Coordinates of the class dual to the area functional."""
-        inverse = mat_inverse([[Q(x) for x in row] for row in self.basis.gram()])
-        return mat_vec(inverse, self.area_vector())
+        return self.basis.dual(self.area_vector())
 
     def volume_quantity(self) -> Q:
         """Square of the dual of the area functional; twice the volume."""
-        w = self.area_vector()
-        return sum(a * b for a, b in zip(w, self.dual_coords()))
+        return dot(self.area_vector(), self.dual_coords())
 
     def chern_pairing(self) -> Q:
         """Total area of the anticanonical class."""
-        inverse = mat_inverse([[Q(x) for x in row] for row in self.basis.gram()])
-        dual_chern = mat_vec(inverse, [Q(t) for t in self.basis.chern_vector()])
-        return sum(a * b for a, b in zip(self.area_vector(), dual_chern))
+        return dot(self.area_vector(), self.basis.dual(self.basis.chern_vector()))
 
 
 def area(a: HomologyClass, omega: SymplecticData) -> Q:
     """Symplectic area of a class."""
     if a.basis != omega.basis:
         raise PreconditionError("basis mismatch")
-    return sum(w * c for w, c in zip(omega.area_vector(), a.coeffs))
+    return dot(omega.area_vector(), a.coeffs)
 
 
 def poincare_dual(omega: SymplecticData) -> tuple[Q, ...]:
@@ -267,15 +281,6 @@ def _certified_ball(
     return enumerate_quadratic_ball(form, cutoff)
 
 
-def _quadratic(gram: Sequence[Sequence[int]], x: Sequence[int]) -> int:
-    return sum(
-        x[i] * gram[i][j] * x[j]
-        for i in range(len(x))
-        for j in range(len(x))
-        if gram[i][j] != 0
-    )
-
-
 def _passes_positivity(basis: Basis, coeffs: Sequence[int]) -> bool:
     """Pairing constraint against the base positive class.
 
@@ -306,19 +311,18 @@ def enumerate_exceptional_candidates(
     if bound <= 0:
         raise PreconditionError("area bound must be positive")
     basis = omega.basis
-    gram_int = basis.gram()
-    gram = [[Q(x) for x in row] for row in gram_int]
+    gram = basis.gram()
     weight = omega.area_vector()
     quantity = omega.volume_quantity()
     cutoff = 2 * bound * bound / quantity + 1
     chern_vec = basis.chern_vector()
     found: list[HomologyClass] = []
     for coeffs in _certified_ball(_companion_form(gram, weight, quantity), cutoff, search_ceiling):
-        if _quadratic(gram_int, coeffs) != -1:
+        if bilinear(gram, coeffs, coeffs) != -1:
             continue
-        if sum(t * c for t, c in zip(chern_vec, coeffs)) != 1:
+        if dot(chern_vec, coeffs) != 1:
             continue
-        value = sum(w * c for w, c in zip(weight, coeffs))
+        value = dot(weight, coeffs)
         if not (0 < value <= bound):
             continue
         if not _passes_positivity(basis, coeffs):
@@ -338,7 +342,7 @@ def minimal_exceptional_classes(omega: SymplecticData) -> MinimalClassData:
         raise PreconditionError("no exceptional divisor")
     bound = omega.capacities[-1]
     candidates = enumerate_exceptional_candidates(omega, bound)
-    assert candidates, "the last exceptional class always qualifies"
+    _invariant(bool(candidates), "the last exceptional class always qualifies")
     epsilon = min(area(c, omega) for c in candidates)
     smallest = tuple(c for c in candidates if area(c, omega) == epsilon)
     return MinimalClassData(epsilon, smallest)
@@ -374,19 +378,18 @@ def enumerate_bounded_classes(
         raise PreconditionError("empty interval")
     if not (0 < p <= q):
         raise PreconditionError("square bounds must satisfy 0 < p <= q")
-    gram_int = basis.gram()
-    gram = [[Q(x) for x in row] for row in gram_int]
+    gram = basis.gram()
     weight = mat_vec(gram, anchor_coeffs)
-    square = sum(a * b for a, b in zip(weight, anchor_coeffs))
+    square = dot(weight, anchor_coeffs)
     if square <= 0:
         raise PreconditionError("anchor square must be positive for a finite search")
     cutoff = 2 * max(lo * lo, hi * hi) / square + q
     found: list[HomologyClass] = []
     for coeffs in _certified_ball(_companion_form(gram, weight, square), cutoff, search_ceiling):
-        value = _quadratic(gram_int, coeffs)
+        value = bilinear(gram, coeffs, coeffs)
         if not (-q <= value <= -p):
             continue
-        pairing = sum(w * c for w, c in zip(weight, coeffs))
+        pairing = dot(weight, coeffs)
         if not (lo <= pairing <= hi):
             continue
         found.append(HomologyClass(basis, tuple(coeffs)))
@@ -402,9 +405,7 @@ def _is_unit_vector(coeffs: Sequence[int], index: int) -> bool:
 
 
 def _removal_frame(rank: int, drop: int) -> list[list[int]]:
-    return [
-        [1 if j == i else 0 for j in range(rank)] for i in range(rank) if i != drop
-    ]
+    return [row for i, row in enumerate(identity_matrix(rank)) if i != drop]
 
 
 def _not_exceptional(exc: HomologyClass, reason: str) -> PreconditionError:
@@ -461,26 +462,15 @@ def _blow_down_with_frame(
     return _general_blow_down(omega, exc)
 
 
-def _fiber_minus_index(basis: Basis, coeffs: Sequence[int]) -> int | None:
-    """Detect F - Ei (ruled bases); return the symbol index of Ei."""
-    if coeffs[0] != 0 or coeffs[1] != 1:
-        return None
-    hits = [i for i in range(2, basis.rank) if coeffs[i] == -1]
-    if len(hits) != 1:
-        return None
-    if any(coeffs[i] != 0 for i in range(2, basis.rank) if i != hits[0]):
-        return None
-    return hits[0]
+def _head_minus_index(coeffs: Sequence[int], head: tuple[int, int]) -> int | None:
+    """Detect head - Ei on a ruled basis (head (0, 1) is F, (1, 0) is B).
 
-
-def _section_minus_index(basis: Basis, coeffs: Sequence[int]) -> int | None:
-    """Detect B - Ei (product ruled, genus 0); return the symbol index of Ei."""
-    if coeffs[0] != 1 or coeffs[1] != 0:
+    Returns the symbol index of Ei.
+    """
+    if tuple(coeffs[:2]) != head:
         return None
-    hits = [i for i in range(2, basis.rank) if coeffs[i] == -1]
-    if len(hits) != 1:
-        return None
-    if any(coeffs[i] != 0 for i in range(2, basis.rank) if i != hits[0]):
+    hits = [i for i in range(2, len(coeffs)) if coeffs[i] != 0]
+    if len(hits) != 1 or coeffs[hits[0]] != -1:
         return None
     return hits[0]
 
@@ -488,62 +478,42 @@ def _section_minus_index(basis: Basis, coeffs: Sequence[int]) -> int | None:
 def _ruled_closed_form(
     omega: SymplecticData, exc: HomologyClass
 ) -> tuple[SymplecticData, list[list[int]]] | None:
+    """Blow down F - Ei, or B - Ei on a genus-0 product, without a search."""
     basis = omega.basis
-    rank = basis.rank
-    small = None
-
-    index = _fiber_minus_index(basis, exc.coeffs)
+    index = _head_minus_index(exc.coeffs, (0, 1))
     if index is not None:
         cap = omega.capacities[index - 2]
-        others = [i for i in range(2, rank) if i != index]
-        caps = tuple(omega.capacities[i - 2] for i in others)
+        fiber_head, fiber = (0, 1), omega.fiber
         if basis.kind == PRODUCT_RULED:
             # New section B - Ei has square -1: the twisted shape.
-            mu = omega.mu - cap
-            if mu <= 0:
-                raise UnsupportedBlowdownError(
-                    f"unsupported blow-down class: {exc} (section area would vanish)"
-                )
-            small = Basis(TWISTED_RULED, basis.genus, basis.blowups - 1)
-            data = SymplecticData(small, caps, mu=mu, fiber=omega.fiber)
-            section = [1] + [0] * (rank - 1)
-            section[index] = -1
+            kind, mu, section_head = TWISTED_RULED, omega.mu - cap, (1, 0)
         else:
             # New section B + F - Ei has square 0: the product shape.
-            mu = omega.mu + omega.fiber - cap
-            small = Basis(PRODUCT_RULED, basis.genus, basis.blowups - 1)
-            data = SymplecticData(small, caps, mu=mu, fiber=omega.fiber)
-            section = [1, 1] + [0] * (rank - 2)
-            section[index] = -1
-        fiber_row = [0, 1] + [0] * (rank - 2)
-        frame = [section, fiber_row] + [
-            [1 if j == i else 0 for j in range(rank)] for i in others
-        ]
-        return _finish_blow_down(omega, exc, data, frame)
-
-    if basis.kind == PRODUCT_RULED and basis.genus == 0:
-        index = _section_minus_index(basis, exc.coeffs)
-        if index is not None:
-            # The fibration swaps: F - Ei becomes the twisted section and the
-            # old section B becomes the fiber.
-            cap = omega.capacities[index - 2]
-            others = [i for i in range(2, rank) if i != index]
-            caps = tuple(omega.capacities[i - 2] for i in others)
-            mu = omega.fiber - cap
-            if mu <= 0:
-                raise UnsupportedBlowdownError(
-                    f"unsupported blow-down class: {exc} (section area would vanish)"
-                )
-            small = Basis(TWISTED_RULED, 0, basis.blowups - 1)
-            data = SymplecticData(small, caps, mu=mu, fiber=omega.mu)
-            section = [0, 1] + [0] * (rank - 2)
-            section[index] = -1
-            fiber_row = [1, 0] + [0] * (rank - 2)
-            frame = [section, fiber_row] + [
-                [1 if j == i else 0 for j in range(rank)] for i in others
-            ]
-            return _finish_blow_down(omega, exc, data, frame)
-    return None
+            kind, mu, section_head = PRODUCT_RULED, omega.mu + omega.fiber - cap, (1, 1)
+    elif basis.kind == PRODUCT_RULED and basis.genus == 0:
+        index = _head_minus_index(exc.coeffs, (1, 0))
+        if index is None:
+            return None
+        # The fibration swaps: F - Ei becomes the twisted section and the
+        # old section B becomes the fiber.
+        cap = omega.capacities[index - 2]
+        kind, mu, section_head = TWISTED_RULED, omega.fiber - cap, (0, 1)
+        fiber_head, fiber = (1, 0), omega.mu
+    else:
+        return None
+    if mu <= 0:
+        raise UnsupportedBlowdownError(
+            f"unsupported blow-down class: {exc} (section area would vanish)"
+        )
+    rank = basis.rank
+    section = list(section_head) + [0] * (rank - 2)
+    section[index] = -1
+    frame = [section, list(fiber_head) + [0] * (rank - 2)]
+    frame += _removal_frame(rank, index)[2:]
+    caps = omega.capacities[: index - 2] + omega.capacities[index - 1 :]
+    small = Basis(kind, basis.genus, basis.blowups - 1)
+    data = SymplecticData(small, caps, mu=mu, fiber=fiber)
+    return _finish_blow_down(omega, exc, data, frame)
 
 
 def _finish_blow_down(
@@ -554,35 +524,30 @@ def _finish_blow_down(
 ) -> tuple[SymplecticData, list[list[int]]]:
     """Shared exactness checks for every blow-down path."""
     value = area(exc, omega)
-    assert data.basis.rank == omega.basis.rank - 1
-    assert data.volume_quantity() == omega.volume_quantity() + value * value
-    assert data.chern_pairing() == omega.chern_pairing() + value
+    _invariant(data.basis.rank == omega.basis.rank - 1, "blow-down drops one rank")
+    _invariant(
+        data.volume_quantity() == omega.volume_quantity() + value * value,
+        "blow-down adds the squared area to the volume quantity",
+    )
+    _invariant(
+        data.chern_pairing() == omega.chern_pairing() + value,
+        "blow-down adds the area to the Chern pairing",
+    )
     # The frame must be orthogonal to the class and transport areas exactly.
     gram = omega.basis.gram()
-    weight = omega.area_vector()
-    new_weight = data.area_vector()
-    for row_index, row in enumerate(frame):
-        assert sum(
-            row[i] * gram[i][j] * exc.coeffs[j]
-            for i in range(len(row))
-            for j in range(len(row))
-            if gram[i][j] != 0
-        ) == 0
-        assert sum(w * c for w, c in zip(weight, row)) == new_weight[row_index]
-    new_gram = data.basis.gram()
-    for i, row_i in enumerate(frame):
-        for j, row_j in enumerate(frame):
-            assert _quadratic_pair(gram, row_i, row_j) == new_gram[i][j]
-    return data, frame
-
-
-def _quadratic_pair(gram: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(
-        x[i] * gram[i][j] * y[j]
-        for i in range(len(x))
-        for j in range(len(y))
-        if gram[i][j] != 0
+    _invariant(
+        all(bilinear(gram, row, exc.coeffs) == 0 for row in frame),
+        "blow-down frame is orthogonal to the class",
     )
+    _invariant(
+        mat_vec(frame, omega.area_vector()) == data.area_vector(),
+        "blow-down frame transports areas",
+    )
+    _invariant(
+        [[bilinear(gram, u, v) for v in frame] for u in frame] == data.basis.gram(),
+        "blow-down frame has the standard Gram",
+    )
+    return data, frame
 
 
 def _general_blow_down(
@@ -597,29 +562,19 @@ def _general_blow_down(
     two null fiber classes when it is the rank-2 even lattice.
     """
     basis = omega.basis
-    gram_int = basis.gram()
-    pairing_row = [
-        sum(gram_int[i][j] * exc.coeffs[j] for j in range(basis.rank))
-        for i in range(basis.rank)
-    ]
-    kernel = integer_kernel([pairing_row])
+    gram = basis.gram()
+    kernel = integer_kernel([mat_vec(gram, exc.coeffs)])
     rank = len(kernel)
-    assert rank == basis.rank - 1
-    gram_c = [[_quadratic_pair(gram_int, u, v) for v in kernel] for u in kernel]
-    chern_c = [
-        sum(t * c for t, c in zip(basis.chern_vector(), row)) for row in kernel
-    ]
-    weight = omega.area_vector()
-    weight_c = [sum(w * c for w, c in zip(weight, row)) for row in kernel]
+    _invariant(rank == basis.rank - 1, "the complement has corank one")
+    gram_c = [[bilinear(gram, u, v) for v in kernel] for u in kernel]
+    chern_c = mat_vec(kernel, basis.chern_vector())
+    weight_c = mat_vec(kernel, omega.area_vector())
     value = area(exc, omega)
     quantity = omega.volume_quantity() + value * value
     pairing = omega.chern_pairing() + value
 
     def to_old(coeffs: Sequence[int]) -> list[int]:
-        return [
-            sum(c * kernel[i][j] for i, c in enumerate(coeffs))
-            for j in range(basis.rank)
-        ]
+        return mat_mul([coeffs], kernel)[0]
 
     if rank == 1:
         if gram_c[0][0] != 1 or abs(chern_c[0]) != 3:
@@ -644,19 +599,18 @@ def _even_rank_two_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, pa
     """Complement is the even rank-2 lattice: a product ruled shape."""
     if pairing <= 0:
         raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-    gram_q = [[Q(x) for x in row] for row in gram_c]
     cutoff = pairing * pairing / (2 * quantity)
     null_classes: list[tuple[Q, tuple[int, ...]]] = []
     for coeffs in _certified_ball(
-        _companion_form(gram_q, weight_c, quantity), cutoff, DEFAULT_SEARCH_CEILING
+        _companion_form(gram_c, weight_c, quantity), cutoff, DEFAULT_SEARCH_CEILING
     ):
-        if _quadratic(gram_c, coeffs) != 0:
+        if bilinear(gram_c, coeffs, coeffs) != 0:
             continue
         if tuple(coeffs) != primitive_vector(coeffs):
             continue
-        if sum(t * c for t, c in zip(chern_c, coeffs)) != 2:
+        if dot(chern_c, coeffs) != 2:
             continue
-        spread = sum(w * c for w, c in zip(weight_c, coeffs))
+        spread = dot(weight_c, coeffs)
         if spread <= 0:
             continue
         null_classes.append((spread, tuple(coeffs)))
@@ -664,8 +618,8 @@ def _even_rank_two_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, pa
         raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
     null_classes.sort(key=lambda item: (-item[0], item[1]))
     (mu, section), (fib, fiber_class) = null_classes
-    assert _quadratic_pair(gram_c, section, fiber_class) == 1
-    assert 2 * mu * fib == quantity
+    _invariant(bilinear(gram_c, section, fiber_class) == 1, "the null classes pair to 1")
+    _invariant(2 * mu * fib == quantity, "the null areas give the volume quantity")
     data = SymplecticData(Basis(PRODUCT_RULED, 0, 0), (), mu=mu, fiber=fib)
     frame = [to_old(section), to_old(fiber_class)]
     return _finish_blow_down(omega, exc, data, frame)
@@ -690,21 +644,19 @@ def _rational_frame_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, p
     if disc < 0:
         raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
     lam_max = Q(6 * pairing + floor_sqrt(disc) + 1, 2 * (9 - blowups))
-    gram_q = [[Q(x) for x in row] for row in gram_c]
-    companion = _companion_form(gram_q, weight_c, quantity)
-    inverse = mat_inverse(gram_q)
-    dual_chern = mat_vec(inverse, [Q(t) for t in chern_c])
-    assert all(v.denominator == 1 for v in dual_chern)
+    companion = _companion_form(gram_c, weight_c, quantity)
+    dual_chern = mat_vec(mat_inverse(gram_c), chern_c)
+    _invariant(all(v.denominator == 1 for v in dual_chern), "the complement is unimodular")
     dual_chern_int = [int(v) for v in dual_chern]
 
     line_candidates: list[tuple[Q, tuple[int, ...]]] = []
     cutoff = 2 * lam_max * lam_max / quantity - 1
     for coeffs in _certified_ball(companion, cutoff, DEFAULT_SEARCH_CEILING):
-        if _quadratic(gram_c, coeffs) != 1:
+        if bilinear(gram_c, coeffs, coeffs) != 1:
             continue
-        if sum(t * c for t, c in zip(chern_c, coeffs)) != 3:
+        if dot(chern_c, coeffs) != 3:
             continue
-        lam = sum(w * c for w, c in zip(weight_c, coeffs))
+        lam = dot(weight_c, coeffs)
         if not (0 < lam <= lam_max):
             continue
         line_candidates.append((lam, tuple(coeffs)))
@@ -723,14 +675,14 @@ def _rational_frame_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, p
         cutoff_e = 2 * cap_square_total / quantity + 1
         exceptional: list[tuple[Q, tuple[int, ...]]] = []
         for coeffs in _certified_ball(companion, cutoff_e, DEFAULT_SEARCH_CEILING):
-            if _quadratic(gram_c, coeffs) != -1:
+            if bilinear(gram_c, coeffs, coeffs) != -1:
                 continue
-            if sum(t * c for t, c in zip(chern_c, coeffs)) != 1:
+            if dot(chern_c, coeffs) != 1:
                 continue
-            cap = sum(w * c for w, c in zip(weight_c, coeffs))
+            cap = dot(weight_c, coeffs)
             if cap <= 0 or cap * cap > cap_square_total:
                 continue
-            if _quadratic_pair(gram_c, line, coeffs) != 0:
+            if bilinear(gram_c, line, coeffs) != 0:
                 continue
             exceptional.append((cap, tuple(coeffs)))
         exceptional.sort(key=lambda item: (-item[0], item[1]))
@@ -739,8 +691,8 @@ def _rational_frame_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, p
         if chosen is None:
             continue
         caps = tuple(cap for cap, _ in chosen)
-        assert sum(caps) == cap_total
-        assert sum(c * c for c in caps) == cap_square_total
+        _invariant(sum(caps) == cap_total, "the frame capacities sum to the Chern excess")
+        _invariant(dot(caps, caps) == cap_square_total, "the frame capacities square to the volume excess")
         data = SymplecticData(Basis(RATIONAL, 0, blowups), caps, lam=lam)
         frame = [to_old(line)] + [to_old(coeffs) for _, coeffs in chosen]
         return _finish_blow_down(omega, exc, data, frame)
@@ -768,9 +720,7 @@ def _orthogonal_selection(
             return all(v == 0 for v in remaining_sum())
         for index in range(start, len(candidates)):
             cap, coeffs = candidates[index]
-            if any(
-                _quadratic_pair(gram_c, coeffs, other) != 0 for _, other in chosen
-            ):
+            if any(bilinear(gram_c, coeffs, other) != 0 for _, other in chosen):
                 continue
             chosen.append(candidates[index])
             if search(index + 1):
@@ -801,73 +751,58 @@ class BlowdownChain:
 
     def __post_init__(self) -> None:
         gram = self.start.basis.gram()
-        for i, step in enumerate(self.steps):
-            assert _quadratic_pair(gram, step.original_coeffs, step.original_coeffs) == -1
-            for later in self.steps[i + 1 :]:
-                assert (
-                    _quadratic_pair(gram, step.original_coeffs, later.original_coeffs)
-                    == 0
-                )
-            if i + 1 < len(self.steps):
-                assert step.area <= self.steps[i + 1].area
-        assert self.terminal.basis.blowups == 0
+        classes = [step.original_coeffs for step in self.steps]
+        for i, x in enumerate(classes):
+            _invariant(bilinear(gram, x, x) == -1, "chain classes have square -1")
+            _invariant(
+                all(bilinear(gram, x, y) == 0 for y in classes[i + 1 :]),
+                "chain classes are pairwise orthogonal",
+            )
+        _invariant(
+            all(a.area <= b.area for a, b in zip(self.steps, self.steps[1:])),
+            "chain areas weakly increase",
+        )
+        _invariant(self.terminal.basis.blowups == 0, "a chain ends on a minimal model")
 
 
-def minimal_blowdown_chains(omega: SymplecticData) -> tuple[BlowdownChain, ...]:
-    """All maximal chains of minimal-area blow-downs, ties branching."""
+def _blowdown_chains(omega: SymplecticData, every_tie: bool) -> list[BlowdownChain]:
+    """Blow down a minimal-area class at every stage until none is left.
+
+    With every_tie each tie branches into its own chain; otherwise only the
+    lexicographically least minimal class is followed.
+    """
     if omega.basis.blowups < 1:
         raise PreconditionError("recipe has no blow-ups")
     chains: list[BlowdownChain] = []
-    identity = [
-        [1 if j == i else 0 for j in range(omega.basis.rank)]
-        for i in range(omega.basis.rank)
-    ]
 
     def walk(data: SymplecticData, transport: list[list[int]], steps: list[ChainStep]) -> None:
         if data.basis.blowups == 0:
             chains.append(BlowdownChain(tuple(steps), data, omega))
             return
-        minimal = minimal_exceptional_classes(data)
-        for choice in minimal.classes:
-            original = tuple(
-                sum(c * transport[i][j] for i, c in enumerate(choice.coeffs))
-                for j in range(omega.basis.rank)
-            )
+        classes = minimal_exceptional_classes(data).classes
+        if not every_tie:
+            classes = (min(classes, key=lambda cls: cls.coeffs),)
+        for choice in classes:
+            original = tuple(mat_mul([choice.coeffs], transport)[0])
             smaller, frame = _blow_down_with_frame(data, choice)
             step = ChainStep(len(steps) + 1, choice, area(choice, data), original)
-            walk(smaller, mat_mul_int(frame, transport), steps + [step])
+            walk(smaller, mat_mul(frame, transport), steps + [step])
 
-    walk(omega, identity, [])
+    walk(omega, identity_matrix(omega.basis.rank), [])
+    return chains
+
+
+def minimal_blowdown_chains(omega: SymplecticData) -> tuple[BlowdownChain, ...]:
+    """All maximal chains of minimal-area blow-downs, ties branching."""
+    chains = _blowdown_chains(omega, every_tie=True)
     chains.sort(key=lambda chain: tuple(s.original_coeffs for s in chain.steps))
     return tuple(chains)
 
 
 def canonical_blowdown_chain(omega: SymplecticData) -> BlowdownChain:
     """One deterministic chain: the lexicographically least choice per stage."""
-    if omega.basis.blowups < 1:
-        raise PreconditionError("recipe has no blow-ups")
-    identity = [
-        [1 if j == i else 0 for j in range(omega.basis.rank)]
-        for i in range(omega.basis.rank)
-    ]
-    steps: list[ChainStep] = []
-    data, transport = omega, identity
-    while data.basis.blowups > 0:
-        minimal = minimal_exceptional_classes(data)
-        choice = min(minimal.classes, key=lambda cls: cls.coeffs)
-        original = tuple(
-            sum(c * transport[i][j] for i, c in enumerate(choice.coeffs))
-            for j in range(omega.basis.rank)
-        )
-        steps.append(ChainStep(len(steps) + 1, choice, area(choice, data), original))
-        data, frame = _blow_down_with_frame(data, choice)
-        transport = mat_mul_int(frame, transport)
-    return BlowdownChain(tuple(steps), data, omega)
-
-
-def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    (chain,) = _blowdown_chains(omega, every_tie=False)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -900,8 +835,7 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
         mu=omega.mu,
         fiber=None if basis.kind == RATIONAL else omega.fiber,
     )
-    gram_int = small.gram()
-    gram = [[Q(x) for x in row] for row in gram_int]
+    gram = small.gram()
     weight = fixed.area_vector()
     quantity = fixed.volume_quantity()
     chern_vec = small.chern_vector()
@@ -918,21 +852,19 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
         if cutoff < 0:
             break
         for coeffs in _certified_ball(companion, cutoff, DEFAULT_SEARCH_CEILING):
-            square = _quadratic(gram_int, coeffs)
-            if square - s * s < -1:
+            if bilinear(gram, coeffs, coeffs) - s * s < -1:
                 continue
-            if sum(t * c for t, c in zip(chern_vec, coeffs)) - s < 1:
+            if dot(chern_vec, coeffs) - s < 1:
                 continue
-            fixed_area = sum(w * c for w, c in zip(weight, coeffs))
+            fixed_area = dot(weight, coeffs)
             if fixed_area <= 0:
                 continue
-            full = tuple(coeffs[: small.base_rank])
-            full += tuple(coeffs[small.base_rank :]) + (-s,)
+            full = tuple(coeffs) + (-s,)
             if not _passes_positivity(basis, full):
                 continue
             competitors.append((fixed_area / (s + 1), full, s))
         s += 1
-    assert competitors, "a section- or fiber-based competitor always exists"
+    _invariant(bool(competitors), "a section- or fiber-based competitor always exists")
     threshold = min(value for value, _, _ in competitors)
     binding = sorted({full for value, full, _ in competitors if value == threshold})
     classes = tuple(HomologyClass(basis, full) for full in binding)

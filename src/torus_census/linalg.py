@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals and integer lattices.
 
 Small dense matrices only: the lattices in this package have rank at most a
-dozen or so.  Everything is computed over `fractions.Fraction`, so results
-are exact and deterministic.
+dozen or so.  Everything is exact: products, sums and the bilinear form
+keep integer inputs integer, and inverses and factorizations are computed
+over `fractions.Fraction`, so results are deterministic.
 
 The workhorse is :func:`enumerate_quadratic_ball`: given a positive definite
 rational Gram matrix M and a rational cutoff C, it yields every integer
@@ -24,29 +25,36 @@ Matrix = list[list[Q]]
 Vector = list[Q]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+def identity_matrix(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_vec(m: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vector:
-    return [sum((Q(a) * Q(b) for a, b in zip(row, v)), Q(0)) for row in m]
+def dot(u: Sequence, v: Sequence):
+    """Sum of products; integer inputs give an integer."""
+    return sum(a * b for a, b in zip(u, v))
 
 
-def mat_mul(a: Sequence[Sequence[Q]], b: Sequence[Sequence[Q]]) -> Matrix:
+def bilinear(gram: Sequence[Sequence], x: Sequence, y: Sequence):
+    """x^T gram y, skipping the zero entries of the (sparse) lattice Grams."""
+    return sum(
+        x[i] * g * y[j]
+        for i, row in enumerate(gram)
+        for j, g in enumerate(row)
+        if g != 0
+    )
+
+
+def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
+    return [dot(row, v) for row in m]
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     cols = list(zip(*b))
-    return [[sum((Q(x) * Q(y) for x, y in zip(row, col)), Q(0)) for col in cols] for row in a]
+    return [[dot(row, col) for col in cols] for row in a]
 
 
-def transpose(m: Sequence[Sequence[Q]]) -> Matrix:
+def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(row) for row in zip(*m)]
-
-
-def dot(u: Sequence[Q], v: Sequence[Q]) -> Q:
-    return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
-
-
-def outer(u: Sequence[Q], v: Sequence[Q]) -> Matrix:
-    return [[Q(a) * Q(b) for b in v] for a in u]
 
 
 def mat_inverse(m: Sequence[Sequence[Q]]) -> Matrix:
@@ -138,10 +146,10 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     if not rows:
         raise ValueError("integer_kernel requires at least one row")
     width = len(rows[0])
-    basis = [[1 if i == j else 0 for i in range(width)] for j in range(width)]
+    basis = identity_matrix(width)
     live = width
     for row in rows:
-        values = [sum(row[i] * col[i] for i in range(width)) for col in basis[:live]]
+        values = [dot(row, col) for col in basis[:live]]
         # Euclidean reduction across the live columns.
         while True:
             nonzero = [j for j in range(live) if values[j] != 0]

@@ -483,20 +483,16 @@ def classify_model(polygon: RationalPolygon) -> ModelIdentification:
 
 
 def count_toric_actions_ruled(a: Q, b: Q, twisted: bool) -> int:
-    """Number of trapezoid models of width a, height b, and fixed slope parity."""
+    """Number of trapezoid models of width a, height b, and fixed slope parity.
+
+    The slopes m of that parity (odd when twisted) with m b < 2a, counted in
+    closed form.  A twisted model may be narrower than it is high.
+    """
     a, b = parse_rational(a), parse_rational(b)
-    if not a >= b > 0:
-        raise PreconditionError("counting needs a >= b > 0")
+    if not (a > 0 and b > 0) or (not twisted and a < b):
+        raise PreconditionError("counting needs a, b > 0, and a >= b for product models")
     ratio = a / b
-    formula = ceil_rational(ratio - Q(1, 2)) if twisted else ceil_rational(ratio)
-    start = 1 if twisted else 0
-    direct = 0
-    m = start
-    while 2 * a > m * b:
-        direct += 1
-        m += 2
-    assert direct == formula, "formula and trapezoid enumeration must agree"
-    return formula
+    return ceil_rational(ratio - Q(1, 2)) if twisted else ceil_rational(ratio)
 
 
 # ---------------------------------------------------------------------------

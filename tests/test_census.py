@@ -166,6 +166,9 @@ def test_ruled_base_model_counts():
             models = base_toric_actions(spec)
             assert len(models) == expected, (kind, mu)
             assert ruled_base_count(spec) == expected, (kind, mu)
+    # A twisted base with mu < 1/2 has models narrower than they are high.
+    narrow = ruled("twisted_ruled", 0, Q(1, 3))
+    assert ruled_base_count(narrow) == len(base_toric_actions(narrow)) == 1
 
 
 def test_ruled_base_models_are_canonical_and_distinct():

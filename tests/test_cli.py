@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from torus_census.cli import main, thread_budget
+from torus_census.cli import main
 
 SQUARE = '{"vertices": [["0","0"],["1","0"],["1","1"],["0","1"]]}'
 TRIANGLE_TALL = '{"vertices": [["0","0"],["1","0"],["0","2"]]}'
@@ -418,6 +418,23 @@ def test_ruled_recipe_outside_cone_is_exit_two(capsys, spec):
     assert "outside the symplectic cone" in err
 
 
+@pytest.mark.parametrize("verb", ["exceptional", "chains", "threshold"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # L - E1 - E2 has area 0.
+        '{"base":{"kind":"cp2","lambda":"1"},"capacities":["1/2","1/2"]}',
+        # S - E1 has area 1/2 - 3/4 < 0.
+        '{"base":{"kind":"product_ruled","mu":"1/2"},"capacities":["3/4"]}',
+    ],
+)
+def test_homology_verbs_refuse_recipes_outside_cone(capsys, verb, spec):
+    code, out, err = run(capsys, verb, "--spec", spec)
+    assert code == 2
+    assert out == ""
+    assert "outside the symplectic cone" in err
+
+
 def test_blowup_too_large_is_exit_two(capsys):
     code, out, err = run(
         capsys, "blowup", "--polygon", SQUARE, "--vertex", "0", "--delta", "2"
@@ -425,31 +442,3 @@ def test_blowup_too_large_is_exit_two(capsys):
     assert code == 2
     assert "capacity too large" in err
 
-
-# ---------------------------------------------------------------------------
-# Thread budget
-
-
-def test_thread_budget_clamps(monkeypatch):
-    monkeypatch.delenv("TORUS_CENSUS_THREADS", raising=False)
-    assert thread_budget() == 1
-    monkeypatch.setenv("TORUS_CENSUS_THREADS", "8")
-    assert thread_budget() == 8
-    monkeypatch.setenv("TORUS_CENSUS_THREADS", "500")
-    assert thread_budget() == 64
-    monkeypatch.setenv("TORUS_CENSUS_THREADS", "0")
-    assert thread_budget() == 1
-
-
-def test_thread_budget_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("TORUS_CENSUS_THREADS", "abc")
-    code, out, err = run(capsys, "check", "--polygon", SQUARE)
-    assert code == 1
-    assert err.strip() == "TORUS_CENSUS_THREADS must be an integer, got 'abc'"
-
-
-def test_large_thread_budget_still_runs(capsys, monkeypatch):
-    monkeypatch.setenv("TORUS_CENSUS_THREADS", "500")
-    code, out, err = run(capsys, "check", "--polygon", SQUARE, "--format", "json")
-    assert code == 0
-    assert json.loads(out)["ok"] is True

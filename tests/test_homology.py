@@ -5,12 +5,17 @@ boxes, re-run here) or from hand-checked lattice arithmetic recorded next to
 each test.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import torus_census
 from torus_census.errors import PreconditionError
 from torus_census.homology import (
     Basis,
@@ -34,7 +39,7 @@ from torus_census.homology import (
     symplectic_from_json,
     symplectic_to_json,
 )
-from torus_census.linalg import signature
+from torus_census.linalg import mat_inverse, mat_vec, signature
 
 
 def rational_data(lam, *caps):
@@ -136,6 +141,22 @@ def test_area_and_dual():
     assert area(cls(data, 0, 1, 0), data) == Q(1, 3)
     assert area(cls(data, 1, -1, -1), data) == Q(5, 12)
     assert poincare_dual(data) == (Q(1), Q(-1, 3), Q(-1, 4))
+
+
+@pytest.mark.parametrize("blowups", [0, 1, 4])
+@pytest.mark.parametrize(
+    "kind, genus", [("rational", 0), ("product_ruled", 0), ("product_ruled", 1), ("twisted_ruled", 2)]
+)
+def test_closed_form_dual_matches_gram_inverse(kind, genus, blowups):
+    basis = Basis(kind, genus, blowups)
+    caps = tuple(Q(1, 2 + i) for i in range(blowups))
+    if kind == "rational":
+        data = SymplecticData(basis, caps, lam=Q(3))
+    else:
+        data = SymplecticData(basis, caps, mu=Q(5, 2))
+    inverse = mat_inverse(basis.gram())
+    for vector in (data.area_vector(), basis.chern_vector()):
+        assert basis.dual(vector) == mat_vec(inverse, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +441,36 @@ def test_pair_chain_terminates_in_sphere_product():
     terminal = canonical.terminal
     assert terminal.basis.kind == "product_ruled"
     assert (terminal.mu, terminal.fiber) == (Q(3, 5), Q(3, 5))
+
+
+CHAIN_WITH_REPEATED_STEP = """
+from fractions import Fraction as Q
+from torus_census.homology import (
+    Basis, BlowdownChain, ChainStep, HomologyClass, SymplecticData,
+)
+start = SymplecticData(Basis("rational", 0, 2), (Q(1, 3), Q(1, 3)), lam=Q(1))
+e1 = HomologyClass(start.basis, (0, 1, 0))
+step = ChainStep(1, e1, Q(1, 3), e1.coeffs)
+terminal = SymplecticData(Basis("rational", 0, 0), (), lam=Q(1))
+try:
+    BlowdownChain((step, step), terminal, start)
+except AssertionError:
+    print(__debug__, "refused")
+else:
+    print(__debug__, "accepted")
+"""
+
+
+def test_chain_checks_survive_optimize():
+    # E1, E1 is not a pairwise orthogonal chain, also under python -O.
+    src = str(Path(torus_census.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", CHAIN_WITH_REPEATED_STEP],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "refused"]
 
 
 def test_chains_need_a_blowup():
