@@ -13,19 +13,27 @@ subactions with fixed surfaces of every current toric polygon, blows up
 the previous frontier at every feasible component, and finally keeps the
 graphs that do not extend to a toric action.  Both censuses are exact and
 deterministic, and every entry carries a replayable provenance.
+
+Both censuses run on whole numbers: every area of the reduced recipe is
+multiplied by D, twice the lcm of its denominators, so every polygon
+vertex, moment and graph area is a Python int, and the results are
+divided by D back to Fractions.  A positive scale commutes with the
+integral affine maps, translations and reflections of the canonical
+forms and keeps every comparison, so the answer is the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
+from math import lcm
 from typing import NamedTuple
 
 from . import circle_graph as cg
 from . import polygon as pg
 from .errors import CapacityError, FormatError, PreconditionError
 from .homology import Basis, SymplecticData
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, halve, parse_rational
 
 CP2 = "cp2"
 PRODUCT_RULED = "product_ruled"
@@ -225,10 +233,17 @@ def base_toric_actions(spec: ManifoldSpec) -> tuple[pg.RationalPolygon, ...]:
     """Canonical model polygons of the base, before any blow-up."""
     if not spec.rational_base:
         return ()
-    if spec.base == CP2:
-        triangle = pg.delzant_triangle(spec.base_area)
+    return _model_polygons(spec.base, spec.base_area, spec.fiber)
+
+
+def _model_polygons(
+    base: str, area: Q | int, fiber: Q | int
+) -> tuple[pg.RationalPolygon, ...]:
+    """Canonical model polygons of a rational base of the given areas."""
+    if base == CP2:
+        triangle = pg.delzant_triangle(area)
         return (pg.canonical_form(triangle)[0],)
-    width, height, twisted = _ruled_model_box(spec)
+    width, height, twisted = _ruled_model_box(base, area, fiber)
     models = {}
     m = 1 if twisted else 0
     while 2 * width > m * height:
@@ -239,19 +254,22 @@ def base_toric_actions(spec: ManifoldSpec) -> tuple[pg.RationalPolygon, ...]:
     return tuple(models[key] for key in sorted(models))
 
 
-def _ruled_model_box(spec: ManifoldSpec) -> tuple[Q, Q, bool]:
+def _ruled_model_box(
+    base: str, area: Q | int, fiber: Q | int
+) -> tuple[Q | int, Q | int, bool]:
     """Width, height and twist of the trapezoid models of a ruled base."""
-    if spec.base == PRODUCT_RULED:
-        width = max(spec.base_area, spec.fiber)
-        return width, min(spec.base_area, spec.fiber), False
-    return spec.base_area + spec.fiber / 2, spec.fiber, True
+    if base == PRODUCT_RULED:
+        return max(area, fiber), min(area, fiber), False
+    return area + halve(fiber), fiber, True
 
 
 def ruled_base_count(spec: ManifoldSpec) -> int:
     """Closed-form count of base models (see polygon.count_toric_actions_ruled)."""
     if spec.base == CP2:
         return 1
-    return pg.count_toric_actions_ruled(*_ruled_model_box(spec))
+    return pg.count_toric_actions_ruled(
+        *_ruled_model_box(spec.base, spec.base_area, spec.fiber)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +277,19 @@ def ruled_base_count(spec: ManifoldSpec) -> int:
 
 
 def _toric_stages(
-    spec: ManifoldSpec,
+    seeds: tuple[pg.RationalPolygon, ...],
+    capacities: tuple[tuple[int, Q], ...],
 ) -> list[dict[tuple, tuple[pg.RationalPolygon, ToricProvenance]]]:
+    """The toric fold: each stage chops every corner of the previous one.
+
+    Each capacity comes as (scaled int, recipe value); the first is folded,
+    the second recorded in the provenance.
+    """
     stage: dict[tuple, tuple[pg.RationalPolygon, ToricProvenance]] = {}
-    for polygon in base_toric_actions(spec):
+    for polygon in seeds:
         stage[polygon.vertices] = (polygon, ToricProvenance(polygon, ()))
     stages = [stage]
-    for delta in spec.capacities:
+    for delta, recorded in capacities:
         previous, stage = stage, {}
         for key in sorted(previous):
             polygon, provenance = previous[key]
@@ -277,7 +301,7 @@ def _toric_stages(
                 canonical = pg.canonical_form(blown)[0]
                 if canonical.vertices in stage:
                     continue
-                steps = provenance.steps + (BlowUpStep(delta, vertex),)
+                steps = provenance.steps + (BlowUpStep(recorded, vertex),)
                 stage[canonical.vertices] = (
                     canonical,
                     ToricProvenance(provenance.base, steps),
@@ -376,6 +400,27 @@ def _in_cone_model(spec: ManifoldSpec) -> ManifoldSpec:
     return _cremona_reduced(spec)
 
 
+def _scale(model: ManifoldSpec) -> int:
+    """D = 2 lcm of the model's denominators: D times any of its areas, and
+    D/2 times the fiber (a twisted model's half fiber), is an int."""
+    areas = (model.base_area, model.fiber, *model.capacities)
+    return 2 * lcm(*(x.denominator for x in areas))
+
+
+def _unscaled_graph(graph: cg.S1Graph, scale: int) -> cg.S1Graph:
+    components = tuple(
+        cg.FixedComponent(
+            v.id,
+            Q(v.moment, scale),
+            v.weights,
+            v.genus,
+            None if v.area is None else Q(v.area, scale),
+        )
+        for v in graph.vertices
+    )
+    return cg.S1Graph(components, graph.edges)
+
+
 def run_census(spec: ManifoldSpec) -> CensusResult:
     """Full toric and maximal-circle census of a recipe, with provenance.
 
@@ -385,19 +430,22 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     """
     warnings = _regime_warnings(spec)
     model = _in_cone_model(spec)
-    stages = _toric_stages(model)
+    scale = _scale(model)
+    area, fiber = int(model.base_area * scale), int(model.fiber * scale)
+    capacities = tuple((int(c * scale), c) for c in model.capacities)
+    seeds = _model_polygons(model.base, area, fiber) if model.rational_base else ()
+    stages = _toric_stages(seeds, capacities)
     final_stage = stages[-1]
 
     frontier: dict[tuple, tuple[cg.S1Graph, CircleProvenance]] = {}
     if model.rational_base:
         _projection_seeds(0, stages[0], frontier)
     else:
-        degree = 1 if model.base == TWISTED_RULED else 0
+        twisted = model.base == TWISTED_RULED
+        degree = 1 if twisted else 0
         while True:
             try:
-                graph = cg.ruled_base_graph(
-                    model.genus, degree, model.base_area, model.base == TWISTED_RULED
-                )
+                graph = cg.ruled_base_graph(model.genus, degree, area, twisted, fiber)
             except PreconditionError:
                 break
             serial = cg.canonical_serialization(graph)
@@ -407,7 +455,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             )
             degree += 2
 
-    for index, delta in enumerate(model.capacities, start=1):
+    for index, (delta, recorded) in enumerate(capacities, start=1):
         previous, frontier = frontier, {}
         for key in sorted(previous):
             graph, provenance = previous[key]
@@ -419,7 +467,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
                 serial = cg.canonical_serialization(blown)
                 if serial in frontier:
                     continue
-                steps = provenance.steps + (BlowUpStep(delta, vertex.id),)
+                steps = provenance.steps + (BlowUpStep(recorded, vertex.id),)
                 frontier[serial] = (
                     cg.canonical_form(blown),
                     CircleProvenance(
@@ -435,6 +483,15 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         if not frontier and not stages[index]:
             break
 
+    # Toric entries and provenance share polygons: divide each one once.
+    shared: dict[pg.RationalPolygon, pg.RationalPolygon] = {}
+
+    def unscaled(polygon: pg.RationalPolygon) -> pg.RationalPolygon:
+        if polygon not in shared:
+            points = tuple((Q(x, scale), Q(y, scale)) for x, y in polygon.vertices)
+            shared[polygon] = pg.RationalPolygon(points)
+        return shared[polygon]
+
     toric_entries = [final_stage[key] for key in sorted(final_stage)]
     circle_entries = [
         frontier[key]
@@ -448,11 +505,21 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     )
     return CensusResult(
         spec=spec,
-        toric=tuple(entry[0] for entry in toric_entries),
-        maximal_circles=tuple(entry[0] for entry in circle_entries),
+        toric=tuple(unscaled(entry[0]) for entry in toric_entries),
+        maximal_circles=tuple(
+            _unscaled_graph(entry[0], scale) for entry in circle_entries
+        ),
         counts=counts,
-        toric_provenance=tuple(entry[1] for entry in toric_entries),
-        circle_provenance=tuple(entry[1] for entry in circle_entries),
+        toric_provenance=tuple(
+            replace(entry[1], base=unscaled(entry[1].base))
+            for entry in toric_entries
+        ),
+        circle_provenance=tuple(
+            entry[1]
+            if entry[1].polygon is None
+            else replace(entry[1], polygon=unscaled(entry[1].polygon))
+            for entry in circle_entries
+        ),
         warnings=warnings,
     )
 

@@ -3,8 +3,9 @@
 A graph records the fixed components of a circle action: isolated points
 carry their pair of isotropy weights, fixed surfaces carry genus and
 area, and every sphere with finite nontrivial isotropy Z_k appears as an
-edge joining its two poles.  Moments are exact rationals and sphere
-areas are recovered from the moment gap, area = (mu_north - mu_south)/k.
+edge joining its two poles.  Moments are exact rationals (`Fraction`s, or
+`int`s when a census runs on whole numbers) and sphere areas are
+recovered from the moment gap, area = (mu_north - mu_south)/k.
 
 The module validates the combinatorial axioms, projects Delzant polygons
 to circle subactions, builds the base graphs of ruled surfaces, performs
@@ -24,7 +25,7 @@ from typing import Iterable
 
 from .errors import FormatError, PreconditionError
 from .polygon import RationalPolygon, edges as polygon_edges, is_delzant
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, halve, parse_exact, parse_rational
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,12 @@ class FixedComponent:
     area: Q | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moment", parse_rational(self.moment))
+        object.__setattr__(self, "moment", parse_exact(self.moment))
         if self.weights is not None:
             pair = tuple(sorted(self.weights, reverse=True))
             object.__setattr__(self, "weights", pair)
         if self.area is not None:
-            object.__setattr__(self, "area", parse_rational(self.area))
+            object.__setattr__(self, "area", parse_exact(self.area))
 
     @property
     def is_surface(self) -> bool:
@@ -92,7 +93,7 @@ class S1Graph:
 
 def edge_area(graph: S1Graph, edge: tuple[int, int, int]) -> Q:
     north, south, k = edge
-    return (graph.component(north).moment - graph.component(south).moment) / k
+    return Q(graph.component(north).moment - graph.component(south).moment, k)
 
 
 def validate(graph: S1Graph) -> tuple[bool, tuple[str, ...]]:
@@ -239,7 +240,8 @@ def graph_from_polygon(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph
         if k < 2:
             continue
         head, tail = (i + 1) % n, i
-        assert head in ids and tail in ids, "Z_k edges never touch absorbed vertices"
+        if head not in ids or tail not in ids:
+            raise AssertionError("Z_k edges never touch absorbed vertices")
         if moments[head] > moments[tail]:
             links.append((ids[head], ids[tail], k))
         else:
@@ -250,32 +252,35 @@ def graph_from_polygon(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph
     return graph
 
 
-def ruled_base_graph(genus: int, degree: int, mu: Q, twisted: bool) -> S1Graph:
+def ruled_base_graph(
+    genus: int, degree: int, mu: Q, twisted: bool, fiber: Q = Q(1)
+) -> S1Graph:
     """Base graph of a fiberwise circle action on a ruled surface.
 
-    The fiber has area 1, so the two section surfaces sit at moments 0
-    and 1; they differ by degree-many fibers, and the admissible degrees
-    of each parity are exactly those keeping the bottom area positive.
+    The fiber has area 1 unless given, so the two section surfaces sit at
+    moments 0 and fiber; they differ by degree-many fibers, and the
+    admissible degrees of each parity are exactly those keeping the bottom
+    area positive.
     """
-    mu = parse_rational(mu)
+    mu, fiber = parse_exact(mu), parse_exact(fiber)
     if not isinstance(genus, int) or genus < 0:
         raise PreconditionError("genus must be a nonnegative integer")
     if not isinstance(degree, int) or degree < 0:
         raise PreconditionError("degree must be a nonnegative integer")
-    if mu <= 0:
-        raise PreconditionError("section area parameter must be positive")
+    if mu <= 0 or fiber <= 0:
+        raise PreconditionError("section and fiber areas must be positive")
     if degree % 2 != (1 if twisted else 0):
         kind = "twisted" if twisted else "product"
         raise PreconditionError(f"{kind} ruling needs degree of matching parity")
-    bottom = mu - Q(degree - 1, 2) if twisted else mu - Q(degree, 2)
+    bottom = mu - halve((degree - 1 if twisted else degree) * fiber)
     if bottom <= 0:
         raise PreconditionError(
             f"section area nonpositive: {format_rational(bottom)}"
         )
     return S1Graph(
         (
-            surface(0, Q(0), genus, bottom),
-            surface(1, Q(1), genus, bottom + degree),
+            surface(0, fiber - fiber, genus, bottom),
+            surface(1, fiber, genus, bottom + degree * fiber),
         )
     )
 
@@ -287,7 +292,7 @@ def ruled_base_graph(genus: int, degree: int, mu: Q, twisted: bool) -> S1Graph:
 def can_blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> tuple[bool, str]:
     """Feasibility of an equivariant blow-up of capacity delta at a vertex."""
     _require_valid(graph)
-    delta = parse_rational(delta)
+    delta = parse_exact(delta)
     if delta <= 0:
         return (False, "capacity must be positive")
     vertex = graph.component(vertex_id)
@@ -307,14 +312,12 @@ def can_blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> tuple[bool, str]:
             )
         return (True, "")
 
-    for edge in graph.edges:
-        if vertex_id in (edge[0], edge[1]):
-            area = edge_area(graph, edge)
-            if area <= delta:
-                return (
-                    False,
-                    f"Z_{edge[2]} sphere area {format_rational(area)} must exceed delta",
-                )
+    for north, south, k in graph.edges:
+        if vertex_id in (north, south):
+            gap = graph.component(north).moment - graph.component(south).moment
+            if gap <= k * delta:
+                area = format_rational(Q(gap, k))
+                return (False, f"Z_{k} sphere area {area} must exceed delta")
     if lo < vertex.moment < hi:
         if not (lo < vertex.moment - delta and vertex.moment + delta < hi):
             return (
@@ -339,7 +342,7 @@ def _fresh_ids(graph: S1Graph, count: int) -> list[int]:
 
 def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
     """Equivariant blow-up of capacity delta at a fixed component."""
-    delta = parse_rational(delta)
+    delta = parse_exact(delta)
     feasible, reason = can_blow_up(graph, vertex_id, delta)
     if not feasible:
         raise PreconditionError(f"blow-up infeasible: {reason}")
@@ -385,7 +388,8 @@ def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
 
 def _validated(graph: S1Graph) -> S1Graph:
     ok, problems = validate(graph)
-    assert ok, f"blow-up produced an invalid graph: {problems[0]}"
+    if not ok:
+        raise AssertionError(f"blow-up produced an invalid graph: {problems[0]}")
     return graph
 
 
@@ -406,19 +410,21 @@ def extends_to_toric(graph: S1Graph) -> bool:
         return True
     if any(v.is_surface and v.genus > 0 for v in graph.vertices):
         return False
+    # Levels are sampled doubled, so a midpoint needs no division.
     lo, hi = graph.min_moment, graph.max_moment
     critical = sorted({v.moment for v in graph.vertices if lo < v.moment < hi})
-    samples = list(critical)
+    samples = [2 * m for m in critical]
     cuts = sorted({lo, hi, *critical})
     for left, right in zip(cuts, cuts[1:]):
-        samples.append((left + right) / 2)
+        samples.append(left + right)
     for level in samples:
         points = sum(
-             1 for v in graph.vertices if not v.is_surface and v.moment == level
+            1 for v in graph.vertices if not v.is_surface and 2 * v.moment == level
         )
         spans = 0
         for north, south, _ in graph.edges:
-            if graph.component(south).moment < level < graph.component(north).moment:
+            low = 2 * graph.component(south).moment
+            if low < level < 2 * graph.component(north).moment:
                 spans += 1
         if points + spans > 2:
             return False
@@ -432,11 +438,11 @@ def extends_to_toric(graph: S1Graph) -> bool:
 def _basic_key(vertex: FixedComponent, shift: Q, flip: bool, span: Q) -> tuple:
     moment = span - (vertex.moment - shift) if flip else vertex.moment - shift
     if vertex.is_surface:
-        return (moment, 1, Q(vertex.genus), vertex.area)
+        return (moment, 1, vertex.genus, vertex.area)
     m, n = vertex.weights
     if flip:
         m, n = -n, -m
-    return (moment, 0, Q(m), Q(n))
+    return (moment, 0, m, n)
 
 
 def _serialize(graph: S1Graph, flip: bool) -> tuple:
@@ -477,17 +483,22 @@ def _serialize(graph: S1Graph, flip: bool) -> tuple:
             )
         return (verts, links)
 
-    ambiguous = [g for g in groups if len(g) > 1]
-    if not ambiguous or not graph.edges:
+    # Vertices with no incident edge appear in no link, so swapping two of
+    # them within a group of equal keys changes nothing.
+    ambiguous = [g for g in groups if len(g) > 1 and neighbour[ordered[g[0]].id]]
+    if not ambiguous:
         return serialization(ordered)
-    assert all(len(g) <= 4 for g in ambiguous), "unexpectedly large symmetry group"
+    if any(len(g) > 4 for g in ambiguous):
+        raise PreconditionError(
+            "graph has more than four interchangeable vertices with edges; "
+            "its canonical form is not searched"
+        )
     best = None
     for perms in itertools.product(
         *(itertools.permutations(group) for group in ambiguous)
     ):
         candidate = list(ordered)
         for group, perm in zip(ambiguous, perms):
-            slots = [ordered[i] for i in group]
             for slot_index, source in zip(group, perm):
                 candidate[slot_index] = ordered[source]
         serialized = serialization(candidate)
@@ -521,7 +532,7 @@ def equivalent(left: S1Graph, right: S1Graph) -> bool:
 def enumerate_equivariant_blowups(graph: S1Graph, delta: Q) -> tuple[S1Graph, ...]:
     """Canonical forms of all feasible equivariant blow-ups of one capacity."""
     _require_valid(graph)
-    delta = parse_rational(delta)
+    delta = parse_exact(delta)
     results: dict[tuple, S1Graph] = {}
     for vertex in graph.vertices:
         feasible, _ = can_blow_up(graph, vertex.id, delta)

@@ -1,13 +1,15 @@
 """Exact Delzant polygon calculus.
 
-Polygons are counterclockwise tuples of rational points.  Every operation
-is exact: edge data (primitive directions, outward normals, rational
-lengths), the Delzant vertex test, self-intersection numbers read off the
-normal fan, corner-chop blow-ups and triangle-glue blow-downs, the model
-constructors (triangle and trapezoid), and a complete canonical form under
-integral affine equivalence obtained by normalizing the edge basis at
-every vertex in both traversal directions and taking the lexicographic
-minimum of the resulting vertex lists.
+Polygons are counterclockwise tuples of rational points; coordinates are
+`Fraction`s, or `int`s throughout when a census runs on whole numbers, and
+an `int` input stays an `int`.  Every operation is exact: edge data
+(primitive directions, outward normals, rational lengths), the Delzant
+vertex test, self-intersection numbers read off the normal fan,
+corner-chop blow-ups and triangle-glue blow-downs, the model
+constructors (triangle and trapezoid), and a complete canonical form
+under integral affine equivalence obtained by normalizing the edge basis
+at every vertex in both traversal directions and taking the
+lexicographic minimum of the resulting vertex lists.
 
 Rational length means length measured against the primitive integer
 direction of the edge; it equals the symplectic area of the invariant
@@ -24,7 +26,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, FormatError, PreconditionError
-from .rationals import ceil_rational, format_rational, parse_rational
+from .rationals import ceil_rational, format_rational, halve, parse_exact, parse_rational
 
 Point = tuple[Q, Q]
 
@@ -32,7 +34,7 @@ Point = tuple[Q, Q]
 def _parse_point(value: Sequence) -> Point:
     if len(value) != 2:
         raise FormatError(f"points need two coordinates: {value!r}")
-    return (parse_rational(value[0]), parse_rational(value[1]))
+    return (parse_exact(value[0]), parse_exact(value[1]))
 
 
 def _cross(a: Point, b: Point) -> Q:
@@ -119,12 +121,12 @@ class UnimodularAffineMap:
         object.__setattr__(
             self,
             "translation",
-            (parse_rational(self.translation[0]), parse_rational(self.translation[1])),
+            (parse_exact(self.translation[0]), parse_exact(self.translation[1])),
         )
 
     def apply(self, point: Point) -> Point:
         (a, b), (c, d) = self.matrix
-        x, y = parse_rational(point[0]), parse_rational(point[1])
+        x, y = parse_exact(point[0]), parse_exact(point[1])
         return (a * x + b * y + self.translation[0], c * x + d * y + self.translation[1])
 
     def apply_polygon(self, polygon: RationalPolygon) -> RationalPolygon:
@@ -136,8 +138,16 @@ class UnimodularAffineMap:
 
 
 def _primitive_direction(vector: Point) -> tuple[tuple[int, int], Q]:
-    """Primitive integer direction d and rational length t with vector = t d."""
+    """Primitive integer direction d and rational length t with vector = t d.
+
+    The length is an int when both coordinates are.
+    """
     x, y = vector
+    if type(x) is int and type(y) is int:
+        g = gcd(x, y)
+        if g == 0:
+            raise PreconditionError("zero-length edge")
+        return (x // g, y // g), g
     denom = 1
     for coord in (x, y):
         denom = denom * coord.denominator // gcd(denom, coord.denominator)
@@ -211,7 +221,7 @@ def invariants(polygon: RationalPolygon) -> PolygonInvariants:
     return PolygonInvariants(
         edge_count=n,
         b2=n - 2,
-        euclidean_area=doubled / 2,
+        euclidean_area=Q(doubled, 2),
         perimeter=sum(areas),
         edge_areas=areas,
     )
@@ -219,7 +229,8 @@ def invariants(polygon: RationalPolygon) -> PolygonInvariants:
 
 def _inverse_of_columns(u: tuple[int, int], v: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
     det = u[0] * v[1] - u[1] * v[0]
-    assert abs(det) == 1
+    if abs(det) != 1:
+        raise AssertionError("edge directions at a Delzant vertex form a lattice basis")
     return ((v[1] * det, -v[0] * det), (-u[1] * det, u[0] * det))
 
 
@@ -263,7 +274,8 @@ def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, Unimodula
                     -(matrix[1][0] * origin[0] + matrix[1][1] * origin[1]),
                 )
                 best = (flat, tuple(seq), UnimodularAffineMap(matrix, translation))
-    assert best is not None
+    if best is None:
+        raise AssertionError("some edge has the shortest rational length")
     return RationalPolygon(best[1]), best[2]
 
 
@@ -277,7 +289,7 @@ def blow_up(polygon: RationalPolygon, vertex: int, delta: Q) -> RationalPolygon:
     n = polygon.edge_count
     if not (0 <= vertex < n):
         raise PreconditionError(f"vertex index out of range: {vertex}")
-    delta = parse_rational(delta)
+    delta = parse_exact(delta)
     if delta <= 0:
         raise PreconditionError("blow-up capacity must be positive")
     edge_list = edges(polygon)
@@ -311,14 +323,13 @@ def blow_down(polygon: RationalPolygon, index: int) -> RationalPolygon:
     after = edge_list[(index + 1) % n]
     start = polygon.vertices[index]
     tail = polygon.vertices[(index + 1) % n]
-    # Solve start + t * before.direction = tail + u * after.direction.
-    det = _cross(
-        (Q(before.direction[0]), Q(before.direction[1])),
-        (Q(after.direction[0]), Q(after.direction[1])),
-    )
-    assert det != 0, "a -1 edge always has crossing neighbours"
-    rhs = _sub(tail, start)
-    t = _cross(rhs, (Q(after.direction[0]), Q(after.direction[1]))) / det
+    # Solve start + t * before.direction = tail + u * after.direction.  The
+    # neighbours of a -1 edge form a lattice basis, so the solve needs no
+    # division and an integer polygon stays integer.
+    det = _cross(before.direction, after.direction)
+    if det != 1:
+        raise AssertionError("the neighbours of a -1 edge form a lattice basis")
+    t = _cross(_sub(tail, start), after.direction)
     crossing = (start[0] + t * before.direction[0], start[1] + t * before.direction[1])
     points = []
     for j in range(n):
@@ -334,30 +345,30 @@ def blow_down(polygon: RationalPolygon, index: int) -> RationalPolygon:
 
 
 def delzant_triangle(lam: Q) -> RationalPolygon:
-    lam = parse_rational(lam)
+    lam = parse_exact(lam)
     if lam <= 0:
         raise PreconditionError("triangle side length must be positive")
-    return RationalPolygon(((Q(0), Q(0)), (lam, Q(0)), (Q(0), lam)))
+    zero = lam - lam
+    return RationalPolygon(((zero, zero), (lam, zero), (zero, lam)))
 
 
 def _trapezoid(a: Q, b: Q, m: int) -> RationalPolygon:
     """Trapezoid of width a, height b, slope m; no width/height ordering."""
-    a, b = parse_rational(a), parse_rational(b)
+    a, b = parse_exact(a), parse_exact(b)
     if not isinstance(m, int) or m < 0:
         raise PreconditionError("trapezoid slope must be a nonnegative integer")
     if a <= 0 or b <= 0:
         raise PreconditionError("trapezoid sides must be positive")
     if 2 * a <= m * b:
         raise PreconditionError("trapezoid slope too large: need a > m b / 2")
-    half = Q(m) * b / 2
-    return RationalPolygon(
-        ((Q(0), Q(0)), (a + half, Q(0)), (a - half, b), (Q(0), b))
-    )
+    half = halve(m * b)
+    zero = b - b
+    return RationalPolygon(((zero, zero), (a + half, zero), (a - half, b), (zero, b)))
 
 
 def hirzebruch(a: Q, b: Q, m: int) -> RationalPolygon:
     """Model trapezoid for a sphere bundle over a sphere; needs a >= b."""
-    a, b = parse_rational(a), parse_rational(b)
+    a, b = parse_exact(a), parse_exact(b)
     if a < b:
         raise PreconditionError("trapezoid needs a >= b")
     return _trapezoid(a, b, m)
@@ -366,7 +377,7 @@ def hirzebruch(a: Q, b: Q, m: int) -> RationalPolygon:
 def enumerate_equivariant_blowups(polygon: RationalPolygon, delta: Q) -> tuple[RationalPolygon, ...]:
     """Canonical forms of all corner chops of the given capacity."""
     _require_delzant(polygon)
-    delta = parse_rational(delta)
+    delta = parse_exact(delta)
     results: dict[tuple, RationalPolygon] = {}
     for vertex in range(polygon.edge_count):
         try:
@@ -396,7 +407,7 @@ class ModelIdentification:
     def section_area(self) -> Q:
         if self.kind == "cp2":
             raise PreconditionError("cp2 models have no section")
-        return self.a if self.kind == "product_ruled" else self.a - self.b / 2
+        return self.a if self.kind == "product_ruled" else self.a - Q(self.b, 2)
 
     @property
     def fiber_area(self) -> Q:
@@ -409,13 +420,13 @@ class ModelIdentification:
         """Twisted models only: the area of the line class downstairs."""
         if self.kind != "twisted_ruled":
             raise PreconditionError("line area is a twisted-model quantity")
-        return self.a + self.b / 2
+        return self.a + Q(self.b, 2)
 
     @property
     def exceptional_area(self) -> Q:
         if self.kind != "twisted_ruled":
             raise PreconditionError("exceptional area is a twisted-model quantity")
-        return self.a - self.b / 2
+        return self.a - Q(self.b, 2)
 
 
 def _read_model(polygon: RationalPolygon) -> ModelIdentification:
@@ -423,9 +434,11 @@ def _read_model(polygon: RationalPolygon) -> ModelIdentification:
     edge_list = edges(polygon)
     if n == 3:
         lengths = {e.rational_length for e in edge_list}
-        assert len(lengths) == 1, "a Delzant triangle has equal rational lengths"
+        if len(lengths) != 1:
+            raise AssertionError("a Delzant triangle has equal rational lengths")
         return ModelIdentification("cp2", lengths.pop(), None, 0)
-    assert n == 4
+    if n != 4:
+        raise AssertionError(f"a model polygon has 3 or 4 edges, not {n}")
     for i in range(4):
         j = (i + 2) % 4
         di, dj = edge_list[i].direction, edge_list[j].direction
@@ -434,10 +447,11 @@ def _read_model(polygon: RationalPolygon) -> ModelIdentification:
             normal = edge_list[i].normal
             offset = _sub(polygon.vertices[j], polygon.vertices[i])
             height = abs(normal[0] * offset[0] + normal[1] * offset[1])
-            slope = (high - low) / height
-            assert slope.denominator == 1
+            slope = Q(high - low, height)
+            if slope.denominator != 1:
+                raise AssertionError("a Delzant trapezoid has an integer slope")
             m = int(slope)
-            width = (high + low) / 2
+            width = Q(high + low, 2)
             if m % 2 == 0:
                 if m == 0:
                     width, height = max(width, height), min(width, height)

@@ -1,8 +1,12 @@
 """Exact rational scalars: parsing, formatting, and square-root bounds.
 
-Every quantity downstream (areas, moments, capacities, volumes) is a
-`fractions.Fraction`.  Floats never enter any computation: censuses,
-canonical forms, and enumeration cutoffs all rely on exact comparison.
+Quantities parsed at the API and JSON boundary (areas, moments,
+capacities, volumes) are `fractions.Fraction`s.  The polygon and graph
+layers also keep a Python `int` as an `int` (`parse_exact`): a census
+scales its recipe to whole numbers, works on ints, and divides every
+result back to `Fraction`.  Floats never enter any computation:
+censuses, canonical forms, and enumeration cutoffs all rely on exact
+comparison.
 
 Rationals serialize as strings "p/q" in lowest terms with the sign on the
 numerator; integers serialize without the denominator.  The square-root
@@ -41,6 +45,24 @@ def parse_rational(text: str | int | Q) -> Q:
         num, den = body.split("/")
         return Q(int(num), int(den))
     return Q(int(body))
+
+
+def parse_exact(value: str | int | Q) -> int | Q:
+    """Like parse_rational, but an int stays an int.
+
+    The polygon and graph layers take either exact type, so a census can
+    run them on whole numbers without `Fraction` arithmetic.
+    """
+    if type(value) is int:
+        return value
+    return parse_rational(value)
+
+
+def halve(x: int | Q) -> int | Q:
+    """x / 2 exactly: an int when x is an even int, else a Fraction."""
+    if type(x) is int and x % 2 == 0:
+        return x // 2
+    return Q(x, 2)
 
 
 def format_rational(x: Q | int) -> str:

@@ -302,13 +302,52 @@ def test_cremona_equivalent_recipes_agree():
     assert given.spec == plane(1, "2/5", "2/5", "2/5")
 
 
+def _doubled_polygon(polygon):
+    return pg.RationalPolygon(tuple((2 * x, 2 * y) for x, y in polygon.vertices))
+
+
+def _doubled_graph(graph):
+    components = tuple(
+        cg.FixedComponent(
+            v.id, 2 * v.moment, v.weights, v.genus, None if v.area is None else 2 * v.area
+        )
+        for v in graph.vertices
+    )
+    return cg.S1Graph(components, graph.edges)
+
+
+# Distinct prime denominators near 2**31: the census scale exceeds 2**64.
+BIG_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+WIDE_CAPS = tuple(
+    sorted((Q(p // d, p) for p, d in zip(BIG_PRIMES, (3, 3, 4, 5))), reverse=True)
+)
+
+
 def test_census_is_scale_invariant():
-    for caps in (["2/5"] * 3, ["2/5"] * 4, ["1/3", "1/4", "1/5"]):
-        doubled = [2 * Q(c) for c in caps]
-        assert (
-            run_census(plane(1, *caps)).counts
-            == run_census(plane(2, *doubled)).counts
-        ), caps
+    # Every polygon and graph of cp2(2 lam; 2c...) is twice one of cp2(lam; c...).
+    for caps in (["2/5"] * 3, ["2/5"] * 4, ["1/3", "1/4", "1/5"], WIDE_CAPS):
+        result = run_census(plane(1, *caps))
+        doubled = run_census(plane(2, *(2 * Q(c) for c in caps)))
+        assert result.counts == doubled.counts, caps
+        assert doubled.toric == tuple(_doubled_polygon(p) for p in result.toric)
+        assert doubled.maximal_circles == tuple(
+            _doubled_graph(g) for g in result.maximal_circles
+        )
+
+
+def test_census_with_scale_beyond_64_bits():
+    spec = plane(1, *WIDE_CAPS)
+    assert 2 * BIG_PRIMES[0] * BIG_PRIMES[1] * BIG_PRIMES[2] > 2**64
+    result = run_census(spec)
+    assert result.counts == (25, 6, 31)
+    for polygon, provenance in zip(result.toric, result.toric_provenance):
+        assert all(type(c) is Q for point in polygon.vertices for c in point)
+        assert replay_toric(provenance).vertices == polygon.vertices
+    for graph, provenance in zip(result.maximal_circles, result.circle_provenance):
+        assert all(type(v.moment) is Q for v in graph.vertices)
+        assert all(type(step.delta) is Q for step in provenance.steps)
+        replayed = replay_circle(spec, provenance)
+        assert cg.canonical_serialization(replayed) == cg.canonical_serialization(graph)
 
 
 def test_reduced_provenance_replays():

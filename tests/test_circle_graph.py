@@ -1,10 +1,15 @@
 """Decorated circle-action graphs: validity, surgeries, canonical forms."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import torus_census
 from polygon_corpus import build_chopped_corpus, build_corpus
 from torus_census.circle_graph import (
     S1Graph,
@@ -344,6 +349,30 @@ def test_invalid_graph_stays_invalid():
             canonical_serialization(graph)
 
 
+VALIDATED_INVALID_GRAPH = """
+from torus_census.circle_graph import S1Graph, _validated, isolated
+# Two components attain the minimum moment.
+graph = S1Graph((isolated(0, 0, (1, 1)), isolated(1, 0, (1, 1)), isolated(2, 1, (-1, -1))))
+try:
+    _validated(graph)
+except AssertionError:
+    print(__debug__, "refused")
+else:
+    print(__debug__, "accepted")
+"""
+
+
+def test_validated_survives_optimize():
+    src = str(Path(torus_census.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", VALIDATED_INVALID_GRAPH],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "refused"]
+
+
 def test_can_blow_up_rejects_unknown_vertex():
     graph = graph_from_polygon(SQUARE, (0, 1))
     with pytest.raises(PreconditionError):
@@ -504,6 +533,54 @@ def test_canonical_form_idempotent():
     graph = ruled_base_graph(2, 2, Q(5, 2), False)
     once = canonical_form(graph)
     assert canonical_form(once) == once
+
+
+def _edgeless_crowd_graph(pairs=1):
+    """Surfaces at 0 and 10, five (1,-1) points at 1, and Z_2-linked pairs.
+
+    The five points have equal keys and no edges, so any labelling of
+    them gives one serialization."""
+    vertices = [surface(0, Q(0), 0, Q(1)), surface(1, Q(10), 0, Q(1))]
+    vertices += [isolated(2 + i, Q(1), (1, -1)) for i in range(5)]
+    links = []
+    for i in range(pairs):
+        south, north = 7 + 2 * i, 8 + 2 * i
+        vertices += [isolated(south, Q(3), (2, -1)), isolated(north, Q(5), (1, -2))]
+        links.append((north, south, 2))
+    return S1Graph(tuple(vertices), tuple(links))
+
+
+def _relabelled(graph, relabel):
+    vertices = []
+    for v in graph.vertices:
+        if v.is_surface:
+            vertices.append(surface(relabel[v.id], v.moment, v.genus, v.area))
+        else:
+            vertices.append(isolated(relabel[v.id], v.moment, v.weights))
+    links = tuple((relabel[n], relabel[s], k) for n, s, k in graph.edges)
+    return S1Graph(tuple(reversed(vertices)), links)
+
+
+def test_interchangeable_edgeless_vertices_canonicalise():
+    graph = _edgeless_crowd_graph()
+    assert_valid(graph)
+    rng = random.Random(61)
+    base = canonical_form(graph)
+    assert_valid(base)
+    for _ in range(20):
+        ids = [v.id for v in graph.vertices]
+        shuffled = ids[:]
+        rng.shuffle(shuffled)
+        copy = _relabelled(graph, dict(zip(ids, shuffled)))
+        assert canonical_form(copy) == base
+
+
+def test_large_symmetry_group_with_edges_is_refused():
+    # Five like Z_2-linked pairs: the permutation search is not attempted.
+    graph = _edgeless_crowd_graph(pairs=5)
+    assert_valid(graph)
+    with pytest.raises(PreconditionError, match="interchangeable"):
+        canonical_serialization(graph)
 
 
 def test_opposite_projections_are_equivalent():

@@ -26,6 +26,23 @@ TWO_SURFACES = (
 )
 
 
+
+def _crowd_graph(pairs):
+    """Surfaces at 0 and 10, five (1,-1) points at 1, Z_2-linked pairs."""
+    vertices = [
+        {"id": 0, "moment": "0", "surface": {"genus": 0, "area": "1"}},
+        {"id": 1, "moment": "10", "surface": {"genus": 0, "area": "1"}},
+    ]
+    vertices += [{"id": 2 + i, "moment": "1", "weights": [1, -1]} for i in range(5)]
+    edges = []
+    for i in range(pairs):
+        south, north = 7 + 2 * i, 8 + 2 * i
+        vertices.append({"id": south, "moment": "3", "weights": [2, -1]})
+        vertices.append({"id": north, "moment": "5", "weights": [1, -2]})
+        edges.append({"north": north, "south": south, "k": 2})
+    return json.dumps({"vertices": vertices, "edges": edges})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -433,6 +450,23 @@ def test_homology_verbs_refuse_recipes_outside_cone(capsys, verb, spec):
     assert code == 2
     assert out == ""
     assert "outside the symplectic cone" in err
+
+
+def test_canon_graph_with_interchangeable_edgeless_points(capsys):
+    graph = _crowd_graph(pairs=1)
+    code, out, err = run(capsys, "check", "--graph", graph)
+    assert code == 0
+    code, out, err = run(capsys, "canon", "--graph", graph, "--format", "json")
+    assert code == 0
+    assert err == ""
+    assert len(json.loads(out)["vertices"]) == 9
+
+
+def test_canon_graph_with_large_symmetry_group_is_exit_two(capsys):
+    code, out, err = run(capsys, "canon", "--graph", _crowd_graph(pairs=5))
+    assert code == 2
+    assert out == ""
+    assert "interchangeable" in err
 
 
 def test_blowup_too_large_is_exit_two(capsys):
