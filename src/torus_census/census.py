@@ -32,7 +32,7 @@ from typing import NamedTuple
 from . import circle_graph as cg
 from . import polygon as pg
 from .errors import CapacityError, FormatError, PreconditionError
-from .homology import Basis, SymplecticData
+from .homology import Basis, SymplecticData, cremona_reduced, require_in_cone
 from .rationals import format_rational, halve, parse_rational
 
 CP2 = "cp2"
@@ -112,9 +112,9 @@ class ManifoldSpec:
 def spec_to_symplectic(spec: ManifoldSpec) -> SymplecticData:
     """The homology-level form of a recipe, for chains and enumeration.
 
-    Recipes outside the symplectic cone are refused, as by the census.
+    Recipes outside the symplectic cone are refused, as by the census:
+    SymplecticData runs the same check.
     """
-    _in_cone_model(spec)
     if spec.base == CP2:
         basis = Basis("rational", 0, spec.blowups)
         return SymplecticData(basis, spec.capacities, lam=spec.base_area)
@@ -330,74 +330,17 @@ def _projection_seeds(
             )
 
 
-def _cremona_reduced(spec: ManifoldSpec) -> ManifoldSpec:
-    """The reduced form of a cp2 recipe; other recipes come back as given.
-
-    A cp2 recipe (lam; c1 >= c2 >= ...) is reduced when lam >= c1+c2+c3.
-    The Cremona move (lam; a, b, c, ...) -> (2 lam-a-b-c; lam-b-c, lam-a-c,
-    lam-a-b, ...) names the same manifold (McDuff's uniqueness of
-    blow-ups) and lowers lam by the excess a+b+c-lam, so repeating it with
-    the capacities re-sorted ends in reduced form.  A capacity that drops
-    to zero or below, or a pair with lam <= c1+c2, is a class of
-    nonpositive area: the recipe lies outside the symplectic cone.
-    """
-    if spec.base != CP2:
-        return spec
-    lam, caps = spec.base_area, spec.capacities
-    if len(caps) == 2 and lam <= caps[0] + caps[1]:
-        raise PreconditionError(
-            "recipe outside the symplectic cone: L-E1-E2 has nonpositive area"
-        )
-    while len(caps) >= 3 and lam < caps[0] + caps[1] + caps[2]:
-        a, b, c = caps[:3]
-        moved = (lam - b - c, lam - a - c, lam - a - b)
-        if min(moved) <= 0:
-            raise PreconditionError(
-                "recipe outside the symplectic cone: Cremona reduction "
-                "reaches a nonpositive capacity"
-            )
-        lam = 2 * lam - a - b - c
-        caps = tuple(sorted(moved + caps[3:], reverse=True))
-    return ManifoldSpec(CP2, 0, lam, Q(1), caps)
-
-
-def _require_ruled_in_cone(spec: ManifoldSpec) -> None:
-    """Refuse a ruled recipe outside the symplectic cone (fiber area 1).
-
-    A genus-0 recipe is checked through its cp2 presentation, which
-    Cremona reduction accepts exactly inside the cone:
-    product(mu; d, rest) = cp2(mu+1-d; mu-d, 1-d, rest) and
-    twisted(mu; c) = cp2(mu+1; mu, c).  On a positive-genus base the
-    exceptional classes are E_i and F-E_i, so every capacity must stay
-    below the fiber area.
-    """
-    if spec.base == CP2 or not spec.capacities:
-        return
-    if spec.genus > 0:
-        if spec.capacities[0] >= spec.fiber:
-            raise PreconditionError(
-                "recipe outside the symplectic cone: F-E1 has nonpositive area"
-            )
-        return
-    mu, caps = spec.base_area, spec.capacities
-    if spec.base == PRODUCT_RULED:
-        lam, moved = mu + 1 - caps[0], (mu - caps[0], 1 - caps[0]) + caps[1:]
-    else:
-        lam, moved = mu + 1, (mu,) + caps
-    if min(moved) <= 0:
-        raise PreconditionError(
-            "recipe outside the symplectic cone: some capacity reaches a "
-            "section or fiber area"
-        )
-    _cremona_reduced(
-        ManifoldSpec(CP2, 0, lam, Q(1), tuple(sorted(moved, reverse=True)))
-    )
-
-
 def _in_cone_model(spec: ManifoldSpec) -> ManifoldSpec:
-    """The Cremona-reduced form of a recipe, refusing one outside the cone."""
-    _require_ruled_in_cone(spec)
-    return _cremona_reduced(spec)
+    """The Cremona-reduced form of a recipe, refusing one outside the cone.
+
+    A cp2 recipe comes back reduced; a ruled recipe comes back as given.
+    """
+    if spec.base == CP2:
+        lam, caps = cremona_reduced(spec.base_area, spec.capacities)
+        return ManifoldSpec(CP2, 0, lam, Q(1), caps)
+    basis = Basis(spec.base, spec.genus, spec.blowups)
+    require_in_cone(basis, spec.base_area, spec.fiber, spec.capacities)
+    return spec
 
 
 def _scale(model: ManifoldSpec) -> int:

@@ -571,6 +571,8 @@ def graph_to_json(graph: S1Graph) -> dict:
 def graph_from_json(payload: dict) -> S1Graph:
     if not isinstance(payload, dict) or "vertices" not in payload:
         raise FormatError("graph object needs a 'vertices' field")
+    if not isinstance(payload["vertices"], list) or not isinstance(payload.get("edges", []), list):
+        raise FormatError("graph vertices and edges must be lists")
     components = []
     for item in payload["vertices"]:
         if not isinstance(item, dict) or "id" not in item or "moment" not in item:

@@ -183,7 +183,8 @@ class SymplecticData:
     area of the section B) and fiber (the area of F, 1 unless a blow-down
     produced something else).  Capacities are the areas of E1..Ek and must
     be weakly decreasing and positive; the squared-volume quantity (the
-    square of the dual of the area functional) must be positive.
+    square of the dual of the area functional) must be positive, and the
+    data must lie in the symplectic cone (require_in_cone).
     """
 
     basis: Basis
@@ -221,6 +222,8 @@ class SymplecticData:
             raise PreconditionError("capacities must be weakly decreasing")
         if self.volume_quantity() <= 0:
             raise PreconditionError("volume quantity must be positive")
+        area = self.lam if self.basis.kind == RATIONAL else self.mu
+        require_in_cone(self.basis, area, self.fiber, caps)
 
     def area_vector(self) -> list[Q]:
         """Covector w with area(x) = w . coeffs(x)."""
@@ -241,6 +244,70 @@ class SymplecticData:
     def chern_pairing(self) -> Q:
         """Total area of the anticanonical class."""
         return dot(self.area_vector(), self.basis.dual(self.basis.chern_vector()))
+
+
+def cremona_reduced(lam: Q, caps: Sequence[Q]) -> tuple[Q, tuple[Q, ...]]:
+    """The reduced form of the rational data (lam; caps), caps decreasing.
+
+    The data is reduced when lam >= c1+c2+c3.  The Cremona move
+    (lam; a, b, c, ...) -> (2 lam-a-b-c; lam-b-c, lam-a-c, lam-a-b, ...)
+    names the same manifold (McDuff's uniqueness of blow-ups) and lowers
+    lam by the excess a+b+c-lam, so repeating it with the capacities
+    re-sorted ends in reduced form.  A capacity that drops to zero or
+    below, or a pair with lam <= c1+c2, is a class of nonpositive area:
+    the data lies outside the symplectic cone, which for these b+ = 1
+    manifolds is cut out by positive volume and positive area on every
+    exceptional class (Li-Liu).
+    """
+    caps = tuple(caps)
+    if len(caps) == 2 and lam <= caps[0] + caps[1]:
+        raise PreconditionError(
+            "recipe outside the symplectic cone: L-E1-E2 has nonpositive area"
+        )
+    while len(caps) >= 3 and lam < caps[0] + caps[1] + caps[2]:
+        a, b, c = caps[:3]
+        moved = (lam - b - c, lam - a - c, lam - a - b)
+        if min(moved) <= 0:
+            raise PreconditionError(
+                "recipe outside the symplectic cone: Cremona reduction "
+                "reaches a nonpositive capacity"
+            )
+        lam = 2 * lam - a - b - c
+        caps = tuple(sorted(moved + caps[3:], reverse=True))
+    return lam, caps
+
+
+def require_in_cone(basis: Basis, area: Q, fiber: Q | None, caps: Sequence[Q]) -> None:
+    """Refuse data outside the symplectic cone; area is lam or mu.
+
+    Rational data is checked by Cremona reduction.  Genus-0 ruled data is
+    checked through its rational presentation, which Cremona reduction
+    accepts exactly inside the cone: product(mu, f; d, rest) =
+    cp2(mu+f-d; mu-d, f-d, rest) and twisted(mu, f; c) = cp2(mu+f; mu, c).
+    On a positive-genus base the exceptional classes are E_i and F-E_i, so
+    every capacity must stay below the fiber area f.
+    """
+    if basis.kind == RATIONAL:
+        cremona_reduced(area, caps)
+        return
+    if not caps:
+        return
+    if basis.genus > 0:
+        if caps[0] >= fiber:
+            raise PreconditionError(
+                "recipe outside the symplectic cone: F-E1 has nonpositive area"
+            )
+        return
+    if basis.kind == PRODUCT_RULED:
+        lam, moved = area + fiber - caps[0], (area - caps[0], fiber - caps[0], *caps[1:])
+    else:
+        lam, moved = area + fiber, (area, *caps)
+    if min(moved) <= 0:
+        raise PreconditionError(
+            "recipe outside the symplectic cone: some capacity reaches a "
+            "section or fiber area"
+        )
+    cremona_reduced(lam, sorted(moved, reverse=True))
 
 
 def area(a: HomologyClass, omega: SymplecticData) -> Q:

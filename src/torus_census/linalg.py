@@ -2,24 +2,28 @@
 
 Small dense matrices only: the lattices in this package have rank at most a
 dozen or so.  Everything is exact: products, sums and the bilinear form
-keep integer inputs integer, and inverses and factorizations are computed
-over `fractions.Fraction`, so results are deterministic.
+keep integer inputs integer, inverses are computed over
+`fractions.Fraction`, and the LDL^T factorization eliminates on ints and
+returns Fractions, so results are deterministic.
 
 The workhorse is :func:`enumerate_quadratic_ball`: given a positive definite
 rational Gram matrix M and a rational cutoff C, it yields every integer
-vector x with x^T M x <= C.  It walks an exact LDL^T factorization of M (the
-classic lattice-point recursion), with per-coordinate interval endpoints
-computed by integer square-root bounds, so no solution is ever missed and no
-float ever appears.
+vector x with x^T M x <= C.  It factors M once as an exact LDL^T and walks
+the classic lattice-point recursion (Fincke-Pohst) on Python ints: each
+level has one fixed denominator, so its interval endpoints and the budget
+left for the levels below are integer operations, no solution is ever
+missed and no float or Fraction appears inside the walk.  The certified
+coordinate box of :func:`ball_coordinate_bounds` reads the diagonal of
+M^-1 from the same kind of factorization, without forming an inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence
 
-from .rationals import floor_sqrt, floor_sqrt_plus
+from .rationals import floor_sqrt
 
 Matrix = list[list[Q]]
 Vector = list[Q]
@@ -79,20 +83,31 @@ def mat_inverse(m: Sequence[Sequence[Q]]) -> Matrix:
 def ldl_decomposition(m: Sequence[Sequence[Q]]) -> tuple[Matrix, Vector]:
     """Factor a symmetric positive definite M as L D L^T.
 
-    L is unit lower triangular, D a vector of positive pivots.  Raises
-    ValueError("matrix is not positive definite") on any nonpositive pivot.
+    L is unit lower triangular, D a vector of positive pivots; only the
+    lower triangle of M is read.  Raises ValueError("matrix is not
+    positive definite") on any nonpositive pivot.  The elimination runs
+    fraction-free (Bareiss) on s M, s the lcm of the denominators: every
+    working entry is an integer minor, each division by the previous
+    pivot is exact (Sylvester's identity), and pivot k is the leading
+    minor Delta_k, so D_k = Delta_k / (s Delta_{k-1}) and L_ik is the
+    column entry over the pivot.
     """
     n = len(m)
+    scale = lcm(*(m[i][j].denominator for i in range(n) for j in range(i + 1)))
+    work = [[int(m[i][j] * scale) for j in range(i + 1)] for i in range(n)]
     lower = identity_matrix(n)
     diag: Vector = [Q(0)] * n
-    for j in range(n):
-        d = Q(m[j][j]) - sum((diag[k] * lower[j][k] ** 2 for k in range(j)), Q(0))
-        if d <= 0:
+    previous = 1
+    for k in range(n):
+        pivot = work[k][k]
+        if pivot <= 0:
             raise ValueError("matrix is not positive definite")
-        diag[j] = d
-        for i in range(j + 1, n):
-            off = Q(m[i][j]) - sum((diag[k] * lower[i][k] * lower[j][k] for k in range(j)), Q(0))
-            lower[i][j] = off / d
+        diag[k] = Q(pivot, previous * scale)
+        for i in range(k + 1, n):
+            lower[i][k] = Q(work[i][k], pivot)
+            for j in range(k + 1, i + 1):
+                work[i][j] = (pivot * work[i][j] - work[i][k] * work[j][k]) // previous
+        previous = pivot
     return lower, diag
 
 
@@ -100,9 +115,10 @@ def signature(m: Sequence[Sequence[Q]]) -> tuple[int, int, int]:
     """Signature (positive, negative, zero) of a symmetric rational matrix.
 
     Computed by symmetric row/column reduction (congruence preserves the
-    signature).  A zero diagonal with a nonzero off-diagonal entry is
-    repaired by adding the partner row and column, which puts a nonzero
-    value on the diagonal without leaving the congruence class.
+    signature).  A zero diagonal with a nonzero off-diagonal entry b is
+    repaired by adding or subtracting the partner row and column, which
+    puts c +- 2b on the diagonal (c the partner's diagonal entry; one
+    sign gives a nonzero value) without leaving the congruence class.
     """
     n = len(m)
     work = [[Q(x) for x in row] for row in m]
@@ -115,10 +131,11 @@ def signature(m: Sequence[Sequence[Q]]) -> tuple[int, int, int]:
                 zero += 1
                 index += 1
                 continue
+            sign = 1 if work[partner][partner] + 2 * work[index][partner] != 0 else -1
             for j in range(n):
-                work[index][j] += work[partner][j]
+                work[index][j] += sign * work[partner][j]
             for i in range(n):
-                work[i][index] += work[i][partner]
+                work[i][index] += sign * work[i][partner]
         pivot = work[index][index]
         if pivot > 0:
             pos += 1
@@ -183,44 +200,69 @@ def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
 def enumerate_quadratic_ball(gram: Sequence[Sequence[Q]], cutoff: Q) -> Iterator[tuple[int, ...]]:
     """Yield every integer x (including 0) with x^T gram x <= cutoff.
 
-    Requires gram symmetric positive definite.  The recursion processes
-    coordinates from the last to the first; with y = L^T x the form splits
-    as sum(D_i * y_i^2), so at each level the admissible interval for x_i is
-    |x_i + offset_i| <= sqrt(budget / D_i), resolved exactly by integer
-    square-root bounds.  Deterministic ascending order at every level.
+    Requires gram symmetric positive definite.  With gram = L D L^T the
+    form is sum(D_i * (x_i + sum_{j>i} L_ji x_j)^2), walked from the last
+    coordinate to the first.  Each level runs on ints: q_i, the lcm of the
+    denominators below the diagonal in column i of L, turns the shift into
+    the integer p_i = sum_{j>i} (q_i L_ji) x_j, and one common multiplier
+    T turns the weights T D_i / q_i^2 and the budget T * cutoff into ints.
+    A remaining budget r admits exactly the x_i with
+    |q_i x_i + p_i| <= isqrt(r // w_i), so every value of the interval is
+    a point of the ball.  Deterministic ascending order at every level.
     """
     lower, diag = ldl_decomposition(gram)
-    n = len(diag)
-
-    def recurse(level: int, x: list[int], spent: Q) -> Iterator[tuple[int, ...]]:
-        if level < 0:
-            yield tuple(x)
-            return
-        offset = sum((lower[j][level] * x[j] for j in range(level + 1, n)), Q(0))
-        budget = (cutoff - spent) / diag[level]
-        if budget < 0:
-            return
-        low = -floor_sqrt_plus(budget, offset)
-        high = floor_sqrt_plus(budget, -offset)
-        for value in range(low, high + 1):
-            x[level] = value
-            term = diag[level] * (value + offset) ** 2
-            if term <= cutoff - spent:
-                yield from recurse(level - 1, x, spent + term)
-        x[level] = 0
-
     if cutoff < 0:
         return
-    yield from recurse(n - 1, [0] * n, Q(0))
+    n = len(diag)
+    if n == 0:
+        yield ()
+        return
+    steps = [lcm(*(lower[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    shifts = [
+        [(j, int(lower[j][i] * q)) for j in range(i + 1, n) if lower[j][i] != 0]
+        for i, q in enumerate(steps)
+    ]
+    weights = [d / (q * q) for d, q in zip(diag, steps)]
+    scale = lcm(Q(cutoff).denominator, *(w.denominator for w in weights))
+    weights = [int(w * scale) for w in weights]
+    x = [0] * n
+
+    def recurse(level: int, budget: int) -> Iterator[tuple[int, ...]]:
+        q, w = steps[level], weights[level]
+        p = sum(c * x[j] for j, c in shifts[level])
+        m = isqrt(budget // w)
+        values = range(-((m + p) // q), (m - p) // q + 1)
+        if level == 0:
+            for value in values:
+                x[0] = value
+                yield tuple(x)
+        else:
+            for value in values:
+                x[level] = value
+                t = q * value + p
+                yield from recurse(level - 1, budget - w * t * t)
+
+    yield from recurse(n - 1, int(scale * cutoff))
 
 
 def ball_coordinate_bounds(gram: Sequence[Sequence[Q]], cutoff: Q) -> list[int]:
     """Per-coordinate bounds of the ellipsoid x^T gram x <= cutoff.
 
     |x_i| never exceeds sqrt(cutoff * (gram^-1)_{ii}); used to refuse
-    searches whose certified box exceeds a caller-imposed ceiling.
+    searches whose certified box exceeds a caller-imposed ceiling.  With
+    gram = L D L^T, (gram^-1)_{ii} = sum_k (L^-1)_{ki}^2 / D_k, and column i
+    of L^-1 comes from forward substitution, so no inverse is formed.
     """
     if cutoff < 0:
         return [0 for _ in gram]
-    inverse = mat_inverse(gram)
-    return [floor_sqrt(cutoff * inverse[i][i]) for i in range(len(gram))]
+    lower, diag = ldl_decomposition(gram)
+    n = len(diag)
+    bounds = []
+    for i in range(n):
+        column = [0] * n
+        column[i] = 1
+        for k in range(i + 1, n):
+            column[k] = -sum(lower[k][j] * column[j] for j in range(i, k))
+        inverse_ii = sum(Q(column[k] ** 2) / diag[k] for k in range(i, n))
+        bounds.append(floor_sqrt(cutoff * inverse_ii))
+    return bounds

@@ -527,4 +527,7 @@ def polygon_from_json(payload: dict) -> RationalPolygon:
     rows = payload["vertices"]
     if not isinstance(rows, list):
         raise FormatError("polygon vertices must be a list")
+    for row in rows:
+        if not isinstance(row, list):
+            raise FormatError(f"points need two coordinates: {row!r}")
     return RationalPolygon(tuple(_parse_point(row) for row in rows))

@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, formatting, and square-root bounds.
+"""Exact rational scalars: parsing, formatting, and integer square roots.
 
 Quantities parsed at the API and JSON boundary (areas, moments,
 capacities, volumes) are `fractions.Fraction`s.  The polygon and graph
@@ -9,10 +9,7 @@ censuses, canonical forms, and enumeration cutoffs all rely on exact
 comparison.
 
 Rationals serialize as strings "p/q" in lowest terms with the sign on the
-numerator; integers serialize without the denominator.  The square-root
-helpers bound irrational cutoffs (sqrt of a rational) between integers using
-only integer arithmetic, which is what makes the lattice-point enumeration
-in :mod:`torus_census.linalg` exact.
+numerator; integers serialize without the denominator.
 """
 
 from __future__ import annotations
@@ -29,8 +26,10 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 def parse_rational(text: str | int | Q) -> Q:
     """Parse an exact rational from a "p/q" or integer literal.
 
-    Integers and Fractions pass through unchanged.  Anything else (floats,
-    decimal points, empty strings, whitespace-only input) is rejected.
+    A Fraction passes through unchanged and an int becomes the equal
+    Fraction (`parse_rational(3)` is `Fraction(3, 1)`; `parse_exact` is the
+    variant that keeps an int).  Anything else (floats, decimal points,
+    empty strings, whitespace-only input) is rejected.
     """
     if isinstance(text, Q):
         return text
@@ -80,21 +79,6 @@ def floor_sqrt(x: Q | int) -> int:
         raise ValueError("floor_sqrt of a negative rational")
     # floor(sqrt(n/d)) == floor(sqrt(n*d)) // d, exactly.
     return math.isqrt(x.numerator * x.denominator) // x.denominator
-
-
-def _at_most_sqrt(t: Q, q: Q) -> bool:
-    """Exact test for t <= sqrt(q), with q >= 0."""
-    return t <= 0 or t * t <= q
-
-
-def floor_sqrt_plus(q: Q, c: Q) -> int:
-    """Largest integer m with m <= sqrt(q) + c, for rational q >= 0."""
-    m = floor_sqrt(q) + math.floor(c)
-    while _at_most_sqrt(Q(m + 1) - c, q):
-        m += 1
-    while not _at_most_sqrt(Q(m) - c, q):
-        m -= 1
-    return m
 
 
 def ceil_rational(x: Q) -> int:

@@ -236,6 +236,43 @@ def test_minimal_classes_need_a_blowup():
         minimal_exceptional_classes(rational_data(1))
 
 
+def ruled_data(kind, genus, mu, *caps, fiber=1):
+    basis = Basis(kind, genus, len(caps))
+    return SymplecticData(basis, tuple(Q(c) for c in caps), mu=Q(mu), fiber=Q(fiber))
+
+
+def test_data_outside_cone_is_refused():
+    # Without the check, (1; 1/2, 1/2) answered epsilon 1/2 with two chains
+    # although L - E1 - E2 has area 0, and product(1/2; 3/4) answered
+    # epsilon 1/4 and threshold 1/4 although S - E1 has area -1/4.
+    with pytest.raises(PreconditionError, match="outside the symplectic cone"):
+        rational_data(1, Q(1, 2), Q(1, 2))
+    with pytest.raises(PreconditionError, match="outside the symplectic cone"):
+        ruled_data("product_ruled", 0, Q(1, 2), Q(3, 4))
+    with pytest.raises(PreconditionError, match="outside the symplectic cone"):
+        symplectic_from_json({"lambda": "1", "capacities": ["1/2", "1/2"]})
+
+
+def test_cone_check_uses_the_fiber_area():
+    # Each pair is one recipe at fiber area 1 (outside) and at a larger
+    # fiber area (inside), where the blow-down chains run to the end.
+    for kind, genus, mu, caps, fiber in (
+        # F - E1 has area 1 - 3/2 < 0 at f = 1, and 1/2 at f = 2.
+        ("product_ruled", 1, 3, ("3/2",), 2),
+        # twisted(1/2; 3/4, 3/4) = cp2(3/2; 3/4, 3/4, 1/2), and Cremona
+        # reduction reaches capacity 3/2 - 3/4 - 3/4 = 0; at f = 2 it is
+        # cp2(5/2; 3/4, 3/4, 1/2), already reduced.
+        ("twisted_ruled", 0, Q(1, 2), ("3/4", "3/4"), 2),
+        # product(2; 1) has F - E1 of area 0 at f = 1 and 1/2 at f = 3/2.
+        ("product_ruled", 0, 2, ("1",), Q(3, 2)),
+    ):
+        with pytest.raises(PreconditionError, match="outside the symplectic cone"):
+            ruled_data(kind, genus, mu, *caps)
+        data = ruled_data(kind, genus, mu, *caps, fiber=fiber)
+        for chain in minimal_blowdown_chains(data):
+            assert chain.terminal.basis.blowups == 0
+
+
 # ---------------------------------------------------------------------------
 # Bounded-class enumeration
 

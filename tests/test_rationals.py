@@ -1,11 +1,13 @@
 """Rational parsing, integer square roots, and the exact linear algebra."""
 
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from torus_census.errors import FormatError
+from torus_census.homology import Basis, SymplecticData, _companion_form
 from torus_census.linalg import (
     ball_coordinate_bounds,
     dot,
@@ -103,14 +105,36 @@ def test_inverse_rejects_singular():
 
 def test_ldl_reconstructs_symmetric_matrices():
     rng = random.Random(13)
-    for _ in range(25):
-        a = _random_matrix(rng, 3)
+    for trial in range(60):
+        n = 1 + trial % 6
+        a = _random_matrix(rng, n)
         m = mat_mul(a, transpose(a))
-        for i in range(3):
+        for i in range(n):
             m[i][i] += Q(rng.randrange(0, 3))
+        if signature(m) != (n, 0, 0):
+            continue
         lower, diag = ldl_decomposition(m)
-        d = [[diag[i] if i == j else Q(0) for j in range(3)] for i in range(3)]
+        d = [[diag[i] if i == j else Q(0) for j in range(n)] for i in range(n)]
         assert mat_mul(mat_mul(lower, d), transpose(lower)) == m
+
+
+def test_ldl_rejects_exactly_the_matrices_that_are_not_positive_definite():
+    rng = random.Random(19)
+    refused = 0
+    for trial in range(200):
+        n = 1 + trial % 5
+        m = [[Q(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = Q(rng.randrange(-3, 6), rng.randrange(1, 4))
+        if signature(m) == (n, 0, 0):
+            lower, diag = ldl_decomposition(m)
+            assert all(d > 0 for d in diag)
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="not positive definite"):
+                ldl_decomposition(m)
+    assert 20 < refused < 180
 
 
 def test_signature_of_blowup_form():
@@ -125,6 +149,13 @@ def test_signature_of_blowup_form():
 def test_signature_of_hyperbolic_form():
     gram = [[Q(0), Q(1)], [Q(1), Q(0)]]
     assert signature(gram) == (1, 1, 0)
+
+
+def test_signature_when_adding_the_partner_leaves_a_zero_pivot():
+    # Adding row and column 2 to row and column 1 of [[0, 1], [1, -2]]
+    # leaves 0 on the diagonal again; subtracting them gives 4.
+    assert signature([[Q(0), Q(1)], [Q(1), Q(-2)]]) == (1, 1, 0)
+    assert signature([[Q(0), Q(1), Q(0)], [Q(1), Q(-2), Q(0)], [Q(0), Q(0), Q(3)]]) == (2, 1, 0)
 
 
 def test_signature_counts_zeros():
@@ -165,19 +196,147 @@ def _brute_ball(gram, cutoff, box):
     return hits
 
 
+def _positive_definite(rng, n, span=2):
+    """A random rational Gram matrix A A^T plus a positive diagonal."""
+    a = _random_matrix(rng, n, span=span)
+    gram = mat_mul(a, transpose(a))
+    for i in range(n):
+        gram[i][i] += Q(rng.randrange(1, 4), rng.randrange(1, 4))
+    return gram
+
+
 def test_quadratic_ball_matches_brute_force():
     rng = random.Random(17)
+    cases = []
     for _ in range(10):
         a = _random_matrix(rng, 2, span=2)
         gram = mat_mul(a, transpose(a))
         gram[0][0] += 1
         gram[1][1] += 1
-        cutoff = Q(rng.randrange(1, 8))
+        cases.append((gram, Q(rng.randrange(1, 8))))
+    for _ in range(6):
+        cases.append((_positive_definite(rng, 3), Q(rng.randrange(1, 30), rng.randrange(2, 7))))
+    for gram, cutoff in cases:
         bounds = ball_coordinate_bounds(gram, cutoff)
         box = max(bounds) + 2
         expected = _brute_ball(gram, cutoff, box)
         got = set(enumerate_quadratic_ball(gram, cutoff))
         assert got == expected
+
+
+# The Fraction walk the integer walk replaced, kept as the order-exact
+# reference: per-level interval ends from floor_sqrt_plus, and a per-value
+# test of the remaining budget.
+
+
+def _reference_floor_sqrt_plus(q, c):
+    """Largest integer m with m <= sqrt(q) + c, for rational q >= 0."""
+
+    def at_most_sqrt(t):
+        return t <= 0 or t * t <= q
+
+    m = floor_sqrt(q) + math.floor(c)
+    while at_most_sqrt(Q(m + 1) - c):
+        m += 1
+    while not at_most_sqrt(Q(m) - c):
+        m -= 1
+    return m
+
+
+def _reference_ball(gram, cutoff):
+    lower, diag = ldl_decomposition(gram)
+    n = len(diag)
+
+    def recurse(level, x, spent):
+        if level < 0:
+            yield tuple(x)
+            return
+        offset = sum((lower[j][level] * x[j] for j in range(level + 1, n)), Q(0))
+        budget = (cutoff - spent) / diag[level]
+        if budget < 0:
+            return
+        low = -_reference_floor_sqrt_plus(budget, offset)
+        high = _reference_floor_sqrt_plus(budget, -offset)
+        for value in range(low, high + 1):
+            x[level] = value
+            term = diag[level] * (value + offset) ** 2
+            if term <= cutoff - spent:
+                yield from recurse(level - 1, x, spent + term)
+        x[level] = 0
+
+    if cutoff >= 0:
+        yield from recurse(n - 1, [0] * n, Q(0))
+
+
+def _assert_walk_matches_reference(gram, cutoff):
+    got = list(enumerate_quadratic_ball(gram, cutoff))
+    assert got == list(_reference_ball(gram, cutoff))
+    inverse = mat_inverse(gram)
+    expected = [floor_sqrt(cutoff * inverse[i][i]) for i in range(len(gram))]
+    assert ball_coordinate_bounds(gram, cutoff) == expected
+    return got
+
+
+def test_quadratic_ball_matches_reference_walk_in_order():
+    rng = random.Random(23)
+    points = 0
+    for trial in range(120):
+        n = 1 + trial % 6
+        gram = _positive_definite(rng, n, span=rng.choice((2, 4)))
+        cutoff = rng.choice(
+            (Q(0), Q(rng.randrange(1, 40), rng.randrange(2, 9)), Q(rng.randrange(8, 20)))
+        )
+        got = _assert_walk_matches_reference(gram, cutoff)
+        assert got.count((0,) * n) == 1
+        points += len(got)
+    assert points > 2000
+
+
+# Primes just below 2**31, as denominators of recipe areas.
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+
+
+def _near(value, prime):
+    """The fraction with denominator prime closest to value from below."""
+    return Q(math.floor(value * prime), prime)
+
+
+def _companion(omega):
+    return _companion_form(
+        omega.basis.gram(), omega.area_vector(), omega.volume_quantity()
+    )
+
+
+def test_quadratic_ball_on_companion_forms_with_large_denominators():
+    p = _PRIMES
+    recipes = [
+        SymplecticData(
+            Basis("rational", 0, 3),
+            (_near(Q(1, 3), p[0]), _near(Q(1, 4), p[1]), _near(Q(1, 5), p[2])),
+            lam=_near(Q(1), p[3]),
+        ),
+        SymplecticData(
+            Basis("rational", 0, 2), (_near(Q(2, 5), p[4]), _near(Q(1, 7), p[5])), lam=Q(1)
+        ),
+        SymplecticData(
+            Basis("product_ruled", 0, 2),
+            (_near(Q(1, 3), p[0]), _near(Q(1, 6), p[2])),
+            mu=_near(Q(3, 2), p[1]),
+        ),
+        SymplecticData(
+            Basis("product_ruled", 1, 1), (_near(Q(1, 2), p[3]),), mu=_near(Q(2), p[4])
+        ),
+        SymplecticData(
+            Basis("twisted_ruled", 0, 2),
+            (_near(Q(1, 4), p[5]), _near(Q(1, 5), p[0])),
+            mu=_near(Q(1, 2), p[2]),
+            fiber=_near(Q(3, 2), p[1]),
+        ),
+    ]
+    for omega in recipes:
+        form = _companion(omega)
+        for cutoff in (Q(0), Q(1), Q(5, 3), 2 * omega.capacities[-1] ** 2 / omega.volume_quantity() + 1, Q(9)):
+            _assert_walk_matches_reference(form, cutoff)
 
 
 def test_quadratic_ball_requires_positive_definite():
