@@ -12,7 +12,12 @@ decorated graphs in lock-step: at every stage it adds the circle
 subactions with fixed surfaces of every current toric polygon, blows up
 the previous frontier at every feasible component, and finally keeps the
 graphs that do not extend to a toric action.  Both censuses are exact and
-deterministic, and every entry carries a replayable provenance.
+deterministic, and every entry carries a replayable provenance.  One
+routine, `_expand`, runs every stage of both, the projection seeding and
+the two blow-up enumerators.  Public functions check their arguments; the
+census keys each graph it builds before validating it, validates only new
+keys (a canonical form inherits its source's verdict), and leaves the
+construction checks this skips to the tests.
 
 Both censuses run on whole numbers: every area of the reduced recipe is
 multiplied by D, twice the lcm of its denominators, so every polygon
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
+from itertools import count
 from math import lcm
 from typing import NamedTuple
 
@@ -276,58 +282,81 @@ def ruled_base_count(spec: ManifoldSpec) -> int:
 # The census
 
 
-def _toric_stages(
-    seeds: tuple[pg.RationalPolygon, ...],
-    capacities: tuple[tuple[int, Q], ...],
-) -> list[dict[tuple, tuple[pg.RationalPolygon, ToricProvenance]]]:
-    """The toric fold: each stage chops every corner of the previous one.
+def _expand(parents, sites, blow, key, keep, record, stage=None) -> dict:
+    """One induction step: blow every parent up at every site.
 
-    Each capacity comes as (scaled int, recipe value); the first is folded,
-    the second recorded in the provenance.
+    parents maps a key to (object, provenance) and is walked in key order;
+    a site where blow(parent, site) raises CapacityError is skipped.  The
+    first entry per key(blown) is kept, as keep(blown) with provenance
+    record(parent, provenance, site).  keep runs on new keys only, so for
+    graphs it is where each one is validated.  Entries go into stage, a
+    new dict unless one is given.
     """
-    stage: dict[tuple, tuple[pg.RationalPolygon, ToricProvenance]] = {}
-    for polygon in seeds:
-        stage[polygon.vertices] = (polygon, ToricProvenance(polygon, ()))
-    stages = [stage]
-    for delta, recorded in capacities:
-        previous, stage = stage, {}
-        for key in sorted(previous):
-            polygon, provenance = previous[key]
-            for vertex in range(polygon.edge_count):
-                try:
-                    blown = pg.blow_up(polygon, vertex, delta)
-                except CapacityError:
-                    continue
-                canonical = pg.canonical_form(blown)[0]
-                if canonical.vertices in stage:
-                    continue
-                steps = provenance.steps + (BlowUpStep(recorded, vertex),)
-                stage[canonical.vertices] = (
-                    canonical,
-                    ToricProvenance(provenance.base, steps),
-                )
-        stages.append(stage)
-    return stages
-
-
-def _projection_seeds(
-    stage_index: int,
-    stage: dict[tuple, tuple[pg.RationalPolygon, ToricProvenance]],
-    target: dict[tuple, tuple[cg.S1Graph, CircleProvenance]],
-) -> None:
-    for key in sorted(stage):
-        polygon, _ = stage[key]
-        for edge in pg.edges(polygon):
-            # The graph of -xi is the mirror image: the same canonical key.
-            xi = edge.normal
-            graph = cg.graph_from_polygon(polygon, xi)
-            serial = cg.canonical_serialization(graph)
-            if serial in target:
+    stage = {} if stage is None else stage
+    for parent_key in sorted(parents):
+        parent, provenance = parents[parent_key]
+        for site in sites(parent):
+            try:
+                blown = blow(parent, site)
+            except CapacityError:
                 continue
-            target[serial] = (
-                cg.canonical_form(graph),
-                CircleProvenance("projection", stage_index, None, polygon, xi),
-            )
+            child_key = key(blown)
+            if child_key not in stage:
+                stage[child_key] = (keep(blown), record(parent, provenance, site))
+    return stage
+
+
+def _serial(graph: cg.S1Graph) -> tuple:
+    # A graph the census built itself is keyed before it is validated.
+    return graph._canonical_serialization
+
+
+def _chop_all(parents: dict, delta, record) -> dict:
+    """Every corner chop of capacity delta, as canonical polygons."""
+    return _expand(
+        parents,
+        lambda polygon: range(polygon.edge_count),
+        lambda polygon, i: pg.canonical_form(pg.blow_up(polygon, i, delta))[0],
+        lambda polygon: polygon.vertices,
+        lambda polygon: polygon,
+        record,
+    )
+
+
+def _blow_up_all(parents: dict, delta, record) -> dict:
+    """Every feasible equivariant blow-up of capacity delta, canonicalised."""
+    return _expand(
+        parents,
+        lambda graph: [vertex.id for vertex in graph.vertices],
+        lambda graph, vertex_id: cg.blow_up(graph, vertex_id, delta),
+        _serial,
+        cg.canonical_form,
+        record,
+    )
+
+
+def _step(recorded: Q):
+    """The parent's provenance, one recorded blow-up longer."""
+    return lambda parent, provenance, site: replace(
+        provenance, steps=provenance.steps + (BlowUpStep(recorded, site),)
+    )
+
+
+def enumerate_equivariant_blowups(
+    polygon: pg.RationalPolygon, delta: Q
+) -> tuple[pg.RationalPolygon, ...]:
+    """Canonical forms of all corner chops of the given capacity."""
+    stage = _chop_all({(): (polygon, None)}, delta, lambda *_: None)
+    return tuple(stage[key][0] for key in sorted(stage))
+
+
+def graph_enumerate_equivariant_blowups(
+    graph: cg.S1Graph, delta: Q
+) -> tuple[cg.S1Graph, ...]:
+    """Canonical forms of all feasible equivariant blow-ups of one capacity."""
+    cg._require_valid(graph)
+    stage = _blow_up_all({(): (graph, None)}, delta, lambda *_: None)
+    return tuple(stage[key][0] for key in sorted(stage))
 
 
 def _in_cone_model(spec: ManifoldSpec) -> ManifoldSpec:
@@ -352,13 +381,8 @@ def _scale(model: ManifoldSpec) -> int:
 
 def _unscaled_graph(graph: cg.S1Graph, scale: int) -> cg.S1Graph:
     components = tuple(
-        cg.FixedComponent(
-            v.id,
-            Q(v.moment, scale),
-            v.weights,
-            v.genus,
-            None if v.area is None else Q(v.area, scale),
-        )
+        replace(v, moment=Q(v.moment, scale),
+                area=None if v.area is None else Q(v.area, scale))
         for v in graph.vertices
     )
     return cg.S1Graph(components, graph.edges)
@@ -377,53 +401,41 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     area, fiber = int(model.base_area * scale), int(model.fiber * scale)
     capacities = tuple((int(c * scale), c) for c in model.capacities)
     seeds = _model_polygons(model.base, area, fiber) if model.rational_base else ()
-    stages = _toric_stages(seeds, capacities)
-    final_stage = stages[-1]
+    toric = {p.vertices: (p, ToricProvenance(p, ())) for p in seeds}
 
     frontier: dict[tuple, tuple[cg.S1Graph, CircleProvenance]] = {}
-    if model.rational_base:
-        _projection_seeds(0, stages[0], frontier)
-    else:
+    if not model.rational_base:
         twisted = model.base == TWISTED_RULED
-        degree = 1 if twisted else 0
-        while True:
+        for degree in count(1 if twisted else 0, 2):
             try:
                 graph = cg.ruled_base_graph(model.genus, degree, area, twisted, fiber)
             except PreconditionError:
                 break
-            serial = cg.canonical_serialization(graph)
-            frontier[serial] = (
+            frontier[_serial(graph)] = (
                 cg.canonical_form(graph),
                 CircleProvenance("ruled_base", 0, degree),
             )
-            degree += 2
 
+    def project(stage: int) -> None:
+        # The graph of -xi is the mirror image: the same canonical key.
+        _expand(
+            toric,
+            lambda polygon: [edge.normal for edge in pg.edges(polygon)],
+            cg.graph_from_polygon,
+            _serial,
+            cg.canonical_form,
+            lambda polygon, _, xi: CircleProvenance(
+                "projection", stage, None, polygon, xi
+            ),
+            frontier,
+        )
+
+    project(0)
     for index, (delta, recorded) in enumerate(capacities, start=1):
-        previous, frontier = frontier, {}
-        for key in sorted(previous):
-            graph, provenance = previous[key]
-            for vertex in graph.vertices:
-                feasible, _ = cg.can_blow_up(graph, vertex.id, delta)
-                if not feasible:
-                    continue
-                blown = cg.blow_up(graph, vertex.id, delta)
-                serial = cg.canonical_serialization(blown)
-                if serial in frontier:
-                    continue
-                steps = provenance.steps + (BlowUpStep(recorded, vertex.id),)
-                frontier[serial] = (
-                    cg.canonical_form(blown),
-                    CircleProvenance(
-                        provenance.origin,
-                        provenance.stage,
-                        provenance.degree,
-                        provenance.polygon,
-                        provenance.xi,
-                        steps,
-                    ),
-                )
-        _projection_seeds(index, stages[index], frontier)
-        if not frontier and not stages[index]:
+        toric = _chop_all(toric, delta, _step(recorded))
+        frontier = _blow_up_all(frontier, delta, _step(recorded))
+        project(index)
+        if not frontier and not toric:
             break
 
     # Toric entries and provenance share polygons: divide each one once.
@@ -435,17 +447,14 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             shared[polygon] = pg.RationalPolygon(points)
         return shared[polygon]
 
-    toric_entries = [final_stage[key] for key in sorted(final_stage)]
+    toric_entries = [toric[key] for key in sorted(toric)]
     circle_entries = [
         frontier[key]
         for key in sorted(frontier)
         if not cg.extends_to_toric(frontier[key][0])
     ]
-    counts = ConjugacyCounts(
-        len(toric_entries),
-        len(circle_entries),
-        len(toric_entries) + len(circle_entries),
-    )
+    toric_count, circle_count = len(toric_entries), len(circle_entries)
+    counts = ConjugacyCounts(toric_count, circle_count, toric_count + circle_count)
     return CensusResult(
         spec=spec,
         toric=tuple(unscaled(entry[0]) for entry in toric_entries),

@@ -11,7 +11,9 @@ The module validates the combinatorial axioms, projects Delzant polygons
 to circle subactions, builds the base graphs of ruled surfaces, performs
 equivariant blow-ups with the full case analysis, tests whether an
 action extends to a toric one, and computes canonical forms under moment
-translation and reflection.
+translation and reflection.  Public functions validate the graphs they are
+given; `blow_up` and `graph_from_polygon` return unchecked graphs, which
+the census validates once per new key and the tests check as built.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction as Q
 from math import gcd
 from typing import Iterable
 
-from .errors import FormatError, PreconditionError
+from .errors import CapacityError, FormatError, PreconditionError
 from .polygon import RationalPolygon, edges as polygon_edges, is_delzant
 from .rationals import format_rational, halve, parse_exact, parse_rational
 
@@ -247,9 +249,7 @@ def graph_from_polygon(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph
         else:
             links.append((ids[tail], ids[head], k))
 
-    graph = S1Graph(tuple(components), tuple(links))
-    _require_valid(graph)
-    return graph
+    return S1Graph(tuple(components), tuple(links))
 
 
 def ruled_base_graph(
@@ -341,11 +341,15 @@ def _fresh_ids(graph: S1Graph, count: int) -> list[int]:
 
 
 def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
-    """Equivariant blow-up of capacity delta at a fixed component."""
+    """Equivariant blow-up of capacity delta at a fixed component.
+
+    Raises CapacityError where can_blow_up refuses the site.  The result is
+    not validated here; the census validates each new graph once.
+    """
     delta = parse_exact(delta)
     feasible, reason = can_blow_up(graph, vertex_id, delta)
     if not feasible:
-        raise PreconditionError(f"blow-up infeasible: {reason}")
+        raise CapacityError(f"blow-up infeasible: {reason}")
     vertex = graph.component(vertex_id)
     others = tuple(v for v in graph.vertices if v.id != vertex_id)
 
@@ -356,7 +360,7 @@ def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
         new_id = _fresh_ids(graph, 1)[0]
         shrunk = surface(vertex.id, vertex.moment, vertex.genus, vertex.area - delta)
         point = isolated(new_id, vertex.moment + inward * delta, (1, -1))
-        return _validated(S1Graph(others + (shrunk, point), graph.edges))
+        return S1Graph(others + (shrunk, point), graph.edges)
 
     m, n = vertex.weights
     if m == n:
@@ -364,7 +368,7 @@ def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
         # sphere becomes a fixed surface of area delta.
         inward = 1 if m > 0 else -1
         replacement = surface(vertex.id, vertex.moment + inward * delta, 0, delta)
-        return _validated(S1Graph(others + (replacement,), graph.edges))
+        return S1Graph(others + (replacement,), graph.edges)
 
     high_id, low_id = _fresh_ids(graph, 2)
     high = isolated(high_id, vertex.moment + m * delta, (m, n - m))
@@ -383,14 +387,7 @@ def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
             new_edges.append((north, south, k))
     if m - n >= 2:
         new_edges.append((high_id, low_id, m - n))
-    return _validated(S1Graph(others + (high, low), tuple(new_edges)))
-
-
-def _validated(graph: S1Graph) -> S1Graph:
-    ok, problems = validate(graph)
-    if not ok:
-        raise AssertionError(f"blow-up produced an invalid graph: {problems[0]}")
-    return graph
+    return S1Graph(others + (high, low), tuple(new_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +470,9 @@ def _serialize(graph: S1Graph, flip: bool) -> tuple:
     def serialization(order: list[FixedComponent]) -> tuple:
         position = {v.id: i for i, v in enumerate(order)}
         verts = tuple(keys[v.id] for v in order)
-        if flip:
-            links = tuple(
-                sorted((position[s], position[n], k) for n, s, k in graph.edges)
-            )
-        else:
-            links = tuple(
-                sorted((position[n], position[s], k) for n, s, k in graph.edges)
-            )
+        # Reflection swaps the poles of every edge.
+        poles = ((s, n, k) if flip else (n, s, k) for n, s, k in graph.edges)
+        links = tuple(sorted((position[a], position[b], k) for a, b, k in poles))
         return (verts, links)
 
     # Vertices with no incident edge appear in no link, so swapping two of
@@ -522,26 +514,15 @@ def canonical_form(graph: S1Graph) -> S1Graph:
             components.append(surface(index, moment, int(a), b))
         else:
             components.append(isolated(index, moment, (int(a), int(b))))
-    return S1Graph(tuple(components), tuple(links))
+    form = S1Graph(tuple(components), tuple(links))
+    # canonical_serialization has just validated the source; its relabelled,
+    # translated copy inherits that verdict instead of being diagnosed again.
+    vars(form)["_diagnostics"] = graph._diagnostics
+    return form
 
 
 def equivalent(left: S1Graph, right: S1Graph) -> bool:
     return canonical_serialization(left) == canonical_serialization(right)
-
-
-def enumerate_equivariant_blowups(graph: S1Graph, delta: Q) -> tuple[S1Graph, ...]:
-    """Canonical forms of all feasible equivariant blow-ups of one capacity."""
-    _require_valid(graph)
-    delta = parse_exact(delta)
-    results: dict[tuple, S1Graph] = {}
-    for vertex in graph.vertices:
-        feasible, _ = can_blow_up(graph, vertex.id, delta)
-        if not feasible:
-            continue
-        blown = blow_up(graph, vertex.id, delta)
-        key = canonical_serialization(blown)
-        results[key] = canonical_form(blown)
-    return tuple(results[key] for key in sorted(results))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction as Q
+from dataclasses import asdict
 from pathlib import Path
 
 from . import census as cs
@@ -281,21 +281,7 @@ def _run_feasibility(args: argparse.Namespace) -> None:
     _require_not_svg(args.format, "feasibility")
     report = cs.feasibility_report(_feasibility_spec(args))
     if args.format == "json":
-        _emit_json(
-            {
-                "blowups": report.blowups,
-                "delta": format_rational(report.delta),
-                "toric_formula": report.toric_formula,
-                "circle_formula": report.circle_formula,
-                "toric_nonempty": report.toric_nonempty,
-                "maximal_circle_nonempty": report.maximal_circle_nonempty,
-                "any_circle_nonempty": report.any_circle_nonempty,
-                "toric_agrees": report.toric_agrees,
-                "circle_agrees_existence": report.circle_agrees_existence,
-                "circle_agrees_maximal": report.circle_agrees_maximal,
-                "warnings": list(report.warnings),
-            }
-        )
+        _emit_json(dict(asdict(report), delta=format_rational(report.delta)))
     else:
         _emit(render.feasibility_table(report))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as Q
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, FormatError, PreconditionError
 from .rationals import ceil_rational, format_rational, halve, parse_exact, parse_rational
@@ -372,21 +372,6 @@ def hirzebruch(a: Q, b: Q, m: int) -> RationalPolygon:
     if a < b:
         raise PreconditionError("trapezoid needs a >= b")
     return _trapezoid(a, b, m)
-
-
-def enumerate_equivariant_blowups(polygon: RationalPolygon, delta: Q) -> tuple[RationalPolygon, ...]:
-    """Canonical forms of all corner chops of the given capacity."""
-    _require_delzant(polygon)
-    delta = parse_exact(delta)
-    results: dict[tuple, RationalPolygon] = {}
-    for vertex in range(polygon.edge_count):
-        try:
-            chopped = blow_up(polygon, vertex, delta)
-        except CapacityError:
-            continue
-        canonical = canonical_form(chopped)[0]
-        results[canonical.vertices] = canonical
-    return tuple(results[key] for key in sorted(results))
 
 
 @dataclass(frozen=True)

@@ -485,6 +485,37 @@ def test_census_is_deterministic():
     ]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        plane(1, "1/3", "1/4", "1/5"),
+        ruled("product_ruled", 2, 2, "1/3", "1/4", "1/5"),
+    ],
+)
+def test_census_diagnoses_each_kept_graph_at_most_once(monkeypatch, spec):
+    # The census keys a graph it built before validating it, validates only
+    # new keys, and a canonical form inherits its source's verdict.  Every
+    # graph it keeps passes through canonical_form once.
+    diagnose, canonical_form = cg._diagnose, cg.canonical_form
+    diagnosed, kept = [], []
+
+    def counted_diagnose(graph):
+        diagnosed.append(graph)
+        return diagnose(graph)
+
+    def counted_canonical_form(graph):
+        kept.append(canonical_form(graph))
+        return kept[-1]
+
+    monkeypatch.setattr(cg, "_diagnose", counted_diagnose)
+    monkeypatch.setattr(cg, "canonical_form", counted_canonical_form)
+    run_census(spec)
+    diagnoses = len(diagnosed)
+    distinct = {cg.canonical_serialization(graph) for graph in kept}
+    assert len(distinct) == len(kept) > 0
+    assert diagnoses <= len(distinct)
+
+
 # ---------------------------------------------------------------------------
 # Regime warnings
 

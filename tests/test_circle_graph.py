@@ -11,6 +11,9 @@ import pytest
 
 import torus_census
 from polygon_corpus import build_chopped_corpus, build_corpus
+from torus_census import (
+    graph_enumerate_equivariant_blowups as enumerate_equivariant_blowups,
+)
 from torus_census.circle_graph import (
     S1Graph,
     blow_up,
@@ -18,7 +21,6 @@ from torus_census.circle_graph import (
     canonical_form,
     canonical_serialization,
     edge_area,
-    enumerate_equivariant_blowups,
     equivalent,
     extends_to_toric,
     graph_from_json,
@@ -331,6 +333,34 @@ def test_can_blow_up_agrees_with_blow_up():
             assert_valid(blown)
 
 
+def test_blow_ups_and_projections_are_valid_as_built():
+    # blow_up and graph_from_polygon do not validate what they return, and a
+    # canonical form inherits its source's verdict: the census validates
+    # each new graph once.  This test backs those construction checks.
+    # Each graph is checked as built, before canonicalisation renumbers its
+    # ids (which would hide a duplicate id), and its canonical form is
+    # rebuilt from its tuples so that no cached verdict counts.
+    rng = random.Random(72)
+    built = [
+        graph_from_polygon(polygon, edge.normal)
+        for polygon in build_chopped_corpus()
+        for edge in edges(polygon)
+    ]
+    projections = len(built)
+    for graph in _small_frontiers():
+        for vertex in graph.vertices:
+            drawn = Q(rng.randrange(1, 25), rng.randrange(1, 13))
+            for delta in (Q(1, 9), Q(1, 4), drawn):
+                if can_blow_up(graph, vertex.id, delta)[0]:
+                    built.append(blow_up(graph, vertex.id, delta))
+    assert projections == 1284
+    assert len(built) - projections > 2500
+    for graph in built:
+        assert_valid(S1Graph(graph.vertices, graph.edges))
+        form = canonical_form(graph)
+        assert_valid(S1Graph(form.vertices, form.edges))
+
+
 def test_invalid_graph_stays_invalid():
     graph = S1Graph(
         (
@@ -349,24 +379,26 @@ def test_invalid_graph_stays_invalid():
             canonical_serialization(graph)
 
 
-VALIDATED_INVALID_GRAPH = """
-from torus_census.circle_graph import S1Graph, _validated, isolated
+INVALID_GRAPH_TO_CANONICALISE = """
+from torus_census.circle_graph import S1Graph, canonical_form, isolated
+from torus_census.errors import PreconditionError
 # Two components attain the minimum moment.
 graph = S1Graph((isolated(0, 0, (1, 1)), isolated(1, 0, (1, 1)), isolated(2, 1, (-1, -1))))
 try:
-    _validated(graph)
-except AssertionError:
+    canonical_form(graph)
+except PreconditionError:
     print(__debug__, "refused")
 else:
     print(__debug__, "accepted")
 """
 
 
-def test_validated_survives_optimize():
+def test_validation_survives_optimize():
+    # The census validates each new graph where it canonicalises it.
     src = str(Path(torus_census.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-O", "-c", VALIDATED_INVALID_GRAPH],
+        [sys.executable, "-O", "-c", INVALID_GRAPH_TO_CANONICALISE],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from polygon_corpus import build_chopped_corpus, build_corpus
+from torus_census import enumerate_equivariant_blowups
 from torus_census.errors import CapacityError, PreconditionError
 from torus_census.polygon import (
     RationalPolygon,
@@ -17,7 +18,6 @@ from torus_census.polygon import (
     count_toric_actions_ruled,
     delzant_triangle,
     edges,
-    enumerate_equivariant_blowups,
     equivalent,
     hirzebruch,
     intersection_matrix,
