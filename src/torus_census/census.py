@@ -381,8 +381,8 @@ def _scale(model: ManifoldSpec) -> int:
 
 def _unscaled_graph(graph: cg.S1Graph, scale: int) -> cg.S1Graph:
     components = tuple(
-        replace(v, moment=Q(v.moment, scale),
-                area=None if v.area is None else Q(v.area, scale))
+        cg.FixedComponent(v.id, Q(v.moment, scale), v.weights, v.genus,
+                          None if v.area is None else Q(v.area, scale))
         for v in graph.vertices
     )
     return cg.S1Graph(components, graph.edges)

@@ -90,7 +90,15 @@ class S1Graph:
 
     @cached_property
     def _canonical_serialization(self) -> tuple:
-        return min(_serialize(self, False), _serialize(self, True))
+        keys, mirrored = _vertex_keys(self, False), _vertex_keys(self, True)
+        plain, mirror = sorted(keys.values()), sorted(mirrored.values())
+        # A serialization's verts are its sorted key list, so keys that
+        # differ decide the least (verts, links) before any links are built.
+        if plain < mirror:
+            return _serialize(self, False, keys)
+        if mirror < plain:
+            return _serialize(self, True, mirrored)
+        return min(_serialize(self, False, keys), _serialize(self, True, mirrored))
 
 
 def edge_area(graph: S1Graph, edge: tuple[int, int, int]) -> Q:
@@ -442,19 +450,19 @@ def _basic_key(vertex: FixedComponent, shift: Q, flip: bool, span: Q) -> tuple:
     return (moment, 0, m, n)
 
 
-def _serialize(graph: S1Graph, flip: bool) -> tuple:
+def _vertex_keys(graph: S1Graph, flip: bool) -> dict[int, tuple]:
     shift = graph.min_moment
-    span = graph.max_moment - graph.min_moment
-    keys = {v.id: _basic_key(v, shift, flip, span) for v in graph.vertices}
-    neighbour: dict[int, tuple] = {}
-    for vertex in graph.vertices:
-        local = []
-        for north, south, k in graph.edges:
-            if vertex.id == north:
-                local.append((k, 1, keys[south]))
-            elif vertex.id == south:
-                local.append((k, 0, keys[north]))
-        neighbour[vertex.id] = tuple(sorted(local))
+    span = graph.max_moment - shift
+    return {v.id: _basic_key(v, shift, flip, span) for v in graph.vertices}
+
+
+def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:
+    """Least (verts, links) of one reflection, given its `_vertex_keys`."""
+    local: dict[int, list] = {v.id: [] for v in graph.vertices}
+    for north, south, k in graph.edges:
+        local[north].append((k, 1, keys[south]))
+        local[south].append((k, 0, keys[north]))
+    neighbour = {vertex_id: tuple(sorted(links)) for vertex_id, links in local.items()}
 
     ordered = sorted(graph.vertices, key=lambda v: (keys[v.id], neighbour[v.id]))
     groups: list[list[int]] = []

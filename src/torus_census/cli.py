@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from . import census as cs
@@ -63,8 +64,38 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """Byte for byte `json.dumps(value, indent=2, sort_keys=True)`.
+
+    CPython's C encoder runs only without an indent, so `json.dumps` with
+    one encodes in pure Python, a generator per nesting level.  Here
+    strings go through the C string encoder and each container is one
+    join; `bool`, `None` and anything else take `json.dumps`.  Dict keys
+    must be strings, as in every payload this module writes.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = ("," + inner).join(
+            [f"{_json_string(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        )
+        return f"{{{inner}{body}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        body = ("," + inner).join([_json_text(item, inner) for item in value])
+        return f"[{inner}{body}{indent}]"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit_json(payload: dict) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(_json_text(payload))
 
 
 def _polygon_arg(args: argparse.Namespace) -> pg.RationalPolygon | None:

@@ -57,10 +57,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return [[dot(row, col) for col in cols] for row in a]
 
 
-def transpose(m: Sequence[Sequence]) -> list[list]:
-    return [list(row) for row in zip(*m)]
-
-
 def mat_inverse(m: Sequence[Sequence[Q]]) -> Matrix:
     """Inverse by Gauss-Jordan elimination with exact pivoting."""
     n = len(m)

@@ -66,7 +66,10 @@ def halve(x: int | Q) -> int | Q:
 
 def format_rational(x: Q | int) -> str:
     """Format an exact rational as "p/q" in lowest terms ("p" if integral)."""
-    x = Q(x)
+    if type(x) is int:
+        return str(x)
+    if not isinstance(x, Q):
+        x = Q(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -16,6 +16,8 @@ from torus_census import (
 )
 from torus_census.circle_graph import (
     S1Graph,
+    _serialize,
+    _vertex_keys,
     blow_up,
     can_blow_up,
     canonical_form,
@@ -333,6 +335,25 @@ def test_can_blow_up_agrees_with_blow_up():
             assert_valid(blown)
 
 
+def _graphs_as_built():
+    """Every edge-normal projection of the chopped corpus, and every
+    feasible blow-up of the small frontiers at 1/9, 1/4 and a seeded draw."""
+    rng = random.Random(72)
+    projections = [
+        graph_from_polygon(polygon, edge.normal)
+        for polygon in build_chopped_corpus()
+        for edge in edges(polygon)
+    ]
+    blow_ups = []
+    for graph in _small_frontiers():
+        for vertex in graph.vertices:
+            drawn = Q(rng.randrange(1, 25), rng.randrange(1, 13))
+            for delta in (Q(1, 9), Q(1, 4), drawn):
+                if can_blow_up(graph, vertex.id, delta)[0]:
+                    blow_ups.append(blow_up(graph, vertex.id, delta))
+    return projections, blow_ups
+
+
 def test_blow_ups_and_projections_are_valid_as_built():
     # blow_up and graph_from_polygon do not validate what they return, and a
     # canonical form inherits its source's verdict: the census validates
@@ -340,22 +361,10 @@ def test_blow_ups_and_projections_are_valid_as_built():
     # Each graph is checked as built, before canonicalisation renumbers its
     # ids (which would hide a duplicate id), and its canonical form is
     # rebuilt from its tuples so that no cached verdict counts.
-    rng = random.Random(72)
-    built = [
-        graph_from_polygon(polygon, edge.normal)
-        for polygon in build_chopped_corpus()
-        for edge in edges(polygon)
-    ]
-    projections = len(built)
-    for graph in _small_frontiers():
-        for vertex in graph.vertices:
-            drawn = Q(rng.randrange(1, 25), rng.randrange(1, 13))
-            for delta in (Q(1, 9), Q(1, 4), drawn):
-                if can_blow_up(graph, vertex.id, delta)[0]:
-                    built.append(blow_up(graph, vertex.id, delta))
-    assert projections == 1284
-    assert len(built) - projections > 2500
-    for graph in built:
+    projections, blow_ups = _graphs_as_built()
+    assert len(projections) == 1284
+    assert len(blow_ups) > 2500
+    for graph in projections + blow_ups:
         assert_valid(S1Graph(graph.vertices, graph.edges))
         form = canonical_form(graph)
         assert_valid(S1Graph(form.vertices, form.edges))
@@ -613,6 +622,21 @@ def test_large_symmetry_group_with_edges_is_refused():
     assert_valid(graph)
     with pytest.raises(PreconditionError, match="interchangeable"):
         canonical_serialization(graph)
+
+
+def test_serialization_shortcut_matches_both_reflections():
+    # _canonical_serialization serializes one reflection alone when the
+    # sorted vertex keys of the two differ; the oracle serializes both.
+    # A degree-0 ruled base graph is its own reflection.
+    branches = {"keys differ": 0, "keys equal": 0}
+    projections, blow_ups = _graphs_as_built()
+    for graph in projections + blow_ups + [ruled_base_graph(2, 0, Q(1), False)]:
+        sides = [_serialize(graph, flip, _vertex_keys(graph, flip)) for flip in (False, True)]
+        fresh = S1Graph(graph.vertices, graph.edges)
+        assert fresh._canonical_serialization == min(sides)
+        branches["keys differ" if sides[0][0] != sides[1][0] else "keys equal"] += 1
+    assert branches["keys differ"] > 3000
+    assert branches["keys equal"] > 40
 
 
 def test_opposite_projections_are_equivalent():

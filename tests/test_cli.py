@@ -6,9 +6,11 @@ formats.  Larger JSON payloads are re-parsed and checked field by field.
 """
 
 import json
+import random
 
 import pytest
 
+from torus_census import cli
 from torus_census.cli import main
 
 SQUARE = '{"vertices": [["0","0"],["1","0"],["1","1"],["0","1"]]}'
@@ -236,6 +238,89 @@ def test_feasibility_json_from_spec(capsys):
     assert payload["warnings"] == [
         "case-analysis regime: some capacity exceeds a third of the line area"
     ]
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps(indent=2, sort_keys=True)
+
+
+_AWKWARD_STRINGS = (
+    "", "plain", 'quote"inside', "back\\slash", "tab\tline\nfeed\r",
+    "\x00\x1f\x7f", "caf\u00e9", "\u2202\u03c9", "\U0001f600", "</tag>",
+)
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(7 if depth < 4 else 3)
+    if kind == 0:
+        return "".join(rng.choice(_AWKWARD_STRINGS) for _ in range(rng.randrange(3)))
+    if kind == 1:
+        return rng.choice((0, -1, 7, -(10**20), 2**64, -(2**64) - 1, 3**90))
+    if kind == 2:
+        return rng.choice((True, False, None, {}, [], ()))
+    size = rng.randrange(1, 5)
+    items = [_random_value(rng, depth + 1) for _ in range(size)]
+    if kind == 3:
+        return items
+    if kind == 4:
+        return tuple(items)
+    # Keys are drawn unsorted, so the writer has to sort them.
+    keys = rng.sample([f"k{i}" for i in range(9)] + list(_AWKWARD_STRINGS), size)
+    return dict(zip(keys, items))
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(8)
+    for _ in range(400):
+        value = {"payload": _random_value(rng, 0), "b": (), "a": [{}, []]}
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    for scalar in ("", "\u00e9", 0, -5, 2**64, True, False, None):
+        assert cli._json_text(scalar) == json.dumps(scalar, indent=2, sort_keys=True)
+
+
+_RULED_GENUS_ONE = (
+    '{"base": {"kind": "product_ruled", "genus": 1, "mu": "1", "fiber": "1"},'
+    ' "capacities": ["1/5", "1/7"]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--polygon", SQUARE),
+        ("check", "--graph", TWO_SURFACES),
+        ("canon", "--polygon", MOVED_SQUARE),
+        ("canon", "--graph", TWO_SURFACES),
+        ("invariants", "--polygon", SQUARE),
+        ("invariants", "--graph", TWO_SURFACES),
+        ("blowup", "--polygon", SQUARE, "--vertex", "0", "--delta", "1/4"),
+        ("blowup", "--graph", TWO_SURFACES, "--vertex", "0", "--delta", "1/4"),
+        ("blowdown", "--polygon", BLOWN_SQUARE, "--edge", "0"),
+        ("project", "--polygon", SQUARE, "--xi", "1,1"),
+        ("census", "--spec", PLANE_QUARTER),
+        pytest.param(("census", "--spec", _RULED_GENUS_ONE), id="census-genus-one"),
+        # asdict(report) keeps the warnings as a tuple, which json writes
+        # as a list; a writer without a tuple branch fails here.
+        pytest.param(
+            ("feasibility", "--spec", PLANE_QUARTER.replace('"1/4"', '"2/5", "2/5"')),
+            id="feasibility-warnings-tuple",
+        ),
+        ("exceptional", "--spec", PLANE_QUARTER),
+        ("chains", "--spec", PLANE_QUARTER),
+        ("threshold", "--spec", PLANE_QUARTER),
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]),
+)
+def test_json_output_of_every_verb_is_its_payload(capsys, monkeypatch, argv):
+    payloads = []
+    writer = cli._emit_json
+    monkeypatch.setattr(
+        cli, "_emit_json", lambda payload: (payloads.append(payload), writer(payload))
+    )
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err, len(payloads)) == (0, "", 1)
+    assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+    assert json.loads(out) == json.loads(json.dumps(payloads[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from torus_census.linalg import (
     mat_vec,
     primitive_vector,
     signature,
-    transpose,
 )
 from torus_census.rationals import (
     ceil_rational,
@@ -28,6 +27,10 @@ from torus_census.rationals import (
     format_rational,
     parse_rational,
 )
+
+
+def transpose(m):
+    return [list(row) for row in zip(*m)]
 
 
 def test_parse_round_trip():
