@@ -15,7 +15,7 @@ from torus_census import (
     Basis,
     SymplecticData,
     blow_up,
-    canonical_blowdown_chain,
+    canonical_chain_among,
     classify_model,
     delzant_triangle,
     invariants,
@@ -73,7 +73,7 @@ def main() -> None:
         "homology-level minimal blow-down chains for the same capacities "
         f"(found {len(chains)}):"
     )
-    print(chains_table(chains, canonical_blowdown_chain(omega)))
+    print(chains_table(chains, canonical_chain_among(chains)))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ request whose preconditions fail (the diagnostic is printed verbatim).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -362,7 +363,7 @@ def _run_chains(args: argparse.Namespace) -> None:
     _require_not_svg(args.format, "chains")
     omega = cs.spec_to_symplectic(_spec_arg(args))
     chains = hm.minimal_blowdown_chains(omega)
-    canonical = hm.canonical_blowdown_chain(omega)
+    canonical = hm.canonical_chain_among(chains)
     if args.format == "json":
         _emit_json(
             {
@@ -478,10 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves a parser as it was, so one parser serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _HANDLERS[args.verb](args)
     except FormatError as exc:
         print(str(exc), file=sys.stderr)

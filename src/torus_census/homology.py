@@ -8,7 +8,8 @@ Lorentzian signature (1, rank-1), which is what makes every enumeration
 here finite: the area functional is dual to a timelike vector, so
 "bounded area and bounded square" cuts out a compact region, and the
 companion positive definite form built from it turns each search into an
-exact lattice-point walk (see linalg.enumerate_quadratic_ball).
+exact lattice-point walk (see linalg.enumerate_quadratic_ball) on whole
+numbers, in a coefficient box read off in closed form.
 
 Symplectic shapes are recorded as SymplecticData: the base areas plus the
 ordered blow-up capacities.  Everything downstream (candidate exceptional
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, NamedTuple, Sequence
+from functools import partial
+from math import lcm
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     EnumerationError,
@@ -29,7 +32,6 @@ from .errors import (
     UnsupportedBlowdownError,
 )
 from .linalg import (
-    ball_coordinate_bounds,
     bilinear,
     dot,
     enumerate_quadratic_ball,
@@ -326,26 +328,39 @@ def poincare_dual(omega: SymplecticData) -> tuple[Q, ...]:
 # Certified enumeration
 
 
-def _companion_form(gram: Sequence[Sequence[Q]], weight: Sequence[Q], square: Q) -> list[list[Q]]:
-    """Positive definite form 2 (w.x)^2 / square - x^T G x.
+def _companion_form(
+    gram: Sequence[Sequence[int]], weight: Sequence[Q], dual: Callable[[Sequence], list]
+) -> tuple[list[list[int]], int, list[Q]]:
+    """Form A = 2 w w^T / s - G as (a A, a, diagonal of A^-1); dual(v) is G^-1 v.
 
-    Positive definiteness needs square = w^T G^{-1} w > 0, which holds
-    whenever the weight covector is dual to a timelike vector.
+    A is positive definite when s = w^T G^-1 w > 0, that is when w is dual
+    to a timelike vector.  With W = D w integral (D the lcm of the
+    denominators) and a/b = D^2 s in lowest terms, a A = 2b W W^T - a G.
+    Sherman-Morrison gives A^-1 = 2 d d^T / s - G^-1 with d = G^-1 w.
     """
-    n = len(weight)
-    return [
-        [2 * weight[i] * weight[j] / square - gram[i][j] for j in range(n)]
-        for i in range(n)
-    ]
+    d = dual(weight)
+    square = dot(weight, d)
+    denominator = lcm(*(v.denominator for v in weight))
+    whole = [int(v * denominator) for v in weight]
+    ratio = denominator * denominator * square
+    a, b = ratio.numerator, ratio.denominator
+    form = [[2 * b * u * v - a * g for v, g in zip(whole, row)] for u, row in zip(whole, gram)]
+    units = identity_matrix(len(weight))
+    return form, a, [2 * x * x / square - dual(units[i])[i] for i, x in enumerate(d)]
 
 
 def _certified_ball(
-    form: Sequence[Sequence[Q]], cutoff: Q, search_ceiling: int
+    companion: tuple[list[list[int]], int, list[Q]], cutoff: Q, search_ceiling: int
 ) -> Iterable[tuple[int, ...]]:
-    bounds = ball_coordinate_bounds(form, cutoff)
-    if any(b > search_ceiling for b in bounds):
+    """The points of x^T A x <= cutoff, walked on a A and a * cutoff.
+
+    The walk does not depend on scale.  It is refused when the box
+    |x_i| <= sqrt(cutoff (A^-1)_ii) passes the search ceiling.
+    """
+    form, scale, box = companion
+    if cutoff >= 0 and any(floor_sqrt(cutoff * v) > search_ceiling for v in box):
         raise EnumerationError("bound not certified")
-    return enumerate_quadratic_ball(form, cutoff)
+    return enumerate_quadratic_ball(form, cutoff * scale)
 
 
 def _passes_positivity(basis: Basis, coeffs: Sequence[int]) -> bool:
@@ -384,7 +399,7 @@ def enumerate_exceptional_candidates(
     cutoff = 2 * bound * bound / quantity + 1
     chern_vec = basis.chern_vector()
     found: list[HomologyClass] = []
-    for coeffs in _certified_ball(_companion_form(gram, weight, quantity), cutoff, search_ceiling):
+    for coeffs in _certified_ball(_companion_form(gram, weight, basis.dual), cutoff, search_ceiling):
         if bilinear(gram, coeffs, coeffs) != -1:
             continue
         if dot(chern_vec, coeffs) != 1:
@@ -452,7 +467,7 @@ def enumerate_bounded_classes(
         raise PreconditionError("anchor square must be positive for a finite search")
     cutoff = 2 * max(lo * lo, hi * hi) / square + q
     found: list[HomologyClass] = []
-    for coeffs in _certified_ball(_companion_form(gram, weight, square), cutoff, search_ceiling):
+    for coeffs in _certified_ball(_companion_form(gram, weight, basis.dual), cutoff, search_ceiling):
         value = bilinear(gram, coeffs, coeffs)
         if not (-q <= value <= -p):
             continue
@@ -668,9 +683,8 @@ def _even_rank_two_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, pa
         raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
     cutoff = pairing * pairing / (2 * quantity)
     null_classes: list[tuple[Q, tuple[int, ...]]] = []
-    for coeffs in _certified_ball(
-        _companion_form(gram_c, weight_c, quantity), cutoff, DEFAULT_SEARCH_CEILING
-    ):
+    companion = _companion_form(gram_c, weight_c, partial(mat_vec, mat_inverse(gram_c)))
+    for coeffs in _certified_ball(companion, cutoff, DEFAULT_SEARCH_CEILING):
         if bilinear(gram_c, coeffs, coeffs) != 0:
             continue
         if tuple(coeffs) != primitive_vector(coeffs):
@@ -711,8 +725,9 @@ def _rational_frame_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, p
     if disc < 0:
         raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
     lam_max = Q(6 * pairing + floor_sqrt(disc) + 1, 2 * (9 - blowups))
-    companion = _companion_form(gram_c, weight_c, quantity)
-    dual_chern = mat_vec(mat_inverse(gram_c), chern_c)
+    inverse = mat_inverse(gram_c)
+    companion = _companion_form(gram_c, weight_c, partial(mat_vec, inverse))
+    dual_chern = mat_vec(inverse, chern_c)
     _invariant(all(v.denominator == 1 for v in dual_chern), "the complement is unimodular")
     dual_chern_int = [int(v) for v in dual_chern]
 
@@ -872,6 +887,15 @@ def canonical_blowdown_chain(omega: SymplecticData) -> BlowdownChain:
     return chain
 
 
+def canonical_chain_among(chains: Sequence[BlowdownChain]) -> BlowdownChain:
+    """The chain canonical_blowdown_chain returns, picked out of all chains.
+
+    Two chains agree up to the first stage where their classes differ, and
+    there the canonical walk takes the lesser class.
+    """
+    return min(chains, key=lambda chain: tuple(step.chosen.coeffs for step in chain.steps))
+
+
 # ---------------------------------------------------------------------------
 # Capacity threshold
 
@@ -911,7 +935,7 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
     if 2 * seed * seed >= quantity:
         raise EnumerationError("bound not certified")
 
-    companion = _companion_form(gram, weight, quantity)
+    companion = _companion_form(gram, weight, small.dual)
     competitors: list[tuple[Q, tuple[int, ...], int]] = []
     s = 0
     while True:

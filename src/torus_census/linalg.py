@@ -12,9 +12,7 @@ vector x with x^T M x <= C.  It factors M once as an exact LDL^T and walks
 the classic lattice-point recursion (Fincke-Pohst) on Python ints: each
 level has one fixed denominator, so its interval endpoints and the budget
 left for the levels below are integer operations, no solution is ever
-missed and no float or Fraction appears inside the walk.  The certified
-coordinate box of :func:`ball_coordinate_bounds` reads the diagonal of
-M^-1 from the same kind of factorization, without forming an inverse.
+missed and no float or Fraction appears inside the walk.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence
-
-from .rationals import floor_sqrt
 
 Matrix = list[list[Q]]
 Vector = list[Q]
@@ -39,13 +35,8 @@ def dot(u: Sequence, v: Sequence):
 
 
 def bilinear(gram: Sequence[Sequence], x: Sequence, y: Sequence):
-    """x^T gram y, skipping the zero entries of the (sparse) lattice Grams."""
-    return sum(
-        x[i] * g * y[j]
-        for i, row in enumerate(gram)
-        for j, g in enumerate(row)
-        if g != 0
-    )
+    """x^T gram y, summed over the nonzero entries of x (lattice classes are sparse)."""
+    return sum(a * dot(row, y) for a, row in zip(x, gram) if a)
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
@@ -239,26 +230,3 @@ def enumerate_quadratic_ball(gram: Sequence[Sequence[Q]], cutoff: Q) -> Iterator
                 yield from recurse(level - 1, budget - w * t * t)
 
     yield from recurse(n - 1, int(scale * cutoff))
-
-
-def ball_coordinate_bounds(gram: Sequence[Sequence[Q]], cutoff: Q) -> list[int]:
-    """Per-coordinate bounds of the ellipsoid x^T gram x <= cutoff.
-
-    |x_i| never exceeds sqrt(cutoff * (gram^-1)_{ii}); used to refuse
-    searches whose certified box exceeds a caller-imposed ceiling.  With
-    gram = L D L^T, (gram^-1)_{ii} = sum_k (L^-1)_{ki}^2 / D_k, and column i
-    of L^-1 comes from forward substitution, so no inverse is formed.
-    """
-    if cutoff < 0:
-        return [0 for _ in gram]
-    lower, diag = ldl_decomposition(gram)
-    n = len(diag)
-    bounds = []
-    for i in range(n):
-        column = [0] * n
-        column[i] = 1
-        for k in range(i + 1, n):
-            column[k] = -sum(lower[k][j] * column[j] for j in range(i, k))
-        inverse_ii = sum(Q(column[k] ** 2) / diag[k] for k in range(i, n))
-        bounds.append(floor_sqrt(cutoff * inverse_ii))
-    return bounds

@@ -7,10 +7,13 @@ formats.  Larger JSON payloads are re-parsed and checked field by field.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from torus_census import cli
+from torus_census import census as cs
+from torus_census import cli, render
+from torus_census import homology as hm
 from torus_census.cli import main
 
 SQUARE = '{"vertices": [["0","0"],["1","0"],["1","1"],["0","1"]]}'
@@ -200,6 +203,39 @@ def test_chains_json_payload(capsys):
     assert payload["chains"] == [payload["canonical"]]
 
 
+def _tied_specs():
+    """cp2(1; 2/5 x4), which has 48 chains, and seeded recipes with ties."""
+    rng = random.Random(47)
+    specs = [{"base": {"kind": "cp2", "lambda": "1"}, "capacities": ["2/5"] * 4}]
+    for kind, genus in (("cp2", 0), ("product_ruled", 0), ("twisted_ruled", 0), ("product_ruled", 1)):
+        for k in (2, 3, 4, 5):
+            caps = sorted(rng.choices(("1/3", "2/7", "1/4", "1/5", "2/11"), k=k), key=Fraction)
+            base = {"kind": "cp2", "lambda": "1"} if kind == "cp2" else {
+                "kind": kind, "genus": genus, "mu": rng.choice(("1", "3/2")), "fiber": "1"
+            }
+            specs.append({"base": base, "capacities": caps[::-1]})
+    return specs
+
+
+def test_chains_come_from_one_walk(capsys):
+    counts = []
+    for spec in _tied_specs():
+        omega = cs.spec_to_symplectic(cs.spec_from_json(spec))
+        text = json.dumps(spec)
+        chains = hm.minimal_blowdown_chains(omega)
+        canonical = hm.canonical_blowdown_chain(omega)
+        code, out, err = run(capsys, "chains", "--spec", text, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["canonical"] == cli._chain_json(canonical)
+        assert payload["chains"] == [cli._chain_json(c) for c in chains]
+        code, out, err = run(capsys, "chains", "--spec", text)
+        assert out == render.chains_table(chains, canonical) + "\n"
+        counts.append(payload["count"])
+    assert counts[0] == 48
+    assert sum(count > 1 for count in counts) >= 8
+
+
 def test_threshold_json_payload(capsys):
     spec = '{"base": {"kind": "cp2", "lambda": "1"}, "capacities": ["1/5"]}'
     code, out, err = run(capsys, "threshold", "--spec", spec, "--format", "json")
@@ -321,6 +357,44 @@ def test_json_output_of_every_verb_is_its_payload(capsys, monkeypatch, argv):
     assert (code, err, len(payloads)) == (0, "", 1)
     assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
     assert json.loads(out) == json.loads(json.dumps(payloads[0]))
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    requests = [
+        ("census", "--spec", PLANE_QUARTER, "--bogus"),
+        ("--help",),
+        ("chains", "--help"),
+        ("blowdown", "--polygon", SQUARE, "--edge", "1"),
+        ("check", "--polygon", SQUARE),
+        ("canon", "--graph", TWO_SURFACES, "--format", "json"),
+        ("invariants", "--polygon", SQUARE),
+        ("blowup", "--polygon", SQUARE, "--vertex", "0", "--delta", "1/4"),
+        ("blowdown", "--polygon", BLOWN_SQUARE, "--edge", "0", "--format", "svg"),
+        ("project", "--polygon", SQUARE, "--xi", "1,1"),
+        ("census", "--spec", PLANE_QUARTER),
+        ("feasibility", "--k", "2", "--delta", "1/4", "--format", "json"),
+        ("exceptional", "--spec", PLANE_QUARTER, "--bound", "1"),
+        ("chains", "--spec", PLANE_QUARTER),
+        ("threshold", "--spec", PLANE_QUARTER, "--format", "json"),
+    ]
+
+    def outputs():
+        seen = []
+        for argv in requests:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = f"SystemExit {exc.code}"
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    shared = outputs()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == shared
+    codes = [code for code, _, _ in shared]
+    assert codes == [1, "SystemExit 0", "SystemExit 0", 2] + [0] * (len(requests) - 4)
 
 
 # ---------------------------------------------------------------------------

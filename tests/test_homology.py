@@ -16,7 +16,12 @@ from pathlib import Path
 import pytest
 
 import torus_census
-from torus_census.errors import PreconditionError
+from torus_census import homology
+from torus_census.errors import (
+    EnumerationError,
+    PreconditionError,
+    UnsupportedBlowdownError,
+)
 from torus_census.homology import (
     Basis,
     HomologyClass,
@@ -40,6 +45,7 @@ from torus_census.homology import (
     symplectic_to_json,
 )
 from torus_census.linalg import mat_inverse, mat_vec, signature
+from torus_census.rationals import floor_sqrt
 
 
 def rational_data(lam, *caps):
@@ -397,6 +403,100 @@ def test_blow_down_fuzz_bookkeeping():
         assert down.basis.rank == data.basis.rank - 1
         assert down.volume_quantity() == data.volume_quantity() + delta * delta
         assert down.chern_pairing() == data.chern_pairing() + delta
+
+
+# ---------------------------------------------------------------------------
+# The certified box of the companion form
+
+
+# Primes just below 2**31, as denominators of recipe areas.
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+
+
+def _seeded_recipe(rng, kind, genus, k):
+    """Capacities in (1/11, 1/6), each over a small or a near-2**31 prime."""
+    caps = []
+    for _ in range(k):
+        q = rng.choice((13, 17, 19, 23) + _PRIMES)
+        caps.append(Q(rng.randint(q // 11 + 1, q // 6), q))
+    caps = tuple(sorted(caps, reverse=True))
+    if kind == "rational":
+        return SymplecticData(Basis(kind, 0, k), caps, lam=Q(1))
+    mu = rng.choice((Q(1), Q(3, 2), Q(2)) if kind == "product_ruled" else (Q(1, 2), Q(1)))
+    return SymplecticData(Basis(kind, genus, k), caps, mu=mu)
+
+
+def _reference_companion(gram, weight):
+    """A = 2 w w^T / s - G over the Fractions, with s = w^T G^-1 w from mat_inverse."""
+    square = sum(w * d for w, d in zip(weight, mat_vec(mat_inverse(gram), weight)))
+    return [[2 * u * v / square - g for v, g in zip(weight, row)] for u, row in zip(weight, gram)]
+
+
+def _reference_box(gram, weight, cutoff):
+    """The largest floor sqrt(cutoff (A^-1)_ii) over the coordinates."""
+    inverse = mat_inverse(_reference_companion(gram, weight))
+    return max(floor_sqrt(cutoff * inverse[i][i]) for i in range(len(gram)))
+
+
+def test_closed_form_box_equals_the_inverse_of_every_companion(monkeypatch):
+    calls = []
+    original = homology._companion_form
+
+    def recording(gram, weight, dual):
+        result = original(gram, weight, dual)
+        calls.append((sys._getframe(1).f_code.co_name, gram, weight, result))
+        return result
+
+    monkeypatch.setattr(homology, "_companion_form", recording)
+    rng = random.Random(41)
+    recipes = [rational_data(1, *([Q(2, 5)] * 4)), rational_data(1, Q(2, 5), Q(2, 5))]
+    for kind, genus in (("rational", 0),) + tuple(
+        (kind, genus) for kind in ("product_ruled", "twisted_ruled") for genus in (0, 1, 2)
+    ):
+        for k in range(1, 9):
+            recipes.append(_seeded_recipe(rng, kind, genus, k))
+    for data in recipes:
+        minimal_exceptional_classes(data)
+        min_capacity_threshold(data)
+        enumerate_bounded_classes(poincare_dual(data), Q(0), Q(1), Q(1), Q(1), data)
+        if data.basis.rank <= 6:
+            for exc in enumerate_exceptional_candidates(data, Q(2)):
+                try:
+                    blow_down_class(data, exc)
+                except UnsupportedBlowdownError:
+                    pass
+    assert {name for name, *_ in calls} == {
+        "enumerate_exceptional_candidates",
+        "min_capacity_threshold",
+        "enumerate_bounded_classes",
+        "_even_rank_two_blow_down",
+        "_rational_frame_blow_down",
+    }
+    for name, gram, weight, (form, scale, box) in calls:
+        rational = _reference_companion(gram, weight)
+        assert form == [[scale * v for v in row] for row in rational], name
+        inverse = mat_inverse(rational)
+        assert box == [inverse[i][i] for i in range(len(form))], name
+
+
+def test_enumeration_error_fires_exactly_past_the_certified_box():
+    rng = random.Random(43)
+    for kind, genus, k in (
+        ("rational", 0, 3), ("rational", 0, 6), ("product_ruled", 0, 4),
+        ("product_ruled", 2, 2), ("twisted_ruled", 1, 5), ("twisted_ruled", 0, 3),
+    ):
+        data = _seeded_recipe(rng, kind, genus, k)
+        gram, weight = data.basis.gram(), data.area_vector()
+        bound = data.capacities[-1]
+        box = _reference_box(gram, weight, 2 * bound * bound / data.volume_quantity() + 1)
+        with pytest.raises(EnumerationError):
+            enumerate_exceptional_candidates(data, bound, search_ceiling=box - 1)
+        enumerate_exceptional_candidates(data, bound, search_ceiling=box)
+        anchor = poincare_dual(data)
+        box = _reference_box(gram, weight, 2 / data.volume_quantity() + 1)
+        with pytest.raises(EnumerationError):
+            enumerate_bounded_classes(anchor, Q(0), Q(1), Q(1), Q(1), data, box - 1)
+        enumerate_bounded_classes(anchor, Q(0), Q(1), Q(1), Q(1), data, box)
 
 
 # ---------------------------------------------------------------------------

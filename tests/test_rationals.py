@@ -9,7 +9,6 @@ import pytest
 from torus_census.errors import FormatError
 from torus_census.homology import Basis, SymplecticData, _companion_form
 from torus_census.linalg import (
-    ball_coordinate_bounds,
     dot,
     enumerate_quadratic_ball,
     identity_matrix,
@@ -220,8 +219,8 @@ def test_quadratic_ball_matches_brute_force():
     for _ in range(6):
         cases.append((_positive_definite(rng, 3), Q(rng.randrange(1, 30), rng.randrange(2, 7))))
     for gram, cutoff in cases:
-        bounds = ball_coordinate_bounds(gram, cutoff)
-        box = max(bounds) + 2
+        inverse = mat_inverse(gram)
+        box = max(floor_sqrt(cutoff * inverse[i][i]) for i in range(len(gram))) + 2
         expected = _brute_ball(gram, cutoff, box)
         got = set(enumerate_quadratic_ball(gram, cutoff))
         assert got == expected
@@ -274,9 +273,10 @@ def _reference_ball(gram, cutoff):
 def _assert_walk_matches_reference(gram, cutoff):
     got = list(enumerate_quadratic_ball(gram, cutoff))
     assert got == list(_reference_ball(gram, cutoff))
+    # The certified box: |x_i| <= sqrt(cutoff (gram^-1)_ii) on the ball.
     inverse = mat_inverse(gram)
-    expected = [floor_sqrt(cutoff * inverse[i][i]) for i in range(len(gram))]
-    assert ball_coordinate_bounds(gram, cutoff) == expected
+    box = [floor_sqrt(cutoff * inverse[i][i]) for i in range(len(gram))]
+    assert all(abs(x) <= b for point in got for x, b in zip(point, box))
     return got
 
 
@@ -305,9 +305,13 @@ def _near(value, prime):
 
 
 def _companion(omega):
-    return _companion_form(
-        omega.basis.gram(), omega.area_vector(), omega.volume_quantity()
-    )
+    return _companion_form(omega.basis.gram(), omega.area_vector(), omega.basis.dual)
+
+
+def _rational_companion(omega):
+    """2 w w^T / s - G over the Fractions, the form the integer one scales."""
+    gram, weight, square = omega.basis.gram(), omega.area_vector(), omega.volume_quantity()
+    return [[2 * u * v / square - g for v, g in zip(weight, row)] for u, row in zip(weight, gram)]
 
 
 def test_quadratic_ball_on_companion_forms_with_large_denominators():
@@ -337,9 +341,14 @@ def test_quadratic_ball_on_companion_forms_with_large_denominators():
         ),
     ]
     for omega in recipes:
-        form = _companion(omega)
+        form, scale, box = _companion(omega)
+        rational = _rational_companion(omega)
+        assert form == [[scale * v for v in row] for row in rational]
+        inverse = mat_inverse(rational)
+        assert box == [inverse[i][i] for i in range(len(form))]
         for cutoff in (Q(0), Q(1), Q(5, 3), 2 * omega.capacities[-1] ** 2 / omega.volume_quantity() + 1, Q(9)):
-            _assert_walk_matches_reference(form, cutoff)
+            got = _assert_walk_matches_reference(form, scale * cutoff)
+            assert got == list(enumerate_quadratic_ball(rational, cutoff))
 
 
 def test_quadratic_ball_requires_positive_definite():
