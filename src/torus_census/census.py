@@ -29,7 +29,7 @@ forms and keeps every comparison, so the answer is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import count
 from math import lcm
@@ -337,9 +337,14 @@ def _blow_up_all(parents: dict, delta, record) -> dict:
 
 def _step(recorded: Q):
     """The parent's provenance, one recorded blow-up longer."""
-    return lambda parent, provenance, site: replace(
-        provenance, steps=provenance.steps + (BlowUpStep(recorded, site),)
-    )
+
+    def record(parent, p, site):
+        steps = p.steps + (BlowUpStep(recorded, site),)
+        if type(p) is ToricProvenance:
+            return ToricProvenance(p.base, steps)
+        return CircleProvenance(p.origin, p.stage, p.degree, p.polygon, p.xi, steps)
+
+    return record
 
 
 def enumerate_equivariant_blowups(
@@ -381,8 +386,8 @@ def _scale(model: ManifoldSpec) -> int:
 
 def _unscaled_graph(graph: cg.S1Graph, scale: int) -> cg.S1Graph:
     components = tuple(
-        cg.FixedComponent(v.id, Q(v.moment, scale), v.weights, v.genus,
-                          None if v.area is None else Q(v.area, scale))
+        cg._component(v.id, Q(v.moment, scale), v.weights, v.genus,
+                      None if v.area is None else Q(v.area, scale))
         for v in graph.vertices
     )
     return cg.S1Graph(components, graph.edges)
@@ -463,14 +468,15 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         ),
         counts=counts,
         toric_provenance=tuple(
-            replace(entry[1], base=unscaled(entry[1].base))
-            for entry in toric_entries
+            ToricProvenance(unscaled(p.base), p.steps) for _, p in toric_entries
         ),
         circle_provenance=tuple(
-            entry[1]
-            if entry[1].polygon is None
-            else replace(entry[1], polygon=unscaled(entry[1].polygon))
-            for entry in circle_entries
+            p
+            if p.polygon is None
+            else CircleProvenance(
+                p.origin, p.stage, p.degree, unscaled(p.polygon), p.xi, p.steps
+            )
+            for _, p in circle_entries
         ),
         warnings=warnings,
     )

@@ -14,6 +14,10 @@ action extends to a toric one, and computes canonical forms under moment
 translation and reflection.  Public functions validate the graphs they are
 given; `blow_up` and `graph_from_polygon` return unchecked graphs, which
 the census validates once per new key and the tests check as built.
+Components are normalised (exact moment and area, weights in descending
+order) by the public `FixedComponent`, `isolated` and `surface`; the
+builders here, which already hold normalised values, fill each component
+directly through `_component`.
 """
 
 from __future__ import annotations
@@ -59,6 +63,29 @@ def isolated(id: int, moment: Q, weights: Iterable[int]) -> FixedComponent:
 
 def surface(id: int, moment: Q, genus: int, area: Q) -> FixedComponent:
     return FixedComponent(id, moment, genus=genus, area=area)
+
+
+def _component(
+    id: int,
+    moment: Q | int,
+    weights: tuple[int, int] | None = None,
+    genus: int | None = None,
+    area: Q | int | None = None,
+) -> FixedComponent:
+    """A component from values already normalised, skipping __post_init__.
+
+    The moment and area must be ints or Fractions and the weights in
+    descending order, as FixedComponent would leave them.
+    """
+    component = object.__new__(FixedComponent)
+    vars(component).update(
+        id=id, moment=moment, weights=weights, genus=genus, area=area
+    )
+    return component
+
+
+def _descending(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a >= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -236,13 +263,12 @@ def graph_from_polygon(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph
         if i in absorbed:
             continue
         ids[i] = len(components)
-        weights = (pairings[i], -pairings[i - 1])
-        components.append(isolated(ids[i], moments[i], weights))
+        weights = _descending(pairings[i], -pairings[i - 1])
+        components.append(_component(ids[i], moments[i], weights))
     for i in range(n):
         if pairings[i] == 0:
-            components.append(
-                surface(len(components), moments[i], 0, edge_list[i].rational_length)
-            )
+            area = edge_list[i].rational_length
+            components.append(_component(len(components), moments[i], None, 0, area))
 
     links = []
     for i in range(n):
@@ -287,8 +313,8 @@ def ruled_base_graph(
         )
     return S1Graph(
         (
-            surface(0, fiber - fiber, genus, bottom),
-            surface(1, fiber, genus, bottom + degree * fiber),
+            _component(0, fiber - fiber, None, genus, bottom),
+            _component(1, fiber, None, genus, bottom + degree * fiber),
         )
     )
 
@@ -366,8 +392,10 @@ def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
         # the free exceptional sphere ends at a new interior point.
         inward = 1 if vertex.moment == graph.min_moment else -1
         new_id = _fresh_ids(graph, 1)[0]
-        shrunk = surface(vertex.id, vertex.moment, vertex.genus, vertex.area - delta)
-        point = isolated(new_id, vertex.moment + inward * delta, (1, -1))
+        shrunk = _component(
+            vertex.id, vertex.moment, None, vertex.genus, vertex.area - delta
+        )
+        point = _component(new_id, vertex.moment + inward * delta, (1, -1))
         return S1Graph(others + (shrunk, point), graph.edges)
 
     m, n = vertex.weights
@@ -375,12 +403,14 @@ def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
         # Extremal point with weights (1,1) or (-1,-1): the exceptional
         # sphere becomes a fixed surface of area delta.
         inward = 1 if m > 0 else -1
-        replacement = surface(vertex.id, vertex.moment + inward * delta, 0, delta)
+        replacement = _component(
+            vertex.id, vertex.moment + inward * delta, None, 0, delta
+        )
         return S1Graph(others + (replacement,), graph.edges)
 
     high_id, low_id = _fresh_ids(graph, 2)
-    high = isolated(high_id, vertex.moment + m * delta, (m, n - m))
-    low = isolated(low_id, vertex.moment + n * delta, (n, m - n))
+    high = _component(high_id, vertex.moment + m * delta, _descending(m, n - m))
+    low = _component(low_id, vertex.moment + n * delta, _descending(n, m - n))
     new_edges = []
     for north, south, k in graph.edges:
         if north == vertex_id:
@@ -518,10 +548,12 @@ def canonical_form(graph: S1Graph) -> S1Graph:
     components = []
     for index, key in enumerate(verts):
         moment, tag, a, b = key
+        # The keys hold exact moments and areas, and a reflected pair
+        # (-n, -m) of a descending pair stays descending.
         if tag == 1:
-            components.append(surface(index, moment, int(a), b))
+            components.append(_component(index, moment, None, int(a), b))
         else:
-            components.append(isolated(index, moment, (int(a), int(b))))
+            components.append(_component(index, moment, (int(a), int(b))))
     form = S1Graph(tuple(components), tuple(links))
     # canonical_serialization has just validated the source; its relabelled,
     # translated copy inherits that verdict instead of being diagnosed again.
@@ -557,6 +589,11 @@ def graph_to_json(graph: S1Graph) -> dict:
     }
 
 
+def _is_int(value: object) -> bool:
+    # JSON true and false are not integers, though Python's bools are ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json(payload: dict) -> S1Graph:
     if not isinstance(payload, dict) or "vertices" not in payload:
         raise FormatError("graph object needs a 'vertices' field")
@@ -566,14 +603,14 @@ def graph_from_json(payload: dict) -> S1Graph:
     for item in payload["vertices"]:
         if not isinstance(item, dict) or "id" not in item or "moment" not in item:
             raise FormatError(f"graph vertex needs id and moment: {item!r}")
-        if not isinstance(item["id"], int):
+        if not _is_int(item["id"]):
             raise FormatError("vertex id must be an integer")
         moment = parse_rational(item["moment"])
         if "surface" in item:
             data = item["surface"]
             if not isinstance(data, dict) or "genus" not in data or "area" not in data:
                 raise FormatError("surface data needs genus and area")
-            if not isinstance(data["genus"], int):
+            if not _is_int(data["genus"]):
                 raise FormatError("surface genus must be an integer")
             components.append(
                 surface(item["id"], moment, data["genus"], parse_rational(data["area"]))
@@ -583,7 +620,7 @@ def graph_from_json(payload: dict) -> S1Graph:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(w, int) for w in pair)
+                or not all(_is_int(w) for w in pair)
             ):
                 raise FormatError("weights must be a pair of integers")
             components.append(isolated(item["id"], moment, tuple(pair)))
@@ -593,7 +630,7 @@ def graph_from_json(payload: dict) -> S1Graph:
     for item in payload.get("edges", []):
         if not isinstance(item, dict) or not {"north", "south", "k"} <= set(item):
             raise FormatError(f"graph edge needs north, south, k: {item!r}")
-        if not all(isinstance(item[f], int) for f in ("north", "south", "k")):
+        if not all(_is_int(item[f]) for f in ("north", "south", "k")):
             raise FormatError("edge fields must be integers")
         links.append((item["north"], item["south"], item["k"]))
     return S1Graph(tuple(components), tuple(links))

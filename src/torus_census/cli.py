@@ -76,23 +76,55 @@ def _json_text(value: object, indent: str = "\n") -> str:
     """
     if isinstance(value, str):
         return _json_string(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = ("," + inner).join(
-            [f"{_json_string(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
-        )
-        return f"{{{inner}{body}{indent}}}"
+        items = [f"{_json_string(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        return _joined(items, indent, "{}")
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        body = ("," + inner).join([_json_text(item, inner) for item in value])
-        return f"[{inner}{body}{indent}]"
+        return _joined([_json_text(item, inner) for item in value], indent)
     if type(value) is int:
         return int.__repr__(value)
     return json.dumps(value)
+
+
+def _joined(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON container of items already written one level below indent."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
+
+
+def _graph_text(graph: cg.S1Graph, indent: str = "\n") -> str:
+    """`_json_text(cg.graph_to_json(graph), indent)`, one f-string per
+    vertex and per edge.  Ids, genera, weights and k are ints, as
+    `cg.graph_from_json` and the builders leave them."""
+    inner = indent + "  "
+    at = inner + "  "
+    field = at + "  "
+    nested = field + "  "
+    vertices = []
+    for v in graph.vertices:
+        if v.is_surface:
+            data = (
+                f'"surface": {{{nested}"area": "{format_rational(v.area)}",'
+                f'{nested}"genus": {v.genus}{field}}}'
+            )
+        else:
+            m, n = v.weights
+            data = f'"weights": [{nested}{m},{nested}{n}{field}]'
+        vertices.append(
+            f'{{{field}"id": {v.id},{field}"moment": "{format_rational(v.moment)}",'
+            f"{field}{data}{at}}}"
+        )
+    edges = [
+        f'{{{field}"k": {k},{field}"north": {n},{field}"south": {s}{at}}}'
+        for n, s, k in graph.edges
+    ]
+    return (
+        f'{{{inner}"edges": {_joined(edges, inner)},'
+        f'{inner}"vertices": {_joined(vertices, inner)}{indent}}}'
+    )
 
 
 def _emit_json(payload: dict) -> None:
@@ -138,7 +170,7 @@ def _emit_polygon(polygon: pg.RationalPolygon, fmt: str) -> None:
 
 def _emit_graph(graph: cg.S1Graph, fmt: str) -> None:
     if fmt == "json":
-        _emit_json(cg.graph_to_json(graph))
+        _emit(_graph_text(graph))
     elif fmt == "svg":
         _emit(render.graph_svg(graph))
     else:
@@ -247,50 +279,79 @@ def _run_project(args: argparse.Namespace) -> None:
     _emit_graph(cg.graph_from_polygon(polygon, _parse_xi(args.xi)), args.format)
 
 
-def _census_json(result: cs.CensusResult) -> dict:
+def _steps_text(steps: tuple[cs.BlowUpStep, ...], indent: str) -> str:
+    """A provenance's steps as `_json_text` writes them, one f-string each."""
+    at = indent + "  "
+    field = at + "  "
+    return _joined(
+        [
+            f'{{{field}"delta": "{format_rational(s.delta)}",'
+            f'{field}"site": {s.site}{at}}}'
+            for s in steps
+        ],
+        indent,
+    )
+
+
+def _census_text(result: cs.CensusResult) -> str:
+    """The census JSON document, written record by record.
+
+    Byte for byte `json.dumps(payload, indent=2, sort_keys=True)` of the
+    census payload: graphs and provenance steps are written one f-string
+    per record, the small fields (spec, counts, polygons, xi, warnings)
+    by `_json_text`.
+    """
+    top, entry, field = "\n  ", "\n    ", "\n      "
     toric_prov = [
-        {
-            "base": pg.polygon_to_json(p.base),
-            "steps": [
-                {"delta": format_rational(s.delta), "site": s.site}
-                for s in p.steps
+        _joined(
+            [
+                f'"base": {_json_text(pg.polygon_to_json(p.base), field)}',
+                f'"steps": {_steps_text(p.steps, field)}',
             ],
-        }
+            entry,
+            "{}",
+        )
         for p in result.toric_provenance
     ]
     circle_prov = []
     for p in result.circle_provenance:
-        entry: dict = {"origin": p.origin, "stage": p.stage}
-        if p.degree is not None:
-            entry["degree"] = p.degree
+        fields = [] if p.degree is None else [f'"degree": {p.degree}']
+        fields.append(f'"origin": {_json_string(p.origin)}')
         if p.polygon is not None:
-            entry["polygon"] = pg.polygon_to_json(p.polygon)
+            polygon = pg.polygon_to_json(p.polygon)
+            fields.append(f'"polygon": {_json_text(polygon, field)}')
+        fields.append(f'"stage": {p.stage}')
+        fields.append(f'"steps": {_steps_text(p.steps, field)}')
         if p.xi is not None:
-            entry["xi"] = list(p.xi)
-        entry["steps"] = [
-            {"delta": format_rational(s.delta), "site": s.site} for s in p.steps
-        ]
-        circle_prov.append(entry)
-    return {
-        "spec": cs.spec_to_json(result.spec),
-        "counts": {
-            "toric": result.counts.toric_count,
-            "maximal_circles": result.counts.maximal_circle_count,
-            "total_maximal_tori": result.counts.total_maximal_tori,
-        },
-        "toric": [pg.polygon_to_json(p) for p in result.toric],
-        "maximal_circles": [cg.graph_to_json(g) for g in result.maximal_circles],
-        "toric_provenance": toric_prov,
-        "circle_provenance": circle_prov,
-        "warnings": list(result.warnings),
+            fields.append(f'"xi": {_json_text(p.xi, field)}')
+        circle_prov.append(_joined(fields, entry, "{}"))
+    counts = {
+        "toric": result.counts.toric_count,
+        "maximal_circles": result.counts.maximal_circle_count,
+        "total_maximal_tori": result.counts.total_maximal_tori,
     }
+    graphs = [_graph_text(g, entry) for g in result.maximal_circles]
+    polygons = [pg.polygon_to_json(p) for p in result.toric]
+    return _joined(
+        [
+            f'"circle_provenance": {_joined(circle_prov, top)}',
+            f'"counts": {_json_text(counts, top)}',
+            f'"maximal_circles": {_joined(graphs, top)}',
+            f'"spec": {_json_text(cs.spec_to_json(result.spec), top)}',
+            f'"toric": {_json_text(polygons, top)}',
+            f'"toric_provenance": {_joined(toric_prov, top)}',
+            f'"warnings": {_json_text(result.warnings, top)}',
+        ],
+        "\n",
+        "{}",
+    )
 
 
 def _run_census(args: argparse.Namespace) -> None:
     _require_not_svg(args.format, "census")
     result = cs.run_census(_spec_arg(args))
     if args.format == "json":
-        _emit_json(_census_json(result))
+        _emit(_census_text(result))
     else:
         _emit(render.census_table(result))
 

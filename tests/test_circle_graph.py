@@ -3,6 +3,7 @@
 import os
 import random
 import subprocess
+from math import gcd
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
@@ -14,7 +15,9 @@ from polygon_corpus import build_chopped_corpus, build_corpus
 from torus_census import (
     graph_enumerate_equivariant_blowups as enumerate_equivariant_blowups,
 )
+from torus_census.census import ManifoldSpec, run_census
 from torus_census.circle_graph import (
+    FixedComponent,
     S1Graph,
     _serialize,
     _vertex_keys,
@@ -368,6 +371,57 @@ def test_blow_ups_and_projections_are_valid_as_built():
         assert_valid(S1Graph(graph.vertices, graph.edges))
         form = canonical_form(graph)
         assert_valid(S1Graph(form.vertices, form.edges))
+
+
+def assert_normalised(graph):
+    for built in graph.vertices:
+        public = FixedComponent(
+            built.id, built.moment, built.weights, built.genus, built.area
+        )
+        assert built == public
+        assert (type(built.moment), type(built.area)) == (
+            type(public.moment),
+            type(public.area),
+        )
+
+
+def test_built_components_are_as_the_public_constructor_makes_them():
+    # blow_up, canonical_form, graph_from_polygon, ruled_base_graph and the
+    # census's unscaling fill components in without FixedComponent's
+    # normalisation (exact moment and area, weights in descending order).
+    # Each component they build must equal its normalised copy.  Seeded
+    # directions other than edge normals give extremal points with two
+    # weights of magnitude >= 2, where a blow-up's new pairs change order.
+    projections, blow_ups = _graphs_as_built()
+    rng = random.Random(74)
+    for polygon in build_chopped_corpus():
+        xi = (0, 0)
+        while gcd(*xi) != 1:
+            xi = (rng.randrange(-5, 6), rng.randrange(-5, 6))
+        projected = graph_from_polygon(polygon, xi)
+        projections.append(projected)
+        delta = Q(1, rng.randrange(20, 60))
+        for vertex in projected.vertices:
+            if can_blow_up(projected, vertex.id, delta)[0]:
+                blow_ups.append(blow_up(projected, vertex.id, delta))
+    bases = [
+        ruled_base_graph(genus, degree, Q(7, 2), degree % 2 == 1, fiber)
+        for genus in (0, 2)
+        for degree in range(4)
+        for fiber in (Q(1), 2)
+    ]
+    built = projections + blow_ups + bases
+    built += [canonical_form(graph) for graph in built]
+    for spec in (
+        ManifoldSpec("cp2", 0, Q(1), Q(1), (Q(2, 5),) * 4),
+        ManifoldSpec("product_ruled", 0, Q(1), Q(1), (Q(2, 3), Q(1, 3))),
+        ManifoldSpec("product_ruled", 1, Q(3), Q(1), (Q(1, 2), Q(1, 3), Q(1, 5))),
+        ManifoldSpec("twisted_ruled", 3, Q(3, 2), Q(1), (Q(1, 3), Q(1, 4))),
+    ):
+        built += run_census(spec).maximal_circles
+    assert len(built) > 8000
+    for graph in built:
+        assert_normalised(graph)
 
 
 def test_invalid_graph_stays_invalid():

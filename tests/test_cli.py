@@ -12,9 +12,12 @@ from fractions import Fraction
 import pytest
 
 from torus_census import census as cs
+from torus_census import circle_graph as cg
 from torus_census import cli, render
 from torus_census import homology as hm
+from torus_census import polygon as pg
 from torus_census.cli import main
+from torus_census.errors import PreconditionError
 
 SQUARE = '{"vertices": [["0","0"],["1","0"],["1","1"],["0","1"]]}'
 TRIANGLE_TALL = '{"vertices": [["0","0"],["1","0"],["0","2"]]}'
@@ -314,6 +317,139 @@ def test_json_writer_matches_json_dumps():
         assert cli._json_text(scalar) == json.dumps(scalar, indent=2, sort_keys=True)
 
 
+def census_payload(result: cs.CensusResult) -> dict:
+    """The census JSON document as a dict: the reference for `_census_text`."""
+    toric_prov = [
+        {
+            "base": pg.polygon_to_json(p.base),
+            "steps": [
+                {"delta": cli.format_rational(s.delta), "site": s.site}
+                for s in p.steps
+            ],
+        }
+        for p in result.toric_provenance
+    ]
+    circle_prov = []
+    for p in result.circle_provenance:
+        entry: dict = {"origin": p.origin, "stage": p.stage}
+        if p.degree is not None:
+            entry["degree"] = p.degree
+        if p.polygon is not None:
+            entry["polygon"] = pg.polygon_to_json(p.polygon)
+        if p.xi is not None:
+            entry["xi"] = list(p.xi)
+        entry["steps"] = [
+            {"delta": cli.format_rational(s.delta), "site": s.site} for s in p.steps
+        ]
+        circle_prov.append(entry)
+    return {
+        "spec": cs.spec_to_json(result.spec),
+        "counts": {
+            "toric": result.counts.toric_count,
+            "maximal_circles": result.counts.maximal_circle_count,
+            "total_maximal_tori": result.counts.total_maximal_tori,
+        },
+        "toric": [pg.polygon_to_json(p) for p in result.toric],
+        "maximal_circles": [cg.graph_to_json(g) for g in result.maximal_circles],
+        "toric_provenance": toric_prov,
+        "circle_provenance": circle_prov,
+        "warnings": list(result.warnings),
+    }
+
+
+def _random_recipe(rng):
+    """A small seeded recipe: any base kind, genus 0-3, up to four caps.
+
+    Caps up to 2/3 reach the maximal circle actions that a rational base
+    gets by projection; a recipe outside the cone raises PreconditionError.
+    """
+    kind = rng.choice(cs.BASE_KINDS)
+    genus = 0 if kind == cs.CP2 else rng.randrange(4)
+    area = Fraction(rng.randrange(2, 7), rng.randrange(1, 4))
+    caps = [Fraction(rng.randrange(1, 3), rng.randrange(2, 8)) for _ in range(rng.randrange(5))]
+    caps.sort(reverse=True)
+    return cs.ManifoldSpec(kind, genus, area, Fraction(1), tuple(caps))
+
+
+def test_census_text_matches_its_payload_on_seeded_recipes():
+    rng = random.Random(10)
+    seen = set()
+    checked = 0
+    while checked < 40:
+        try:
+            spec = _random_recipe(rng)
+            result = cs.run_census(spec)
+        except PreconditionError:
+            continue
+        checked += 1
+        reference = json.dumps(census_payload(result), indent=2, sort_keys=True)
+        assert cli._census_text(result) == reference
+        seen.add((spec.base, spec.genus))
+        if not result.maximal_circles:
+            seen.add("empty frontier")
+        if any(p.polygon and p.xi for p in result.circle_provenance):
+            seen.add("projection")
+        if any(p.degree is not None for p in result.circle_provenance):
+            seen.add("ruled base")
+        if result.warnings:
+            seen.add("warnings")
+    kinds = {item[0] for item in seen if isinstance(item, tuple)}
+    genera = {item[1] for item in seen if isinstance(item, tuple)}
+    assert kinds == set(cs.BASE_KINDS)
+    assert genera == {0, 1, 2, 3}
+    assert {"empty frontier", "projection", "ruled base", "warnings"} <= seen
+
+
+def _hand_built_graphs():
+    F = cg.FixedComponent
+    return [
+        # Negative and Fraction moments, a Z_3 and a Z_2 edge.
+        cg.S1Graph(
+            (
+                F(0, Fraction(-7, 3), (1, 3)),
+                F(4, Fraction(-1, 3), (3, -2)),
+                F(9, -2, (2, -1)),
+                F(2, Fraction(5, 2), (-1, -1)),
+            ),
+            ((4, 0, 3), (2, 9, 2)),
+        ),
+        # Two surfaces of positive genus and no edges.
+        cg.S1Graph(
+            (
+                F(0, -1, genus=2, area=Fraction(3, 4)),
+                F(1, 0, (1, -1)),
+                F(7, Fraction(1, 2), genus=0, area=11),
+            )
+        ),
+        # An integer graph, as a census builds before unscaling.
+        cg.S1Graph((F(3, 0, (1, 1)), F(5, 4, (-1, -1)))),
+        cg.S1Graph(()),
+    ]
+
+
+def test_graph_text_matches_json_text():
+    for graph in _hand_built_graphs():
+        for indent in ("\n", "\n  ", "\n      "):
+            expected = cli._json_text(cg.graph_to_json(graph), indent)
+            assert cli._graph_text(graph, indent) == expected
+
+
+def test_graph_json_refuses_booleans_for_integers(capsys):
+    # Python's bools are ints, but JSON true and false are not integers.
+    surface = '{"genus": 0, "area": "1"}'
+    for vertices in (
+        f'[{{"id": false, "moment": "0", "surface": {surface}}}]',
+        '[{"id": 0, "moment": "0", "surface": {"genus": true, "area": "1"}}]',
+        '[{"id": 0, "moment": "0", "weights": [true, 1]}]',
+    ):
+        code, out, err = run(capsys, "canon", "--graph", f'{{"vertices": {vertices}}}')
+        assert (code, out) == (1, "")
+    edge = '{"north": 1, "south": 0, "k": true}'
+    graph = TWO_SURFACES.replace('"edges": []', f'"edges": [{edge}]')
+    code, out, err = run(capsys, "check", "--graph", graph)
+    assert (code, err) == (1, "edge fields must be integers\n")
+
+
 _RULED_GENUS_ONE = (
     '{"base": {"kind": "product_ruled", "genus": 1, "mu": "1", "fiber": "1"},'
     ' "capacities": ["1/5", "1/7"]}'
@@ -348,11 +484,28 @@ _RULED_GENUS_ONE = (
     ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]),
 )
 def test_json_output_of_every_verb_is_its_payload(capsys, monkeypatch, argv):
+    # Each verb's payload is recorded where it is made: the dict handed to
+    # _emit_json, the graph handed to _emit_graph as graph_to_json gives
+    # it, or the census result as census_payload gives it.  The graph and
+    # census writers build their text without these dicts.
     payloads = []
-    writer = cli._emit_json
+    emit_json, emit_graph, run_census = cli._emit_json, cli._emit_graph, cs.run_census
     monkeypatch.setattr(
-        cli, "_emit_json", lambda payload: (payloads.append(payload), writer(payload))
+        cli, "_emit_json", lambda payload: (payloads.append(payload), emit_json(payload))
     )
+    monkeypatch.setattr(
+        cli,
+        "_emit_graph",
+        lambda graph, fmt: (payloads.append(cg.graph_to_json(graph)), emit_graph(graph, fmt)),
+    )
+    if argv[0] == "census":
+
+        def census(spec):
+            result = run_census(spec)
+            payloads.append(census_payload(result))
+            return result
+
+        monkeypatch.setattr(cs, "run_census", census)
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err, len(payloads)) == (0, "", 1)
     assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
