@@ -39,7 +39,7 @@ from . import circle_graph as cg
 from . import polygon as pg
 from .errors import CapacityError, FormatError, PreconditionError
 from .homology import Basis, SymplecticData, cremona_reduced, require_in_cone
-from .rationals import format_rational, halve, parse_rational
+from .rationals import format_rational, halve, is_int, parse_rational
 
 CP2 = "cp2"
 PRODUCT_RULED = "product_ruled"
@@ -60,7 +60,7 @@ class ManifoldSpec:
     def __post_init__(self) -> None:
         if self.base not in BASE_KINDS:
             raise PreconditionError(f"unknown base kind: {self.base}")
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if not is_int(self.genus) or self.genus < 0:
             raise PreconditionError("genus must be a nonnegative integer")
         if self.base == CP2 and self.genus != 0:
             raise PreconditionError("a cp2 base has no genus parameter")
@@ -597,7 +597,7 @@ def spec_from_json(payload: dict) -> ManifoldSpec:
     if "mu" not in base:
         raise FormatError("ruled base needs a 'mu' field")
     genus = base.get("genus", 0)
-    if not isinstance(genus, int):
+    if not is_int(genus):
         raise FormatError("genus must be an integer")
     fiber = parse_rational(base.get("fiber", "1"))
     return ManifoldSpec(kind, genus, parse_rational(base["mu"]), fiber, capacities)

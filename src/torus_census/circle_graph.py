@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .errors import CapacityError, FormatError, PreconditionError
 from .polygon import RationalPolygon, edges as polygon_edges, is_delzant
-from .rationals import format_rational, halve, parse_exact, parse_rational
+from .rationals import format_rational, halve, is_int, parse_exact, parse_rational
 
 
 @dataclass(frozen=True)
@@ -589,11 +589,6 @@ def graph_to_json(graph: S1Graph) -> dict:
     }
 
 
-def _is_int(value: object) -> bool:
-    # JSON true and false are not integers, though Python's bools are ints.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def graph_from_json(payload: dict) -> S1Graph:
     if not isinstance(payload, dict) or "vertices" not in payload:
         raise FormatError("graph object needs a 'vertices' field")
@@ -603,14 +598,14 @@ def graph_from_json(payload: dict) -> S1Graph:
     for item in payload["vertices"]:
         if not isinstance(item, dict) or "id" not in item or "moment" not in item:
             raise FormatError(f"graph vertex needs id and moment: {item!r}")
-        if not _is_int(item["id"]):
+        if not is_int(item["id"]):
             raise FormatError("vertex id must be an integer")
         moment = parse_rational(item["moment"])
         if "surface" in item:
             data = item["surface"]
             if not isinstance(data, dict) or "genus" not in data or "area" not in data:
                 raise FormatError("surface data needs genus and area")
-            if not _is_int(data["genus"]):
+            if not is_int(data["genus"]):
                 raise FormatError("surface genus must be an integer")
             components.append(
                 surface(item["id"], moment, data["genus"], parse_rational(data["area"]))
@@ -620,7 +615,7 @@ def graph_from_json(payload: dict) -> S1Graph:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(_is_int(w) for w in pair)
+                or not all(is_int(w) for w in pair)
             ):
                 raise FormatError("weights must be a pair of integers")
             components.append(isolated(item["id"], moment, tuple(pair)))
@@ -630,7 +625,7 @@ def graph_from_json(payload: dict) -> S1Graph:
     for item in payload.get("edges", []):
         if not isinstance(item, dict) or not {"north", "south", "k"} <= set(item):
             raise FormatError(f"graph edge needs north, south, k: {item!r}")
-        if not all(_is_int(item[f]) for f in ("north", "south", "k")):
+        if not all(is_int(item[f]) for f in ("north", "south", "k")):
             raise FormatError("edge fields must be integers")
         links.append((item["north"], item["south"], item["k"]))
     return S1Graph(tuple(components), tuple(links))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _json_string
@@ -382,11 +383,17 @@ def _run_feasibility(args: argparse.Namespace) -> None:
 def _run_exceptional(args: argparse.Namespace) -> None:
     _require_not_svg(args.format, "exceptional")
     omega = cs.spec_to_symplectic(_spec_arg(args))
-    minimal = hm.minimal_exceptional_classes(omega)
-    bound = minimal.epsilon if args.bound is None else parse_rational(args.bound)
+    bound = None if args.bound is None else parse_rational(args.bound)
+    minimal = None
+    if bound is None or not omega.basis.blowups or bound < omega.capacities[-1]:
+        minimal = hm.minimal_exceptional_classes(omega)
+        bound = minimal.epsilon if bound is None else bound
     candidates = hm.enumerate_exceptional_candidates(
         omega, bound, search_ceiling=args.ceiling
     )
+    if minimal is None:
+        # A walk to at least the last capacity holds every minimal class.
+        minimal = hm.least_area_classes(omega, candidates)
     if args.format == "json":
         _emit_json(
             {
@@ -548,12 +555,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         _HANDLERS[args.verb](args)
+        sys.stdout.flush()
     except FormatError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except PreconditionError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`).  Python flushes stdout again
+        # at exit, so point it at devnull to keep that flush quiet too; the
+        # exit code is the one Python gives a broken pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

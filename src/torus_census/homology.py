@@ -14,14 +14,17 @@ numbers, in a coefficient box read off in closed form.
 Symplectic shapes are recorded as SymplecticData: the base areas plus the
 ordered blow-up capacities.  Everything downstream (candidate exceptional
 classes, minimal classes, blow-down chains, capacity thresholds) is a pure
-function of that data.
+function of that data.  Each SymplecticData derives its facts once: the
+area covector w, its integer form W = D w, the volume quantity and the
+Chern pairing.  Areas run on that one integer covector: the area of a
+class x is W.x / D, and every per-point filter of a walk compares ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -227,25 +230,47 @@ class SymplecticData:
         area = self.lam if self.basis.kind == RATIONAL else self.mu
         require_in_cone(self.basis, area, self.fiber, caps)
 
+    @cached_property
+    def _weight(self) -> tuple[Q, ...]:
+        head = (self.lam,) if self.basis.kind == RATIONAL else (self.mu, self.fiber)
+        return head + self.capacities
+
+    @cached_property
+    def integer_area(self) -> tuple[tuple[int, ...], int]:
+        """(W, D): the area covector is W / D, W integral and D the least such."""
+        return _integral(self._weight)
+
+    @cached_property
+    def _volume_quantity(self) -> Q:
+        whole, scale = self.integer_area
+        return Q(dot(whole, self.basis.dual(whole)), scale * scale)
+
+    @cached_property
+    def _chern_pairing(self) -> Q:
+        whole, scale = self.integer_area
+        return Q(dot(whole, self.basis.dual(self.basis.chern_vector())), scale)
+
     def area_vector(self) -> list[Q]:
         """Covector w with area(x) = w . coeffs(x)."""
-        if self.basis.kind == RATIONAL:
-            head = [self.lam]
-        else:
-            head = [self.mu, self.fiber]
-        return head + list(self.capacities)
+        return list(self._weight)
 
     def dual_coords(self) -> list[Q]:
         """Coordinates of the class dual to the area functional."""
-        return self.basis.dual(self.area_vector())
+        return self.basis.dual(self._weight)
 
     def volume_quantity(self) -> Q:
         """Square of the dual of the area functional; twice the volume."""
-        return dot(self.area_vector(), self.dual_coords())
+        return self._volume_quantity
 
     def chern_pairing(self) -> Q:
         """Total area of the anticanonical class."""
-        return dot(self.area_vector(), self.basis.dual(self.basis.chern_vector()))
+        return self._chern_pairing
+
+
+def _integral(covector: Sequence[Q]) -> tuple[tuple[int, ...], int]:
+    """(W, D) with covector = W / D, D the lcm of the denominators."""
+    scale = lcm(*(v.denominator for v in covector))
+    return tuple(v.numerator * (scale // v.denominator) for v in covector), scale
 
 
 def cremona_reduced(lam: Q, caps: Sequence[Q]) -> tuple[Q, tuple[Q, ...]]:
@@ -316,7 +341,8 @@ def area(a: HomologyClass, omega: SymplecticData) -> Q:
     """Symplectic area of a class."""
     if a.basis != omega.basis:
         raise PreconditionError("basis mismatch")
-    return dot(omega.area_vector(), a.coeffs)
+    whole, scale = omega.integer_area
+    return Q(dot(whole, a.coeffs), scale)
 
 
 def poincare_dual(omega: SymplecticData) -> tuple[Q, ...]:
@@ -329,23 +355,21 @@ def poincare_dual(omega: SymplecticData) -> tuple[Q, ...]:
 
 
 def _companion_form(
-    gram: Sequence[Sequence[int]], weight: Sequence[Q], dual: Callable[[Sequence], list]
+    gram: Sequence[Sequence[int]], whole: Sequence[int], dual: Callable[[Sequence], list]
 ) -> tuple[list[list[int]], int, list[Q]]:
     """Form A = 2 w w^T / s - G as (a A, a, diagonal of A^-1); dual(v) is G^-1 v.
 
     A is positive definite when s = w^T G^-1 w > 0, that is when w is dual
-    to a timelike vector.  With W = D w integral (D the lcm of the
-    denominators) and a/b = D^2 s in lowest terms, a A = 2b W W^T - a G.
-    Sherman-Morrison gives A^-1 = 2 d d^T / s - G^-1 with d = G^-1 w.
+    to a timelike vector.  A does not change when w is scaled, so it is
+    built on the integral multiple W = whole of w: with W^T G^-1 W = a/b in
+    lowest terms, a A = 2b W W^T - a G.  Sherman-Morrison gives
+    A^-1 = 2 d d^T / s - G^-1 with d = G^-1 W and s = a/b.
     """
-    d = dual(weight)
-    square = dot(weight, d)
-    denominator = lcm(*(v.denominator for v in weight))
-    whole = [int(v * denominator) for v in weight]
-    ratio = denominator * denominator * square
-    a, b = ratio.numerator, ratio.denominator
+    d = dual(whole)
+    square = Q(dot(whole, d))
+    a, b = square.numerator, square.denominator
     form = [[2 * b * u * v - a * g for v, g in zip(whole, row)] for u, row in zip(whole, gram)]
-    units = identity_matrix(len(weight))
+    units = identity_matrix(len(whole))
     return form, a, [2 * x * x / square - dual(units[i])[i] for i, x in enumerate(d)]
 
 
@@ -394,22 +418,23 @@ def enumerate_exceptional_candidates(
         raise PreconditionError("area bound must be positive")
     basis = omega.basis
     gram = basis.gram()
-    weight = omega.area_vector()
-    quantity = omega.volume_quantity()
-    cutoff = 2 * bound * bound / quantity + 1
+    whole, scale = omega.integer_area
+    # An area W.x / D is at most the bound exactly when the integer W.x is
+    # at most floor(D * bound).
+    top = bound.numerator * scale // bound.denominator
+    cutoff = 2 * bound * bound / omega.volume_quantity() + 1
     chern_vec = basis.chern_vector()
     found: list[HomologyClass] = []
-    for coeffs in _certified_ball(_companion_form(gram, weight, basis.dual), cutoff, search_ceiling):
-        if bilinear(gram, coeffs, coeffs) != -1:
-            continue
+    for coeffs in _certified_ball(_companion_form(gram, whole, basis.dual), cutoff, search_ceiling):
         if dot(chern_vec, coeffs) != 1:
             continue
-        value = dot(weight, coeffs)
-        if not (0 < value <= bound):
+        if not 0 < dot(whole, coeffs) <= top:
+            continue
+        if bilinear(gram, coeffs, coeffs) != -1:
             continue
         if not _passes_positivity(basis, coeffs):
             continue
-        found.append(HomologyClass(basis, tuple(coeffs)))
+        found.append(HomologyClass(basis, coeffs))
     return tuple(sorted(found, key=lambda cls: cls.coeffs))
 
 
@@ -422,12 +447,19 @@ def minimal_exceptional_classes(omega: SymplecticData) -> MinimalClassData:
     """Smallest area among exceptional candidates and the classes attaining it."""
     if omega.basis.blowups < 1:
         raise PreconditionError("no exceptional divisor")
-    bound = omega.capacities[-1]
-    candidates = enumerate_exceptional_candidates(omega, bound)
+    return least_area_classes(omega, enumerate_exceptional_candidates(omega, omega.capacities[-1]))
+
+
+def least_area_classes(
+    omega: SymplecticData, candidates: Sequence[HomologyClass]
+) -> MinimalClassData:
+    """The minimal classes, from the candidates to a bound of at least the last capacity."""
     _invariant(bool(candidates), "the last exceptional class always qualifies")
-    epsilon = min(area(c, omega) for c in candidates)
-    smallest = tuple(c for c in candidates if area(c, omega) == epsilon)
-    return MinimalClassData(epsilon, smallest)
+    whole, scale = omega.integer_area
+    areas = [dot(whole, c.coeffs) for c in candidates]
+    least = min(areas)
+    smallest = tuple(c for c, value in zip(candidates, areas) if value == least)
+    return MinimalClassData(Q(least, scale), smallest)
 
 
 def enumerate_bounded_classes(
@@ -466,8 +498,9 @@ def enumerate_bounded_classes(
     if square <= 0:
         raise PreconditionError("anchor square must be positive for a finite search")
     cutoff = 2 * max(lo * lo, hi * hi) / square + q
+    companion = _companion_form(gram, _integral(weight)[0], basis.dual)
     found: list[HomologyClass] = []
-    for coeffs in _certified_ball(_companion_form(gram, weight, basis.dual), cutoff, search_ceiling):
+    for coeffs in _certified_ball(companion, cutoff, search_ceiling):
         value = bilinear(gram, coeffs, coeffs)
         if not (-q <= value <= -p):
             continue
@@ -621,8 +654,9 @@ def _finish_blow_down(
         all(bilinear(gram, row, exc.coeffs) == 0 for row in frame),
         "blow-down frame is orthogonal to the class",
     )
+    whole, scale = omega.integer_area
     _invariant(
-        mat_vec(frame, omega.area_vector()) == data.area_vector(),
+        mat_vec(frame, whole) == [scale * v for v in data.area_vector()],
         "blow-down frame transports areas",
     )
     _invariant(
@@ -683,7 +717,7 @@ def _even_rank_two_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, pa
         raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
     cutoff = pairing * pairing / (2 * quantity)
     null_classes: list[tuple[Q, tuple[int, ...]]] = []
-    companion = _companion_form(gram_c, weight_c, partial(mat_vec, mat_inverse(gram_c)))
+    companion = _companion_form(gram_c, _integral(weight_c)[0], partial(mat_vec, mat_inverse(gram_c)))
     for coeffs in _certified_ball(companion, cutoff, DEFAULT_SEARCH_CEILING):
         if bilinear(gram_c, coeffs, coeffs) != 0:
             continue
@@ -726,7 +760,7 @@ def _rational_frame_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, p
         raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
     lam_max = Q(6 * pairing + floor_sqrt(disc) + 1, 2 * (9 - blowups))
     inverse = mat_inverse(gram_c)
-    companion = _companion_form(gram_c, weight_c, partial(mat_vec, inverse))
+    companion = _companion_form(gram_c, _integral(weight_c)[0], partial(mat_vec, inverse))
     dual_chern = mat_vec(inverse, chern_c)
     _invariant(all(v.denominator == 1 for v in dual_chern), "the complement is unimodular")
     dual_chern_int = [int(v) for v in dual_chern]
@@ -851,23 +885,28 @@ def _blowdown_chains(omega: SymplecticData, every_tie: bool) -> list[BlowdownCha
     """Blow down a minimal-area class at every stage until none is left.
 
     With every_tie each tie branches into its own chain; otherwise only the
-    lexicographically least minimal class is followed.
+    lexicographically least minimal class is followed.  Tie branches meet
+    the same stage again, so each stage's minimal classes are looked up in
+    a table that lives for this call.
     """
     if omega.basis.blowups < 1:
         raise PreconditionError("recipe has no blow-ups")
     chains: list[BlowdownChain] = []
+    minimal: dict[SymplecticData, MinimalClassData] = {}
 
     def walk(data: SymplecticData, transport: list[list[int]], steps: list[ChainStep]) -> None:
         if data.basis.blowups == 0:
             chains.append(BlowdownChain(tuple(steps), data, omega))
             return
-        classes = minimal_exceptional_classes(data).classes
+        if data not in minimal:
+            minimal[data] = minimal_exceptional_classes(data)
+        epsilon, classes = minimal[data]
         if not every_tie:
             classes = (min(classes, key=lambda cls: cls.coeffs),)
         for choice in classes:
             original = tuple(mat_mul([choice.coeffs], transport)[0])
             smaller, frame = _blow_down_with_frame(data, choice)
-            step = ChainStep(len(steps) + 1, choice, area(choice, data), original)
+            step = ChainStep(len(steps) + 1, choice, epsilon, original)
             walk(smaller, mat_mul(frame, transport), steps + [step])
 
     walk(omega, identity_matrix(omega.basis.rank), [])
@@ -927,7 +966,7 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
         fiber=None if basis.kind == RATIONAL else omega.fiber,
     )
     gram = small.gram()
-    weight = fixed.area_vector()
+    whole, scale = fixed.integer_area
     quantity = fixed.volume_quantity()
     chern_vec = small.chern_vector()
 
@@ -935,7 +974,7 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
     if 2 * seed * seed >= quantity:
         raise EnumerationError("bound not certified")
 
-    companion = _companion_form(gram, weight, small.dual)
+    companion = _companion_form(gram, whole, small.dual)
     competitors: list[tuple[Q, tuple[int, ...], int]] = []
     s = 0
     while True:
@@ -943,17 +982,17 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
         if cutoff < 0:
             break
         for coeffs in _certified_ball(companion, cutoff, DEFAULT_SEARCH_CEILING):
-            if bilinear(gram, coeffs, coeffs) - s * s < -1:
-                continue
             if dot(chern_vec, coeffs) - s < 1:
                 continue
-            fixed_area = dot(weight, coeffs)
+            fixed_area = dot(whole, coeffs)
             if fixed_area <= 0:
                 continue
-            full = tuple(coeffs) + (-s,)
+            if bilinear(gram, coeffs, coeffs) - s * s < -1:
+                continue
+            full = coeffs + (-s,)
             if not _passes_positivity(basis, full):
                 continue
-            competitors.append((fixed_area / (s + 1), full, s))
+            competitors.append((Q(fixed_area, scale * (s + 1)), full, s))
         s += 1
     _invariant(bool(competitors), "a section- or fiber-based competitor always exists")
     threshold = min(value for value, _, _ in competitors)
@@ -969,6 +1008,9 @@ def _threshold_seed(omega: SymplecticData, fixed: SymplecticData) -> Q:
         values.append(fixed.capacities[-1])
     if omega.basis.kind == RATIONAL:
         values.append(omega.lam / 2)
+        if fixed.basis.blowups >= 1:
+            # L - E1 - Ek, the line through the largest and the last point.
+            values.append((omega.lam - omega.capacities[0]) / 2)
     else:
         values.append(omega.fiber / 2)
         if omega.basis.genus == 0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 Matrix = list[list[Q]]
@@ -31,7 +32,7 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 def dot(u: Sequence, v: Sequence):
     """Sum of products; integer inputs give an integer."""
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def bilinear(gram: Sequence[Sequence], x: Sequence, y: Sequence):

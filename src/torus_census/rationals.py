@@ -46,6 +46,11 @@ def parse_rational(text: str | int | Q) -> Q:
     return Q(int(body))
 
 
+def is_int(value: object) -> bool:
+    """An int that is not a bool: JSON true and false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_exact(value: str | int | Q) -> int | Q:
     """Like parse_rational, but an int stays an int.
 

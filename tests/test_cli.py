@@ -6,11 +6,16 @@ formats.  Larger JSON payloads are re-parsed and checked field by field.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import torus_census
 from torus_census import census as cs
 from torus_census import circle_graph as cg
 from torus_census import cli, render
@@ -262,6 +267,53 @@ def test_exceptional_json_payload(capsys):
     assert payload["candidates"] == [{"class": e2, "area": "1/4"}]
 
 
+# E3 has area 1/3; L - E1 - E2 and L - E1 - E3 have the least area, 1/6.
+_UNEQUAL_THREE = '{"base": {"kind": "cp2", "lambda": "1"}, "capacities": ["1/2", "1/3", "1/3"]}'
+
+
+@pytest.mark.parametrize("bound, walks", [("1/4", 2), ("1/3", 1), ("1", 1)])
+def test_exceptional_walks_once_from_the_last_capacity_up(capsys, monkeypatch, bound, walks):
+    omega = cs.spec_to_symplectic(cs.spec_from_json(json.loads(_UNEQUAL_THREE)))
+    minimal = hm.minimal_exceptional_classes(omega)
+    candidates = hm.enumerate_exceptional_candidates(omega, Fraction(bound))
+    assert minimal.epsilon == Fraction(1, 6) and len(minimal.classes) == 2
+    calls = []
+    original = hm.enumerate_exceptional_candidates
+
+    def counted(data, area_bound, search_ceiling=hm.DEFAULT_SEARCH_CEILING):
+        calls.append(area_bound)
+        return original(data, area_bound, search_ceiling)
+
+    monkeypatch.setattr(hm, "enumerate_exceptional_candidates", counted)
+    code, out, err = run(capsys, "exceptional", "--spec", _UNEQUAL_THREE, "--bound", bound)
+    assert (code, err) == (0, "")
+    assert out == render.exceptional_table(omega, minimal, Fraction(bound), candidates) + "\n"
+    assert len(calls) == walks
+    code, out, err = run(
+        capsys, "exceptional", "--spec", _UNEQUAL_THREE, "--bound", bound, "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "epsilon": "1/6",
+        "minimal_classes": [hm.class_to_json(c) for c in minimal.classes],
+        "bound": bound,
+        "candidates": [
+            {"class": hm.class_to_json(c), "area": str(hm.area(c, omega))} for c in candidates
+        ],
+    }
+    assert len(calls) == 2 * walks
+
+
+def test_threshold_on_a_reduced_recipe_with_a_large_first_capacity(capsys):
+    spec = '{"base": {"kind": "cp2", "lambda": "11/3"}, "capacities": ["8/3", "2/3"]}'
+    code, out, err = run(capsys, "threshold", "--spec", spec, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "value": "1/2",
+        "binding": [{"basis": {"kind": "rational", "k": 2}, "coeffs": ["1", "-1", "-1"]}],
+    }
+
+
 def test_feasibility_json_from_spec(capsys):
     spec = '{"base": {"kind": "cp2", "lambda": "1"}, "capacities": ["2/5", "2/5"]}'
     code, out, err = run(capsys, "feasibility", "--spec", spec, "--format", "json")
@@ -448,6 +500,31 @@ def test_graph_json_refuses_booleans_for_integers(capsys):
     graph = TWO_SURFACES.replace('"edges": []', f'"edges": [{edge}]')
     code, out, err = run(capsys, "check", "--graph", graph)
     assert (code, err) == (1, "edge fields must be integers\n")
+
+
+def test_recipe_json_refuses_a_boolean_genus(capsys):
+    spec = '{"base": {"kind": "product_ruled", "genus": true, "mu": "1"}, "capacities": []}'
+    code, out, err = run(capsys, "census", "--spec", spec)
+    assert (code, out, err) == (1, "", "genus must be an integer\n")
+    with pytest.raises(PreconditionError):
+        cs.ManifoldSpec(cs.PRODUCT_RULED, True)
+
+
+def test_closed_stdout_pipe_ends_without_a_traceback():
+    # Five capacities print about 360 kB of JSON, more than a pipe holds, so
+    # the write meets the closed pipe.
+    caps = ", ".join(f'"1/{q}"' for q in range(6, 11))
+    spec = f'{{"base": {{"kind": "product_ruled", "genus": 1, "mu": "1"}}, "capacities": [{caps}]}}'
+    src = str(Path(torus_census.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "torus_census.cli", "census", "--format", "json", "--spec", spec],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    ) as process:
+        first = process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read()
+        code = process.wait(timeout=120)
+    assert (first, code, err) == (b"{\n", 1, b"")
 
 
 _RULED_GENUS_ONE = (

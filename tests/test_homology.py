@@ -44,7 +44,7 @@ from torus_census.homology import (
     symplectic_from_json,
     symplectic_to_json,
 )
-from torus_census.linalg import mat_inverse, mat_vec, signature
+from torus_census.linalg import enumerate_quadratic_ball, mat_inverse, mat_vec, signature
 from torus_census.rationals import floor_sqrt
 
 
@@ -500,6 +500,74 @@ def test_enumeration_error_fires_exactly_past_the_certified_box():
 
 
 # ---------------------------------------------------------------------------
+# The integer area covector against a Fraction reference
+
+
+def _reference_weight(data):
+    """The area covector read off the recipe fields, as Fractions."""
+    head = [data.lam] if data.basis.kind == "rational" else [data.mu, data.fiber]
+    return head + list(data.capacities)
+
+
+def _reference_pairing(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _reference_candidates(data, bound):
+    """Exceptional candidates on the Fractions: the companion ball built from
+    mat_inverse, each point filtered by the full intersection form, the
+    Chern vector, the Fraction area and the base positivity constraint."""
+    basis = data.basis
+    gram, weight = basis.gram(), _reference_weight(data)
+    square = _reference_pairing(weight, mat_vec(mat_inverse(gram), weight))
+    chern_vec = basis.chern_vector()
+    found = []
+    for x in enumerate_quadratic_ball(
+        _reference_companion(gram, weight), 2 * bound * bound / square + 1
+    ):
+        if _reference_pairing(x, mat_vec(gram, x)) != -1:
+            continue
+        if _reference_pairing(chern_vec, x) != 1:
+            continue
+        if not 0 < _reference_pairing(weight, x) <= bound:
+            continue
+        if x[0] < 0 or (basis.kind != "rational" and basis.genus > 0 and x[0] != 0):
+            continue
+        found.append(x)
+    return sorted(found)
+
+
+def test_integer_area_covector_matches_fraction_reference():
+    rng = random.Random(47)
+    for kind, genus in (("rational", 0),) + tuple(
+        (kind, genus) for kind in ("product_ruled", "twisted_ruled") for genus in (0, 1, 2)
+    ):
+        for k in range(1, 9):
+            data = _seeded_recipe(rng, kind, genus, k)
+            basis = data.basis
+            weight = _reference_weight(data)
+            inverse = mat_inverse(basis.gram())
+            assert data.area_vector() == weight
+            assert data.volume_quantity() == _reference_pairing(weight, mat_vec(inverse, weight))
+            assert data.chern_pairing() == _reference_pairing(
+                weight, mat_vec(inverse, basis.chern_vector())
+            )
+            for _ in range(5):
+                x = tuple(rng.randint(-3, 3) for _ in range(basis.rank))
+                assert area(HomologyClass(basis, x), data) == _reference_pairing(weight, x)
+            for bound in (data.capacities[-1], Q(1) if k > 4 else Q(3, 2)):
+                got = enumerate_exceptional_candidates(data, bound)
+                assert [c.coeffs for c in got] == _reference_candidates(data, bound)
+            minimal = minimal_exceptional_classes(data)
+            candidates = _reference_candidates(data, data.capacities[-1])
+            epsilon = min(_reference_pairing(weight, x) for x in candidates)
+            assert minimal.epsilon == epsilon
+            assert [c.coeffs for c in minimal.classes] == [
+                x for x in candidates if _reference_pairing(weight, x) == epsilon
+            ]
+
+
+# ---------------------------------------------------------------------------
 # Minimal blow-down chains
 
 
@@ -610,6 +678,22 @@ def test_chain_checks_survive_optimize():
     assert result.stdout.split() == ["False", "refused"]
 
 
+def test_chains_walk_each_stage_once(monkeypatch):
+    # cp2(1; 2/5^4) branches into 48 chains through only four distinct
+    # stages; without the per-call table the walk ran 55 times.
+    calls = []
+    original = homology.minimal_exceptional_classes
+
+    def counted(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(homology, "minimal_exceptional_classes", counted)
+    chains = minimal_blowdown_chains(rational_data(1, *([Q(2, 5)] * 4)))
+    assert len(chains) == 48
+    assert len(calls) == len(set(calls)) == 4
+
+
 def test_chains_need_a_blowup():
     with pytest.raises(PreconditionError):
         minimal_blowdown_chains(rational_data(1))
@@ -631,6 +715,16 @@ def test_threshold_with_fixed_first_capacity():
     threshold = min_capacity_threshold(data)
     assert threshold.value == Q(1, 3)
     assert sorted(str(c) for c in threshold.binding) == ["E1", "L - E1 - E2"]
+
+
+def test_threshold_seeds_on_the_line_through_the_largest_point():
+    # The seed (lambda - c1)/2 of L - E1 - E2 certifies this reduced recipe;
+    # its presentation product_ruled(3; 1/3) answers 1/2 too.
+    threshold = min_capacity_threshold(rational_data(Q(11, 3), Q(8, 3), Q(2, 3)))
+    assert threshold.value == Q(1, 2)
+    assert [str(c) for c in threshold.binding] == ["L - E1 - E2"]
+    ruled = SymplecticData(Basis("product_ruled", 0, 1), (Q(1, 3),), mu=Q(3))
+    assert min_capacity_threshold(ruled).value == Q(1, 2)
 
 
 def test_threshold_needs_a_blowup():

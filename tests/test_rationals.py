@@ -305,7 +305,7 @@ def _near(value, prime):
 
 
 def _companion(omega):
-    return _companion_form(omega.basis.gram(), omega.area_vector(), omega.basis.dual)
+    return _companion_form(omega.basis.gram(), omega.integer_area[0], omega.basis.dual)
 
 
 def _rational_companion(omega):
