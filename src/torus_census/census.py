@@ -8,23 +8,47 @@ names the same manifold; a recipe that reduction shows to lie outside
 the symplectic cone is refused.  The toric census folds polygon corner
 chops over the capacities starting from all model polygons of the base,
 keeping canonical forms only.  The circle census grows a frontier of
-decorated graphs in lock-step: at every stage it adds the circle
-subactions with fixed surfaces of every current toric polygon, blows up
-the previous frontier at every feasible component, and finally keeps the
-graphs that do not extend to a toric action.  Both censuses are exact and
-deterministic, and every entry carries a replayable provenance.  One
-routine, `_expand`, runs every stage of both, the projection seeding and
-the two blow-up enumerators.  Public functions check their arguments; the
-census keys each graph it builds before validating it, validates only new
-keys (a canonical form inherits its source's verdict), and leaves the
-construction checks this skips to the tests.
+decorated graphs in lock-step.  Stage 0 projects every model polygon
+along every edge normal (the circle subactions with fixed surfaces).
+Each later stage, of capacity delta, blows up the previous frontier at
+every feasible component, then projects each of the stage's toric
+polygons along its edges of rational length delta only.  Finally the
+census keeps the graphs that do not extend to a toric action.  Both
+censuses are exact and deterministic, and every entry carries a
+replayable provenance.  One routine, `_expand`, runs every stage of both,
+the projection seeding and the two blow-up enumerators.  Public functions
+check their arguments; the census keys each graph it builds before
+validating it, validates only new keys (a canonical form inherits its
+source's verdict), and leaves the construction checks this skips to the
+tests.
+
+The projection rule loses nothing.  A stage polygon Q is the canonical
+form of a chop of a previous-stage polygon P at a vertex v, and every
+edge of Q but the new one, of length delta, is (under the canonical map)
+an edge of P with the same normal xi.  Projecting along xi commutes with
+the chop:
+graph_from_polygon(Q, xi) is blow_up(graph_from_polygon(P, xi), c, delta)
+for the component c that holds v.  An isolated point of weights (m, n)
+splits into points of weights (m, n - m) and (n, m - n); an extremal
+point of weights (1, 1) becomes a fixed surface of area delta; a vertex
+on a fixed edge shrinks that surface by delta and adds a point of
+weights (1, -1).  A feasible chop (delta below both edges at v) is a
+feasible graph blow-up, and by induction from stage 0 the previous
+frontier holds the key of every projection of P, so the blown-up
+frontier already holds the key of every projection along an edge of
+length other than delta.  The frontier keeps the first entry per key and
+the blow-ups run before the projections, so skipping those edges changes
+no entry and no provenance.  Edges of length delta that some other chop
+left are still projected.
 
 Both censuses run on whole numbers: every area of the reduced recipe is
 multiplied by D, twice the lcm of its denominators, so every polygon
 vertex, moment and graph area is a Python int, and the results are
 divided by D back to Fractions.  A positive scale commutes with the
 integral affine maps, translations and reflections of the canonical
-forms and keeps every comparison, so the answer is the same.
+forms and keeps every comparison, so the answer is the same.  It also
+keeps a valid polygon or graph valid, so the divided results are built
+without re-validation (`pg._polygon`, `cg._component`).
 """
 
 from __future__ import annotations
@@ -421,11 +445,16 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
                 CircleProvenance("ruled_base", 0, degree),
             )
 
-    def project(stage: int) -> None:
+    def project(stage: int, delta: int | None = None) -> None:
         # The graph of -xi is the mirror image: the same canonical key.
+        # Past stage 0 only edges of length delta can give a new key.
         _expand(
             toric,
-            lambda polygon: [edge.normal for edge in pg.edges(polygon)],
+            lambda polygon: [
+                edge.normal
+                for edge in pg.edges(polygon)
+                if delta is None or edge.rational_length == delta
+            ],
             cg.graph_from_polygon,
             _serial,
             cg.canonical_form,
@@ -439,7 +468,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     for index, (delta, recorded) in enumerate(capacities, start=1):
         toric = _chop_all(toric, delta, _step(recorded))
         frontier = _blow_up_all(frontier, delta, _step(recorded))
-        project(index)
+        project(index, delta)
         if not frontier and not toric:
             break
 
@@ -449,7 +478,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     def unscaled(polygon: pg.RationalPolygon) -> pg.RationalPolygon:
         if polygon not in shared:
             points = tuple((Q(x, scale), Q(y, scale)) for x, y in polygon.vertices)
-            shared[polygon] = pg.RationalPolygon(points)
+            shared[polygon] = pg._polygon(points)
         return shared[polygon]
 
     toric_entries = [toric[key] for key in sorted(toric)]
@@ -480,18 +509,6 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         ),
         warnings=warnings,
     )
-
-
-def toric_census(spec: ManifoldSpec) -> tuple[pg.RationalPolygon, ...]:
-    return run_census(spec).toric
-
-
-def circle_census(spec: ManifoldSpec) -> tuple[cg.S1Graph, ...]:
-    return run_census(spec).maximal_circles
-
-
-def count_conjugacy_classes(spec: ManifoldSpec) -> ConjugacyCounts:
-    return run_census(spec).counts
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ under integral affine equivalence obtained by normalizing the edge basis
 at every vertex in both traversal directions and taking the
 lexicographic minimum of the resulting vertex lists.
 
+The public `RationalPolygon` and `polygon_from_json` check every point,
+distinctness and strict convexity.  `_polygon` skips those checks; it is
+for vertices the package already knows to be valid, such as a census's
+whole-number polygons divided back by their positive scale.
+
 Rational length means length measured against the primitive integer
 direction of the edge; it equals the symplectic area of the invariant
 sphere the edge represents, and the perimeter in this measure equals the
@@ -99,6 +104,18 @@ class RationalPolygon:
                     f"edge direction determinant {det}"
                 )
         return tuple(diagnostics)
+
+
+def _polygon(vertices: tuple[Point, ...]) -> RationalPolygon:
+    """A polygon from vertices already known to be valid, skipping __post_init__.
+
+    The vertices must be exact (ints or Fractions), distinct, strictly
+    convex and counterclockwise, as RationalPolygon would check them; a
+    validated polygon scaled by a positive number is.
+    """
+    polygon = object.__new__(RationalPolygon)
+    vars(polygon)["vertices"] = vertices
+    return polygon
 
 
 @dataclass(frozen=True)

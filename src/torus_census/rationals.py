@@ -28,12 +28,13 @@ def parse_rational(text: str | int | Q) -> Q:
 
     A Fraction passes through unchanged and an int becomes the equal
     Fraction (`parse_rational(3)` is `Fraction(3, 1)`; `parse_exact` is the
-    variant that keeps an int).  Anything else (floats, decimal points,
-    empty strings, whitespace-only input) is rejected.
+    variant that keeps an int).  Anything else (booleans, so JSON true and
+    false, floats, decimal points, empty strings, whitespace-only input)
+    is rejected with FormatError.
     """
     if isinstance(text, Q):
         return text
-    if isinstance(text, int):
+    if is_int(text):
         return Q(text)
     if not isinstance(text, str):
         raise FormatError(f"expected a rational literal, got {type(text).__name__}")

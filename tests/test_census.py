@@ -13,10 +13,12 @@ import pytest
 from torus_census import circle_graph as cg
 from torus_census import polygon as pg
 from torus_census.census import (
+    BlowUpStep,
+    CircleProvenance,
     ManifoldSpec,
+    ToricProvenance,
     base_toric_actions,
-    circle_census,
-    count_conjugacy_classes,
+    enumerate_equivariant_blowups,
     feasibility_report,
     replay_circle,
     replay_toric,
@@ -25,10 +27,10 @@ from torus_census.census import (
     spec_from_json,
     spec_to_json,
     spec_to_symplectic,
-    toric_census,
     _regime_warnings,
 )
-from torus_census.errors import FormatError, PreconditionError
+from torus_census.errors import CapacityError, FormatError, PreconditionError
+from torus_census.homology import cremona_reduced
 
 
 def plane(lam, *caps):
@@ -217,14 +219,6 @@ def test_product_genus_two_counts():
     assert result.warnings == ("no toric actions on a positive-genus base",)
 
 
-def test_convenience_wrappers_match_run_census():
-    spec = plane(1, "1/4", "1/4")
-    result = run_census(spec)
-    assert toric_census(spec) == result.toric
-    assert circle_census(spec) == result.maximal_circles
-    assert count_conjugacy_classes(spec) == result.counts
-
-
 # Equal-capacity grid on the unit plane: rows are blow-up counts 1..5,
 # columns are capacities 1/5, 1/4, 3/10, 1/3, 2/5.  None marks the cell
 # (5, 2/5), which lies outside the symplectic cone: 2L - E1 - ... - E5
@@ -252,7 +246,7 @@ def grid_counts():
     for k in GRID_TORIC:
         for column, delta in enumerate(GRID_DELTAS):
             if GRID_TORIC[k][column] is not None:
-                table[k, delta] = count_conjugacy_classes(plane(1, *[delta] * k))
+                table[k, delta] = run_census(plane(1, *[delta] * k)).counts
     return table
 
 
@@ -262,7 +256,7 @@ def test_equal_capacity_grid():
         for column, delta in enumerate(GRID_DELTAS):
             if GRID_TORIC[k][column] is None:
                 with pytest.raises(PreconditionError):
-                    count_conjugacy_classes(plane(1, *[delta] * k))
+                    run_census(plane(1, *[delta] * k)).counts
                 continue
             counts = table[k, delta]
             assert counts.toric_count == GRID_TORIC[k][column], (k, delta)
@@ -514,6 +508,131 @@ def test_census_diagnoses_each_kept_graph_at_most_once(monkeypatch, spec):
     distinct = {cg.canonical_serialization(graph) for graph in kept}
     assert len(distinct) == len(kept) > 0
     assert diagnoses <= len(distinct)
+
+
+def _reference_census(spec):
+    """Toric and maximal-circle entries, projecting every edge of every stage.
+
+    Public polygon and graph calls on Fractions: a reference for the
+    census's rule of projecting later stages along new edges only.
+    """
+    if spec.base == "cp2":
+        lam, caps = cremona_reduced(spec.base_area, spec.capacities)
+        spec = ManifoldSpec("cp2", 0, lam, Q(1), caps)
+    toric = {p.vertices: (p, ToricProvenance(p, ())) for p in base_toric_actions(spec)}
+    frontier = {}
+
+    def project(stage):
+        for key in sorted(toric):
+            polygon = toric[key][0]
+            for edge in pg.edges(polygon):
+                graph = cg.canonical_form(cg.graph_from_polygon(polygon, edge.normal))
+                provenance = CircleProvenance("projection", stage, None, polygon, edge.normal)
+                frontier.setdefault(cg.canonical_serialization(graph), (graph, provenance))
+
+    def expand(parents, sites, blow, key, record):
+        stage = {}
+        for parent_key in sorted(parents):
+            parent, provenance = parents[parent_key]
+            for site in sites(parent):
+                try:
+                    child = blow(parent, site)
+                except CapacityError:
+                    continue
+                stage.setdefault(key(child), (child, record(provenance, site)))
+        return stage
+
+    project(0)
+    for index, delta in enumerate(spec.capacities, start=1):
+        toric = expand(
+            toric, lambda p: range(p.edge_count),
+            lambda p, i: pg.canonical_form(pg.blow_up(p, i, delta))[0],
+            lambda p: p.vertices,
+            lambda p, i: ToricProvenance(p.base, p.steps + (BlowUpStep(delta, i),)),
+        )
+        frontier = expand(
+            frontier, lambda g: [v.id for v in g.vertices],
+            lambda g, i: cg.canonical_form(cg.blow_up(g, i, delta)),
+            cg.canonical_serialization,
+            lambda p, i: CircleProvenance(
+                p.origin, p.stage, None, p.polygon, p.xi, p.steps + (BlowUpStep(delta, i),)
+            ),
+        )
+        project(index)
+    circles = [frontier[k] for k in sorted(frontier) if not cg.extends_to_toric(frontier[k][0])]
+    return [toric[k] for k in sorted(toric)], circles
+
+
+def _oracle_recipes():
+    # Genus-0 recipes of every base with 1-4 capacities: drawn from the
+    # unit fractions 1/2 ... 1/8, 2/5 and 3/8, often with an equal pair,
+    # on line areas that leave some cp2 recipes unreduced; plus the
+    # bench's band.  spec_to_symplectic refuses recipes outside the cone.
+    fixed = [
+        plane(1, "2/5", "2/5", "2/5"),
+        plane(1, "1/3", "1/3", "1/3", "1/3"),
+        plane(1, "1/2", "1/3", "1/4"),
+        ruled("product_ruled", 0, 1, "1/2", "1/3", "1/3"),
+        ruled("twisted_ruled", 0, "1/2", "3/8", "1/4", "1/4"),
+        plane(1, "13/89", "11/83", "7/61", "5/53"),
+    ]
+    rng = random.Random(12)
+    pool = [Q(1, q) for q in range(2, 9)] + [Q(2, 5), Q(3, 8)]
+    drawn = []
+    while len(drawn) < 24:
+        caps = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        if len(caps) == 4 or rng.random() < 0.5:
+            caps[-1] = caps[0]
+        caps.sort(reverse=True)
+        kind = rng.choice(("cp2", "cp2", "product_ruled", "twisted_ruled"))
+        try:
+            if kind == "cp2":
+                spec = plane(rng.choice((1, Q(3, 4), Q(3, 2))), *caps)
+            else:
+                spec = ruled(kind, 0, rng.choice((1, Q(3, 4), Q(1, 2))), *caps)
+            spec_to_symplectic(spec)
+        except PreconditionError:
+            continue
+        drawn.append(spec)
+    return fixed + drawn
+
+
+def test_census_matches_the_reference_that_projects_every_edge():
+    for spec in _oracle_recipes():
+        result = run_census(spec)
+        toric, circles = _reference_census(spec)
+        assert result.toric == tuple(p for p, _ in toric), spec
+        assert result.toric_provenance == tuple(p for _, p in toric), spec
+        assert result.maximal_circles == tuple(g for g, _ in circles), spec
+        assert result.circle_provenance == tuple(p for _, p in circles), spec
+        assert result.counts == (len(toric), len(circles), len(toric) + len(circles))
+
+
+def test_census_projects_later_stages_along_new_edges_only(monkeypatch):
+    # Stage 0 projects every edge; stage k only edges of length delta_k,
+    # here also the earlier chop's edges of the equal capacity 1/4.
+    spec = ruled("product_ruled", 0, 1, "1/3", "1/4", "1/4")
+    polygons = base_toric_actions(spec)
+    expected = every_edge = sum(p.edge_count for p in polygons)
+    for delta in spec.capacities:
+        polygons = {
+            child.vertices: child
+            for parent in polygons
+            for child in enumerate_equivariant_blowups(parent, delta)
+        }.values()
+        lengths = [e.rational_length for p in polygons for e in pg.edges(p)]
+        expected += lengths.count(delta)
+        every_edge += len(lengths)
+    projections = []
+    project = cg.graph_from_polygon
+
+    def counted_projection(polygon, xi):
+        projections.append(xi)
+        return project(polygon, xi)
+
+    monkeypatch.setattr(cg, "graph_from_polygon", counted_projection)
+    run_census(spec)
+    assert len(projections) == expected < every_edge
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,29 @@ def test_recipe_json_refuses_a_boolean_genus(capsys):
         cs.ManifoldSpec(cs.PRODUCT_RULED, True)
 
 
+def _recipe(base, capacities='[]'):
+    return f'{{"base": {base}, "capacities": {capacities}}}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--spec", _recipe('{"kind": "cp2", "lambda": true}')),
+        ("census", "--spec", _recipe('{"kind": "product_ruled", "mu": true}')),
+        ("census", "--spec", _recipe('{"kind": "twisted_ruled", "mu": "1", "fiber": true}')),
+        ("census", "--spec", _recipe('{"kind": "cp2", "lambda": "1"}', '["1/3", true]')),
+        ("check", "--graph", TWO_SURFACES.replace('"moment": "1"', '"moment": true')),
+        ("check", "--graph", TWO_SURFACES.replace('"area": "1"', '"area": true', 1)),
+        ("check", "--polygon", SQUARE.replace('["1","1"]', '[true,"1"]')),
+    ],
+    ids=["lambda", "mu", "fiber", "capacity", "moment", "area", "point"],
+)
+def test_json_refuses_booleans_for_rationals(capsys, argv):
+    # JSON true would otherwise be the Python int 1.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "expected a rational literal, got bool\n")
+
+
 def test_closed_stdout_pipe_ends_without_a_traceback():
     # Five capacities print about 360 kB of JSON, more than a pipe holds, so
     # the write meets the closed pipe.
