@@ -18,13 +18,23 @@ function of that data.  Each SymplecticData derives its facts once: the
 area covector w, its integer form W = D w, the volume quantity and the
 Chern pairing.  Areas run on that one integer covector: the area of a
 class x is W.x / D, and every per-point filter of a walk compares ints.
+
+A blow-down needs no walk.  A bare Ei is dropped, and F - Ei (or B - Ei
+on a genus-0 product) changes the ruled shape in closed form.  Any other
+class is read in a rational basis and brought to a bare Ej by Cremona
+descent (_descended_blow_down), with no limit on the number of blow-ups;
+the smaller stage comes out Cremona-reduced.  On a twisted positive-genus
+base the section B is no sphere class, and the cone asks only positive
+volume and fiber area, so a blow-down there can leave a section of area
+zero or below (_free_section).  Every path ends in _finish_blow_down's
+exactness checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property, partial
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -39,11 +49,9 @@ from .linalg import (
     dot,
     enumerate_quadratic_ball,
     identity_matrix,
-    integer_kernel,
-    mat_inverse,
+    mat_inverse,  # not called here; bench/test_bench.py checks the tracer patches it
     mat_mul,
     mat_vec,
-    primitive_vector,
 )
 from .rationals import floor_sqrt, format_rational, parse_rational
 
@@ -186,10 +194,12 @@ class SymplecticData:
 
     Rational bases carry lam (the area of L).  Ruled bases carry mu (the
     area of the section B) and fiber (the area of F, 1 unless a blow-down
-    produced something else).  Capacities are the areas of E1..Ek and must
-    be weakly decreasing and positive; the squared-volume quantity (the
-    square of the dual of the area functional) must be positive, and the
-    data must lie in the symplectic cone (require_in_cone).
+    produced something else).  Base areas are positive, except the section
+    area on a twisted positive-genus base (_free_section).  Capacities are
+    the areas of E1..Ek and must be weakly decreasing and positive; the
+    squared-volume quantity (the square of the dual of the area functional)
+    must be positive, and the data must lie in the symplectic cone
+    (require_in_cone).
     """
 
     basis: Basis
@@ -215,7 +225,7 @@ class SymplecticData:
                 raise PreconditionError("ruled data needs mu and no lam")
             if self.fiber is None:
                 object.__setattr__(self, "fiber", Q(1))
-            if self.mu <= 0 or self.fiber <= 0:
+            if self.fiber <= 0 or (self.mu <= 0 and not _free_section(self.basis)):
                 raise PreconditionError("base area must be positive")
         if len(caps) != self.basis.blowups:
             raise PreconditionError(
@@ -267,6 +277,16 @@ class SymplecticData:
         return self._chern_pairing
 
 
+def _free_section(basis: Basis) -> bool:
+    """A twisted positive-genus base, whose section B may have area <= 0.
+
+    On an irrational ruled surface the cone asks only omega^2 > 0 and
+    omega(F) > 0 (Li-Liu), and no sphere meets B.  With B.B = -1 the
+    volume quantity 2 mu f + f^2 - sum c_i^2 > 0 leaves mu > -f/2.
+    """
+    return basis.kind == TWISTED_RULED and basis.genus > 0
+
+
 def _integral(covector: Sequence[Q]) -> tuple[tuple[int, ...], int]:
     """(W, D) with covector = W / D, D the lcm of the denominators."""
     scale = lcm(*(v.denominator for v in covector))
@@ -286,22 +306,35 @@ def cremona_reduced(lam: Q, caps: Sequence[Q]) -> tuple[Q, tuple[Q, ...]]:
     manifolds is cut out by positive volume and positive area on every
     exceptional class (Li-Liu).
     """
-    caps = tuple(caps)
-    if len(caps) == 2 and lam <= caps[0] + caps[1]:
+    line, points = _cremona_reduce((lam,), [(c,) for c in caps])
+    return line[0], tuple(point[0] for point in points)
+
+
+def _cremona_reduce(line: tuple, points: Sequence[tuple]) -> tuple[tuple, tuple[tuple, ...]]:
+    """cremona_reduced on (area, *coordinates) tuples, for a line and its points.
+
+    A Cremona move is the reflection in L - E1 - E2 - E3.  It adds that
+    class, line - p1 - p2 - p3, to the line and to each of the first three
+    points: on areas that is the move of cremona_reduced, and on the
+    coordinates of a frame the same move of its basis.  Points are kept in
+    decreasing order.
+    """
+    points = tuple(sorted(points, reverse=True))
+    if len(points) == 2 and line[0] <= points[0][0] + points[1][0]:
         raise PreconditionError(
             "recipe outside the symplectic cone: L-E1-E2 has nonpositive area"
         )
-    while len(caps) >= 3 and lam < caps[0] + caps[1] + caps[2]:
-        a, b, c = caps[:3]
-        moved = (lam - b - c, lam - a - c, lam - a - b)
-        if min(moved) <= 0:
+    while len(points) >= 3 and line[0] < points[0][0] + points[1][0] + points[2][0]:
+        root = tuple(u - a - b - c for u, a, b, c in zip(line, *points[:3]))
+        moved = tuple(tuple(u + r for u, r in zip(point, root)) for point in points[:3])
+        if min(point[0] for point in moved) <= 0:
             raise PreconditionError(
                 "recipe outside the symplectic cone: Cremona reduction "
                 "reaches a nonpositive capacity"
             )
-        lam = 2 * lam - a - b - c
-        caps = tuple(sorted(moved + caps[3:], reverse=True))
-    return lam, caps
+        line = tuple(u + r for u, r in zip(line, root))
+        points = tuple(sorted(moved + points[3:], reverse=True))
+    return line, points
 
 
 def require_in_cone(basis: Basis, area: Q, fiber: Q | None, caps: Sequence[Q]) -> None:
@@ -334,7 +367,7 @@ def require_in_cone(basis: Basis, area: Q, fiber: Q | None, caps: Sequence[Q]) -
             "recipe outside the symplectic cone: some capacity reaches a "
             "section or fiber area"
         )
-    cremona_reduced(lam, sorted(moved, reverse=True))
+    cremona_reduced(lam, moved)
 
 
 def area(a: HomologyClass, omega: SymplecticData) -> Q:
@@ -574,7 +607,7 @@ def _blow_down_with_frame(
             # Every genuine sphere class in a positive-genus ruled lattice is
             # one of the closed-form shapes; anything else has no blow-down.
             raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-    return _general_blow_down(omega, exc)
+    return _descended_blow_down(omega, exc)
 
 
 def _head_minus_index(coeffs: Sequence[int], head: tuple[int, int]) -> int | None:
@@ -616,7 +649,8 @@ def _ruled_closed_form(
         fiber_head, fiber = (1, 0), omega.mu
     else:
         return None
-    if mu <= 0:
+    small = Basis(kind, basis.genus, basis.blowups - 1)
+    if mu <= 0 and not _free_section(small):
         raise UnsupportedBlowdownError(
             f"unsupported blow-down class: {exc} (section area would vanish)"
         )
@@ -626,7 +660,6 @@ def _ruled_closed_form(
     frame = [section, list(fiber_head) + [0] * (rank - 2)]
     frame += _removal_frame(rank, index)[2:]
     caps = omega.capacities[: index - 2] + omega.capacities[index - 1 :]
-    small = Basis(kind, basis.genus, basis.blowups - 1)
     data = SymplecticData(small, caps, mu=mu, fiber=fiber)
     return _finish_blow_down(omega, exc, data, frame)
 
@@ -666,185 +699,91 @@ def _finish_blow_down(
     return data, frame
 
 
-def _general_blow_down(
+# Rows that are not the identity in the charts of _rational_chart: for each
+# genus-0 ruled kind, the images of B, F (and E1) in the rational basis,
+# and the preimages of L, E1 (and E2).
+_CHART_HEADS = {
+    TWISTED_RULED: (((0, 1), (1, -1)), ((1, 1), (1, 0))),
+    PRODUCT_RULED: (((1, -1, 0), (1, 0, -1), (1, -1, -1)), ((1, 1, -1), (0, 1, -1), (1, 0, -1))),
+}
+
+
+def _rational_chart(basis: Basis) -> tuple[list[list[int]], list[list[int]]]:
+    """(images, preimages) of an isometry onto the rational lattice of the same rank.
+
+    Row i of images is basis vector i in the rational basis; row j of
+    preimages is rational basis vector j in this basis.  The ruled charts
+    are the presentations require_in_cone checks: twisted B -> E1,
+    F -> L - E1; product B -> L - E1, F -> L - E2, E1 -> L - E1 - E2; the
+    other exceptional classes move one place up.
+    """
+    unit = identity_matrix(basis.rank)
+    if basis.kind == RATIONAL:
+        return unit, unit
+    charts = []
+    for head in _CHART_HEADS[basis.kind]:
+        rows = [list(row) for row in unit]
+        for i, row in enumerate(head):
+            rows[i][: len(row)] = row
+        charts.append(rows)
+    return charts[0], charts[1]
+
+
+def _reflect(v: list[int], root: list[int]) -> list[int]:
+    """The reflection of a rational-basis vector in a root of square -2."""
+    pairing = v[0] * root[0] - dot(v[1:], root[1:])
+    return [a + pairing * r for a, r in zip(v, root)]
+
+
+def _descended_blow_down(
     omega: SymplecticData, exc: HomologyClass
 ) -> tuple[SymplecticData, list[list[int]]]:
-    """Blow down by rebuilding a standard basis of the orthogonal complement.
+    """Blow down a class on a rational or genus-0 ruled basis in closed form.
 
-    The complement of a square -1 class in a unimodular Lorentzian lattice
-    is unimodular of signature (1, rank-2).  We compute an integral basis
-    of it, carry the Chern and area data over, and then search for a
-    standard frame: a rational-shape frame when the complement is odd, the
-    two null fiber classes when it is the rank-2 even lattice.
+    The class is read in a rational basis (through _rational_chart).  L -
+    E1 - E2 on cp2#2 leaves the even complement <L - E2, L - E1>: S^2 x S^2,
+    the section the one of larger area.  Any other class dL - sum m_i E_i
+    descends to a unit E_j: the reflection in L - E_a - E_b - E_c at its
+    three largest m_i lowers d by m_a + m_b + m_c - d > 0 (Nagata; Li-Li).
+    The reflections, undone in reverse order, carry the standard frame of
+    the complement of E_j back to a frame of the complement of the class,
+    and _cremona_reduce puts that frame in reduced form.  A class that
+    stops descending has no blow-down here.
     """
-    basis = omega.basis
-    gram = basis.gram()
-    kernel = integer_kernel([mat_vec(gram, exc.coeffs)])
-    rank = len(kernel)
-    _invariant(rank == basis.rank - 1, "the complement has corank one")
-    gram_c = [[bilinear(gram, u, v) for v in kernel] for u in kernel]
-    chern_c = mat_vec(kernel, basis.chern_vector())
-    weight_c = mat_vec(kernel, omega.area_vector())
-    value = area(exc, omega)
-    quantity = omega.volume_quantity() + value * value
-    pairing = omega.chern_pairing() + value
-
-    def to_old(coeffs: Sequence[int]) -> list[int]:
-        return mat_mul([coeffs], kernel)[0]
-
-    if rank == 1:
-        if gram_c[0][0] != 1 or abs(chern_c[0]) != 3:
+    images, preimages = _rational_chart(omega.basis)
+    whole, scale = omega.integer_area
+    weight = mat_vec(preimages, whole)
+    x = mat_mul([exc.coeffs], images)[0]
+    if x == [1, -1, -1]:
+        section, fiber = sorted(([1, 0, -1], [1, -1, 0]), key=lambda row: -dot(weight, row))
+        data = SymplecticData(
+            Basis(PRODUCT_RULED, 0, 0), (),
+            mu=Q(dot(weight, section), scale), fiber=Q(dot(weight, fiber), scale),
+        )
+        return _finish_blow_down(omega, exc, data, mat_mul([section, fiber], preimages))
+    roots: list[list[int]] = []
+    while x[0] != 0:
+        # The coefficient of E_i is -m_i: the three most negative.
+        top = sorted(range(1, len(x)), key=x.__getitem__)[:3]
+        if len(top) < 3 or x[0] < 0 or x[0] + sum(x[i] for i in top) >= 0:
             raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-        direction = 1 if chern_c[0] == 3 else -1
-        lam = direction * weight_c[0]
-        if lam <= 0:
-            raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-        data = SymplecticData(Basis(RATIONAL, 0, 0), (), lam=lam)
-        frame = [[direction * c for c in kernel[0]]]
-        return _finish_blow_down(omega, exc, data, frame)
-
-    even = all(gram_c[i][i] % 2 == 0 for i in range(rank))
-    if even:
-        if rank != 2:
-            raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-        return _even_rank_two_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, pairing, to_old)
-    return _rational_frame_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, pairing, to_old)
-
-
-def _even_rank_two_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, pairing, to_old):
-    """Complement is the even rank-2 lattice: a product ruled shape."""
-    if pairing <= 0:
-        raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-    cutoff = pairing * pairing / (2 * quantity)
-    null_classes: list[tuple[Q, tuple[int, ...]]] = []
-    companion = _companion_form(gram_c, _integral(weight_c)[0], partial(mat_vec, mat_inverse(gram_c)))
-    for coeffs in _certified_ball(companion, cutoff, DEFAULT_SEARCH_CEILING):
-        if bilinear(gram_c, coeffs, coeffs) != 0:
-            continue
-        if tuple(coeffs) != primitive_vector(coeffs):
-            continue
-        if dot(chern_c, coeffs) != 2:
-            continue
-        spread = dot(weight_c, coeffs)
-        if spread <= 0:
-            continue
-        null_classes.append((spread, tuple(coeffs)))
-    if len(null_classes) != 2:
-        raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-    null_classes.sort(key=lambda item: (-item[0], item[1]))
-    (mu, section), (fib, fiber_class) = null_classes
-    _invariant(bilinear(gram_c, section, fiber_class) == 1, "the null classes pair to 1")
-    _invariant(2 * mu * fib == quantity, "the null areas give the volume quantity")
-    data = SymplecticData(Basis(PRODUCT_RULED, 0, 0), (), mu=mu, fiber=fib)
-    frame = [to_old(section), to_old(fiber_class)]
-    return _finish_blow_down(omega, exc, data, frame)
-
-
-def _rational_frame_blow_down(omega, exc, gram_c, chern_c, weight_c, quantity, pairing, to_old):
-    """Complement is odd: search for a rational-shape frame.
-
-    A frame is a line class (square 1, Chern number 3) plus pairwise
-    orthogonal exceptional classes summing, together with the line class,
-    to the dual of the Chern vector.  The line area is bounded by the
-    Cauchy-Schwarz relation between the capacity sum and capacity square
-    sum, which keeps the ball searches finite.
-    """
-    rank = len(gram_c)
-    blowups = rank - 1
-    if blowups > 8:
-        raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-    disc = 36 * pairing * pairing - 4 * (9 - blowups) * (
-        pairing * pairing + blowups * quantity
+        root = [1] + [-1 if i in top else 0 for i in range(1, len(x))]
+        x = _reflect(x, root)
+        roots.append(root)
+    # Square -1 and Chern number 1 with no L: x is a unit E_j.
+    rows = [row for row, c in zip(identity_matrix(len(x)), x) if c == 0]
+    for root in reversed(roots):
+        rows = [_reflect(row, root) for row in rows]
+    line, points = _cremona_reduce(
+        (dot(weight, rows[0]), *rows[0]), [(dot(weight, row), *row) for row in rows[1:]]
     )
-    if disc < 0:
-        raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-    lam_max = Q(6 * pairing + floor_sqrt(disc) + 1, 2 * (9 - blowups))
-    inverse = mat_inverse(gram_c)
-    companion = _companion_form(gram_c, _integral(weight_c)[0], partial(mat_vec, inverse))
-    dual_chern = mat_vec(inverse, chern_c)
-    _invariant(all(v.denominator == 1 for v in dual_chern), "the complement is unimodular")
-    dual_chern_int = [int(v) for v in dual_chern]
-
-    line_candidates: list[tuple[Q, tuple[int, ...]]] = []
-    cutoff = 2 * lam_max * lam_max / quantity - 1
-    for coeffs in _certified_ball(companion, cutoff, DEFAULT_SEARCH_CEILING):
-        if bilinear(gram_c, coeffs, coeffs) != 1:
-            continue
-        if dot(chern_c, coeffs) != 3:
-            continue
-        lam = dot(weight_c, coeffs)
-        if not (0 < lam <= lam_max):
-            continue
-        line_candidates.append((lam, tuple(coeffs)))
-    line_candidates.sort(key=lambda item: (item[0], item[1]))
-
-    for lam, line in line_candidates:
-        cap_square_total = lam * lam - quantity
-        cap_total = 3 * lam - pairing
-        if blowups == 0:
-            if cap_square_total == 0 and cap_total == 0:
-                data = SymplecticData(Basis(RATIONAL, 0, 0), (), lam=lam)
-                return _finish_blow_down(omega, exc, data, [to_old(line)])
-            continue
-        if cap_square_total <= 0 or cap_total <= 0:
-            continue
-        cutoff_e = 2 * cap_square_total / quantity + 1
-        exceptional: list[tuple[Q, tuple[int, ...]]] = []
-        for coeffs in _certified_ball(companion, cutoff_e, DEFAULT_SEARCH_CEILING):
-            if bilinear(gram_c, coeffs, coeffs) != -1:
-                continue
-            if dot(chern_c, coeffs) != 1:
-                continue
-            cap = dot(weight_c, coeffs)
-            if cap <= 0 or cap * cap > cap_square_total:
-                continue
-            if bilinear(gram_c, line, coeffs) != 0:
-                continue
-            exceptional.append((cap, tuple(coeffs)))
-        exceptional.sort(key=lambda item: (-item[0], item[1]))
-        target = [3 * l - d for l, d in zip(line, dual_chern_int)]
-        chosen = _orthogonal_selection(gram_c, exceptional, target, blowups)
-        if chosen is None:
-            continue
-        caps = tuple(cap for cap, _ in chosen)
-        _invariant(sum(caps) == cap_total, "the frame capacities sum to the Chern excess")
-        _invariant(dot(caps, caps) == cap_square_total, "the frame capacities square to the volume excess")
-        data = SymplecticData(Basis(RATIONAL, 0, blowups), caps, lam=lam)
-        frame = [to_old(line)] + [to_old(coeffs) for _, coeffs in chosen]
-        return _finish_blow_down(omega, exc, data, frame)
-    raise UnsupportedBlowdownError(f"unsupported blow-down class: {exc}")
-
-
-def _orthogonal_selection(
-    gram_c: Sequence[Sequence[int]],
-    candidates: Sequence[tuple[Q, tuple[int, ...]]],
-    target: Sequence[int],
-    count: int,
-) -> list[tuple[Q, tuple[int, ...]]] | None:
-    """First (in candidate order) pairwise-orthogonal subset with exact sum."""
-    chosen: list[tuple[Q, tuple[int, ...]]] = []
-
-    def remaining_sum() -> list[int]:
-        total = [0] * len(target)
-        for _, coeffs in chosen:
-            for i, c in enumerate(coeffs):
-                total[i] += c
-        return [t - s for t, s in zip(target, total)]
-
-    def search(start: int) -> bool:
-        if len(chosen) == count:
-            return all(v == 0 for v in remaining_sum())
-        for index in range(start, len(candidates)):
-            cap, coeffs = candidates[index]
-            if any(bilinear(gram_c, coeffs, other) != 0 for _, other in chosen):
-                continue
-            chosen.append(candidates[index])
-            if search(index + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return list(chosen) if search(0) else None
+    data = SymplecticData(
+        Basis(RATIONAL, 0, len(points)),
+        tuple(Q(point[0], scale) for point in points),
+        lam=Q(line[0], scale),
+    )
+    frame = mat_mul([line[1:]] + [point[1:] for point in points], preimages)
+    return _finish_blow_down(omega, exc, data, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,35 +968,11 @@ def basis_to_json(basis: Basis) -> dict:
     return payload
 
 
-def basis_from_json(payload: dict) -> Basis:
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise FormatError("basis object needs a 'kind' field")
-    kind = payload["kind"]
-    blowups = payload.get("k", 0)
-    genus = payload.get("g", 0)
-    if not isinstance(blowups, int) or not isinstance(genus, int):
-        raise FormatError("basis counts must be integers")
-    return Basis(kind, genus, blowups)
-
-
 def class_to_json(cls: HomologyClass) -> dict:
     return {
         "basis": basis_to_json(cls.basis),
         "coeffs": [str(c) for c in cls.coeffs],
     }
-
-
-def class_from_json(payload: dict) -> HomologyClass:
-    if not isinstance(payload, dict) or "coeffs" not in payload or "basis" not in payload:
-        raise FormatError("class object needs 'basis' and 'coeffs' fields")
-    basis = basis_from_json(payload["basis"])
-    coeffs = []
-    for text in payload["coeffs"]:
-        value = parse_rational(text)
-        if value.denominator != 1:
-            raise FormatError(f"class coefficients must be integers: {text!r}")
-        coeffs.append(int(value))
-    return HomologyClass(basis, tuple(coeffs))
 
 
 def symplectic_to_json(data: SymplecticData) -> dict:
@@ -1071,21 +986,3 @@ def symplectic_to_json(data: SymplecticData) -> dict:
         "fiber": format_rational(data.fiber),
         "capacities": caps,
     }
-
-
-def symplectic_from_json(payload: dict) -> SymplecticData:
-    if not isinstance(payload, dict):
-        raise FormatError("symplectic data must be an object")
-    caps = tuple(parse_rational(c) for c in payload.get("capacities", []))
-    if "lambda" in payload:
-        basis = Basis(RATIONAL, 0, len(caps))
-        return SymplecticData(basis, caps, lam=parse_rational(payload["lambda"]))
-    if "mu" not in payload or "kind" not in payload:
-        raise FormatError("symplectic data needs 'lambda' or 'kind'+'mu'")
-    kind = payload["kind"]
-    genus = payload.get("g", 0)
-    if not isinstance(genus, int):
-        raise FormatError("genus must be an integer")
-    basis = Basis(kind, genus, len(caps))
-    fiber = parse_rational(payload.get("fiber", "1"))
-    return SymplecticData(basis, caps, mu=parse_rational(payload["mu"]), fiber=fiber)

@@ -18,7 +18,7 @@ missed and no float or Fraction appears inside the walk.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -138,51 +138,6 @@ def signature(m: Sequence[Sequence[Q]]) -> tuple[int, int, int]:
                     work[j][i] -= factor * work[j][index]
         index += 1
     return pos, neg, zero
-
-
-def integer_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the integer solutions of rows * x = 0.
-
-    Column reduction by unimodular moves: after processing the first r rows,
-    a prefix of the working columns spans their common kernel.  The returned
-    vectors form a Z-basis of the full kernel lattice (not merely a finite
-    index sublattice), because every move is invertible over Z.
-    """
-    if not rows:
-        raise ValueError("integer_kernel requires at least one row")
-    width = len(rows[0])
-    basis = identity_matrix(width)
-    live = width
-    for row in rows:
-        values = [dot(row, col) for col in basis[:live]]
-        # Euclidean reduction across the live columns.
-        while True:
-            nonzero = [j for j in range(live) if values[j] != 0]
-            if len(nonzero) <= 1:
-                break
-            j_min = min(nonzero, key=lambda j: abs(values[j]))
-            for j in nonzero:
-                if j == j_min:
-                    continue
-                q = values[j] // values[j_min]
-                values[j] -= q * values[j_min]
-                basis[j] = [a - q * b for a, b in zip(basis[j], basis[j_min])]
-        nonzero = [j for j in range(live) if values[j] != 0]
-        if nonzero:
-            j = nonzero[0]
-            basis[j], basis[live - 1] = basis[live - 1], basis[j]
-            live -= 1
-    return [list(col) for col in basis[:live]]
-
-
-def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
 
 
 def enumerate_quadratic_ball(gram: Sequence[Sequence[Q]], cutoff: Q) -> Iterator[tuple[int, ...]]:

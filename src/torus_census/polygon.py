@@ -13,8 +13,10 @@ lexicographic minimum of the resulting vertex lists.
 
 The public `RationalPolygon` and `polygon_from_json` check every point,
 distinctness and strict convexity.  `_polygon` skips those checks; it is
-for vertices the package already knows to be valid, such as a census's
-whole-number polygons divided back by their positive scale.
+for vertices the package already knows to be valid: a census's
+whole-number polygons divided back by their positive scale, the unimodular
+image `canonical_form` returns, and a corner chop strictly inside both
+incident edges.
 
 Rational length means length measured against the primitive integer
 direction of the edge; it equals the symplectic area of the invariant
@@ -293,7 +295,7 @@ def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, Unimodula
                 best = (flat, tuple(seq), UnimodularAffineMap(matrix, translation))
     if best is None:
         raise AssertionError("some edge has the shortest rational length")
-    return RationalPolygon(best[1]), best[2]
+    return _polygon(best[1]), best[2]
 
 
 def equivalent(p: RationalPolygon, q: RationalPolygon) -> bool:
@@ -324,7 +326,7 @@ def blow_up(polygon: RationalPolygon, vertex: int, delta: Q) -> RationalPolygon:
     points = (
         polygon.vertices[:vertex] + (enter, leave) + polygon.vertices[vertex + 1 :]
     )
-    result = RationalPolygon(points)
+    result = _polygon(points)
     _require_delzant(result)
     return result
 

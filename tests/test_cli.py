@@ -211,6 +211,26 @@ def test_chains_json_payload(capsys):
     assert payload["chains"] == [payload["canonical"]]
 
 
+def test_chains_answer_past_eight_blowups_and_on_a_negative_section(capsys):
+    # A blow-down to nine blow-ups, and a genus-1 chain whose twisted
+    # terminal has a section of negative area.
+    ten_caps = ["12/25", "12/25", "1/20", "1/21", "1/22", "1/23"] + ["1/24"] * 4
+    genus_one = ["9/10", "13/15", "23/30", "27/38", "17/30", "5/13"]
+    for base, caps, first, terminal in (
+        ({"kind": "cp2", "lambda": "1"}, ten_caps,
+         "stage 1: blow down L - E1 - E2 (area 1/25)", "product ruled surface"),
+        ({"kind": "product_ruled", "mu": "5/3", "genus": 1}, genus_one,
+         "stage 1: blow down F - E1 (area 1/10)",
+         "twisted ruled surface, genus 1, section area -41/285, fiber area 1"),
+    ):
+        spec = json.dumps({"base": base, "capacities": caps})
+        code, out, err = run(capsys, "chains", "--spec", spec)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[2].strip() == first
+        assert lines[-1].strip().startswith("terminal: " + terminal)
+
+
 def _tied_specs():
     """cp2(1; 2/5 x4), which has 48 chains, and seeded recipes with ties."""
     rng = random.Random(47)

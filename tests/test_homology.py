@@ -17,6 +17,7 @@ import pytest
 
 import torus_census
 from torus_census import homology
+from torus_census.census import ManifoldSpec
 from torus_census.errors import (
     EnumerationError,
     PreconditionError,
@@ -27,13 +28,10 @@ from torus_census.homology import (
     HomologyClass,
     SymplecticData,
     area,
-    basis_from_json,
-    basis_to_json,
     blow_down_class,
     canonical_blowdown_chain,
     chern,
-    class_from_json,
-    class_to_json,
+    cremona_reduced,
     enumerate_bounded_classes,
     enumerate_exceptional_candidates,
     intersect,
@@ -41,8 +39,6 @@ from torus_census.homology import (
     minimal_blowdown_chains,
     minimal_exceptional_classes,
     poincare_dual,
-    symplectic_from_json,
-    symplectic_to_json,
 )
 from torus_census.linalg import enumerate_quadratic_ball, mat_inverse, mat_vec, signature
 from torus_census.rationals import floor_sqrt
@@ -256,7 +252,7 @@ def test_data_outside_cone_is_refused():
     with pytest.raises(PreconditionError, match="outside the symplectic cone"):
         ruled_data("product_ruled", 0, Q(1, 2), Q(3, 4))
     with pytest.raises(PreconditionError, match="outside the symplectic cone"):
-        symplectic_from_json({"lambda": "1", "capacities": ["1/2", "1/2"]})
+        SymplecticData(Basis("rational", 0, 2), ("1/2", "1/2"), lam="1")
 
 
 def test_cone_check_uses_the_fiber_area():
@@ -405,6 +401,81 @@ def test_blow_down_fuzz_bookkeeping():
         assert down.chern_pairing() == data.chern_pairing() + delta
 
 
+def test_blow_down_twisted_section_gives_the_plane():
+    # B on twisted(1/2) has the complement <B + F>: cp2 with line area 3/2.
+    data = ruled_data("twisted_ruled", 0, Q(1, 2))
+    down, frame = homology._blow_down_with_frame(data, cls(data, 1, 0))
+    assert (down.basis.kind, down.basis.blowups, down.lam) == ("rational", 0, Q(3, 2))
+    assert frame == [[1, 1]]
+
+
+NON_DESCENDING_CLASS = """
+from fractions import Fraction as Q
+from torus_census.errors import UnsupportedBlowdownError
+from torus_census.homology import Basis, HomologyClass, SymplecticData, blow_down_class
+data = SymplecticData(Basis("rational", 0, 10), (Q(1, 5),) * 10, lam=Q(1))
+try:
+    blow_down_class(data, HomologyClass(data.basis, (3,) + (-1,) * 9 + (1,)))
+except UnsupportedBlowdownError as exc:
+    print(__debug__, "refused", exc)
+"""
+
+
+def test_blow_down_refuses_a_class_that_does_not_descend():
+    # 3L - E1 - .. - E9 + E10 has square -1, Chern number 1 and area 7/5,
+    # but its three largest multiplicities sum to its degree: no reflection
+    # lowers it, and it is no embedded sphere.  The refusal is exit 2 in
+    # the CLI, also under python -O.
+    src = str(Path(torus_census.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", NON_DESCENDING_CLASS],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[:3] == [str(not flags), "refused", "unsupported"]
+
+
+def test_ten_caps_blow_down_the_line_through_the_pair():
+    # Blowing down L - E1 - E2 leaves nine blow-ups; the descent has no
+    # limit on their number.  Each step is replayed through blow_down_class,
+    # whose exactness checks run on every path, and every rational stage is
+    # Cremona-reduced.
+    caps = [Q(12, 25), Q(12, 25), Q(1, 20), Q(1, 21), Q(1, 22), Q(1, 23)] + [Q(1, 24)] * 4
+    data = rational_data(1, *caps)
+    chains = minimal_blowdown_chains(data)
+    assert len(chains) == 24
+    for chain in chains:
+        first = chain.steps[0]
+        assert (first.original_coeffs, first.area) == ((1, -1, -1) + (0,) * 8, Q(1, 25))
+        stage = data
+        for step in chain.steps:
+            stage = blow_down_class(stage, step.chosen)
+            if stage.basis.kind == "rational":
+                assert cremona_reduced(stage.lam, stage.capacities) == (stage.lam, stage.capacities)
+        assert stage == chain.terminal
+
+
+def test_genus_one_chain_ends_on_a_nonpositive_section():
+    # After F - E1 .. F - E4, E6 and F - E5 the twisted genus-1 model has
+    # section area 241/570 - 17/30 < 0; its volume quantity is positive and
+    # no sphere meets the section, so the manifold is in the cone.
+    caps = ("9/10", "13/15", "23/30", "27/38", "17/30", "5/13")
+    data = ruled_data("product_ruled", 1, Q(5, 3), *caps)
+    (chain,) = minimal_blowdown_chains(data)
+    terminal = chain.terminal
+    assert (terminal.basis.kind, terminal.basis.genus) == ("twisted_ruled", 1)
+    assert (terminal.mu, terminal.fiber) == (Q(-41, 285), Q(1))
+    # Only a blow-down reaches such a model: recipes keep a positive base
+    # area, and a genus-0 section keeps a positive area.
+    assert ruled_data("twisted_ruled", 1, Q(-1, 10)).volume_quantity() == Q(4, 5)
+    with pytest.raises(PreconditionError, match="base area must be positive"):
+        ManifoldSpec("twisted_ruled", 1, Q(-1, 10))
+    with pytest.raises(PreconditionError, match="base area must be positive"):
+        ruled_data("twisted_ruled", 0, Q(-1, 10))
+
+
 # ---------------------------------------------------------------------------
 # The certified box of the companion form
 
@@ -469,8 +540,6 @@ def test_closed_form_box_equals_the_inverse_of_every_companion(monkeypatch):
         "enumerate_exceptional_candidates",
         "min_capacity_threshold",
         "enumerate_bounded_classes",
-        "_even_rank_two_blow_down",
-        "_rational_frame_blow_down",
     }
     for name, gram, weight, (form, scale, box) in calls:
         rational = _reference_companion(gram, weight)
@@ -743,33 +812,3 @@ def test_threshold_is_sharp():
     at = rational_data(1, Q(1, 3), threshold.value)
     tied = minimal_exceptional_classes(at)
     assert len(tied.classes) > 1
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_basis_json_round_trip():
-    for basis in [
-        Basis("rational", 0, 3),
-        Basis("product_ruled", 2, 1),
-        Basis("twisted_ruled", 1, 0),
-    ]:
-        assert basis_from_json(basis_to_json(basis)) == basis
-
-
-def test_class_json_round_trip():
-    basis = Basis("rational", 0, 2)
-    original = HomologyClass(basis, (1, -1, -1))
-    assert class_from_json(class_to_json(original)) == original
-
-
-def test_symplectic_json_round_trip():
-    for data in [
-        rational_data(Q(7, 3), Q(1, 3), Q(1, 4)),
-        SymplecticData(Basis("product_ruled", 1, 1), (Q(1, 2),), mu=Q(5, 2)),
-        SymplecticData(
-            Basis("twisted_ruled", 0, 0), (), mu=Q(3, 2), fiber=Q(2, 3)
-        ),
-    ]:
-        assert symplectic_from_json(symplectic_to_json(data)) == data

@@ -262,11 +262,15 @@ def _reference_canonical_form(polygon):
 
 
 def test_canonical_form_matches_full_search():
+    # The chops and the canonical forms skip RationalPolygon's checks, so
+    # each is rebuilt through them too.
     rng = random.Random(67)
     for polygon in build_chopped_corpus():
+        assert RationalPolygon(polygon.vertices) == polygon
         for subject in (polygon, _random_unimodular_map(rng).apply_polygon(polygon)):
             canonical, witness = canonical_form(subject)
             vertices, matrix, translation = _reference_canonical_form(subject)
+            assert RationalPolygon(canonical.vertices) == canonical
             assert canonical.vertices == vertices
             assert witness.matrix == matrix
             assert witness.translation == translation

@@ -12,12 +12,10 @@ from torus_census.linalg import (
     dot,
     enumerate_quadratic_ball,
     identity_matrix,
-    integer_kernel,
     ldl_decomposition,
     mat_inverse,
     mat_mul,
     mat_vec,
-    primitive_vector,
     signature,
 )
 from torus_census.rationals import (
@@ -163,25 +161,6 @@ def test_signature_when_adding_the_partner_leaves_a_zero_pivot():
 def test_signature_counts_zeros():
     gram = [[Q(1), Q(0)], [Q(0), Q(0)]]
     assert signature(gram) == (1, 0, 1)
-
-
-def test_integer_kernel_of_projection():
-    rows = [[1, 0, -2]]
-    kernel = integer_kernel(rows)
-    assert len(kernel) == 2
-    for vector in kernel:
-        assert sum(r * v for r, v in zip(rows[0], vector)) == 0
-
-
-def test_integer_kernel_spans_primitively():
-    kernel = integer_kernel([[2, 4]])
-    assert kernel == [[2, -1]] or kernel == [[-2, 1]]
-
-
-def test_primitive_vector():
-    assert primitive_vector([4, -6]) == (2, -3)
-    assert primitive_vector([0, -5]) == (0, -1)
-    assert primitive_vector([0, 0]) == (0, 0)
 
 
 def _brute_ball(gram, cutoff, box):
