@@ -15,12 +15,11 @@ every feasible component, then projects each of the stage's toric
 polygons along its edges of rational length delta only.  Finally the
 census keeps the graphs that do not extend to a toric action.  Both
 censuses are exact and deterministic, and every entry carries a
-replayable provenance.  One routine, `_expand`, runs every stage of both,
-the projection seeding and the two blow-up enumerators.  Public functions
-check their arguments; the census keys each graph it builds before
-validating it, validates only new keys (a canonical form inherits its
-source's verdict), and leaves the construction checks this skips to the
-tests.
+replayable provenance.  One routine, `_expand`, runs every stage of both
+and the projection seeding.  Public functions check their arguments; the
+census keys each graph it builds before validating it, validates only new
+keys (a canonical form inherits its source's verdict), and leaves the
+construction checks this skips to the tests.
 
 The projection rule loses nothing.  A stage polygon Q is the canonical
 form of a chop of a previous-stage polygon P at a vertex v, and every
@@ -369,23 +368,6 @@ def _step(recorded: Q):
         return CircleProvenance(p.origin, p.stage, p.degree, p.polygon, p.xi, steps)
 
     return record
-
-
-def enumerate_equivariant_blowups(
-    polygon: pg.RationalPolygon, delta: Q
-) -> tuple[pg.RationalPolygon, ...]:
-    """Canonical forms of all corner chops of the given capacity."""
-    stage = _chop_all({(): (polygon, None)}, delta, lambda *_: None)
-    return tuple(stage[key][0] for key in sorted(stage))
-
-
-def graph_enumerate_equivariant_blowups(
-    graph: cg.S1Graph, delta: Q
-) -> tuple[cg.S1Graph, ...]:
-    """Canonical forms of all feasible equivariant blow-ups of one capacity."""
-    cg._require_valid(graph)
-    stage = _blow_up_all({(): (graph, None)}, delta, lambda *_: None)
-    return tuple(stage[key][0] for key in sorted(stage))
 
 
 def _in_cone_model(spec: ManifoldSpec) -> ManifoldSpec:

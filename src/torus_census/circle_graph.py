@@ -452,16 +452,12 @@ def extends_to_toric(graph: S1Graph) -> bool:
     cuts = sorted({lo, hi, *critical})
     for left, right in zip(cuts, cuts[1:]):
         samples.append(left + right)
+    doubled = {v.id: 2 * v.moment for v in graph.vertices}
+    points = [doubled[v.id] for v in graph.vertices if not v.is_surface]
+    spans = [(doubled[south], doubled[north]) for north, south, _ in graph.edges]
     for level in samples:
-        points = sum(
-            1 for v in graph.vertices if not v.is_surface and 2 * v.moment == level
-        )
-        spans = 0
-        for north, south, _ in graph.edges:
-            low = 2 * graph.component(south).moment
-            if low < level < 2 * graph.component(north).moment:
-                spans += 1
-        if points + spans > 2:
+        crossing = sum(1 for low, high in spans if low < level < high)
+        if points.count(level) + crossing > 2:
             return False
     return True
 
@@ -559,10 +555,6 @@ def canonical_form(graph: S1Graph) -> S1Graph:
     # translated copy inherits that verdict instead of being diagnosed again.
     vars(form)["_diagnostics"] = graph._diagnostics
     return form
-
-
-def equivalent(left: S1Graph, right: S1Graph) -> bool:
-    return canonical_serialization(left) == canonical_serialization(right)
 
 
 # ---------------------------------------------------------------------------

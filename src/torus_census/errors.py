@@ -31,4 +31,10 @@ class CapacityError(PreconditionError):
 
 
 class UnsupportedBlowdownError(PreconditionError):
-    """No standard coordinate frame was found for a requested blow-down."""
+    """A requested blow-down has no closed-form or descended answer.
+
+    The class stops descending under Cremona reflections before it reaches
+    a bare exceptional class, or it is not one of the closed-form shapes on
+    a positive-genus ruled base, or its closed-form blow-down would leave a
+    section of area zero or below where the cone needs a positive one.
+    """

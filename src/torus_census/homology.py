@@ -264,10 +264,6 @@ class SymplecticData:
         """Covector w with area(x) = w . coeffs(x)."""
         return list(self._weight)
 
-    def dual_coords(self) -> list[Q]:
-        """Coordinates of the class dual to the area functional."""
-        return self.basis.dual(self._weight)
-
     def volume_quantity(self) -> Q:
         """Square of the dual of the area functional; twice the volume."""
         return self._volume_quantity
@@ -376,11 +372,6 @@ def area(a: HomologyClass, omega: SymplecticData) -> Q:
         raise PreconditionError("basis mismatch")
     whole, scale = omega.integer_area
     return Q(dot(whole, a.coeffs), scale)
-
-
-def poincare_dual(omega: SymplecticData) -> tuple[Q, ...]:
-    """Coordinates of the (generally non-integral) dual of the area form."""
-    return tuple(omega.dual_coords())
 
 
 # ---------------------------------------------------------------------------
@@ -495,55 +486,6 @@ def least_area_classes(
     return MinimalClassData(Q(least, scale), smallest)
 
 
-def enumerate_bounded_classes(
-    anchor: HomologyClass | Sequence[Q],
-    lo: Q,
-    hi: Q,
-    p: Q,
-    q: Q,
-    omega: SymplecticData,
-    search_ceiling: int = DEFAULT_SEARCH_CEILING,
-) -> tuple[HomologyClass, ...]:
-    """All classes X with -q <= X.X <= -p and lo <= anchor.X <= hi.
-
-    The anchor may be an integral class or a rational coefficient vector
-    (the dual of the area form, say).  Its square must be positive: a null
-    anchor leaves the region noncompact (adding fibers never changes the
-    constraints) and no finite answer exists.
-    """
-    basis = omega.basis
-    if isinstance(anchor, HomologyClass):
-        if anchor.basis != basis:
-            raise PreconditionError("basis mismatch")
-        anchor_coeffs: list[Q] = [Q(c) for c in anchor.coeffs]
-    else:
-        anchor_coeffs = [parse_rational(c) for c in anchor]
-        if len(anchor_coeffs) != basis.rank:
-            raise PreconditionError("basis mismatch")
-    lo, hi, p, q = (parse_rational(v) for v in (lo, hi, p, q))
-    if lo > hi:
-        raise PreconditionError("empty interval")
-    if not (0 < p <= q):
-        raise PreconditionError("square bounds must satisfy 0 < p <= q")
-    gram = basis.gram()
-    weight = mat_vec(gram, anchor_coeffs)
-    square = dot(weight, anchor_coeffs)
-    if square <= 0:
-        raise PreconditionError("anchor square must be positive for a finite search")
-    cutoff = 2 * max(lo * lo, hi * hi) / square + q
-    companion = _companion_form(gram, _integral(weight)[0], basis.dual)
-    found: list[HomologyClass] = []
-    for coeffs in _certified_ball(companion, cutoff, search_ceiling):
-        value = bilinear(gram, coeffs, coeffs)
-        if not (-q <= value <= -p):
-            continue
-        pairing = dot(weight, coeffs)
-        if not (lo <= pairing <= hi):
-            continue
-        found.append(HomologyClass(basis, tuple(coeffs)))
-    return tuple(sorted(found, key=lambda cls: cls.coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Blow-downs
 
@@ -558,12 +500,6 @@ def _removal_frame(rank: int, drop: int) -> list[list[int]]:
 
 def _not_exceptional(exc: HomologyClass, reason: str) -> PreconditionError:
     return PreconditionError(f"class is not exceptional ({reason}): {exc}")
-
-
-def blow_down_class(omega: SymplecticData, exc: HomologyClass) -> SymplecticData:
-    """Blow down one exceptional class; areas transport along the new basis."""
-    data, _ = _blow_down_with_frame(omega, exc)
-    return data
 
 
 def _blow_down_with_frame(

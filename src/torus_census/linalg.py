@@ -99,47 +99,6 @@ def ldl_decomposition(m: Sequence[Sequence[Q]]) -> tuple[Matrix, Vector]:
     return lower, diag
 
 
-def signature(m: Sequence[Sequence[Q]]) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric rational matrix.
-
-    Computed by symmetric row/column reduction (congruence preserves the
-    signature).  A zero diagonal with a nonzero off-diagonal entry b is
-    repaired by adding or subtracting the partner row and column, which
-    puts c +- 2b on the diagonal (c the partner's diagonal entry; one
-    sign gives a nonzero value) without leaving the congruence class.
-    """
-    n = len(m)
-    work = [[Q(x) for x in row] for row in m]
-    pos = neg = zero = 0
-    index = 0
-    while index < n:
-        if work[index][index] == 0:
-            partner = next((j for j in range(index + 1, n) if work[index][j] != 0), None)
-            if partner is None:
-                zero += 1
-                index += 1
-                continue
-            sign = 1 if work[partner][partner] + 2 * work[index][partner] != 0 else -1
-            for j in range(n):
-                work[index][j] += sign * work[partner][j]
-            for i in range(n):
-                work[i][index] += sign * work[i][partner]
-        pivot = work[index][index]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(index + 1, n):
-            if work[i][index] != 0:
-                factor = work[i][index] / pivot
-                for j in range(n):
-                    work[i][j] -= factor * work[index][j]
-                for j in range(n):
-                    work[j][i] -= factor * work[j][index]
-        index += 1
-    return pos, neg, zero
-
-
 def enumerate_quadratic_ball(gram: Sequence[Sequence[Q]], cutoff: Q) -> Iterator[tuple[int, ...]]:
     """Yield every integer x (including 0) with x^T gram x <= cutoff.
 

@@ -148,13 +148,6 @@ class UnimodularAffineMap:
         x, y = parse_exact(point[0]), parse_exact(point[1])
         return (a * x + b * y + self.translation[0], c * x + d * y + self.translation[1])
 
-    def apply_polygon(self, polygon: RationalPolygon) -> RationalPolygon:
-        (a, b), (c, d) = self.matrix
-        points = [self.apply(v) for v in polygon.vertices]
-        if a * d - b * c < 0:
-            points.reverse()
-        return RationalPolygon(tuple(points))
-
 
 def _primitive_direction(vector: Point) -> tuple[tuple[int, int], Q]:
     """Primitive integer direction d and rational length t with vector = t d.
@@ -206,18 +199,6 @@ def self_intersection(polygon: RationalPolygon, index: int) -> int:
     after = edge_list[(index + 1) % n].normal
     before = edge_list[index - 1].normal
     return after[0] * before[1] - after[1] * before[0]
-
-
-def intersection_matrix(polygon: RationalPolygon) -> list[list[int]]:
-    """Pairwise intersections of the edge spheres: adjacency plus self terms."""
-    _require_delzant(polygon)
-    n = polygon.edge_count
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        matrix[i][i] = self_intersection(polygon, i)
-        matrix[i][(i + 1) % n] += 1
-        matrix[i][(i - 1) % n] += 1
-    return matrix
 
 
 @dataclass(frozen=True)
@@ -296,10 +277,6 @@ def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, Unimodula
     if best is None:
         raise AssertionError("some edge has the shortest rational length")
     return _polygon(best[1]), best[2]
-
-
-def equivalent(p: RationalPolygon, q: RationalPolygon) -> bool:
-    return canonical_form(p)[0].vertices == canonical_form(q)[0].vertices
 
 
 def blow_up(polygon: RationalPolygon, vertex: int, delta: Q) -> RationalPolygon:

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 from torus_census.errors import CapacityError
 from torus_census.polygon import (
     RationalPolygon,
+    UnimodularAffineMap,
     blow_up,
     delzant_triangle,
     hirzebruch,
@@ -59,3 +60,39 @@ def build_chopped_corpus() -> list[RationalPolygon]:
                 except CapacityError:
                     continue
     return polygons + chops
+
+
+def random_unimodular_image(rng, polygon):
+    """The polygon's image under a random integral affine map, and the map.
+
+    The matrix is a product of one to five shears and swaps; a swap reverses
+    orientation, so the image's vertices are listed backwards to stay
+    counter-clockwise.
+    """
+    matrix = [[1, 0], [0, 1]]
+    for _ in range(rng.randrange(1, 6)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            s = rng.randrange(-3, 4)
+            matrix = [
+                [matrix[0][0] + s * matrix[1][0], matrix[0][1] + s * matrix[1][1]],
+                matrix[1],
+            ]
+        elif kind == 1:
+            s = rng.randrange(-3, 4)
+            matrix = [
+                matrix[0],
+                [matrix[1][0] + s * matrix[0][0], matrix[1][1] + s * matrix[0][1]],
+            ]
+        else:
+            matrix = [matrix[1], matrix[0]]
+    translation = (
+        Q(rng.randrange(-8, 9), rng.randrange(1, 4)),
+        Q(rng.randrange(-8, 9), rng.randrange(1, 4)),
+    )
+    affine = UnimodularAffineMap((tuple(matrix[0]), tuple(matrix[1])), translation)
+    points = [affine.apply(v) for v in polygon.vertices]
+    (a, b), (c, d) = affine.matrix
+    if a * d - b * c < 0:
+        points.reverse()
+    return RationalPolygon(tuple(points)), affine

@@ -18,7 +18,6 @@ from torus_census.census import (
     ManifoldSpec,
     ToricProvenance,
     base_toric_actions,
-    enumerate_equivariant_blowups,
     feasibility_report,
     replay_circle,
     replay_toric,
@@ -27,6 +26,7 @@ from torus_census.census import (
     spec_from_json,
     spec_to_json,
     spec_to_symplectic,
+    _chop_all,
     _regime_warnings,
 )
 from torus_census.errors import CapacityError, FormatError, PreconditionError
@@ -618,7 +618,7 @@ def test_census_projects_later_stages_along_new_edges_only(monkeypatch):
         polygons = {
             child.vertices: child
             for parent in polygons
-            for child in enumerate_equivariant_blowups(parent, delta)
+            for child, _ in _chop_all({(): (parent, None)}, delta, lambda *_: None).values()
         }.values()
         lengths = [e.rational_length for p in polygons for e in pg.edges(p)]
         expected += lengths.count(delta)

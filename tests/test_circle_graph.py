@@ -11,11 +11,8 @@ from pathlib import Path
 import pytest
 
 import torus_census
-from polygon_corpus import build_chopped_corpus, build_corpus
-from torus_census import (
-    graph_enumerate_equivariant_blowups as enumerate_equivariant_blowups,
-)
-from torus_census.census import ManifoldSpec, run_census
+from polygon_corpus import build_chopped_corpus, build_corpus, random_unimodular_image
+from torus_census.census import ManifoldSpec, _blow_up_all, run_census
 from torus_census.circle_graph import (
     FixedComponent,
     S1Graph,
@@ -26,7 +23,6 @@ from torus_census.circle_graph import (
     canonical_form,
     canonical_serialization,
     edge_area,
-    equivalent,
     extends_to_toric,
     graph_from_json,
     graph_from_polygon,
@@ -39,7 +35,6 @@ from torus_census.circle_graph import (
 from torus_census.errors import FormatError, PreconditionError
 from torus_census.polygon import (
     RationalPolygon,
-    UnimodularAffineMap,
     delzant_triangle,
     edges,
     hirzebruch,
@@ -173,21 +168,16 @@ def test_projection_equivariance_under_unimodular_maps():
     for polygon in build_corpus()[:8]:
         for edge in edges(polygon):
             xi = edge.normal
-            base = canonical_form(graph_from_polygon(polygon, xi))
+            base = canonical_serialization(graph_from_polygon(polygon, xi))
             for _ in range(5):
-                a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
-                matrix = ((1, a), (0, 1)) if rng.random() < 0.5 else ((1, 0), (b, 1))
-                shift = (Q(rng.randrange(-5, 6)), Q(rng.randrange(-5, 6)))
-                gmap = UnimodularAffineMap(matrix, shift)
-                image = gmap.apply_polygon(polygon)
-                (p, q), (r, s) = matrix
+                image, gmap = random_unimodular_image(rng, polygon)
+                (p, q), (r, s) = gmap.matrix
                 det = p * s - q * r
                 transported = (
                     det * (s * xi[0] - r * xi[1]),
                     det * (-q * xi[0] + p * xi[1]),
                 )
-                other = canonical_form(graph_from_polygon(image, transported))
-                assert equivalent(base, other)
+                assert canonical_serialization(graph_from_polygon(image, transported)) == base
 
 
 def test_projections_always_extend_to_toric():
@@ -274,7 +264,6 @@ def test_interior_blow_up_needs_strict_margin():
 
 
 def test_extremal_blow_up_needs_distance_to_other_fixed_points():
-    half_square = UnimodularAffineMap(((1, 0), (0, 1)), (Q(0), Q(0)))
     scaled = RationalPolygon(
         tuple((x / 2, y / 2) for x, y in SQUARE.vertices)
     )
@@ -285,7 +274,6 @@ def test_extremal_blow_up_needs_distance_to_other_fixed_points():
     ok, reason = can_blow_up(graph, top.id, Q(1, 2))
     assert not ok
     assert "moment distance" in reason
-    _ = half_square
 
 
 def test_surface_blow_up_needs_moment_span():
@@ -304,6 +292,12 @@ def test_surface_blow_up_needs_moment_span():
                 blow_up(graph, vertex.id, delta)
 
 
+def _blowups(graph, delta):
+    """Canonical forms of every feasible blow-up of one capacity, in key order."""
+    stage = _blow_up_all({(): (graph, None)}, delta, lambda *_: None)
+    return [stage[key][0] for key in sorted(stage)]
+
+
 def _small_frontiers():
     """Graphs of small census frontiers: seeds and two stages of blow-ups."""
     seeds = [
@@ -316,7 +310,7 @@ def _small_frontiers():
     graphs = list(seeds)
     stage = seeds
     for delta in (Q(1, 5), Q(1, 7)):
-        stage = [g for parent in stage for g in enumerate_equivariant_blowups(parent, delta)]
+        stage = [g for parent in stage for g in _blowups(parent, delta)]
         graphs.extend(stage)
     return graphs
 
@@ -695,10 +689,9 @@ def test_serialization_shortcut_matches_both_reflections():
 
 def test_opposite_projections_are_equivalent():
     trapezoid = hirzebruch(Q(2), Q(1), 2)
-    assert equivalent(
-        graph_from_polygon(trapezoid, (1, 0)),
-        graph_from_polygon(trapezoid, (-1, 0)),
-    )
+    assert canonical_serialization(
+        graph_from_polygon(trapezoid, (1, 0))
+    ) == canonical_serialization(graph_from_polygon(trapezoid, (-1, 0)))
 
 
 def test_opposite_projections_agree_on_chopped_corpus():
@@ -717,19 +710,17 @@ def test_opposite_projections_agree_on_chopped_corpus():
 
 def test_enumerate_blowups_identifies_flip_symmetric_sites():
     graph = ruled_base_graph(2, 0, Q(5, 2), False)
-    results = enumerate_equivariant_blowups(graph, Q(1, 2))
-    assert len(results) == 1
+    assert len(_blowups(graph, Q(1, 2))) == 1
 
 
 def test_enumerate_blowups_distinguishes_unequal_surfaces():
     graph = ruled_base_graph(2, 2, Q(5, 2), False)
-    results = enumerate_equivariant_blowups(graph, Q(1, 2))
-    assert len(results) == 2
+    assert len(_blowups(graph, Q(1, 2))) == 2
 
 
 def test_enumerate_blowups_empty_when_infeasible():
     graph = graph_from_polygon(SQUARE, (0, 1))
-    assert enumerate_equivariant_blowups(graph, Q(5)) == ()
+    assert _blowups(graph, Q(5)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,16 @@ from torus_census.homology import (
     HomologyClass,
     SymplecticData,
     area,
-    blow_down_class,
     canonical_blowdown_chain,
     chern,
     cremona_reduced,
-    enumerate_bounded_classes,
     enumerate_exceptional_candidates,
     intersect,
     min_capacity_threshold,
     minimal_blowdown_chains,
     minimal_exceptional_classes,
-    poincare_dual,
 )
-from torus_census.linalg import enumerate_quadratic_ball, mat_inverse, mat_vec, signature
+from torus_census.linalg import enumerate_quadratic_ball, mat_inverse, mat_vec
 from torus_census.rationals import floor_sqrt
 
 
@@ -123,6 +120,73 @@ def test_intersect_bilinear_and_symmetric():
         assert intersect(s, z) == intersect(x, z) + intersect(y, z)
 
 
+def signature(m):
+    """Signature (positive, negative, zero) of a symmetric rational matrix.
+
+    Computed by symmetric row/column reduction (congruence preserves the
+    signature).  A zero diagonal with a nonzero off-diagonal entry b is
+    repaired by adding or subtracting the partner row and column, which
+    puts c +- 2b on the diagonal (c the partner's diagonal entry; one
+    sign gives a nonzero value) without leaving the congruence class.
+    """
+    n = len(m)
+    work = [[Q(x) for x in row] for row in m]
+    pos = neg = zero = 0
+    index = 0
+    while index < n:
+        if work[index][index] == 0:
+            partner = next((j for j in range(index + 1, n) if work[index][j] != 0), None)
+            if partner is None:
+                zero += 1
+                index += 1
+                continue
+            sign = 1 if work[partner][partner] + 2 * work[index][partner] != 0 else -1
+            for j in range(n):
+                work[index][j] += sign * work[partner][j]
+            for i in range(n):
+                work[i][index] += sign * work[i][partner]
+        pivot = work[index][index]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(index + 1, n):
+            if work[i][index] != 0:
+                factor = work[i][index] / pivot
+                for j in range(n):
+                    work[i][j] -= factor * work[index][j]
+                for j in range(n):
+                    work[j][i] -= factor * work[j][index]
+        index += 1
+    return pos, neg, zero
+
+
+def test_signature_of_blowup_form():
+    gram = [
+        [Q(1), Q(0), Q(0)],
+        [Q(0), Q(-1), Q(0)],
+        [Q(0), Q(0), Q(-1)],
+    ]
+    assert signature(gram) == (1, 2, 0)
+
+
+def test_signature_of_hyperbolic_form():
+    gram = [[Q(0), Q(1)], [Q(1), Q(0)]]
+    assert signature(gram) == (1, 1, 0)
+
+
+def test_signature_when_adding_the_partner_leaves_a_zero_pivot():
+    # Adding row and column 2 to row and column 1 of [[0, 1], [1, -2]]
+    # leaves 0 on the diagonal again; subtracting them gives 4.
+    assert signature([[Q(0), Q(1)], [Q(1), Q(-2)]]) == (1, 1, 0)
+    assert signature([[Q(0), Q(1), Q(0)], [Q(1), Q(-2), Q(0)], [Q(0), Q(0), Q(3)]]) == (2, 1, 0)
+
+
+def test_signature_counts_zeros():
+    gram = [[Q(1), Q(0)], [Q(0), Q(0)]]
+    assert signature(gram) == (1, 0, 1)
+
+
 def test_every_basis_gram_has_one_positive_eigenvalue():
     shapes = [
         Basis("rational", 0, 0),
@@ -142,7 +206,7 @@ def test_area_and_dual():
     assert area(cls(data, 1, 0, 0), data) == Q(1)
     assert area(cls(data, 0, 1, 0), data) == Q(1, 3)
     assert area(cls(data, 1, -1, -1), data) == Q(5, 12)
-    assert poincare_dual(data) == (Q(1), Q(-1, 3), Q(-1, 4))
+    assert data.basis.dual(data.area_vector()) == [Q(1), Q(-1, 3), Q(-1, 4)]
 
 
 @pytest.mark.parametrize("blowups", [0, 1, 4])
@@ -276,81 +340,12 @@ def test_cone_check_uses_the_fiber_area():
 
 
 # ---------------------------------------------------------------------------
-# Bounded-class enumeration
-
-
-def test_bounded_classes_area_anchor():
-    # Anchor PD(omega) on (1; 1/10, 1/10, 1/10): the six low-degree
-    # exceptional classes plus six classes L - Ei + Ej of area exactly 1.
-    data = rational_data(1, Q(1, 10), Q(1, 10), Q(1, 10))
-    got = enumerate_bounded_classes(
-        poincare_dual(data), Q(0), Q(1), Q(1), Q(1), data
-    )
-    expected = {
-        (0, 1, 0, 0),
-        (0, 0, 1, 0),
-        (0, 0, 0, 1),
-        (1, -1, -1, 0),
-        (1, -1, 0, -1),
-        (1, 0, -1, -1),
-        (1, -1, 1, 0),
-        (1, -1, 0, 1),
-        (1, 0, -1, 1),
-        (1, 0, 1, -1),
-        (1, 1, -1, 0),
-        (1, 1, 0, -1),
-    }
-    assert {c.coeffs for c in got} == expected
-
-
-def test_bounded_classes_tighter_area_bound():
-    data = rational_data(1, Q(1, 5), Q(1, 5), Q(1, 5))
-    got = enumerate_bounded_classes(
-        poincare_dual(data), Q(0), Q(3, 4), Q(1), Q(1), data
-    )
-    assert sorted(str(c) for c in got) == [
-        "E1",
-        "E2",
-        "E3",
-        "L - E1 - E2",
-        "L - E1 - E3",
-        "L - E2 - E3",
-    ]
-
-
-def test_bounded_classes_orthogonal_to_line():
-    data = rational_data(1, Q(1, 10), Q(1, 10))
-    l = cls(data, 1, 0, 0)
-    got = enumerate_bounded_classes(l, Q(0), Q(0), Q(1), Q(1), data)
-    assert {c.coeffs for c in got} == {
-        (0, 1, 0),
-        (0, -1, 0),
-        (0, 0, 1),
-        (0, 0, -1),
-    }
-
-
-def test_bounded_classes_rejects_empty_interval():
-    data = rational_data(1, Q(1, 10))
-    with pytest.raises(PreconditionError):
-        enumerate_bounded_classes(cls(data, 1, 0), Q(1), Q(0), Q(1), Q(1), data)
-
-
-def test_bounded_classes_rejects_null_anchor():
-    basis = Basis("product_ruled", 0, 0)
-    data = SymplecticData(basis, (), mu=Q(1))
-    fiber = HomologyClass(basis, (0, 1))
-    with pytest.raises(PreconditionError):
-        enumerate_bounded_classes(fiber, Q(0), Q(1), Q(1), Q(1), data)
-
-
-# ---------------------------------------------------------------------------
 # Blow-downs
 
 
 def test_blow_down_last_exceptional_class():
     data = rational_data(1, Q(1, 3), Q(1, 4))
-    down = blow_down_class(data, cls(data, 0, 0, 1))
+    down = homology._blow_down_with_frame(data, cls(data, 0, 0, 1))[0]
     assert down.basis.kind == "rational"
     assert down.basis.blowups == 1
     assert down.lam == Q(1)
@@ -362,7 +357,7 @@ def test_blow_down_connecting_line_changes_base_kind():
     # lattice spanned by L - E1 and L - E2: a sphere product with factor
     # areas 3/5 and 3/5.
     data = rational_data(1, Q(2, 5), Q(2, 5))
-    down = blow_down_class(data, cls(data, 1, -1, -1))
+    down = homology._blow_down_with_frame(data, cls(data, 1, -1, -1))[0]
     assert down.basis.kind == "product_ruled"
     assert down.basis.blowups == 0
     assert (down.mu, down.fiber) == (Q(3, 5), Q(3, 5))
@@ -372,7 +367,7 @@ def test_blow_down_bookkeeping_deltas():
     data = rational_data(1, Q(2, 5), Q(2, 5))
     target = cls(data, 1, -1, -1)
     delta = area(target, data)
-    down = blow_down_class(data, target)
+    down = homology._blow_down_with_frame(data, target)[0]
     assert down.basis.rank == data.basis.rank - 1
     assert down.volume_quantity() == data.volume_quantity() + delta * delta
     assert down.chern_pairing() == data.chern_pairing() + delta
@@ -381,7 +376,7 @@ def test_blow_down_bookkeeping_deltas():
 def test_blow_down_rejects_non_exceptional():
     data = rational_data(1, Q(1, 3))
     with pytest.raises(PreconditionError):
-        blow_down_class(data, cls(data, 1, 0))
+        homology._blow_down_with_frame(data, cls(data, 1, 0))
 
 
 def test_blow_down_fuzz_bookkeeping():
@@ -395,7 +390,7 @@ def test_blow_down_fuzz_bookkeeping():
         candidates = enumerate_exceptional_candidates(data, Q(1))
         target = candidates[rng.randrange(len(candidates))]
         delta = area(target, data)
-        down = blow_down_class(data, target)
+        down = homology._blow_down_with_frame(data, target)[0]
         assert down.basis.rank == data.basis.rank - 1
         assert down.volume_quantity() == data.volume_quantity() + delta * delta
         assert down.chern_pairing() == data.chern_pairing() + delta
@@ -412,10 +407,10 @@ def test_blow_down_twisted_section_gives_the_plane():
 NON_DESCENDING_CLASS = """
 from fractions import Fraction as Q
 from torus_census.errors import UnsupportedBlowdownError
-from torus_census.homology import Basis, HomologyClass, SymplecticData, blow_down_class
+from torus_census.homology import Basis, HomologyClass, SymplecticData, _blow_down_with_frame
 data = SymplecticData(Basis("rational", 0, 10), (Q(1, 5),) * 10, lam=Q(1))
 try:
-    blow_down_class(data, HomologyClass(data.basis, (3,) + (-1,) * 9 + (1,)))
+    _blow_down_with_frame(data, HomologyClass(data.basis, (3,) + (-1,) * 9 + (1,)))
 except UnsupportedBlowdownError as exc:
     print(__debug__, "refused", exc)
 """
@@ -439,8 +434,9 @@ def test_blow_down_refuses_a_class_that_does_not_descend():
 
 def test_ten_caps_blow_down_the_line_through_the_pair():
     # Blowing down L - E1 - E2 leaves nine blow-ups; the descent has no
-    # limit on their number.  Each step is replayed through blow_down_class,
-    # whose exactness checks run on every path, and every rational stage is
+    # limit on their number.  Each step is replayed through
+    # _blow_down_with_frame, whose exactness checks run on every path, and
+    # every rational stage is
     # Cremona-reduced.
     caps = [Q(12, 25), Q(12, 25), Q(1, 20), Q(1, 21), Q(1, 22), Q(1, 23)] + [Q(1, 24)] * 4
     data = rational_data(1, *caps)
@@ -451,7 +447,7 @@ def test_ten_caps_blow_down_the_line_through_the_pair():
         assert (first.original_coeffs, first.area) == ((1, -1, -1) + (0,) * 8, Q(1, 25))
         stage = data
         for step in chain.steps:
-            stage = blow_down_class(stage, step.chosen)
+            stage = homology._blow_down_with_frame(stage, step.chosen)[0]
             if stage.basis.kind == "rational":
                 assert cremona_reduced(stage.lam, stage.capacities) == (stage.lam, stage.capacities)
         assert stage == chain.terminal
@@ -529,17 +525,15 @@ def test_closed_form_box_equals_the_inverse_of_every_companion(monkeypatch):
     for data in recipes:
         minimal_exceptional_classes(data)
         min_capacity_threshold(data)
-        enumerate_bounded_classes(poincare_dual(data), Q(0), Q(1), Q(1), Q(1), data)
         if data.basis.rank <= 6:
             for exc in enumerate_exceptional_candidates(data, Q(2)):
                 try:
-                    blow_down_class(data, exc)
+                    homology._blow_down_with_frame(data, exc)
                 except UnsupportedBlowdownError:
                     pass
     assert {name for name, *_ in calls} == {
         "enumerate_exceptional_candidates",
         "min_capacity_threshold",
-        "enumerate_bounded_classes",
     }
     for name, gram, weight, (form, scale, box) in calls:
         rational = _reference_companion(gram, weight)
@@ -561,11 +555,6 @@ def test_enumeration_error_fires_exactly_past_the_certified_box():
         with pytest.raises(EnumerationError):
             enumerate_exceptional_candidates(data, bound, search_ceiling=box - 1)
         enumerate_exceptional_candidates(data, bound, search_ceiling=box)
-        anchor = poincare_dual(data)
-        box = _reference_box(gram, weight, 2 / data.volume_quantity() + 1)
-        with pytest.raises(EnumerationError):
-            enumerate_bounded_classes(anchor, Q(0), Q(1), Q(1), Q(1), data, box - 1)
-        enumerate_bounded_classes(anchor, Q(0), Q(1), Q(1), Q(1), data, box)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from polygon_corpus import build_chopped_corpus, build_corpus
-from torus_census import enumerate_equivariant_blowups
+from polygon_corpus import build_chopped_corpus, build_corpus, random_unimodular_image
+from torus_census.census import _chop_all
 from torus_census.errors import CapacityError, PreconditionError
 from torus_census.polygon import (
     RationalPolygon,
-    UnimodularAffineMap,
     blow_down,
     blow_up,
     canonical_form,
@@ -18,9 +17,7 @@ from torus_census.polygon import (
     count_toric_actions_ruled,
     delzant_triangle,
     edges,
-    equivalent,
     hirzebruch,
-    intersection_matrix,
     invariants,
     is_delzant,
     polygon_from_json,
@@ -92,15 +89,6 @@ def test_hirzebruch_rejects_bad_parameters():
         hirzebruch(Q(2), Q(1), 5)
 
 
-def test_intersection_matrix_row_sums():
-    # Adjunction: every invariant sphere meets the anticanonical divisor in
-    # 2 + its self-intersection points, so each row sums to diagonal + 2.
-    for polygon in build_corpus():
-        matrix = intersection_matrix(polygon)
-        for i, row in enumerate(matrix):
-            assert sum(row) == row[i] + 2
-
-
 def test_blow_up_bookkeeping_on_corpus():
     for polygon in build_corpus():
         before = invariants(polygon)
@@ -141,8 +129,8 @@ def test_blow_up_rejects_large_capacity():
 
 def test_blow_down_round_trip():
     chopped = blow_up(delzant_triangle(Q(1)), 0, Q(1, 4))
-    restored = blow_down(chopped, 0)
-    assert equivalent(restored, delzant_triangle(Q(1)))
+    restored, _ = canonical_form(blow_down(chopped, 0))
+    assert restored.vertices == canonical_form(delzant_triangle(Q(1)))[0].vertices
 
 
 def test_blow_down_round_trip_on_corpus():
@@ -161,7 +149,8 @@ def test_blow_down_round_trip_on_corpus():
             if self_intersection(blown, e.index) == -1
             and e.rational_length == delta
         )
-        assert equivalent(blow_down(blown, exceptional), polygon)
+        restored, _ = canonical_form(blow_down(blown, exceptional))
+        assert restored.vertices == canonical_form(polygon)[0].vertices
 
 
 def test_blow_down_rejects_non_exceptional_edge():
@@ -174,39 +163,12 @@ def test_blow_down_rejects_non_exceptional_edge():
 # Canonical forms
 
 
-def _random_unimodular_map(rng):
-    matrix = [[1, 0], [0, 1]]
-    for _ in range(rng.randrange(1, 6)):
-        kind = rng.randrange(3)
-        if kind == 0:
-            s = rng.randrange(-3, 4)
-            matrix = [
-                [matrix[0][0] + s * matrix[1][0], matrix[0][1] + s * matrix[1][1]],
-                matrix[1],
-            ]
-        elif kind == 1:
-            s = rng.randrange(-3, 4)
-            matrix = [
-                matrix[0],
-                [matrix[1][0] + s * matrix[0][0], matrix[1][1] + s * matrix[0][1]],
-            ]
-        else:
-            matrix = [matrix[1], matrix[0]]
-    translation = (
-        Q(rng.randrange(-8, 9), rng.randrange(1, 4)),
-        Q(rng.randrange(-8, 9), rng.randrange(1, 4)),
-    )
-    return UnimodularAffineMap(
-        (tuple(matrix[0]), tuple(matrix[1])), translation
-    )
-
-
 def test_canonical_form_invariant_under_unimodular_maps():
     rng = random.Random(43)
     for polygon in build_corpus():
         base, _ = canonical_form(polygon)
         for _ in range(100):
-            image = _random_unimodular_map(rng).apply_polygon(polygon)
+            image, _ = random_unimodular_image(rng, polygon)
             again, _ = canonical_form(image)
             assert again.vertices == base.vertices
 
@@ -223,10 +185,9 @@ def test_canonical_form_returns_witness_map():
     # tuple may start at a different corner of the same cycle.
     rng = random.Random(47)
     for polygon in build_corpus()[:6]:
-        image = _random_unimodular_map(rng).apply_polygon(polygon)
+        image, _ = random_unimodular_image(rng, polygon)
         canonical, witness = canonical_form(image)
-        mapped = witness.apply_polygon(image)
-        assert set(mapped.vertices) == set(canonical.vertices)
+        assert {witness.apply(v) for v in image.vertices} == set(canonical.vertices)
 
 
 def _reference_canonical_form(polygon):
@@ -267,7 +228,7 @@ def test_canonical_form_matches_full_search():
     rng = random.Random(67)
     for polygon in build_chopped_corpus():
         assert RationalPolygon(polygon.vertices) == polygon
-        for subject in (polygon, _random_unimodular_map(rng).apply_polygon(polygon)):
+        for subject in (polygon, random_unimodular_image(rng, polygon)[0]):
             canonical, witness = canonical_form(subject)
             vertices, matrix, translation = _reference_canonical_form(subject)
             assert RationalPolygon(canonical.vertices) == canonical
@@ -276,14 +237,13 @@ def test_canonical_form_matches_full_search():
             assert witness.translation == translation
 
 
-def test_equivalent_distinguishes_hirzebruch_parity():
-    assert not equivalent(hirzebruch(Q(2), Q(1), 0), hirzebruch(Q(2), Q(1), 2))
-    assert equivalent(
-        hirzebruch(Q(2), Q(1), 2),
-        UnimodularAffineMap(((0, -1), (-1, 0)), (Q(5), Q(7))).apply_polygon(
-            hirzebruch(Q(2), Q(1), 2)
-        ),
-    )
+def test_canonical_form_distinguishes_hirzebruch_parity():
+    even, _ = canonical_form(hirzebruch(Q(2), Q(1), 2))
+    assert canonical_form(hirzebruch(Q(2), Q(1), 0))[0].vertices != even.vertices
+    rng = random.Random(59)
+    for _ in range(20):
+        image, _ = random_unimodular_image(rng, hirzebruch(Q(2), Q(1), 2))
+        assert canonical_form(image)[0].vertices == even.vertices
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +252,18 @@ def test_equivalent_distinguishes_hirzebruch_parity():
 
 def test_enumerate_blowups_square():
     # All four corners of the square are equivalent, so one class remains.
-    results = enumerate_equivariant_blowups(SQUARE, Q(1, 3))
+    results = _chop_all({(): (SQUARE, None)}, Q(1, 3), lambda *_: None)
     assert len(results) == 1
 
 
 def test_enumerate_blowups_trapezoid():
     # Hirzebruch(2,1,2) has two corner classes at capacity 1/2.
-    results = enumerate_equivariant_blowups(hirzebruch(Q(2), Q(1), 2), Q(1, 2))
+    results = _chop_all({(): (hirzebruch(Q(2), Q(1), 2), None)}, Q(1, 2), lambda *_: None)
     assert len(results) == 2
 
 
 def test_enumerate_blowups_capacity_filter():
-    results = enumerate_equivariant_blowups(SQUARE, Q(2))
-    assert results == ()
+    assert _chop_all({(): (SQUARE, None)}, Q(2), lambda *_: None) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from test_homology import signature
 from torus_census.errors import FormatError
 from torus_census.homology import Basis, SymplecticData, _companion_form
 from torus_census.linalg import (
@@ -16,7 +17,6 @@ from torus_census.linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    signature,
 )
 from torus_census.rationals import (
     ceil_rational,
@@ -135,32 +135,6 @@ def test_ldl_rejects_exactly_the_matrices_that_are_not_positive_definite():
             with pytest.raises(ValueError, match="not positive definite"):
                 ldl_decomposition(m)
     assert 20 < refused < 180
-
-
-def test_signature_of_blowup_form():
-    gram = [
-        [Q(1), Q(0), Q(0)],
-        [Q(0), Q(-1), Q(0)],
-        [Q(0), Q(0), Q(-1)],
-    ]
-    assert signature(gram) == (1, 2, 0)
-
-
-def test_signature_of_hyperbolic_form():
-    gram = [[Q(0), Q(1)], [Q(1), Q(0)]]
-    assert signature(gram) == (1, 1, 0)
-
-
-def test_signature_when_adding_the_partner_leaves_a_zero_pivot():
-    # Adding row and column 2 to row and column 1 of [[0, 1], [1, -2]]
-    # leaves 0 on the diagonal again; subtracting them gives 4.
-    assert signature([[Q(0), Q(1)], [Q(1), Q(-2)]]) == (1, 1, 0)
-    assert signature([[Q(0), Q(1), Q(0)], [Q(1), Q(-2), Q(0)], [Q(0), Q(0), Q(3)]]) == (2, 1, 0)
-
-
-def test_signature_counts_zeros():
-    gram = [[Q(1), Q(0)], [Q(0), Q(0)]]
-    assert signature(gram) == (1, 0, 1)
 
 
 def _brute_ball(gram, cutoff, box):
