@@ -571,6 +571,36 @@ def test_crowded_level_fails_to_extend():
     assert not extends_to_toric(three)
 
 
+def _extends_by_component_scan(graph):
+    """extends_to_toric's rule, looking up each edge's end components at
+    every sampled level."""
+    if all(not v.is_surface for v in graph.vertices):
+        return True
+    if any(v.is_surface and v.genus > 0 for v in graph.vertices):
+        return False
+    lo, hi = graph.min_moment, graph.max_moment
+    critical = sorted({v.moment for v in graph.vertices if lo < v.moment < hi})
+    cuts = sorted({lo, hi, *critical})
+    levels = critical + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    for level in levels:
+        points = sum(1 for v in graph.vertices if not v.is_surface and v.moment == level)
+        crossing = sum(
+            1
+            for north, south, _ in graph.edges
+            if graph.component(south).moment < level < graph.component(north).moment
+        )
+        if points + crossing > 2:
+            return False
+    return True
+
+
+def test_extends_to_toric_matches_a_per_level_component_scan():
+    graphs = _small_frontiers() + [_three_chain_graph(k) for k in range(4)]
+    verdicts = [extends_to_toric(graph) for graph in graphs]
+    assert verdicts == [_extends_by_component_scan(graph) for graph in graphs]
+    assert True in verdicts and False in verdicts
+
+
 # ---------------------------------------------------------------------------
 # Canonical forms
 

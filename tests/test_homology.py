@@ -37,7 +37,7 @@ from torus_census.homology import (
     minimal_blowdown_chains,
     minimal_exceptional_classes,
 )
-from torus_census.linalg import enumerate_quadratic_ball, mat_inverse, mat_vec
+from torus_census.linalg import bilinear, enumerate_quadratic_ball, mat_inverse, mat_vec
 from torus_census.rationals import floor_sqrt
 
 
@@ -209,6 +209,23 @@ def test_area_and_dual():
     assert data.basis.dual(data.area_vector()) == [Q(1), Q(-1, 3), Q(-1, 4)]
 
 
+def test_dual_of_the_area_vector_pairs_to_the_area():
+    # The dual of the area covector is the Poincare dual of the symplectic
+    # class: its intersection with every class is that class's area.
+    recipes = [
+        rational_data(1, Q(1, 3), Q(1, 4)),
+        SymplecticData(Basis("product_ruled", 0, 1), (Q(1, 3),), mu=Q(2), fiber=Q(3, 2)),
+        SymplecticData(Basis("product_ruled", 2, 1), (Q(1, 5),), mu=Q(1)),
+        SymplecticData(Basis("twisted_ruled", 0, 2), (Q(1, 4), Q(1, 5)), mu=Q(2)),
+        SymplecticData(Basis("twisted_ruled", 1, 1), (Q(1, 3),), mu=Q(1, 2)),
+    ]
+    for data in recipes:
+        gram = data.basis.gram()
+        dual = data.basis.dual(data.area_vector())
+        for coeffs in product(range(-2, 3), repeat=data.basis.rank):
+            assert bilinear(gram, dual, coeffs) == area(HomologyClass(data.basis, coeffs), data)
+
+
 @pytest.mark.parametrize("blowups", [0, 1, 4])
 @pytest.mark.parametrize(
     "kind, genus", [("rational", 0), ("product_ruled", 0), ("product_ruled", 1), ("twisted_ruled", 2)]
@@ -269,6 +286,26 @@ def test_candidates_satisfy_defining_equations():
         assert intersect(candidate, candidate) == -1
         assert chern(candidate) == 1
         assert area(candidate, data) > 0
+
+
+def test_candidates_under_a_tighter_area_bound():
+    # On (1; 1/5, 1/5, 1/5) the lines L - Ei - Ej have area 3/5 and the next
+    # exceptional class, 2L - E1 - ... - E5, needs five points.
+    # The bound is inclusive.
+    data = rational_data(1, Q(1, 5), Q(1, 5), Q(1, 5))
+    six = ["E1", "E2", "E3", "L - E1 - E2", "L - E1 - E3", "L - E2 - E3"]
+    for bound in (Q(3, 4), Q(3, 5)):
+        assert sorted(str(c) for c in enumerate_exceptional_candidates(data, bound)) == six
+    for bound in (Q(59, 100), Q(1, 5)):
+        assert sorted(str(c) for c in enumerate_exceptional_candidates(data, bound)) == six[:3]
+    assert enumerate_exceptional_candidates(data, Q(19, 100)) == ()
+
+
+def test_candidates_reject_a_nonpositive_bound():
+    data = rational_data(1, Q(1, 10))
+    for bound in (Q(0), Q(-1, 2)):
+        with pytest.raises(PreconditionError):
+            enumerate_exceptional_candidates(data, bound)
 
 
 def test_candidates_on_positive_genus_base_pair_trivially_with_fiber():

@@ -88,3 +88,23 @@ def test_every_exported_name_resolves():
     missing = [name for name in torus_census.__all__ if not hasattr(torus_census, name)]
     assert missing == []
     assert len(set(torus_census.__all__)) == len(torus_census.__all__)
+
+
+def test_allowlisted_names_have_no_caller_outside_the_tests():
+    # An entry whose name gained a caller is stale and leaves the list.
+    trees = _caller_trees()
+    assert [name for name in ALLOWED if any(name in _references(t) for t in trees.values())] == []
+
+
+def test_reference_scan_counts_uses_and_skips_the_own_body():
+    tree = ast.parse(
+        "from pkg.mod import imported\n"
+        "import pkg.whole\n"
+        "def f():\n"
+        "    return f() + g() + obj.attr\n"
+        "def h():\n"
+        "    return 'polygon.traced'\n"
+    )
+    assert {"imported", "whole", "g", "attr", "traced", "f"} <= _references(tree)
+    assert {"f", "g", "attr"}.isdisjoint(_references(tree, "f"))
+    assert "traced" not in _references(tree, "h")
