@@ -116,6 +116,129 @@ def test_edge_moment_order_is_checked():
     assert not ok
 
 
+MIN_POINT = isolated(0, Q(0), (1, 1))
+
+# One hand-built graph per diagnostic of `validate`, with the exact
+# diagnostics tuple it must give, in order.
+DIAGNOSTIC_CASES = {
+    "no-components": (S1Graph(()), ("graph has no fixed components",)),
+    "duplicate-ids": (
+        S1Graph((MIN_POINT, isolated(0, Q(1), (-1, -1)))),
+        ("vertex ids must be distinct",),
+    ),
+    "two-minima": (
+        S1Graph((MIN_POINT, isolated(1, Q(0), (1, 1)), isolated(2, Q(1), (-1, -1)))),
+        ("min moment attained by 2 components",),
+    ),
+    "two-maxima": (
+        S1Graph((MIN_POINT, isolated(1, Q(1), (-1, -1)), isolated(2, Q(1), (-1, -1)))),
+        ("max moment attained by 2 components",),
+    ),
+    "edge-to-missing-vertex": (
+        S1Graph((MIN_POINT, isolated(1, Q(1), (-1, -1))), ((5, 0, 2),)),
+        ("edge (5, 0, 2) references a missing vertex",),
+    ),
+    "edge-isotropy-below-two": (
+        S1Graph((MIN_POINT, isolated(1, Q(1), (-1, -1))), ((1, 0, 1),)),
+        ("edge (1, 0, 1) needs integer isotropy k >= 2",),
+    ),
+    "edge-not-increasing": (
+        S1Graph(
+            (
+                MIN_POINT,
+                isolated(1, Q(1), (2, -1)),
+                isolated(2, Q(1), (1, -2)),
+                isolated(3, Q(2), (-1, -1)),
+            ),
+            ((2, 1, 2),),
+        ),
+        ("edge (2, 1, 2) must increase moment from south to north",),
+    ),
+    "three-surfaces": (
+        S1Graph(
+            (
+                surface(0, Q(0), 0, Q(1)),
+                surface(1, Q(0), 0, Q(1)),
+                surface(2, Q(1), 0, Q(1)),
+            )
+        ),
+        ("min moment attained by 2 components", "at most two fixed surfaces are allowed"),
+    ),
+    "neither-weights-nor-surface": (
+        S1Graph((MIN_POINT, FixedComponent(1, Q(1)))),
+        ("vertex 1: needs either weights or surface data",),
+    ),
+    "three-edges": (
+        S1Graph(
+            (isolated(0, Q(0), (3, 2)), isolated(1, Q(6), (-3, -2))),
+            ((1, 0, 3), (1, 0, 2), (1, 0, 5)),
+        ),
+        (
+            "vertex 0: reached by more than two edges",
+            "vertex 0: no weight slot for pole weight 5",
+            "vertex 1: reached by more than two edges",
+            "vertex 1: no weight slot for pole weight -5",
+        ),
+    ),
+    "negative-genus": (
+        S1Graph((surface(0, Q(0), -1, Q(1)), isolated(1, Q(1), (-1, -1)))),
+        ("vertex 0: genus must be nonnegative",),
+    ),
+    "zero-area": (
+        S1Graph((surface(0, Q(0), 0, Q(0)), isolated(1, Q(1), (-1, -1)))),
+        ("vertex 0: surface area must be positive",),
+    ),
+    "interior-surface": (
+        S1Graph((MIN_POINT, surface(1, Q(1), 0, Q(1)), isolated(2, Q(2), (-1, -1)))),
+        ("vertex 1: fixed surfaces occur only at extrema",),
+    ),
+    "surface-with-edge": (
+        S1Graph(
+            (surface(0, Q(0), 0, Q(1)), isolated(1, Q(2), (-1, -2))), ((1, 0, 2),)
+        ),
+        ("vertex 0: fixed surfaces carry no edges",),
+    ),
+    "zero-weight": (
+        S1Graph((MIN_POINT, isolated(1, Q(1), (0, -1)), isolated(2, Q(2), (-1, -1)))),
+        ("vertex 1: isotropy weights must be nonzero",),
+    ),
+    "weights-not-coprime": (
+        S1Graph((isolated(0, Q(0), (2, 4)), isolated(1, Q(1), (-1, -1)))),
+        (
+            "vertex 0: weights (4, 2) are not coprime",
+            "vertex 0: weight 4 has no matching Z_k edge",
+            "vertex 0: weight 2 has no matching Z_k edge",
+        ),
+    ),
+    "minimum-signs": (
+        S1Graph((isolated(0, Q(0), (1, -1)), isolated(1, Q(1), (-1, -1)))),
+        ("vertex 0: minimum needs both weights positive",),
+    ),
+    "maximum-signs": (
+        S1Graph((MIN_POINT, isolated(1, Q(1), (1, -1)))),
+        ("vertex 1: maximum needs both weights negative",),
+    ),
+    "interior-signs": (
+        S1Graph((MIN_POINT, isolated(1, Q(1), (1, 1)), isolated(2, Q(2), (-1, -1)))),
+        ("vertex 1: interior point needs weights of both signs",),
+    ),
+    "no-slot-for-pole-weight": (
+        S1Graph((MIN_POINT, isolated(1, Q(1), (-1, -2))), ((1, 0, 2),)),
+        ("vertex 0: no weight slot for pole weight 2",),
+    ),
+    "weight-without-edge": (
+        S1Graph((isolated(0, Q(0), (1, 3)), isolated(1, Q(1), (-1, -1)))),
+        ("vertex 0: weight 3 has no matching Z_k edge",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSTIC_CASES))
+def test_validate_reports_exact_diagnostics(case):
+    graph, expected = DIAGNOSTIC_CASES[case]
+    assert validate(graph) == (False, expected)
+
+
 # ---------------------------------------------------------------------------
 # Projection
 
