@@ -305,19 +305,22 @@ def ruled_base_count(spec: ManifoldSpec) -> int:
 # The census
 
 
-def _expand(parents, sites, blow, key, keep, record, stage=None) -> dict:
+def _expand(parents, sites, blow, key, keep, record, stage=None, prepare=None) -> dict:
     """One induction step: blow every parent up at every site.
 
     parents maps a key to (object, provenance) and is walked in key order;
-    a site where blow(parent, site) raises CapacityError is skipped.  The
-    first entry per key(blown) is kept, as keep(blown) with provenance
+    each parent passes through prepare, if given, just before its sites are
+    read.  A site where blow(parent, site) raises CapacityError is skipped.
+    The first entry per key(blown) is kept, as keep(blown) with provenance
     record(parent, provenance, site).  keep runs on new keys only, so for
-    graphs it is where each one is validated.  Entries go into stage, a
-    new dict unless one is given.
+    graphs it is where each one is validated, and the graph is kept as
+    built.  Entries go into stage, a new dict unless one is given.
     """
     stage = {} if stage is None else stage
     for parent_key in sorted(parents):
         parent, provenance = parents[parent_key]
+        if prepare is not None:
+            parent = prepare(parent)
         for site in sites(parent):
             try:
                 blown = blow(parent, site)
@@ -334,6 +337,11 @@ def _serial(graph: cg.S1Graph) -> tuple:
     return graph._canonical_serialization
 
 
+def _validated(graph: cg.S1Graph) -> cg.S1Graph:
+    cg._require_valid(graph)
+    return graph
+
+
 def _chop_all(parents: dict, delta, record) -> dict:
     """Every corner chop of capacity delta, as canonical polygons."""
     return _expand(
@@ -347,14 +355,19 @@ def _chop_all(parents: dict, delta, record) -> dict:
 
 
 def _blow_up_all(parents: dict, delta, record) -> dict:
-    """Every feasible equivariant blow-up of capacity delta, canonicalised."""
+    """Every feasible equivariant blow-up of capacity delta, kept as built.
+
+    Each parent is canonicalised just before it is blown up, so the sites,
+    and the provenance that records them, are canonical vertex ids.
+    """
     return _expand(
         parents,
         lambda graph: [vertex.id for vertex in graph.vertices],
         lambda graph, vertex_id: cg.blow_up(graph, vertex_id, delta),
         _serial,
-        cg.canonical_form,
+        _validated,
         record,
+        prepare=cg.canonical_form,
     )
 
 
@@ -390,13 +403,28 @@ def _scale(model: ManifoldSpec) -> int:
     return 2 * lcm(*(x.denominator for x in areas))
 
 
-def _unscaled_graph(graph: cg.S1Graph, scale: int) -> cg.S1Graph:
+class _Unscaled(dict):
+    """The one Fraction x/scale of each scaled int x a census returns."""
+
+    def __init__(self, scale: int) -> None:
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Q:
+        self[x] = value = Q(x, self.scale)
+        return value
+
+
+def _unscaled_graph(key: tuple, value: _Unscaled) -> cg.S1Graph:
+    """The graph cg.canonical_form builds from a key, divided by the scale."""
+    verts, links = key
     components = tuple(
-        cg._component(v.id, Q(v.moment, scale), v.weights, v.genus,
-                      None if v.area is None else Q(v.area, scale))
-        for v in graph.vertices
+        cg._component(index, value[moment], None, a, value[b])
+        if tag
+        else cg._component(index, value[moment], (a, b))
+        for index, (moment, tag, a, b) in enumerate(verts)
     )
-    return cg.S1Graph(components, graph.edges)
+    return cg.S1Graph(components, links)
 
 
 def run_census(spec: ManifoldSpec) -> CensusResult:
@@ -423,7 +451,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             except PreconditionError:
                 break
             frontier[_serial(graph)] = (
-                cg.canonical_form(graph),
+                _validated(graph),
                 CircleProvenance("ruled_base", 0, degree),
             )
 
@@ -439,7 +467,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             ],
             cg.graph_from_polygon,
             _serial,
-            cg.canonical_form,
+            _validated,
             lambda polygon, _, xi: CircleProvenance(
                 "projection", stage, None, polygon, xi
             ),
@@ -454,29 +482,29 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         if not frontier and not toric:
             break
 
-    # Toric entries and provenance share polygons: divide each one once.
+    # One Fraction per scaled value; toric entries and provenance share
+    # polygons, so each polygon is divided once.
+    value = _Unscaled(scale)
     shared: dict[pg.RationalPolygon, pg.RationalPolygon] = {}
 
     def unscaled(polygon: pg.RationalPolygon) -> pg.RationalPolygon:
         if polygon not in shared:
-            points = tuple((Q(x, scale), Q(y, scale)) for x, y in polygon.vertices)
+            points = tuple((value[x], value[y]) for x, y in polygon.vertices)
             shared[polygon] = pg._polygon(points)
         return shared[polygon]
 
     toric_entries = [toric[key] for key in sorted(toric)]
-    circle_entries = [
-        frontier[key]
-        for key in sorted(frontier)
-        if not cg.extends_to_toric(frontier[key][0])
+    # Translation and reflection keep the verdict, so it is read off the
+    # graph as built; the returned graph is built from its key.
+    circle_keys = [
+        key for key in sorted(frontier) if not cg.extends_to_toric(frontier[key][0])
     ]
-    toric_count, circle_count = len(toric_entries), len(circle_entries)
+    toric_count, circle_count = len(toric_entries), len(circle_keys)
     counts = ConjugacyCounts(toric_count, circle_count, toric_count + circle_count)
     return CensusResult(
         spec=spec,
         toric=tuple(unscaled(entry[0]) for entry in toric_entries),
-        maximal_circles=tuple(
-            _unscaled_graph(entry[0], scale) for entry in circle_entries
-        ),
+        maximal_circles=tuple(_unscaled_graph(key, value) for key in circle_keys),
         counts=counts,
         toric_provenance=tuple(
             ToricProvenance(unscaled(p.base), p.steps) for _, p in toric_entries
@@ -487,7 +515,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             else CircleProvenance(
                 p.origin, p.stage, p.degree, unscaled(p.polygon), p.xi, p.steps
             )
-            for _, p in circle_entries
+            for p in (frontier[key][1] for key in circle_keys)
         ),
         warnings=warnings,
     )

@@ -174,34 +174,33 @@ def _diagnose(graph: S1Graph) -> tuple[str, ...]:
         problems.append("at most two fixed surfaces are allowed")
 
     for vertex in graph.vertices:
-        tag = f"vertex {vertex.id}"
         if vertex.is_surface == (vertex.weights is not None):
-            problems.append(f"{tag}: needs either weights or surface data")
+            problems.append(f"vertex {vertex.id}: needs either weights or surface data")
             continue
         if len(incident[vertex.id]) > 2:
-            problems.append(f"{tag}: reached by more than two edges")
+            problems.append(f"vertex {vertex.id}: reached by more than two edges")
         if vertex.is_surface:
             if vertex.genus < 0:
-                problems.append(f"{tag}: genus must be nonnegative")
+                problems.append(f"vertex {vertex.id}: genus must be nonnegative")
             if vertex.area <= 0:
-                problems.append(f"{tag}: surface area must be positive")
+                problems.append(f"vertex {vertex.id}: surface area must be positive")
             if vertex.moment not in (lo, hi):
-                problems.append(f"{tag}: fixed surfaces occur only at extrema")
+                problems.append(f"vertex {vertex.id}: fixed surfaces occur only at extrema")
             if incident[vertex.id]:
-                problems.append(f"{tag}: fixed surfaces carry no edges")
+                problems.append(f"vertex {vertex.id}: fixed surfaces carry no edges")
             continue
         m, n = vertex.weights
         if m == 0 or n == 0:
-            problems.append(f"{tag}: isotropy weights must be nonzero")
+            problems.append(f"vertex {vertex.id}: isotropy weights must be nonzero")
             continue
         if gcd(abs(m), abs(n)) != 1:
-            problems.append(f"{tag}: weights {vertex.weights} are not coprime")
+            problems.append(f"vertex {vertex.id}: weights {vertex.weights} are not coprime")
         if vertex.moment == lo and not (m > 0 and n > 0):
-            problems.append(f"{tag}: minimum needs both weights positive")
+            problems.append(f"vertex {vertex.id}: minimum needs both weights positive")
         elif vertex.moment == hi and not (m < 0 and n < 0):
-            problems.append(f"{tag}: maximum needs both weights negative")
+            problems.append(f"vertex {vertex.id}: maximum needs both weights negative")
         elif lo < vertex.moment < hi and not (m > 0 > n):
-            problems.append(f"{tag}: interior point needs weights of both signs")
+            problems.append(f"vertex {vertex.id}: interior point needs weights of both signs")
         # Pole weights of incident edges must occupy distinct weight slots,
         # and every weight of magnitude >= 2 must be matched by an edge.
         required = []
@@ -212,10 +211,10 @@ def _diagnose(graph: S1Graph) -> tuple[str, ...]:
             if need in slots:
                 slots.remove(need)
             else:
-                problems.append(f"{tag}: no weight slot for pole weight {need}")
+                problems.append(f"vertex {vertex.id}: no weight slot for pole weight {need}")
         for left in slots:
             if abs(left) >= 2:
-                problems.append(f"{tag}: weight {left} has no matching Z_k edge")
+                problems.append(f"vertex {vertex.id}: weight {left} has no matching Z_k edge")
     return tuple(problems)
 
 
@@ -466,20 +465,25 @@ def extends_to_toric(graph: S1Graph) -> bool:
 # Canonical forms
 
 
-def _basic_key(vertex: FixedComponent, shift: Q, flip: bool, span: Q) -> tuple:
-    moment = span - (vertex.moment - shift) if flip else vertex.moment - shift
-    if vertex.is_surface:
-        return (moment, 1, vertex.genus, vertex.area)
-    m, n = vertex.weights
-    if flip:
-        m, n = -n, -m
-    return (moment, 0, m, n)
-
-
 def _vertex_keys(graph: S1Graph, flip: bool) -> dict[int, tuple]:
-    shift = graph.min_moment
-    span = graph.max_moment - shift
-    return {v.id: _basic_key(v, shift, flip, span) for v in graph.vertices}
+    """Each vertex's key: moment above the minimum (below the maximum when
+    flipped), then (1, genus, area) for a surface or (0, weights) for a
+    point, a flipped pair (m, n) read as (-n, -m)."""
+    if flip:
+        top = graph.max_moment
+        return {
+            v.id: (top - v.moment, 1, v.genus, v.area)
+            if v.genus is not None
+            else (top - v.moment, 0, -v.weights[1], -v.weights[0])
+            for v in graph.vertices
+        }
+    low = graph.min_moment
+    return {
+        v.id: (v.moment - low, 1, v.genus, v.area)
+        if v.genus is not None
+        else (v.moment - low, 0, *v.weights)
+        for v in graph.vertices
+    }
 
 
 def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:

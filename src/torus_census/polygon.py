@@ -248,7 +248,7 @@ def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, Unimodula
     n = polygon.edge_count
     edge_list = edges(polygon)
     shortest = min(e.rational_length for e in edge_list)
-    best: tuple[tuple[Q, ...], tuple[Point, ...], UnimodularAffineMap] | None = None
+    best: tuple[tuple[Q, ...], tuple[Point, ...], tuple, Point] | None = None
     for i in range(n):
         outgoing = edge_list[i].direction
         backwards = tuple(-c for c in edge_list[i - 1].direction)
@@ -269,14 +269,15 @@ def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, Unimodula
                 )
             flat = tuple(c for p in seq for c in p)
             if best is None or flat < best[0]:
-                translation = (
-                    -(matrix[0][0] * origin[0] + matrix[0][1] * origin[1]),
-                    -(matrix[1][0] * origin[0] + matrix[1][1] * origin[1]),
-                )
-                best = (flat, tuple(seq), UnimodularAffineMap(matrix, translation))
+                best = (flat, tuple(seq), matrix, origin)
     if best is None:
         raise AssertionError("some edge has the shortest rational length")
-    return _polygon(best[1]), best[2]
+    _, points, matrix, origin = best
+    translation = (
+        -(matrix[0][0] * origin[0] + matrix[0][1] * origin[1]),
+        -(matrix[1][0] * origin[0] + matrix[1][1] * origin[1]),
+    )
+    return _polygon(points), UnimodularAffineMap(matrix, translation)
 
 
 def blow_up(polygon: RationalPolygon, vertex: int, delta: Q) -> RationalPolygon:

@@ -5,11 +5,14 @@ checking the small cells by hand against direct polygon and graph
 enumeration; the tables here pin those runs exactly.
 """
 
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+from torus_census import census
 from torus_census import circle_graph as cg
 from torus_census import polygon as pg
 from torus_census.census import (
@@ -431,6 +434,39 @@ def test_circle_entries_are_canonical_and_not_toric():
         )
 
 
+def _result_graph_recipes():
+    # The golden recipes, then seeded in-cone recipes over all three bases:
+    # genus 0-2 on ruled bases, 0-4 capacities from a few small fractions.
+    golden = json.loads((Path(__file__).parent / "census_golden.json").read_text())
+    specs = [spec_from_json(row["spec"]) for row in golden]
+    rng = random.Random(15)
+    pool = [Q(1, q) for q in range(3, 9)] + [Q(2, 7), Q(3, 10)]
+    while len(specs) < len(golden) + 30:
+        caps = sorted((rng.choice(pool) for _ in range(rng.randint(0, 4))), reverse=True)
+        kind = rng.choice(("cp2", "product_ruled", "twisted_ruled"))
+        try:
+            if kind == "cp2":
+                spec = plane(rng.choice((1, Q(3, 2), 2)), *caps)
+            else:
+                spec = ruled(kind, rng.randint(0, 2), rng.choice((1, Q(3, 2), 2)), *caps)
+            spec_to_symplectic(spec)
+        except PreconditionError:
+            continue
+        specs.append(spec)
+    return specs
+
+
+def test_result_graphs_are_their_own_canonical_forms():
+    # Returned graphs are built from their keys, not by canonical_form.
+    seen = 0
+    for spec in _result_graph_recipes():
+        for graph in run_census(spec).maximal_circles:
+            canonical = cg.canonical_form(graph)
+            assert (canonical.vertices, canonical.edges) == (graph.vertices, graph.edges)
+            seen += 1
+    assert seen > 300
+
+
 def test_counts_match_entry_lengths():
     for spec in (plane(1, "1/4", "1/4", "1/4"), ruled("product_ruled", 1, 2, "1/3")):
         result = run_census(spec)
@@ -487,27 +523,38 @@ def test_census_is_deterministic():
     ],
 )
 def test_census_diagnoses_each_kept_graph_at_most_once(monkeypatch, spec):
-    # The census keys a graph it built before validating it, validates only
-    # new keys, and a canonical form inherits its source's verdict.  Every
-    # graph it keeps passes through canonical_form once.
-    diagnose, canonical_form = cg._diagnose, cg.canonical_form
-    diagnosed, kept = [], []
+    # The census keys a graph it built before validating it and validates
+    # only new keys; a parent's canonical form inherits its verdict.  Kept
+    # keys are counted where _expand keeps them (the ruled base seeds are
+    # in the frontier that stage 0's projection fills).
+    diagnose, canonical_form, expand = cg._diagnose, cg.canonical_form, census._expand
+    blow_up_all = census._blow_up_all
+    diagnosed, canonicalised, kept, parents = [], [], set(), []
 
     def counted_diagnose(graph):
         diagnosed.append(graph)
         return diagnose(graph)
 
     def counted_canonical_form(graph):
-        kept.append(canonical_form(graph))
-        return kept[-1]
+        canonicalised.append(graph)
+        return canonical_form(graph)
+
+    def counted_expand(*args, **kwargs):
+        stage = expand(*args, **kwargs)
+        kept.update(k for k, (entry, _) in stage.items() if type(entry) is cg.S1Graph)
+        return stage
+
+    def counted_blow_up_all(frontier, *args):
+        parents.extend(frontier)
+        return blow_up_all(frontier, *args)
 
     monkeypatch.setattr(cg, "_diagnose", counted_diagnose)
     monkeypatch.setattr(cg, "canonical_form", counted_canonical_form)
+    monkeypatch.setattr(census, "_expand", counted_expand)
+    monkeypatch.setattr(census, "_blow_up_all", counted_blow_up_all)
     run_census(spec)
-    diagnoses = len(diagnosed)
-    distinct = {cg.canonical_serialization(graph) for graph in kept}
-    assert len(distinct) == len(kept) > 0
-    assert diagnoses <= len(distinct)
+    assert 0 < len(diagnosed) <= len(kept)
+    assert 0 < len(canonicalised) <= len(parents)
 
 
 def _reference_census(spec):

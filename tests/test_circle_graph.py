@@ -416,7 +416,7 @@ def test_surface_blow_up_needs_moment_span():
 
 
 def _blowups(graph, delta):
-    """Canonical forms of every feasible blow-up of one capacity, in key order."""
+    """Every feasible blow-up of one capacity, as built, in key order."""
     stage = _blow_up_all({(): (graph, None)}, delta, lambda *_: None)
     return [stage[key][0] for key in sorted(stage)]
 
