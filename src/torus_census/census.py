@@ -17,9 +17,11 @@ census keeps the graphs that do not extend to a toric action.  Both
 censuses are exact and deterministic, and every entry carries a
 replayable provenance.  One routine, `_expand`, runs every stage of both
 and the projection seeding.  Public functions check their arguments; the
-census keys each graph it builds before validating it, validates only new
-keys (a canonical form inherits its source's verdict), and leaves the
-construction checks this skips to the tests.
+census keys each graph it builds before validating it.  A graph is
+validated when its key is new and is then kept as built; it is
+canonicalised only when it becomes a parent (the canonical form inherits
+its verdict), and the returned graphs are built from their keys.  The
+construction checks this skips are left to the tests.
 
 The projection rule loses nothing.  A stage polygon Q is the canonical
 form of a chop of a previous-stage polygon P at a vertex v, and every
@@ -47,7 +49,9 @@ divided by D back to Fractions.  A positive scale commutes with the
 integral affine maps, translations and reflections of the canonical
 forms and keeps every comparison, so the answer is the same.  It also
 keeps a valid polygon or graph valid, so the divided results are built
-without re-validation (`pg._polygon`, `cg._component`).
+without re-validation: polygons by `pg._polygon`, graphs straight from
+their canonical keys by `cg._component`, every value through one table
+per census that holds one Fraction per scaled int.
 """
 
 from __future__ import annotations
@@ -305,22 +309,20 @@ def ruled_base_count(spec: ManifoldSpec) -> int:
 # The census
 
 
-def _expand(parents, sites, blow, key, keep, record, stage=None, prepare=None) -> dict:
+def _expand(parents, sites, blow, key, keep, record, stage=None) -> dict:
     """One induction step: blow every parent up at every site.
 
     parents maps a key to (object, provenance) and is walked in key order;
-    each parent passes through prepare, if given, just before its sites are
-    read.  A site where blow(parent, site) raises CapacityError is skipped.
-    The first entry per key(blown) is kept, as keep(blown) with provenance
+    a site where blow(parent, site) raises CapacityError is skipped.  The
+    first entry per key(blown) is kept, as keep(blown) with provenance
     record(parent, provenance, site).  keep runs on new keys only, so for
-    graphs it is where each one is validated, and the graph is kept as
-    built.  Entries go into stage, a new dict unless one is given.
+    graphs it is where each one is validated; the graph is kept as built
+    and canonicalised only if it becomes a parent.  Entries go into stage,
+    a new dict unless one is given.
     """
     stage = {} if stage is None else stage
     for parent_key in sorted(parents):
         parent, provenance = parents[parent_key]
-        if prepare is not None:
-            parent = prepare(parent)
         for site in sites(parent):
             try:
                 blown = blow(parent, site)
@@ -357,17 +359,17 @@ def _chop_all(parents: dict, delta, record) -> dict:
 def _blow_up_all(parents: dict, delta, record) -> dict:
     """Every feasible equivariant blow-up of capacity delta, kept as built.
 
-    Each parent is canonicalised just before it is blown up, so the sites,
-    and the provenance that records them, are canonical vertex ids.
+    The parents are canonicalised just before they are blown up, so the
+    sites, and the provenance that records them, are canonical vertex ids.
     """
+    canonical = {key: (cg.canonical_form(graph), p) for key, (graph, p) in parents.items()}
     return _expand(
-        parents,
+        canonical,
         lambda graph: [vertex.id for vertex in graph.vertices],
         lambda graph, vertex_id: cg.blow_up(graph, vertex_id, delta),
         _serial,
         _validated,
         record,
-        prepare=cg.canonical_form,
     )
 
 
