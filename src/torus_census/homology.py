@@ -9,7 +9,11 @@ here finite: the area functional is dual to a timelike vector, so
 "bounded area and bounded square" cuts out a compact region, and the
 companion positive definite form built from it turns each search into an
 exact lattice-point walk (see linalg.enumerate_quadratic_ball) on whole
-numbers, in a coefficient box read off in closed form.
+numbers, in a coefficient box read off in closed form.  Every class sought
+has a fixed Chern number (or a lower bound on it), so each walk runs in a
+unimodular frame whose last coordinate is c.x / gcd(c), c the Chern
+covector (_chern_slice): the walk fixes or bounds that coordinate before
+it visits any other, and each point found is mapped back to the basis.
 
 Symplectic shapes are recorded as SymplecticData: the base areas plus the
 ordered blow-up capacities.  Everything downstream (candidate exceptional
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -397,18 +401,71 @@ def _companion_form(
     return form, a, [2 * x * x / square - dual(units[i])[i] for i, x in enumerate(d)]
 
 
-def _certified_ball(
-    companion: tuple[list[list[int]], int, list[Q]], cutoff: Q, search_ceiling: int
-) -> Iterable[tuple[int, ...]]:
-    """The points of x^T A x <= cutoff, walked on a A and a * cutoff.
+def _chern_slice(
+    form: Sequence[Sequence[int]], chern_vec: Sequence[int]
+) -> tuple[int, list[list[int]], list[tuple[int, list[int]]]]:
+    """(g, V^T form V, moved rows of V) for a frame x = V y with y_last = (c/g).x.
 
-    The walk does not depend on scale.  It is refused when the box
-    |x_i| <= sqrt(cutoff (A^-1)_ii) passes the search ceiling.
+    g = gcd(c) and V is unimodular.  Step j folds coordinate j of c/g into
+    the last (which stays positive) by the determinant-1 column operation
+    of extended Euclid, and the same operation on rows and columns carries
+    the form along.  c of a basis with a blow-up ends in 1, so each fold
+    is a shear and V is the identity with last row (-c_0, .., -c_{n-2}, 1),
+    the inverse of the identity with its last row replaced by c.  A
+    twisted base with no blow-up has c = (1 - 2 genus, 2), with no unit
+    entry from genus 2 on.  The rows of V that differ from the identity's
+    come with their index: x is y with those entries recomputed.
     """
-    form, scale, box = companion
+    n = len(chern_vec)
+    g = gcd(*chern_vec)
+    v = [c // g for c in chern_vec]
+    frame = identity_matrix(n)
+    form = [list(row) for row in form]
+    for j in range(n - 1):
+        d = gcd(v[j], v[-1])
+        a, b = v[j] // d, v[-1] // d
+        s = pow(a, -1, b)  # s a + t b = 1
+        t = (1 - s * a) // b
+        for row in frame + form:
+            row[j], row[-1] = b * row[j] - a * row[-1], s * row[j] + t * row[-1]
+        pair = list(zip(form[j], form[-1]))
+        form[j] = [b * u - a * w for u, w in pair]
+        form[-1] = [s * u + t * w for u, w in pair]
+        v[j], v[-1] = 0, d
+    unit = identity_matrix(n)
+    return g, form, [(i, row) for i, row in enumerate(frame) if row != unit[i]]
+
+
+def _certified_ball(
+    companion: tuple[list[list[int]], int, list[Q]],
+    sliced: tuple[int, list[list[int]], list[tuple[int, list[int]]]],
+    cutoff: Q,
+    chern_low: int,
+    chern_high: int | None,
+    search_ceiling: int,
+) -> Iterable[tuple[int, ...]]:
+    """The points of x^T A x <= cutoff with chern_low <= c.x <= chern_high.
+
+    The walk does not depend on scale: it runs on a A and a * cutoff, in
+    the frame of _chern_slice, where c.x = g y_last bounds y_last by
+    ceil(chern_low / g) and floor(chern_high / g); chern_high None is no
+    upper bound.  It is refused when the box |x_i| <= sqrt(cutoff
+    (A^-1)_ii) of the whole ball passes the search ceiling.
+    """
+    _, scale, box = companion
     if cutoff >= 0 and any(floor_sqrt(cutoff * v) > search_ceiling for v in box):
         raise EnumerationError("bound not certified")
-    return enumerate_quadratic_ball(form, cutoff * scale)
+    g, turned, moved = sliced
+    high = None if chern_high is None else chern_high // g
+    walk = enumerate_quadratic_ball(turned, cutoff * scale, -(-chern_low // g), high)
+
+    def back(y: tuple[int, ...]) -> tuple[int, ...]:
+        x = list(y)
+        for i, row in moved:
+            x[i] = dot(row, y)
+        return tuple(x)
+
+    return map(back, walk)
 
 
 def _passes_positivity(basis: Basis, coeffs: Sequence[int]) -> bool:
@@ -435,7 +492,10 @@ def enumerate_exceptional_candidates(
 
     The search region is certified finite via the companion form of the
     area functional; if the certified coefficient box exceeds
-    search_ceiling the call fails loudly instead of truncating.
+    search_ceiling the call fails loudly instead of truncating.  The walk
+    visits only the level c.x = 1 of the ball (none when gcd(c) > 1, as
+    on a product or rational base with no blow-up), so no point is tested
+    for its Chern number.
     """
     bound = parse_rational(area_bound)
     if bound <= 0:
@@ -447,11 +507,10 @@ def enumerate_exceptional_candidates(
     # at most floor(D * bound).
     top = bound.numerator * scale // bound.denominator
     cutoff = 2 * bound * bound / omega.volume_quantity() + 1
-    chern_vec = basis.chern_vector()
+    companion = _companion_form(gram, whole, basis.dual)
+    sliced = _chern_slice(companion[0], basis.chern_vector())
     found: list[HomologyClass] = []
-    for coeffs in _certified_ball(_companion_form(gram, whole, basis.dual), cutoff, search_ceiling):
-        if dot(chern_vec, coeffs) != 1:
-            continue
+    for coeffs in _certified_ball(companion, sliced, cutoff, 1, 1, search_ceiling):
         if not 0 < dot(whole, coeffs) <= top:
             continue
         if bilinear(gram, coeffs, coeffs) != -1:
@@ -827,7 +886,8 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
     base positivity constraint.  Such a class stays above the last
     exceptional class exactly while the last capacity is below
     area(A)/(s+1); the threshold is the minimum of those ratios and the
-    binding competitors are reported alongside it.
+    binding competitors are reported alongside it.  For each s the walk
+    visits only the levels c.x >= s + 1 of the fixed part's ball.
     """
     basis = omega.basis
     if basis.blowups < 1:
@@ -843,22 +903,20 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
     gram = small.gram()
     whole, scale = fixed.integer_area
     quantity = fixed.volume_quantity()
-    chern_vec = small.chern_vector()
 
     seed = _threshold_seed(omega, fixed)
     if 2 * seed * seed >= quantity:
         raise EnumerationError("bound not certified")
 
     companion = _companion_form(gram, whole, small.dual)
+    sliced = _chern_slice(companion[0], small.chern_vector())
     competitors: list[tuple[Q, tuple[int, ...], int]] = []
     s = 0
     while True:
         cutoff = 2 * seed * seed * (s + 1) ** 2 / quantity - (s * s - 1)
         if cutoff < 0:
             break
-        for coeffs in _certified_ball(companion, cutoff, DEFAULT_SEARCH_CEILING):
-            if dot(chern_vec, coeffs) - s < 1:
-                continue
+        for coeffs in _certified_ball(companion, sliced, cutoff, s + 1, None, DEFAULT_SEARCH_CEILING):
             fixed_area = dot(whole, coeffs)
             if fixed_area <= 0:
                 continue

@@ -12,7 +12,11 @@ vector x with x^T M x <= C.  It factors M once as an exact LDL^T and walks
 the classic lattice-point recursion (Fincke-Pohst) on Python ints: each
 level has one fixed denominator, so its interval endpoints and the budget
 left for the levels below are integer operations, no solution is ever
-missed and no float or Fraction appears inside the walk.
+missed and no float or Fraction appears inside the walk.  The walk can be
+sliced: optional bounds on the last coordinate, the one walked first, clip
+the top level's interval, so a caller that puts a linear functional in that
+coordinate walks only its levels of interest (homology fixes the Chern
+number this way).
 """
 
 from __future__ import annotations
@@ -99,8 +103,14 @@ def ldl_decomposition(m: Sequence[Sequence[Q]]) -> tuple[Matrix, Vector]:
     return lower, diag
 
 
-def enumerate_quadratic_ball(gram: Sequence[Sequence[Q]], cutoff: Q) -> Iterator[tuple[int, ...]]:
+def enumerate_quadratic_ball(
+    gram: Sequence[Sequence[Q]], cutoff: Q, low: int | None = None, high: int | None = None
+) -> Iterator[tuple[int, ...]]:
     """Yield every integer x (including 0) with x^T gram x <= cutoff.
+
+    With low or high given, only the x with low <= x_last <= high: the
+    last coordinate is walked first, so its interval is clipped before any
+    level below it is visited.  With neither, the whole ball.
 
     Requires gram symmetric positive definite.  With gram = L D L^T the
     form is sum(D_i * (x_i + sum_{j>i} L_ji x_j)^2), walked from the last
@@ -111,6 +121,8 @@ def enumerate_quadratic_ball(gram: Sequence[Sequence[Q]], cutoff: Q) -> Iterator
     A remaining budget r admits exactly the x_i with
     |q_i x_i + p_i| <= isqrt(r // w_i), so every value of the interval is
     a point of the ball.  Deterministic ascending order at every level.
+    The last level has q = 1 and p = 0, and its interval is the one the
+    bounds clip.
     """
     lower, diag = ldl_decomposition(gram)
     if cutoff < 0:
@@ -128,12 +140,17 @@ def enumerate_quadratic_ball(gram: Sequence[Sequence[Q]], cutoff: Q) -> Iterator
     scale = lcm(Q(cutoff).denominator, *(w.denominator for w in weights))
     weights = [int(w * scale) for w in weights]
     x = [0] * n
+    top = n - 1
 
     def recurse(level: int, budget: int) -> Iterator[tuple[int, ...]]:
         q, w = steps[level], weights[level]
         p = sum(c * x[j] for j, c in shifts[level])
         m = isqrt(budget // w)
-        values = range(-((m + p) // q), (m - p) // q + 1)
+        start, stop = -((m + p) // q), (m - p) // q + 1
+        if level == top:
+            start = start if low is None else max(start, low)
+            stop = stop if high is None else min(stop, high + 1)
+        values = range(start, stop)
         if level == 0:
             for value in values:
                 x[0] = value
@@ -144,4 +161,4 @@ def enumerate_quadratic_ball(gram: Sequence[Sequence[Q]], cutoff: Q) -> Iterator
                 t = q * value + p
                 yield from recurse(level - 1, budget - w * t * t)
 
-    yield from recurse(n - 1, int(scale * cutoff))
+    yield from recurse(top, int(scale * cutoff))

@@ -37,7 +37,15 @@ from torus_census.homology import (
     minimal_blowdown_chains,
     minimal_exceptional_classes,
 )
-from torus_census.linalg import bilinear, enumerate_quadratic_ball, mat_inverse, mat_vec
+from torus_census.linalg import (
+    bilinear,
+    dot,
+    enumerate_quadratic_ball,
+    identity_matrix,
+    mat_inverse,
+    mat_mul,
+    mat_vec,
+)
 from torus_census.rationals import floor_sqrt
 
 
@@ -662,6 +670,68 @@ def test_integer_area_covector_matches_fraction_reference():
             ]
 
 
+@pytest.mark.parametrize(
+    "kind, genus, mu, expected",
+    [
+        ("twisted_ruled", 0, Q(1, 2), [(1, 0)]),  # B: square -1, Chern 1
+        ("twisted_ruled", 1, Q(1), []),  # c = (-1, 2)
+        ("twisted_ruled", 2, Q(1, 2), []),  # c = (-3, 2): no unit entry
+        ("twisted_ruled", 3, Q(-1, 4), []),  # c = (-5, 2), a free section
+        ("product_ruled", 0, Q(1), []),  # c = (2, 2): not primitive
+        ("product_ruled", 2, Q(3, 2), []),  # c = (-2, 2)
+        ("rational", 0, None, []),  # c = (3)
+    ],
+)
+def test_candidates_on_bases_with_no_blowups(kind, genus, mu, expected):
+    basis = Basis(kind, genus, 0)
+    if kind == "rational":
+        data = SymplecticData(basis, lam=Q(1))
+    else:
+        data = SymplecticData(basis, mu=mu)
+    for bound in (Q(1, 4), Q(1), Q(2)):
+        got = [c.coeffs for c in enumerate_exceptional_candidates(data, bound)]
+        assert got == _reference_candidates(data, bound)
+        assert got == (expected if mu is None or bound >= mu else [])
+
+
+def test_chern_sliced_walk_is_the_full_ball_filtered():
+    # The walk in the frame of _chern_slice, mapped back, against the plain
+    # ball filtered on c.x, over every basis kind with and without blow-ups.
+    rng = random.Random(53)
+    checked = 0
+    for kind, genus in (("rational", 0),) + tuple(
+        (kind, genus) for kind in ("product_ruled", "twisted_ruled") for genus in (0, 1, 2, 3)
+    ):
+        for k in range(4):
+            data = _seeded_recipe(rng, kind, genus, k)
+            basis = data.basis
+            chern_vec = basis.chern_vector()
+            companion = homology._companion_form(basis.gram(), data.integer_area[0], basis.dual)
+            form, scale, _ = companion
+            g, turned, moved = homology._chern_slice(form, chern_vec)
+            frame = [list(row) for row in identity_matrix(basis.rank)]
+            for i, row in moved:
+                frame[i] = row
+            assert [sum(c * frame[i][j] for i, c in enumerate(chern_vec)) for j in range(basis.rank)] == (
+                [0] * (basis.rank - 1) + [g]
+            )
+            assert all(v.denominator == 1 for row in mat_inverse(frame) for v in row)
+            assert turned == mat_mul(mat_mul(list(zip(*frame)), form), frame)
+            if k:
+                # c ends in 1: the identity with last row (-c_0, .., -c_{n-2}, 1).
+                assert moved == [(basis.rank - 1, [-c for c in chern_vec[:-1]] + [1])]
+            cutoff = Q(rng.randrange(2, 12), rng.randrange(1, 3))
+            full = list(enumerate_quadratic_ball(form, cutoff * scale))
+            for low, high in ((1, 1), (0, None), (2, None), (-3, 3), (1, 0)):
+                got = list(homology._certified_ball(companion, (g, turned, moved), cutoff, low, high, 512))
+                assert sorted(got) == sorted(
+                    x for x in full
+                    if low <= dot(chern_vec, x) and (high is None or dot(chern_vec, x) <= high)
+                )
+                checked += len(got)
+    assert checked > 1000
+
+
 # ---------------------------------------------------------------------------
 # Minimal blow-down chains
 
@@ -838,3 +908,56 @@ def test_threshold_is_sharp():
     at = rational_data(1, Q(1, 3), threshold.value)
     tied = minimal_exceptional_classes(at)
     assert len(tied.classes) > 1
+
+
+def brute_force_threshold(data, box=3, most=3):
+    """Plain coefficient-box scan of the threshold competitors A - s Ek.
+
+    A runs over the box in the coefficients before Ek and 0 <= s <= most;
+    a competitor keeps square >= -1, Chern number >= 1, positive area on
+    the fixed part and the base positivity constraint, and costs
+    area(A) / (s + 1).  Returns the least cost and the classes that reach it.
+    """
+    basis = data.basis
+    gram, chern_vec, weight = basis.gram(), basis.chern_vector(), data.area_vector()
+    rank = basis.rank
+    costs = {}
+    for head in product(range(-box, box + 1), repeat=rank - 1):
+        fixed_area = sum(w * c for w, c in zip(weight, head))
+        if fixed_area <= 0:
+            continue
+        for s in range(most + 1):
+            x = head + (-s,)
+            square = sum(gram[i][j] * x[i] * x[j] for i in range(rank) for j in range(rank))
+            if square < -1 or sum(t * c for t, c in zip(chern_vec, x)) < 1:
+                continue
+            if x[0] < 0 or (basis.kind != "rational" and basis.genus > 0 and x[0] != 0):
+                continue
+            costs[x] = fixed_area / (s + 1)
+    least = min(costs.values())
+    return least, sorted(x for x, cost in costs.items() if cost == least)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        rational_data(1, Q(1, 5)),  # fixed part the plane: c = (3)
+        rational_data(1, Q(2, 5)),
+        rational_data(Q(3, 2), Q(1, 2)),
+        rational_data(1, Q(1, 3), Q(1, 4)),
+        rational_data(1, Q(1, 3), Q(1, 4), Q(1, 5)),
+        rational_data(1, Q(2, 5), Q(1, 3), Q(1, 4)),
+        SymplecticData(Basis("product_ruled", 0, 1), (Q(1, 3),), mu=Q(3)),  # c = (2, 2)
+        SymplecticData(Basis("product_ruled", 0, 2), (Q(1, 3), Q(1, 4)), mu=Q(1)),
+        SymplecticData(Basis("twisted_ruled", 0, 1), (Q(1, 4),), mu=Q(1, 2)),
+        SymplecticData(Basis("twisted_ruled", 0, 2), (Q(1, 3), Q(1, 5)), mu=Q(1)),
+        SymplecticData(Basis("product_ruled", 1, 1), (Q(1, 3),), mu=Q(2)),
+        SymplecticData(Basis("twisted_ruled", 2, 1), (Q(1, 3),), mu=Q(1, 2)),  # c = (-3, 2)
+        SymplecticData(Basis("twisted_ruled", 1, 2), (Q(1, 3), Q(1, 4)), mu=Q(1)),
+    ],
+)
+def test_threshold_matches_box_scan(data):
+    threshold = min_capacity_threshold(data)
+    value, binding = brute_force_threshold(data)
+    assert threshold.value == value
+    assert [c.coeffs for c in threshold.binding] == binding

@@ -248,6 +248,34 @@ def test_quadratic_ball_matches_reference_walk_in_order():
     assert points > 2000
 
 
+def test_bounded_last_coordinate_is_the_full_walk_filtered():
+    rng = random.Random(29)
+    sliced = 0
+    for trial in range(120):
+        n = 1 + trial % 5
+        gram = _positive_definite(rng, n, span=rng.choice((2, 4)))
+        cutoff = Q(rng.randrange(1, 60), rng.randrange(1, 5))
+        full = list(enumerate_quadratic_ball(gram, cutoff))
+        level = rng.randrange(-3, 4)
+        bounds = [
+            (level, level - 1),  # empty
+            (level, level),  # one value
+            (level, None),  # half-open above
+            (None, level),  # half-open below
+            (level - 1, level + 2),
+            (None, None),
+        ]
+        for low, high in bounds:
+            expected = [
+                x for x in full
+                if (low is None or x[-1] >= low) and (high is None or x[-1] <= high)
+            ]
+            assert list(enumerate_quadratic_ball(gram, cutoff, low, high)) == expected
+            sliced += len(expected)
+        assert list(enumerate_quadratic_ball(gram, Q(-1), level, level)) == []
+    assert sliced > 3000
+
+
 # Primes just below 2**31, as denominators of recipe areas.
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
 
