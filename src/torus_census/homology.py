@@ -916,7 +916,8 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
         cutoff = 2 * seed * seed * (s + 1) ** 2 / quantity - (s * s - 1)
         if cutoff < 0:
             break
-        for coeffs in _certified_ball(companion, sliced, cutoff, s + 1, None, DEFAULT_SEARCH_CEILING):
+        walk = _certified_ball(companion, sliced, cutoff, s + 1, None, DEFAULT_SEARCH_CEILING)
+        for coeffs in walk:
             fixed_area = dot(whole, coeffs)
             if fixed_area <= 0:
                 continue

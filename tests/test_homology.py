@@ -708,13 +708,11 @@ def test_chern_sliced_walk_is_the_full_ball_filtered():
             chern_vec = basis.chern_vector()
             companion = homology._companion_form(basis.gram(), data.integer_area[0], basis.dual)
             form, scale, _ = companion
-            g, turned, moved = homology._chern_slice(form, chern_vec)
-            frame = [list(row) for row in identity_matrix(basis.rank)]
+            sliced = g, turned, moved = homology._chern_slice(form, chern_vec)
+            frame = identity_matrix(basis.rank)
             for i, row in moved:
                 frame[i] = row
-            assert [sum(c * frame[i][j] for i, c in enumerate(chern_vec)) for j in range(basis.rank)] == (
-                [0] * (basis.rank - 1) + [g]
-            )
+            assert mat_mul([chern_vec], frame)[0] == [0] * (basis.rank - 1) + [g]
             assert all(v.denominator == 1 for row in mat_inverse(frame) for v in row)
             assert turned == mat_mul(mat_mul(list(zip(*frame)), form), frame)
             if k:
@@ -723,7 +721,7 @@ def test_chern_sliced_walk_is_the_full_ball_filtered():
             cutoff = Q(rng.randrange(2, 12), rng.randrange(1, 3))
             full = list(enumerate_quadratic_ball(form, cutoff * scale))
             for low, high in ((1, 1), (0, None), (2, None), (-3, 3), (1, 0)):
-                got = list(homology._certified_ball(companion, (g, turned, moved), cutoff, low, high, 512))
+                got = list(homology._certified_ball(companion, sliced, cutoff, low, high, 512))
                 assert sorted(got) == sorted(
                     x for x in full
                     if low <= dot(chern_vec, x) and (high is None or dot(chern_vec, x) <= high)
