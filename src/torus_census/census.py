@@ -50,8 +50,8 @@ integral affine maps, translations and reflections of the canonical
 forms and keeps every comparison, so the answer is the same.  It also
 keeps a valid polygon or graph valid, so the divided results are built
 without re-validation: polygons by `pg._polygon`, graphs straight from
-their canonical keys by `cg._component`, every value through one table
-per census that holds one Fraction per scaled int.
+their canonical keys by `cg._graph_from_key`, every value through one
+table per census that holds one Fraction per scaled int.
 """
 
 from __future__ import annotations
@@ -126,16 +126,6 @@ class ManifoldSpec:
             # functional picks up an extra half fiber-square.
             base = self.base_area * self.fiber + self.fiber * self.fiber / 2
         return base - sum((c * c for c in self.capacities), Q(0)) / 2
-
-    @property
-    def anticanonical_perimeter(self) -> Q:
-        if self.base == CP2:
-            base = 3 * self.base_area
-        elif self.base == PRODUCT_RULED:
-            base = 2 * self.base_area + (2 - 2 * self.genus) * self.fiber
-        else:
-            base = 2 * self.base_area + (3 - 2 * self.genus) * self.fiber
-        return base - sum(self.capacities)
 
     @property
     def rational_base(self) -> bool:
@@ -417,18 +407,6 @@ class _Unscaled(dict):
         return value
 
 
-def _unscaled_graph(key: tuple, value: _Unscaled) -> cg.S1Graph:
-    """The graph cg.canonical_form builds from a key, divided by the scale."""
-    verts, links = key
-    components = tuple(
-        cg._component(index, value[moment], None, a, value[b])
-        if tag
-        else cg._component(index, value[moment], (a, b))
-        for index, (moment, tag, a, b) in enumerate(verts)
-    )
-    return cg.S1Graph(components, links)
-
-
 def run_census(spec: ManifoldSpec) -> CensusResult:
     """Full toric and maximal-circle census of a recipe, with provenance.
 
@@ -506,7 +484,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     return CensusResult(
         spec=spec,
         toric=tuple(unscaled(entry[0]) for entry in toric_entries),
-        maximal_circles=tuple(_unscaled_graph(key, value) for key in circle_keys),
+        maximal_circles=tuple(cg._graph_from_key(key, value) for key in circle_keys),
         counts=counts,
         toric_provenance=tuple(
             ToricProvenance(unscaled(p.base), p.steps) for _, p in toric_entries

@@ -11,7 +11,9 @@ The module validates the combinatorial axioms, projects Delzant polygons
 to circle subactions, builds the base graphs of ruled surfaces, performs
 equivariant blow-ups with the full case analysis, tests whether an
 action extends to a toric one, and computes canonical forms under moment
-translation and reflection.  Public functions validate the graphs they are
+translation and reflection.  A canonical form is a complete invariant:
+like vertices are told apart by refining ranks along the edges, with no
+search and no refusal.  Public functions validate the graphs they are
 given; `blow_up` and `graph_from_polygon` return unchecked graphs, which
 the census validates once per new key and the tests check as built.
 Components are normalised (exact moment and area, weights in descending
@@ -22,7 +24,6 @@ directly through `_component`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as Q
@@ -487,7 +488,22 @@ def _vertex_keys(graph: S1Graph, flip: bool) -> dict[int, tuple]:
 
 
 def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:
-    """Least (verts, links) of one reflection, given its `_vertex_keys`."""
+    """The (verts, links) of one reflection, given its `_vertex_keys`.
+
+    Vertices are ordered by key, then by the sorted (k, pole, key at the
+    other end) of their edges; `_refined` breaks the ties left among
+    vertices with edges, exactly.  A vertex has at most two edges, so the
+    edges form paths and cycles.  A cycle's lowest vertex is the south
+    pole of both its edges, so both its weights are positive, which
+    `validate` allows only at the unique minimum.  So a graph has at most
+    one cycle, through its unique minimum and maximum, which have keys of
+    their own, and the other vertices with edges form a forest.  On a
+    forest a stable rank fixes the labelled tree seen from its vertex, so
+    two vertices that a stable refinement leaves tied are exchanged by an
+    automorphism keeping every rank, and ranking either alone gives the
+    same serialization.  Vertices with no edge appear in no link, so their
+    ties need no breaking.
+    """
     local: dict[int, list] = {v.id: [] for v in graph.vertices}
     for north, south, k in graph.edges:
         local[north].append((k, 1, keys[south]))
@@ -495,46 +511,46 @@ def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:
     neighbour = {vertex_id: tuple(sorted(links)) for vertex_id, links in local.items()}
 
     ordered = sorted(graph.vertices, key=lambda v: (keys[v.id], neighbour[v.id]))
-    groups: list[list[int]] = []
-    for index, vertex in enumerate(ordered):
-        if index and (
-            keys[vertex.id] == keys[ordered[index - 1].id]
-            and neighbour[vertex.id] == neighbour[ordered[index - 1].id]
-        ):
-            groups[-1].append(index)
-        else:
-            groups.append([index])
-
-    def serialization(order: list[FixedComponent]) -> tuple:
-        position = {v.id: i for i, v in enumerate(order)}
-        verts = tuple(keys[v.id] for v in order)
-        # Reflection swaps the poles of every edge.
-        poles = ((s, n, k) if flip else (n, s, k) for n, s, k in graph.edges)
-        links = tuple(sorted((position[a], position[b], k) for a, b, k in poles))
-        return (verts, links)
-
-    # Vertices with no incident edge appear in no link, so swapping two of
-    # them within a group of equal keys changes nothing.
-    ambiguous = [g for g in groups if len(g) > 1 and neighbour[ordered[g[0]].id]]
-    if not ambiguous:
-        return serialization(ordered)
-    if any(len(g) > 4 for g in ambiguous):
-        raise PreconditionError(
-            "graph has more than four interchangeable vertices with edges; "
-            "its canonical form is not searched"
-        )
-    best = None
-    for perms in itertools.product(
-        *(itertools.permutations(group) for group in ambiguous)
+    if any(
+        neighbour[a.id] and neighbour[a.id] == neighbour[b.id] and keys[a.id] == keys[b.id]
+        for a, b in zip(ordered, ordered[1:])
     ):
-        candidate = list(ordered)
-        for group, perm in zip(ambiguous, perms):
-            for slot_index, source in zip(group, perm):
-                candidate[slot_index] = ordered[source]
-        serialized = serialization(candidate)
-        if best is None or serialized < best:
-            best = serialized
-    return best
+        ordered = _refined(graph, ordered, keys, neighbour)
+    position = {v.id: i for i, v in enumerate(ordered)}
+    verts = tuple(keys[v.id] for v in ordered)
+    # Reflection swaps the poles of every edge.
+    poles = ((s, n, k) if flip else (n, s, k) for n, s, k in graph.edges)
+    links = tuple(sorted((position[a], position[b], k) for a, b, k in poles))
+    return (verts, links)
+
+
+def _refined(graph: S1Graph, ordered: list, keys: dict, neighbour: dict) -> list:
+    """`ordered` with no two vertices with edges tied.  Ranks are refined by
+    the sorted (k, pole, rank at the other end) of each vertex's edges until
+    stable, then the least tied class's first vertex is ranked alone, and so
+    on.  A rank is its class's first position, so `ordered` is only split."""
+    ends: dict[int, list] = {v.id: [] for v in ordered}
+    for north, south, k in graph.edges:
+        ends[north].append((k, 1, south))
+        ends[south].append((k, 0, north))
+    rank, signature = None, {v.id: (keys[v.id], neighbour[v.id]) for v in ordered}
+    while True:
+        order = sorted(signature, key=signature.__getitem__)
+        previous, rank = rank, {}
+        for index, i in enumerate(order):
+            tie = index and signature[i] == signature[order[index - 1]]
+            rank[i] = rank[order[index - 1]] if tie else index
+        if rank == previous:
+            tied = [i for i, j in zip(order, order[1:]) if ends[i] and rank[i] == rank[j]]
+            if not tied:
+                return sorted(ordered, key=lambda v: rank[v.id])
+            # The rest of the class moves one place up, still below the next.
+            first, least = tied[0], rank[tied[0]]
+            rank = {i: r + (r == least and i != first) for i, r in rank.items()}
+        signature = {
+            i: (r, sorted((k, pole, rank[j]) for k, pole, j in ends[i]))
+            for i, r in rank.items()
+        }
 
 
 def canonical_serialization(graph: S1Graph) -> tuple:
@@ -544,21 +560,25 @@ def canonical_serialization(graph: S1Graph) -> tuple:
 
 def canonical_form(graph: S1Graph) -> S1Graph:
     """Least representative under moment translation and reflection."""
-    verts, links = canonical_serialization(graph)
-    components = []
-    for index, key in enumerate(verts):
-        moment, tag, a, b = key
-        # The keys hold exact moments and areas, and a reflected pair
-        # (-n, -m) of a descending pair stays descending.
-        if tag == 1:
-            components.append(_component(index, moment, None, int(a), b))
-        else:
-            components.append(_component(index, moment, (int(a), int(b))))
-    form = S1Graph(tuple(components), tuple(links))
+    form = _graph_from_key(canonical_serialization(graph))
     # canonical_serialization has just validated the source; its relabelled,
     # translated copy inherits that verdict instead of being diagnosed again.
     vars(form)["_diagnostics"] = graph._diagnostics
     return form
+
+
+def _graph_from_key(key: tuple, value: dict | None = None) -> S1Graph:
+    """The graph a canonical serialization names, its vertex ids their
+    positions, each moment and area x read as value[x] if value is given.
+    A reflected pair (-n, -m) of a descending pair stays descending."""
+    verts, links = key
+    if value is not None:
+        verts = [(value[m], tag, a, value[b] if tag else b) for m, tag, a, b in verts]
+    components = (
+        _component(i, m, None, int(a), b) if tag else _component(i, m, (int(a), int(b)))
+        for i, (m, tag, a, b) in enumerate(verts)
+    )
+    return S1Graph(tuple(components), links)
 
 
 # ---------------------------------------------------------------------------

@@ -104,17 +104,17 @@ def test_spec_parses_string_fields():
 def test_spec_volume_and_perimeter():
     spec = plane(1, "1/3", "1/4", "1/5")
     assert spec.volume == Q(1, 2) - (Q(1, 9) + Q(1, 16) + Q(1, 25)) / 2
-    assert spec.anticanonical_perimeter == 3 - Q(1, 3) - Q(1, 4) - Q(1, 5)
+    assert spec_to_symplectic(spec).chern_pairing() == 3 - Q(1, 3) - Q(1, 4) - Q(1, 5)
     spec = ruled("twisted_ruled", 1, "3/2")
     assert spec.volume == Q(2)
-    assert spec.anticanonical_perimeter == 4
+    assert spec_to_symplectic(spec).chern_pairing() == 4
     assert not spec.rational_base
     assert ruled("product_ruled", 0, 2).rational_base
 
 
 def test_spec_volume_matches_lattice_dual():
-    # The homology layer computes twice the volume and the anticanonical
-    # pairing from the Gram inverse; the recipe closed forms must agree.
+    # The homology layer computes twice the volume from the Gram inverse;
+    # the recipe's closed form must agree.
     specs = [
         plane(1, "1/3", "1/4"),
         plane("7/3"),
@@ -128,7 +128,6 @@ def test_spec_volume_matches_lattice_dual():
     for spec in specs:
         data = spec_to_symplectic(spec)
         assert spec.volume == data.volume_quantity() / 2, spec
-        assert spec.anticanonical_perimeter == data.chern_pairing(), spec
 
 
 def test_spec_to_symplectic_maps_bases():
@@ -188,7 +187,7 @@ def test_ruled_base_models_are_canonical_and_distinct():
             assert polygon.edge_count == 4
             data = pg.invariants(polygon)
             assert data.euclidean_area == spec.volume
-            assert data.perimeter == spec.anticanonical_perimeter
+            assert data.perimeter == spec_to_symplectic(spec).chern_pairing()
 
 
 def test_positive_genus_has_no_toric_models():
@@ -418,7 +417,7 @@ def test_toric_entries_carry_recipe_bookkeeping():
     for polygon in result.toric:
         data = pg.invariants(polygon)
         assert data.euclidean_area == spec.volume
-        assert data.perimeter == spec.anticanonical_perimeter
+        assert data.perimeter == spec_to_symplectic(spec).chern_pairing()
         assert polygon.edge_count == 3 + spec.blowups
         assert pg.canonical_form(polygon)[0].vertices == polygon.vertices
 

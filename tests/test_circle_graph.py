@@ -1,5 +1,7 @@
 """Decorated circle-action graphs: validity, surgeries, canonical forms."""
 
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -817,12 +819,144 @@ def test_interchangeable_edgeless_vertices_canonicalise():
         assert canonical_form(copy) == base
 
 
-def test_large_symmetry_group_with_edges_is_refused():
-    # Five like Z_2-linked pairs: the permutation search is not attempted.
-    graph = _edgeless_crowd_graph(pairs=5)
-    assert_valid(graph)
-    with pytest.raises(PreconditionError, match="interchangeable"):
-        canonical_serialization(graph)
+def _searched_serialization(graph, flip, keys, budget=5000):
+    """The least serialization over every ordering of the tied vertices with
+    edges, or None when there are more than `budget` orderings.
+
+    The exhaustive reference for `_serialize`: it permutes each class of
+    vertices with equal key and equal (k, pole, key at the other end)
+    edges, and keeps the least (verts, links)."""
+    local = {v.id: [] for v in graph.vertices}
+    for north, south, k in graph.edges:
+        local[north].append((k, 1, keys[south]))
+        local[south].append((k, 0, keys[north]))
+    label = {i: (keys[i], tuple(sorted(links))) for i, links in local.items()}
+    ordered = sorted(graph.vertices, key=lambda v: label[v.id])
+    groups = []
+    for index, vertex in enumerate(ordered):
+        if index and label[vertex.id] == label[ordered[index - 1].id]:
+            groups[-1].append(index)
+        else:
+            groups.append([index])
+    tied = [g for g in groups if len(g) > 1 and label[ordered[g[0]].id][1]]
+    if math.prod(math.factorial(len(g)) for g in tied) > budget:
+        return None
+    best = None
+    for perms in itertools.product(*(itertools.permutations(g) for g in tied)):
+        order = list(ordered)
+        for group, perm in zip(tied, perms):
+            for slot, source in zip(group, perm):
+                order[slot] = ordered[source]
+        position = {v.id: i for i, v in enumerate(order)}
+        poles = ((s, n, k) if flip else (n, s, k) for n, s, k in graph.edges)
+        links = tuple(sorted((position[a], position[b], k) for a, b, k in poles))
+        serialized = (tuple(keys[v.id] for v in order), links)
+        if best is None or serialized < best:
+            best = serialized
+    return best
+
+
+def _coprime_ks(rng, length):
+    ks = [rng.choice((2, 3, 4, 5, 7))]
+    while len(ks) < length:
+        k = rng.choice((2, 3, 4, 5, 7, 9))
+        if gcd(k, ks[-1]) == 1:
+            ks.append(k)
+    return ks
+
+
+def _tied_graph(rng):
+    """A valid graph full of like vertices with edges.
+
+    Fixed surfaces at 0 and 24, or the double-edge extremes (an isolated
+    minimum (3, 2) at 0 and maximum (-2, -3) at 6 joined by Z_3 and Z_2
+    edges); interior Z_k chains of weights (k_1, -1), (k_2, -k_1), ...,
+    (1, -k_L), each repeated up to three times, some beside a chain that
+    shares a prefix and then differs; and (1, -1) points with no edge."""
+    double = rng.random() < 0.2
+    top = 6 if double else 24
+    if double:
+        vertices = [isolated(0, Q(0), (3, 2)), isolated(1, Q(6), (-2, -3))]
+        links = [(1, 0, 3), (1, 0, 2)]
+    else:
+        vertices = [
+            surface(0, Q(0), rng.randrange(3), Q(rng.randrange(1, 5))),
+            surface(1, Q(top), rng.randrange(3), Q(rng.randrange(1, 5))),
+        ]
+        links = []
+
+    def add_chain(ks, moments):
+        start = len(vertices)
+        for i, moment in enumerate(moments):
+            low = -1 if i == 0 else -ks[i - 1]
+            high = 1 if i == len(ks) else ks[i]
+            vertices.append(isolated(start + i, Q(moment), (high, low)))
+        links.extend((start + i + 1, start + i, k) for i, k in enumerate(ks))
+
+    for _ in range(rng.randrange(1, 4)):
+        length = rng.randrange(1, 4 if double else 5)
+        ks = _coprime_ks(rng, length)
+        moments = sorted(rng.sample(range(1, top), length + 1))
+        for _ in range(rng.randrange(1, 4)):
+            add_chain(ks, moments)
+        cut = rng.randrange(1, length + 1)
+        if cut < length and moments[cut] + length - cut < top:
+            tail = _coprime_ks(rng, length - cut + 1)[1:]
+            if gcd(ks[cut - 1], tail[0]) == 1:
+                later = sorted(rng.sample(range(moments[cut] + 1, top), length - cut))
+                add_chain(ks[:cut] + tail, moments[: cut + 1] + later)
+    for _ in range(rng.randrange(3)):
+        vertices.append(isolated(len(vertices), Q(rng.choice((1, top - 1))), (1, -1)))
+    return S1Graph(tuple(vertices), tuple(links))
+
+
+def _moved(graph, rng):
+    """A random relabelling and reordering, translation and (half the
+    time) reflection."""
+    ids = [v.id for v in graph.vertices]
+    relabel = dict(zip(ids, rng.sample(ids, len(ids))))
+    shift = Q(rng.randrange(-40, 40), rng.randrange(1, 7))
+    image = _translate(_relabelled(graph, relabel), shift)
+    image = S1Graph(tuple(rng.sample(image.vertices, len(ids))), image.edges)
+    return _flip(image) if rng.random() < 0.5 else image
+
+
+def test_tie_breaking_matches_the_permutation_search():
+    rng = random.Random(67)
+    compared = tied = 0
+    for _ in range(200):
+        graph = _tied_graph(rng)
+        assert_valid(graph)
+        for flip in (False, True):
+            keys = _vertex_keys(graph, flip)
+            searched = _searched_serialization(graph, flip, keys)
+            if searched is None:
+                continue
+            assert repr(_serialize(graph, flip, keys)) == repr(searched)
+            compared += 1
+            tied += _searched_serialization(graph, flip, keys, budget=1) is None
+    assert compared > 250
+    assert tied > 200
+
+
+def test_tie_breaking_is_invariant_under_relabelling_and_motion():
+    rng = random.Random(71)
+    for graph in [_tied_graph(rng) for _ in range(200)]:
+        base = repr(canonical_serialization(graph))
+        for _ in range(4):
+            assert repr(canonical_serialization(_moved(graph, rng))) == base
+
+
+def test_many_like_linked_pairs_canonicalise():
+    # Eight like Z_2-linked pairs: a search would try 8!^2 orderings.
+    rng = random.Random(73)
+    for pairs in (5, 8):
+        graph = _edgeless_crowd_graph(pairs)
+        form = canonical_form(graph)
+        assert_valid(form)
+        assert len(form.edges) == pairs
+        for _ in range(10):
+            assert canonical_form(_moved(graph, rng)) == form
 
 
 def test_serialization_shortcut_matches_both_reflections():

@@ -5,8 +5,10 @@ a method of that kind on a class whose name does not, must be referenced
 by name somewhere other than its own body: in another part of `src/`, in
 a demo, in a `bench/` file or in a python block of the README.  A method
 counts as referenced when its name is read as an attribute or a name
-anywhere there, so the scan is coarse for common names.  The package
-`__init__` re-exports names and does not count as a caller.
+anywhere there, so the scan is coarse for common names.  A string counts
+only in `bench/`, whose tracer names functions by dotted strings; a
+string elsewhere is data, such as a JSON key.  The package `__init__`
+re-exports names and does not count as a caller.
 """
 
 import ast
@@ -33,8 +35,11 @@ ALLOWED = {
 }
 
 
-def _references(tree: ast.Module, skip: str | None = None) -> set[str]:
-    """Names, attributes, imports and dotted strings read outside `skip`'s body.
+def _references(
+    tree: ast.Module, skip: str | None = None, strings: bool = False
+) -> set[str]:
+    """Names, attributes, imports and, with `strings`, dotted strings read
+    outside `skip`'s body.
 
     `skip` is a module-level function's name or a "Class.method" name.
     `bench/` traces functions by dotted strings such as "polygon.edges".
@@ -58,10 +63,14 @@ def _references(tree: ast.Module, skip: str | None = None) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name.split(".")[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value.split(".")[-1])
         stack.extend(ast.iter_child_nodes(node))
     return found
+
+
+def _bench(where: str) -> bool:
+    return where.startswith("bench/")
 
 
 def _caller_trees() -> dict[str, ast.Module]:
@@ -105,7 +114,8 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         if name in ALLOWED:
             continue
         if not any(
-            name.rpartition(".")[2] in _references(tree, name if where == owner else None)
+            name.rpartition(".")[2]
+            in _references(tree, name if where == owner else None, _bench(where))
             for where, tree in trees.items()
         ):
             unused.append(f"{owner}: {name}")
@@ -129,7 +139,10 @@ def test_allowlisted_names_have_no_caller_outside_the_tests():
     trees = _caller_trees()
     assert [
         name for name in ALLOWED
-        if any(name.rpartition(".")[2] in _references(t) for t in trees.values())
+        if any(
+            name.rpartition(".")[2] in _references(tree, strings=_bench(where))
+            for where, tree in trees.items()
+        )
     ] == []
 
 
@@ -142,9 +155,11 @@ def test_reference_scan_counts_uses_and_skips_the_own_body():
         "def h():\n"
         "    return 'polygon.traced'\n"
     )
-    assert {"imported", "whole", "g", "attr", "traced", "f"} <= _references(tree)
+    assert {"imported", "whole", "g", "attr", "f"} <= _references(tree)
+    assert "traced" not in _references(tree)
+    assert "traced" in _references(tree, strings=True)
     assert {"f", "g", "attr"}.isdisjoint(_references(tree, "f"))
-    assert "traced" not in _references(tree, "h")
+    assert "traced" not in _references(tree, "h", strings=True)
 
 
 def test_reference_scan_skips_only_the_own_method_body():
@@ -158,8 +173,8 @@ def test_reference_scan_skips_only_the_own_method_body():
         "    def m(self):\n"
         "        return 'x.p'\n"
     )
-    assert {"m", "k", "p"} <= _references(tree)
+    assert {"m", "k", "p"} <= _references(tree, strings=True)
     assert "m" in _references(tree, "A.m")  # A.n calls it
     assert "k" not in _references(tree, "A.m")
-    assert "p" not in _references(tree, "B.m")
+    assert "p" not in _references(tree, "B.m", strings=True)
     assert "k" in _references(tree, "B.m")
