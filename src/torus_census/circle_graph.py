@@ -24,6 +24,7 @@ directly through `_component`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as Q
@@ -488,22 +489,18 @@ def _vertex_keys(graph: S1Graph, flip: bool) -> dict[int, tuple]:
 
 
 def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:
-    """The (verts, links) of one reflection, given its `_vertex_keys`.
-
+    """The least (verts, links) of one reflection, given its `_vertex_keys`.
     Vertices are ordered by key, then by the sorted (k, pole, key at the
     other end) of their edges; `_refined` breaks the ties left among
-    vertices with edges, exactly.  A vertex has at most two edges, so the
-    edges form paths and cycles.  A cycle's lowest vertex is the south
-    pole of both its edges, so both its weights are positive, which
-    `validate` allows only at the unique minimum.  So a graph has at most
-    one cycle, through its unique minimum and maximum, which have keys of
-    their own, and the other vertices with edges form a forest.  On a
-    forest a stable rank fixes the labelled tree seen from its vertex, so
-    two vertices that a stable refinement leaves tied are exchanged by an
-    automorphism keeping every rank, and ranking either alone gives the
-    same serialization.  Vertices with no edge appear in no link, so their
-    ties need no breaking.
-    """
+    vertices with edges.  Sorted links (later position, earlier position,
+    k) read each vertex's edges toward earlier vertices in turn, and only
+    the unique minimum and maximum, which have keys of their own, have two
+    edges one way; so the least links order like vertices by their
+    earlier ends, and where those tie all the way down, by their later
+    ends, as swapping the chains below two like vertices changes only the
+    links at their later ends.  Like vertices that neither end splits lie
+    on monotone paths that match rank for rank and end alike, so an
+    automorphism exchanges them.  Vertices with no edge are in no link."""
     local: dict[int, list] = {v.id: [] for v in graph.vertices}
     for north, south, k in graph.edges:
         local[north].append((k, 1, keys[south]))
@@ -526,31 +523,35 @@ def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:
 
 def _refined(graph: S1Graph, ordered: list, keys: dict, neighbour: dict) -> list:
     """`ordered` with no two vertices with edges tied.  Ranks are refined by
-    the sorted (k, pole, rank at the other end) of each vertex's edges until
-    stable, then the least tied class's first vertex is ranked alone, and so
-    on.  A rank is its class's first position, so `ordered` is only split."""
-    ends: dict[int, list] = {v.id: [] for v in ordered}
+    the sorted (rank, k) at the earlier ends of each vertex's edges until
+    stable, then by those at the later ends, until neither splits a class;
+    then the least tied class's first vertex is ranked alone, and so on.
+    A rank is its class's first position, so `ordered` is only split."""
+    ends: dict[int, tuple] = {v.id: ([], []) for v in ordered}
     for north, south, k in graph.edges:
-        ends[north].append((k, 1, south))
-        ends[south].append((k, 0, north))
-    rank, signature = None, {v.id: (keys[v.id], neighbour[v.id]) for v in ordered}
+        late, early = (north, south) if keys[south] < keys[north] else (south, north)
+        ends[late][0].append((k, early))
+        ends[early][1].append((k, late))
+
+    def ranks(signature: dict) -> dict:
+        order = sorted(signature.values())
+        return {i: bisect_left(order, s) for i, s in signature.items()}
+
+    rank, side = ranks({v.id: (keys[v.id], neighbour[v.id]) for v in ordered}), 0
     while True:
-        order = sorted(signature, key=signature.__getitem__)
-        previous, rank = rank, {}
-        for index, i in enumerate(order):
-            tie = index and signature[i] == signature[order[index - 1]]
-            rank[i] = rank[order[index - 1]] if tie else index
-        if rank == previous:
-            tied = [i for i, j in zip(order, order[1:]) if ends[i] and rank[i] == rank[j]]
+        split = ranks({i: (r, sorted((rank[j], k) for k, j in ends[i][side])) for i, r in rank.items()})
+        if split != rank:
+            rank, side = split, 0
+        elif not side:
+            side = 1
+        else:
+            ranked = sorted((r, i) for i, r in rank.items() if any(ends[i]))
+            tied = [p for p, q in zip(ranked, ranked[1:]) if p[0] == q[0]]
             if not tied:
                 return sorted(ordered, key=lambda v: rank[v.id])
             # The rest of the class moves one place up, still below the next.
-            first, least = tied[0], rank[tied[0]]
-            rank = {i: r + (r == least and i != first) for i, r in rank.items()}
-        signature = {
-            i: (r, sorted((k, pole, rank[j]) for k, pole, j in ends[i]))
-            for i, r in rank.items()
-        }
+            least, first = tied[0]
+            rank, side = {i: r + (r == least and i != first) for i, r in rank.items()}, 0
 
 
 def canonical_serialization(graph: S1Graph) -> tuple:

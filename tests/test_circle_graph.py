@@ -872,7 +872,9 @@ def _tied_graph(rng):
     minimum (3, 2) at 0 and maximum (-2, -3) at 6 joined by Z_3 and Z_2
     edges); interior Z_k chains of weights (k_1, -1), (k_2, -k_1), ...,
     (1, -k_L), each repeated up to three times, some beside a chain that
-    shares a prefix and then differs; and (1, -1) points with no edge."""
+    shares a prefix and then differs or a copy whose first and last
+    moments move, so like vertices inside differ at both ends; and (1, -1)
+    points with no edge."""
     double = rng.random() < 0.2
     top = 6 if double else 24
     if double:
@@ -894,7 +896,7 @@ def _tied_graph(rng):
         links.extend((start + i + 1, start + i, k) for i, k in enumerate(ks))
 
     for _ in range(rng.randrange(1, 4)):
-        length = rng.randrange(1, 4 if double else 5)
+        length = rng.randrange(1, 4 if double else 6)
         ks = _coprime_ks(rng, length)
         moments = sorted(rng.sample(range(1, top), length + 1))
         for _ in range(rng.randrange(1, 4)):
@@ -905,6 +907,10 @@ def _tied_graph(rng):
             if gcd(ks[cut - 1], tail[0]) == 1:
                 later = sorted(rng.sample(range(moments[cut] + 1, top), length - cut))
                 add_chain(ks[:cut] + tail, moments[: cut + 1] + later)
+        if rng.random() < 0.5:
+            first = rng.randrange(1, moments[1])
+            last = rng.randrange(max(first, moments[-2]) + 1, top)
+            add_chain(ks, [first, *moments[1:-1], last])
     for _ in range(rng.randrange(3)):
         vertices.append(isolated(len(vertices), Q(rng.choice((1, top - 1))), (1, -1)))
     return S1Graph(tuple(vertices), tuple(links))
@@ -921,11 +927,35 @@ def _moved(graph, rng):
     return _flip(image) if rng.random() < 0.5 else image
 
 
+def _chain_pair_graph(ks, moments, other_moments):
+    """Surfaces at 0 and 24 and two Z_k chains of weights (k_1, -1), ...,
+    (1, -k_L), one at each list of moments."""
+    vertices = [surface(0, Q(0), 0, Q(1)), surface(1, Q(24), 0, Q(2))]
+    links = []
+    for chain in (moments, other_moments):
+        start = len(vertices)
+        for i, moment in enumerate(chain):
+            low = -1 if i == 0 else -ks[i - 1]
+            high = 1 if i == len(ks) else ks[i]
+            vertices.append(isolated(start + i, Q(moment), (high, low)))
+        links.extend((start + i + 1, start + i, k) for i, k in enumerate(ks))
+    return S1Graph(tuple(vertices), tuple(links))
+
+
+# Like vertices whose chains differ at both ends.  In the first, the tied
+# vertices at 4 have a Z_3 edge toward later vertices and a Z_5 edge toward
+# earlier ones; in the second, the tied vertices at 5 differ two steps
+# back and one step forward.  The least links follow the earlier ends.
+_BOTH_ENDS_DIFFER = (
+    _chain_pair_graph((2, 5, 3, 2), (1, 3, 4, 5, 7), (2, 3, 4, 5, 6)),
+    _chain_pair_graph((2, 3, 2, 3, 2), (1, 3, 4, 5, 6, 8), (2, 3, 4, 5, 6, 7)),
+)
+
+
 def test_tie_breaking_matches_the_permutation_search():
     rng = random.Random(67)
     compared = tied = 0
-    for _ in range(200):
-        graph = _tied_graph(rng)
+    for graph in [*_BOTH_ENDS_DIFFER, *(_tied_graph(rng) for _ in range(250))]:
         assert_valid(graph)
         for flip in (False, True):
             keys = _vertex_keys(graph, flip)
