@@ -17,11 +17,51 @@ census keeps the graphs that do not extend to a toric action.  Both
 censuses are exact and deterministic, and every entry carries a
 replayable provenance.  One routine, `_expand`, runs every stage of both
 and the projection seeding.  Public functions check their arguments; the
-census keys each graph it builds before validating it.  A graph is
-validated when its key is new and is then kept as built; it is
-canonicalised only when it becomes a parent (the canonical form inherits
-its verdict), and the returned graphs are built from their keys.  The
-construction checks this skips are left to the tests.
+census validates no graph.  It builds every graph through the unchecked
+cores of `circle_graph` (`_projected`, `_blow_up`, `_canonical`,
+`_extends_to_toric`), keys it, and keeps the first graph per key as built;
+a graph is canonicalised only when it becomes a parent, and the returned
+graphs are built from their keys.  The tests run `validate` and a
+Duistermaat-Heckman check on every graph the census keeps.
+
+Each builder gives a graph that meets every axiom `cg._diagnose` checks.
+- `graph_from_polygon` of a Delzant polygon along an edge normal xi (a
+  primitive integer vector).  The moment <v, xi> is linear on a convex
+  polygon, so each extremum is one vertex or one edge orthogonal to xi,
+  and at most two edges are orthogonal to xi: they become the fixed
+  surfaces, of genus 0 and positive length, at the extrema, and absorb
+  their ends.  At a Delzant vertex the outgoing primitive directions form
+  a lattice basis, so their pairings with the primitive xi, the vertex's
+  weights, are coprime, and they are both positive at the minimum, both
+  negative at the maximum and of both signs elsewhere.  An edge orthogonal
+  to xi pairs its neighbours to +-1, so a polygon edge that pairs to +-k
+  with k >= 2 joins two points, and its Z_k edge runs from the lower to
+  the higher and fills the weight slot that edge gives each end: every
+  weight of magnitude at least 2 has its own edge and no point has more
+  than two.
+- `ruled_base_graph`: two genus-g surfaces at moments 0 and fiber > 0 of
+  positive area (a nonpositive bottom area is refused), and no edges.
+- `blow_up` at a site `_feasible` admits.  A fixed surface keeps a
+  positive area and gains a (1, -1) point delta inside, short of the other
+  extremum as the span exceeds delta.  An extremal (1, 1) or (-1, -1)
+  point, which has no edge, becomes a genus-0 surface of area delta,
+  delta inward, and stays the one extremum as every other component is
+  more than delta away.  A point of weights (m, n), m > n, splits into
+  points of weights (m, n - m) at mu + m delta and (n, m - n) at
+  mu + n delta, coprime as m and n are; each incident Z_k edge moves to
+  the new point that keeps its pole weight, and a Z_{m-n} edge joins the
+  two when m - n >= 2.  The far end of a Z_k edge lies more than k delta
+  away, and an interior point more than delta from both extrema, so the
+  edges keep their direction and an interior point's new points are
+  interior, with weights of both signs.  At an extremum the new point
+  with weights of one sign lies min(|m|, |n|) delta inward, and
+  `_feasible` asks only that every other component lie more than delta
+  away.  That suffices when min(|m|, |n|) is 1; otherwise the slab
+  between must hold no component, as it does wherever the blow-up is
+  genuine: an equivariant ball of capacity delta at such a point holds
+  every orbit of that slab.  The tests' oracles run `validate` on every
+  graph the census keeps, which would show a component there.
+- `_canonical` translates, reflects and relabels, which keeps every axiom.
 
 The projection rule loses nothing.  A stage polygon Q is the canonical
 form of a chop of a previous-stage polygon P at a vertex v, and every
@@ -299,39 +339,40 @@ def ruled_base_count(spec: ManifoldSpec) -> int:
 # The census
 
 
-def _expand(parents, sites, blow, key, keep, record, stage=None) -> dict:
+def _expand(parents, sites, blow, key, record, stage=None) -> dict:
     """One induction step: blow every parent up at every site.
 
     parents maps a key to (object, provenance) and is walked in key order;
-    a site where blow(parent, site) raises CapacityError is skipped.  The
-    first entry per key(blown) is kept, as keep(blown) with provenance
-    record(parent, provenance, site).  keep runs on new keys only, so for
-    graphs it is where each one is validated; the graph is kept as built
-    and canonicalised only if it becomes a parent.  Entries go into stage,
-    a new dict unless one is given.
+    a site where blow(parent, site) is None is refused and skipped.  The
+    first entry per key(blown) is kept, as built, with provenance
+    record(parent, provenance, site); a graph is canonicalised only if it
+    becomes a parent.  Entries go into stage, a new dict unless one is
+    given.
     """
     stage = {} if stage is None else stage
     for parent_key in sorted(parents):
         parent, provenance = parents[parent_key]
         for site in sites(parent):
-            try:
-                blown = blow(parent, site)
-            except CapacityError:
+            blown = blow(parent, site)
+            if blown is None:
                 continue
             child_key = key(blown)
             if child_key not in stage:
-                stage[child_key] = (keep(blown), record(parent, provenance, site))
+                stage[child_key] = (blown, record(parent, provenance, site))
     return stage
 
 
 def _serial(graph: cg.S1Graph) -> tuple:
-    # A graph the census built itself is keyed before it is validated.
+    # A graph the census built itself is trusted: keyed with no check.
     return graph._canonical_serialization
 
 
-def _validated(graph: cg.S1Graph) -> cg.S1Graph:
-    cg._require_valid(graph)
-    return graph
+def _chopped(polygon: pg.RationalPolygon, vertex: int, delta) -> pg.RationalPolygon | None:
+    """The canonical chop of a corner, or None where its edges are too short."""
+    try:
+        return pg.canonical_form(pg.blow_up(polygon, vertex, delta))[0]
+    except CapacityError:
+        return None
 
 
 def _chop_all(parents: dict, delta, record) -> dict:
@@ -339,9 +380,8 @@ def _chop_all(parents: dict, delta, record) -> dict:
     return _expand(
         parents,
         lambda polygon: range(polygon.edge_count),
-        lambda polygon, i: pg.canonical_form(pg.blow_up(polygon, i, delta))[0],
+        lambda polygon, i: _chopped(polygon, i, delta),
         lambda polygon: polygon.vertices,
-        lambda polygon: polygon,
         record,
     )
 
@@ -352,13 +392,12 @@ def _blow_up_all(parents: dict, delta, record) -> dict:
     The parents are canonicalised just before they are blown up, so the
     sites, and the provenance that records them, are canonical vertex ids.
     """
-    canonical = {key: (cg.canonical_form(graph), p) for key, (graph, p) in parents.items()}
+    canonical = {key: (cg._canonical(graph), p) for key, (graph, p) in parents.items()}
     return _expand(
         canonical,
         lambda graph: [vertex.id for vertex in graph.vertices],
-        lambda graph, vertex_id: cg.blow_up(graph, vertex_id, delta),
+        lambda graph, vertex_id: cg._blow_up(graph, vertex_id, delta),
         _serial,
-        _validated,
         record,
     )
 
@@ -430,10 +469,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
                 graph = cg.ruled_base_graph(model.genus, degree, area, twisted, fiber)
             except PreconditionError:
                 break
-            frontier[_serial(graph)] = (
-                _validated(graph),
-                CircleProvenance("ruled_base", 0, degree),
-            )
+            frontier[_serial(graph)] = (graph, CircleProvenance("ruled_base", 0, degree))
 
     def project(stage: int, delta: int | None = None) -> None:
         # The graph of -xi is the mirror image: the same canonical key.
@@ -445,9 +481,8 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
                 for edge in pg.edges(polygon)
                 if delta is None or edge.rational_length == delta
             ],
-            cg.graph_from_polygon,
+            cg._projected,
             _serial,
-            _validated,
             lambda polygon, _, xi: CircleProvenance(
                 "projection", stage, None, polygon, xi
             ),
@@ -477,7 +512,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     # Translation and reflection keep the verdict, so it is read off the
     # graph as built; the returned graph is built from its key.
     circle_keys = [
-        key for key in sorted(frontier) if not cg.extends_to_toric(frontier[key][0])
+        key for key in sorted(frontier) if not cg._extends_to_toric(frontier[key][0])
     ]
     toric_count, circle_count = len(toric_entries), len(circle_keys)
     counts = ConjugacyCounts(toric_count, circle_count, toric_count + circle_count)

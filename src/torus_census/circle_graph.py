@@ -13,10 +13,17 @@ equivariant blow-ups with the full case analysis, tests whether an
 action extends to a toric one, and computes canonical forms under moment
 translation and reflection.  A canonical form is a complete invariant:
 like vertices are told apart by refining ranks along the edges, with no
-search and no refusal.  Public functions validate the graphs they are
-given; `blow_up` and `graph_from_polygon` return unchecked graphs, which
-the census validates once per new key and the tests check as built.
-Components are normalised (exact moment and area, weights in descending
+search and no refusal.
+
+Graphs are validated where they enter.  Every public function validates
+the graphs it is given, and `blow_up`, `can_blow_up`, `canonical_form`,
+`extends_to_toric` and `graph_from_polygon` are thin checked wrappers over
+unchecked cores (`_blow_up`, `_feasible`, `_canonical`, `_extends_to_toric`,
+`_projected`) that parse and check nothing.  The census calls the cores on
+graphs it built itself, which are valid by construction (the argument is
+in the `census` docstring), so it validates no graph.  `blow_up` and
+`graph_from_polygon` do not check the graphs they return; the tests run
+`validate` on them as built.  Components are normalised (exact moment and area, weights in descending
 order) by the public `FixedComponent`, `isolated` and `surface`; the
 builders here, which already hold normalised values, fill each component
 directly through `_component`.
@@ -246,7 +253,12 @@ def graph_from_polygon(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph
         raise PreconditionError("projection direction must be an integer vector")
     if gcd(abs(xi[0]), abs(xi[1])) != 1:
         raise PreconditionError("projection direction must be a primitive integer vector")
+    return _projected(polygon, xi)
 
+
+def _projected(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph:
+    """`graph_from_polygon` of a Delzant polygon and a primitive integer xi,
+    neither of them checked."""
     edge_list = polygon_edges(polygon)
     n = polygon.edge_count
     pairings = [e.direction[0] * xi[0] + e.direction[1] * xi[1] for e in edge_list]
@@ -324,50 +336,64 @@ def ruled_base_graph(
 # Blow-ups
 
 
+# Refusal codes of `_feasible` and the messages `can_blow_up` gives them.
+_REFUSALS = {
+    "delta": "capacity must be positive",
+    "surface_area": "fixed surface area {} must exceed delta",
+    "span": "moment span {} must exceed delta",
+    "sphere_area": "Z_{} sphere area {} must exceed delta",
+    "interior": "interior blow-up needs min < mu - delta and mu + delta < max",
+    "extremal": "extremal blow-up needs moment distance to vertex {} to exceed delta",
+}
+
+
 def can_blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> tuple[bool, str]:
     """Feasibility of an equivariant blow-up of capacity delta at a vertex."""
     _require_valid(graph)
-    delta = parse_exact(delta)
+    refusal = _feasible(graph, vertex_id, parse_exact(delta))
+    return (True, "") if refusal is None else (False, _refusal_text(refusal))
+
+
+def _refusal_text(refusal: tuple) -> str:
+    code, *values = refusal
+    if code == "sphere_area":
+        k, gap = values
+        values = [k, Q(gap, k)]
+    return _REFUSALS[code].format(*map(format_rational, values))
+
+
+def _feasible(graph: S1Graph, vertex_id: int, delta: Q | int) -> tuple | None:
+    """None where a blow-up of capacity delta at the vertex is feasible, else
+    the refusal: its code in `_REFUSALS` and the values its message names.
+
+    Nothing is checked or parsed, and no text is built.
+    """
     if delta <= 0:
-        return (False, "capacity must be positive")
+        return ("delta",)
     vertex = graph.component(vertex_id)
     lo, hi = graph.min_moment, graph.max_moment
 
     if vertex.is_surface:
         if vertex.area <= delta:
-            return (
-                False,
-                f"fixed surface area {format_rational(vertex.area)} must exceed delta",
-            )
+            return ("surface_area", vertex.area)
         # The new (1,-1) point sits delta inside the surface's extremum.
         if hi - lo <= delta:
-            return (
-                False,
-                f"moment span {format_rational(hi - lo)} must exceed delta",
-            )
-        return (True, "")
+            return ("span", hi - lo)
+        return None
 
     for north, south, k in graph.edges:
         if vertex_id in (north, south):
             gap = graph.component(north).moment - graph.component(south).moment
             if gap <= k * delta:
-                area = format_rational(Q(gap, k))
-                return (False, f"Z_{k} sphere area {area} must exceed delta")
+                return ("sphere_area", k, gap)
     if lo < vertex.moment < hi:
         if not (lo < vertex.moment - delta and vertex.moment + delta < hi):
-            return (
-                False,
-                "interior blow-up needs min < mu - delta and mu + delta < max",
-            )
-        return (True, "")
+            return ("interior",)
+        return None
     for other in graph.vertices:
         if other.id != vertex_id and abs(other.moment - vertex.moment) <= delta:
-            return (
-                False,
-                f"extremal blow-up needs moment distance to vertex {other.id} "
-                "to exceed delta",
-            )
-    return (True, "")
+            return ("extremal", other.id)
+    return None
 
 
 def _fresh_ids(graph: S1Graph, count: int) -> list[int]:
@@ -378,13 +404,25 @@ def _fresh_ids(graph: S1Graph, count: int) -> list[int]:
 def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
     """Equivariant blow-up of capacity delta at a fixed component.
 
-    Raises CapacityError where can_blow_up refuses the site.  The result is
-    not validated here; the census validates each new graph once.
+    The graph is validated and the site tested here: CapacityError where
+    can_blow_up refuses it.  The result is not validated; the census calls
+    `_blow_up` on graphs it built and trusts the result (see the `census`
+    docstring), and the tests validate what both return.
     """
     delta = parse_exact(delta)
-    feasible, reason = can_blow_up(graph, vertex_id, delta)
-    if not feasible:
+    _require_valid(graph)
+    blown = _blow_up(graph, vertex_id, delta)
+    if blown is None:
+        reason = _refusal_text(_feasible(graph, vertex_id, delta))
         raise CapacityError(f"blow-up infeasible: {reason}")
+    return blown
+
+
+def _blow_up(graph: S1Graph, vertex_id: int, delta: Q | int) -> S1Graph | None:
+    """`blow_up` with an exact delta and no check of the graph, or None
+    where `_feasible` refuses the site."""
+    if _feasible(graph, vertex_id, delta) is not None:
+        return None
     vertex = graph.component(vertex_id)
     others = tuple(v for v in graph.vertices if v.id != vertex_id)
 
@@ -442,6 +480,11 @@ def extends_to_toric(graph: S1Graph) -> bool:
     points at the level and Z_k-spheres whose open moment span crosses it.
     """
     _require_valid(graph)
+    return _extends_to_toric(graph)
+
+
+def _extends_to_toric(graph: S1Graph) -> bool:
+    """`extends_to_toric` with no check of the graph."""
     if all(not v.is_surface for v in graph.vertices):
         return True
     if any(v.is_surface and v.genus > 0 for v in graph.vertices):
@@ -561,11 +604,17 @@ def canonical_serialization(graph: S1Graph) -> tuple:
 
 def canonical_form(graph: S1Graph) -> S1Graph:
     """Least representative under moment translation and reflection."""
-    form = _graph_from_key(canonical_serialization(graph))
-    # canonical_serialization has just validated the source; its relabelled,
-    # translated copy inherits that verdict instead of being diagnosed again.
+    _require_valid(graph)
+    form = _canonical(graph)
+    # The source has just been validated; its relabelled, translated copy
+    # inherits that verdict instead of being diagnosed again.
     vars(form)["_diagnostics"] = graph._diagnostics
     return form
+
+
+def _canonical(graph: S1Graph) -> S1Graph:
+    """`canonical_form` with no check of the graph and no verdict passed on."""
+    return _graph_from_key(graph._canonical_serialization)
 
 
 def _graph_from_key(key: tuple, value: dict | None = None) -> S1Graph:

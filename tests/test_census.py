@@ -521,38 +521,30 @@ def test_census_is_deterministic():
         ruled("product_ruled", 2, 2, "1/3", "1/4", "1/5"),
     ],
 )
-def test_census_diagnoses_each_kept_graph_at_most_once(monkeypatch, spec):
-    # The census keys a graph it built before validating it and validates
-    # only new keys; a parent's canonical form inherits its verdict.  Kept
-    # keys are counted where _expand keeps them (the ruled base seeds are
-    # in the frontier that stage 0's projection fills).
-    diagnose, canonical_form, expand = cg._diagnose, cg.canonical_form, census._expand
-    blow_up_all = census._blow_up_all
-    diagnosed, canonicalised, kept, parents = [], [], set(), []
+def test_census_diagnoses_nothing_and_canonicalises_each_parent_once(monkeypatch, spec):
+    # The census builds every graph through the unchecked cores of
+    # circle_graph and validates none; it canonicalises a graph only when
+    # the graph becomes a parent, through cg._canonical.
+    diagnose, canonical, blow_up_all = cg._diagnose, cg._canonical, census._blow_up_all
+    diagnosed, canonicalised, parents = [], [], []
 
     def counted_diagnose(graph):
         diagnosed.append(graph)
         return diagnose(graph)
 
-    def counted_canonical_form(graph):
+    def counted_canonical(graph):
         canonicalised.append(graph)
-        return canonical_form(graph)
-
-    def counted_expand(*args, **kwargs):
-        stage = expand(*args, **kwargs)
-        kept.update(k for k, (entry, _) in stage.items() if type(entry) is cg.S1Graph)
-        return stage
+        return canonical(graph)
 
     def counted_blow_up_all(frontier, *args):
         parents.extend(frontier)
         return blow_up_all(frontier, *args)
 
     monkeypatch.setattr(cg, "_diagnose", counted_diagnose)
-    monkeypatch.setattr(cg, "canonical_form", counted_canonical_form)
-    monkeypatch.setattr(census, "_expand", counted_expand)
+    monkeypatch.setattr(cg, "_canonical", counted_canonical)
     monkeypatch.setattr(census, "_blow_up_all", counted_blow_up_all)
     run_census(spec)
-    assert 0 < len(diagnosed) <= len(kept)
+    assert diagnosed == []
     assert 0 < len(canonicalised) <= len(parents)
 
 
@@ -670,13 +662,13 @@ def test_census_projects_later_stages_along_new_edges_only(monkeypatch):
         expected += lengths.count(delta)
         every_edge += len(lengths)
     projections = []
-    project = cg.graph_from_polygon
+    project = cg._projected
 
     def counted_projection(polygon, xi):
         projections.append(xi)
         return project(polygon, xi)
 
-    monkeypatch.setattr(cg, "graph_from_polygon", counted_projection)
+    monkeypatch.setattr(cg, "_projected", counted_projection)
     run_census(spec)
     assert len(projections) == expected < every_edge
 

@@ -576,7 +576,7 @@ else:
 
 
 def test_validation_survives_optimize():
-    # The census validates each new graph where it canonicalises it.
+    # The public canonical_form validates the graph it is given.
     src = str(Path(torus_census.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
@@ -598,6 +598,35 @@ def test_can_blow_up_rejects_nonpositive_delta():
     ok, reason = can_blow_up(graph, graph.vertices[0].id, Q(0))
     assert not ok
     assert "positive" in reason
+
+
+def test_each_refusal_keeps_its_exact_message():
+    # One site per reason code of circle_graph._feasible; can_blow_up and
+    # blow_up word each refusal exactly so.
+    sections = ruled_base_graph(1, 0, Q(5, 2), False)
+    points = S1Graph(
+        (
+            isolated(0, 0, (2, 1)),
+            isolated(1, 3, (1, -2)),
+            isolated(2, 5, (-1, -1)),
+            isolated(3, 1, (1, -1)),
+        ),
+        ((1, 0, 2),),
+    )
+    assert validate(points) == (True, ())
+    refusals = [
+        (sections, 0, Q(0), "capacity must be positive"),
+        (sections, 0, Q(5, 2), "fixed surface area 5/2 must exceed delta"),
+        (sections, 1, Q(2), "moment span 1 must exceed delta"),
+        (points, 0, Q(3, 2), "Z_2 sphere area 3/2 must exceed delta"),
+        (points, 3, Q(1), "interior blow-up needs min < mu - delta and mu + delta < max"),
+        (points, 2, Q(2), "extremal blow-up needs moment distance to vertex 1 to exceed delta"),
+    ]
+    for graph, vertex_id, delta, message in refusals:
+        assert can_blow_up(graph, vertex_id, delta) == (False, message)
+        with pytest.raises(PreconditionError) as excinfo:
+            blow_up(graph, vertex_id, delta)
+        assert str(excinfo.value) == f"blow-up infeasible: {message}"
 
 
 # ---------------------------------------------------------------------------
