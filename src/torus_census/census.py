@@ -368,7 +368,7 @@ def _serial(graph: cg.S1Graph) -> tuple:
 
 
 def _chopped(polygon: pg.RationalPolygon, vertex: int, delta) -> pg.RationalPolygon | None:
-    """The canonical chop of a corner, or None where its edges are too short."""
+    """The canonical chop of a corner, or None where an edge is too short."""
     try:
         return pg.canonical_form(pg.blow_up(polygon, vertex, delta))[0]
     except CapacityError:

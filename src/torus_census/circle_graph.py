@@ -23,7 +23,9 @@ unchecked cores (`_blow_up`, `_feasible`, `_canonical`, `_extends_to_toric`,
 graphs it built itself, which are valid by construction (the argument is
 in the `census` docstring), so it validates no graph.  `blow_up` and
 `graph_from_polygon` do not check the graphs they return; the tests run
-`validate` on them as built.  Components are normalised (exact moment and area, weights in descending
+`validate` on them as built.
+
+Components are normalised (exact moment and area, weights in descending
 order) by the public `FixedComponent`, `isolated` and `surface`; the
 builders here, which already hold normalised values, fill each component
 directly through `_component`.
