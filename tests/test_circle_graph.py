@@ -552,13 +552,22 @@ def test_invalid_graph_stays_invalid():
         )
     )
     first = validate(graph)
-    assert not first[0]
+    assert first == (False, ("min moment attained by 2 components",))
+    # Every public function that takes a graph refuses it with the first
+    # diagnostic, however often it is asked.
+    calls = (
+        lambda: can_blow_up(graph, 2, Q(1, 4)),
+        lambda: blow_up(graph, 2, Q(1, 4)),
+        lambda: canonical_serialization(graph),
+        lambda: canonical_form(graph),
+        lambda: extends_to_toric(graph),
+    )
     for _ in range(3):
         assert validate(graph) == first
-        with pytest.raises(PreconditionError):
-            can_blow_up(graph, 2, Q(1, 4))
-        with pytest.raises(PreconditionError):
-            canonical_serialization(graph)
+        for call in calls:
+            with pytest.raises(PreconditionError) as excinfo:
+                call()
+            assert str(excinfo.value) == "graph invalid: min moment attained by 2 components"
 
 
 INVALID_GRAPH_TO_CANONICALISE = """
