@@ -18,11 +18,11 @@ censuses are exact and deterministic, and every entry carries a
 replayable provenance.  One routine, `_expand`, runs every stage of both
 and the projection seeding.  Public functions check their arguments; the
 census validates no graph.  It builds every graph through the unchecked
-cores of `circle_graph` (`_projected`, `_blow_up`, `_canonical`,
-`_extends_to_toric`), keys it, and keeps the first graph per key as built;
-a graph is canonicalised only when it becomes a parent, and the returned
-graphs are built from their keys.  The tests run `validate` and a
-Duistermaat-Heckman check on every graph the census keeps.
+cores of `circle_graph` (`_projected`, `_ruled_base`, `_blow_up`,
+`_canonical`, `_extends_to_toric`), keys it, and keeps the first graph per
+key as built; a graph is canonicalised only when it becomes a parent, and
+the returned graphs are built from their keys.  The tests run `validate`
+and a Duistermaat-Heckman check on every graph the census keeps.
 
 Each builder gives a graph that meets every axiom `cg._diagnose` checks.
 - `graph_from_polygon` of a Delzant polygon along an edge normal xi (a
@@ -39,8 +39,9 @@ Each builder gives a graph that meets every axiom `cg._diagnose` checks.
   the higher and fills the weight slot that edge gives each end: every
   weight of magnitude at least 2 has its own edge and no point has more
   than two.
-- `ruled_base_graph`: two genus-g surfaces at moments 0 and fiber > 0 of
-  positive area (a nonpositive bottom area is refused), and no edges.
+- `_ruled_base` at each degree whose bottom section area is positive:
+  two genus-g surfaces at moments 0 and fiber > 0 of positive area, and
+  no edges.
 - `blow_up` at a site `_feasible` admits.  A fixed surface keeps a
   positive area and gains a (1, -1) point delta inside, short of the other
   extremum as the span exceeds delta.  An extremal (1, 1) or (-1, -1)
@@ -55,12 +56,9 @@ Each builder gives a graph that meets every axiom `cg._diagnose` checks.
   edges keep their direction and an interior point's new points are
   interior, with weights of both signs.  At an extremum the new point
   with weights of one sign lies min(|m|, |n|) delta inward, and
-  `_feasible` asks only that every other component lie more than delta
-  away.  That suffices when min(|m|, |n|) is 1; otherwise the slab
-  between must hold no component, as it does wherever the blow-up is
-  genuine: an equivariant ball of capacity delta at such a point holds
-  every orbit of that slab.  The tests' oracles run `validate` on every
-  graph the census keeps, which would show a component there.
+  `_feasible` asks that every other component lie farther away than
+  that, so it is the one new extremum; the other new point lies
+  max(|m|, |n|) delta inward, short of the far end of its Z_k edge.
 - `_canonical` translates, reflects and relabels, which keeps every axiom.
 
 The projection rule loses nothing.  A stage polygon Q is the canonical
@@ -464,11 +462,12 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     frontier: dict[tuple, tuple[cg.S1Graph, CircleProvenance]] = {}
     if not model.rational_base:
         twisted = model.base == TWISTED_RULED
+        # Each admissible degree keeps the bottom section's area positive.
         for degree in count(1 if twisted else 0, 2):
-            try:
-                graph = cg.ruled_base_graph(model.genus, degree, area, twisted, fiber)
-            except PreconditionError:
+            bottom = area - halve((degree - twisted) * fiber)
+            if bottom <= 0:
                 break
+            graph = cg._ruled_base(model.genus, degree, bottom, fiber)
             frontier[_serial(graph)] = (graph, CircleProvenance("ruled_base", 0, degree))
 
     def project(stage: int, delta: int | None = None) -> None:

@@ -13,17 +13,20 @@ equivariant blow-ups with the full case analysis, tests whether an
 action extends to a toric one, and computes canonical forms under moment
 translation and reflection.  A canonical form is a complete invariant:
 like vertices are told apart by refining ranks along the edges, with no
-search and no refusal.
+search and no refusal.  Only ties cost extra: the keys of the minimum and
+the maximum pick the reflection unless they are equal, and neighbour
+signatures and rank refinement run only on vertices whose keys tie.
 
 Graphs are validated where they enter.  Every public function validates
 the graphs it is given, and `blow_up`, `can_blow_up`, `canonical_form`,
-`extends_to_toric` and `graph_from_polygon` are thin checked wrappers over
-unchecked cores (`_blow_up`, `_feasible`, `_canonical`, `_extends_to_toric`,
-`_projected`) that parse and check nothing.  The census calls the cores on
-graphs it built itself, which are valid by construction (the argument is
-in the `census` docstring), so it validates no graph.  `blow_up` and
-`graph_from_polygon` do not check the graphs they return; the tests run
-`validate` on them as built.
+`extends_to_toric`, `graph_from_polygon` and `ruled_base_graph` are thin
+checked wrappers over unchecked cores (`_blow_up`, `_feasible`,
+`_canonical`, `_extends_to_toric`, `_projected`, `_ruled_base`) that parse
+and check nothing.  The census calls the cores on graphs it built itself,
+which are valid by construction (the argument is in the `census`
+docstring), so it validates no graph.  `blow_up` and `graph_from_polygon`
+do not check the graphs they return; the tests run `validate` on them as
+built.
 
 Components are normalised (exact moment and area, weights in descending
 order) by the public `FixedComponent`, `isolated` and `surface`; the
@@ -128,10 +131,22 @@ class S1Graph:
 
     @cached_property
     def _canonical_serialization(self) -> tuple:
+        """The least `_serialize` of the two reflections.
+
+        A serialization's verts are its sorted key list, so keys that
+        differ decide the least (verts, links) before any links are built.
+        The unique minimum is the one vertex whose plain key has moment
+        offset 0, and the unique maximum the one whose mirrored key has, so
+        their keys lead the two sorted lists: where they differ they decide
+        the reflection, and only the winning side is keyed.  Where they are
+        equal, both sides are keyed and compared in full.
+        """
+        plain, mirror = _extremal_key(self, False), _extremal_key(self, True)
+        if plain != mirror:
+            flip = mirror < plain
+            return _serialize(self, flip, _vertex_keys(self, flip))
         keys, mirrored = _vertex_keys(self, False), _vertex_keys(self, True)
         plain, mirror = sorted(keys.values()), sorted(mirrored.values())
-        # A serialization's verts are its sorted key list, so keys that
-        # differ decide the least (verts, links) before any links are built.
         if plain < mirror:
             return _serialize(self, False, keys)
         if mirror < plain:
@@ -326,6 +341,11 @@ def ruled_base_graph(
         raise PreconditionError(
             f"section area nonpositive: {format_rational(bottom)}"
         )
+    return _ruled_base(genus, degree, bottom, fiber)
+
+
+def _ruled_base(genus: int, degree: int, bottom: Q | int, fiber: Q | int) -> S1Graph:
+    """`ruled_base_graph` from its exact bottom section area, nothing checked."""
     return S1Graph(
         (
             _component(0, fiber - fiber, None, genus, bottom),
@@ -346,6 +366,7 @@ _REFUSALS = {
     "sphere_area": "Z_{} sphere area {} must exceed delta",
     "interior": "interior blow-up needs min < mu - delta and mu + delta < max",
     "extremal": "extremal blow-up needs moment distance to vertex {} to exceed delta",
+    "extremal_reach": "extremal blow-up needs moment distance to vertex {} to exceed {} delta",
 }
 
 
@@ -392,9 +413,13 @@ def _feasible(graph: S1Graph, vertex_id: int, delta: Q | int) -> tuple | None:
         if not (lo < vertex.moment - delta and vertex.moment + delta < hi):
             return ("interior",)
         return None
+    # The new extremum lands min(|m|, |n|) delta inward.
+    reach = min(map(abs, vertex.weights))
     for other in graph.vertices:
-        if other.id != vertex_id and abs(other.moment - vertex.moment) <= delta:
-            return ("extremal", other.id)
+        if other.id != vertex_id and abs(other.moment - vertex.moment) <= reach * delta:
+            if reach == 1:
+                return ("extremal", other.id)
+            return ("extremal_reach", other.id, reach)
     return None
 
 
@@ -533,46 +558,69 @@ def _vertex_keys(graph: S1Graph, flip: bool) -> dict[int, tuple]:
     }
 
 
+def _extremal_key(graph: S1Graph, flip: bool) -> tuple:
+    """The `_vertex_keys` key of the minimum (of the maximum when flipped)."""
+    moment = graph.max_moment if flip else graph.min_moment
+    v = next(v for v in graph.vertices if v.moment == moment)
+    if v.genus is not None:
+        return (0, 1, v.genus, v.area)
+    m, n = v.weights
+    return (0, 0, -n, -m) if flip else (0, 0, m, n)
+
+
 def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:
     """The least (verts, links) of one reflection, given its `_vertex_keys`.
-    Vertices are ordered by key, then by the sorted (k, pole, key at the
-    other end) of their edges; `_refined` breaks the ties left among
-    vertices with edges.  Sorted links (later position, earlier position,
-    k) read each vertex's edges toward earlier vertices in turn, and only
-    the unique minimum and maximum, which have keys of their own, have two
-    edges one way; so the least links order like vertices by their
-    earlier ends, and where those tie all the way down, by their later
-    ends, as swapping the chains below two like vertices changes only the
-    links at their later ends.  Like vertices that neither end splits lie
-    on monotone paths that match rank for rank and end alike, so an
-    automorphism exchanges them.  Vertices with no edge are in no link."""
-    local: dict[int, list] = {v.id: [] for v in graph.vertices}
-    for north, south, k in graph.edges:
-        local[north].append((k, 1, keys[south]))
-        local[south].append((k, 0, keys[north]))
-    neighbour = {vertex_id: tuple(sorted(links)) for vertex_id, links in local.items()}
-
-    ordered = sorted(graph.vertices, key=lambda v: (keys[v.id], neighbour[v.id]))
-    if any(
-        neighbour[a.id] and neighbour[a.id] == neighbour[b.id] and keys[a.id] == keys[b.id]
-        for a, b in zip(ordered, ordered[1:])
-    ):
-        ordered = _refined(graph, ordered, keys, neighbour)
-    position = {v.id: i for i, v in enumerate(ordered)}
-    verts = tuple(keys[v.id] for v in ordered)
+    Where the keys are distinct, the verts are the sorted keys and each
+    vertex's position is its key's place among them, with no neighbour
+    signature built; only where two keys tie does `_tie_broken` order the
+    vertices further.  The links are the sorted (later position, earlier
+    position, k)."""
+    ordered = sorted(keys, key=keys.__getitem__)
+    if any(keys[a] == keys[b] for a, b in zip(ordered, ordered[1:])):
+        ordered = _tie_broken(graph, keys)
+    position = {vertex_id: i for i, vertex_id in enumerate(ordered)}
+    verts = tuple(keys[i] for i in ordered)
     # Reflection swaps the poles of every edge.
     poles = ((s, n, k) if flip else (n, s, k) for n, s, k in graph.edges)
     links = tuple(sorted((position[a], position[b], k) for a, b, k in poles))
     return (verts, links)
 
 
-def _refined(graph: S1Graph, ordered: list, keys: dict, neighbour: dict) -> list:
+def _tie_broken(graph: S1Graph, keys: dict[int, tuple]) -> list[int]:
+    """The vertex ids in the order of the least serialization, where some
+    keys tie.  Vertices are ordered by key, then by the sorted (k, pole,
+    key at the other end) of their edges; `_refined` breaks the ties left
+    among vertices with edges.  Sorted links read each vertex's edges
+    toward earlier vertices in turn, and only the unique minimum and
+    maximum, which have keys of their own, have two edges one way; so the
+    least links order like vertices by their earlier ends, and where those
+    tie all the way down, by their later ends, as swapping the chains below
+    two like vertices changes only the links at their later ends.  Like
+    vertices that neither end splits lie on monotone paths that match rank
+    for rank and end alike, so an automorphism exchanges them.  Vertices
+    with no edge are in no link."""
+    local: dict[int, list] = {vertex_id: [] for vertex_id in keys}
+    for north, south, k in graph.edges:
+        local[north].append((k, 1, keys[south]))
+        local[south].append((k, 0, keys[north]))
+    neighbour = {vertex_id: tuple(sorted(links)) for vertex_id, links in local.items()}
+
+    ordered = sorted(keys, key=lambda i: (keys[i], neighbour[i]))
+    if any(
+        neighbour[a] and neighbour[a] == neighbour[b] and keys[a] == keys[b]
+        for a, b in zip(ordered, ordered[1:])
+    ):
+        ordered = _refined(graph, ordered, keys, neighbour)
+    return ordered
+
+
+def _refined(graph: S1Graph, ordered: list[int], keys: dict, neighbour: dict) -> list[int]:
     """`ordered` with no two vertices with edges tied.  Ranks are refined by
     the sorted (rank, k) at the earlier ends of each vertex's edges until
     stable, then by those at the later ends, until neither splits a class;
     then the least tied class's first vertex is ranked alone, and so on.
     A rank is its class's first position, so `ordered` is only split."""
-    ends: dict[int, tuple] = {v.id: ([], []) for v in ordered}
+    ends: dict[int, tuple] = {i: ([], []) for i in ordered}
     for north, south, k in graph.edges:
         late, early = (north, south) if keys[south] < keys[north] else (south, north)
         ends[late][0].append((k, early))
@@ -582,7 +630,7 @@ def _refined(graph: S1Graph, ordered: list, keys: dict, neighbour: dict) -> list
         order = sorted(signature.values())
         return {i: bisect_left(order, s) for i, s in signature.items()}
 
-    rank, side = ranks({v.id: (keys[v.id], neighbour[v.id]) for v in ordered}), 0
+    rank, side = ranks({i: (keys[i], neighbour[i]) for i in ordered}), 0
     while True:
         split = ranks({i: (r, sorted((rank[j], k) for k, j in ends[i][side])) for i, r in rank.items()})
         if split != rank:
@@ -593,7 +641,7 @@ def _refined(graph: S1Graph, ordered: list, keys: dict, neighbour: dict) -> list
             ranked = sorted((r, i) for i, r in rank.items() if any(ends[i]))
             tied = [p for p, q in zip(ranked, ranked[1:]) if p[0] == q[0]]
             if not tied:
-                return sorted(ordered, key=lambda v: rank[v.id])
+                return sorted(ordered, key=rank.__getitem__)
             # The rest of the class moves one place up, still below the next.
             least, first = tied[0]
             rank, side = {i: r + (r == least and i != first) for i, r in rank.items()}, 0

@@ -1,7 +1,5 @@
 """Decorated circle-action graphs: validity, surgeries, canonical forms."""
 
-import itertools
-import math
 import os
 import random
 import subprocess
@@ -13,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import torus_census
+from dh_oracle import dh_problems
+from key_oracle import least_serialization, searched_serialization
 from polygon_corpus import build_chopped_corpus, build_corpus, random_unimodular_image
+from torus_census import circle_graph
 from torus_census.census import ManifoldSpec, _blow_up_all, run_census
 from torus_census.circle_graph import (
     FixedComponent,
@@ -40,6 +41,7 @@ from torus_census.polygon import (
     delzant_triangle,
     edges,
     hirzebruch,
+    invariants,
 )
 
 SQUARE = RationalPolygon(((Q(0), Q(0)), (Q(1), Q(0)), (Q(1), Q(1)), (Q(0), Q(1))))
@@ -609,6 +611,99 @@ def test_can_blow_up_rejects_nonpositive_delta():
     assert "positive" in reason
 
 
+# A minimum of weights (3, 2) with a (1, -1) point 3/2 above it.  It passes
+# `validate` though it belongs to no manifold: it fails the DH check.
+WIDE_MINIMUM_NEAR_POINT = S1Graph(
+    (
+        isolated(0, 0, (3, 2)),
+        isolated(1, Q(3, 2), (1, -1)),
+        isolated(2, 10, (-1, -3)),
+        isolated(3, 5, (1, -2)),
+    ),
+    ((2, 0, 3), (3, 0, 2)),
+)
+
+
+def test_extremal_blow_up_keeps_the_new_extremum_alone():
+    # The new minimum lands min(3, 2) delta = 2 delta above the old one, so
+    # the point at 3/2 must lie more than 2 delta away: delta 1 and 3/4 are
+    # refused, delta 1/2 is admitted and gives a valid graph.
+    graph = WIDE_MINIMUM_NEAR_POINT
+    assert validate(graph) == (True, ())
+    assert dh_problems(graph, Q(0), 4)
+    for delta in (Q(1), Q(3, 4)):
+        assert can_blow_up(graph, 0, delta) == (
+            False,
+            "extremal blow-up needs moment distance to vertex 1 to exceed 2 delta",
+        )
+    assert can_blow_up(graph, 0, Q(1, 2)) == (True, "")
+    assert_valid(blow_up(graph, 0, Q(1, 2)))
+
+
+def _wide_extremum(graph, vertex):
+    """min(|m|, |n|) of an extremal point, else None."""
+    extremal = vertex.moment in (graph.min_moment, graph.max_moment)
+    return min(map(abs, vertex.weights)) if extremal and not vertex.is_surface else None
+
+
+def test_every_admitted_site_gives_a_graph_that_passes_the_dh_check():
+    # Projections of the chopped corpus along every edge normal and three
+    # seeded primitive directions that are not, which give extremal points
+    # with both weights of magnitude >= 2.  Every site can_blow_up admits,
+    # at two seeded capacities, gives a graph that passes `validate` and the
+    # DH check of the blown-up manifold: volume less delta^2 / 2 and one
+    # more fixed point.  Then a (1, -1) point is put in the slab an extremal
+    # blow-up sweeps, or just past it: only the first is refused.
+    rng = random.Random(75)
+    admitted = wide = slabs = 0
+    for polygon in build_chopped_corpus():
+        volume, euler = invariants(polygon).euclidean_area, polygon.edge_count
+        normals = [edge.normal for edge in edges(polygon)]
+        directions = list(normals)
+        while len(directions) < len(normals) + 3:
+            xi = (rng.randrange(-5, 6), rng.randrange(-5, 6))
+            if gcd(*xi) == 1 and xi not in normals:
+                directions.append(xi)
+        for xi in directions:
+            graph = graph_from_polygon(polygon, xi)
+            assert dh_problems(graph, volume, euler) == []
+            for vertex in graph.vertices:
+                reach = _wide_extremum(graph, vertex)
+                for delta in (
+                    Q(1, rng.randrange(2, 40)),
+                    Q(rng.randrange(1, 9), rng.randrange(2, 13)),
+                ):
+                    if not can_blow_up(graph, vertex.id, delta)[0]:
+                        continue
+                    blown = blow_up(graph, vertex.id, delta)
+                    assert_valid(blown)
+                    assert dh_problems(blown, volume - delta * delta / 2, euler + 1) == []
+                    admitted += 1
+                    if reach is None or reach < 2:
+                        continue
+                    wide += 1
+                    inward = 1 if vertex.moment == graph.min_moment else -1
+                    for offset, feasible in ((Q(1, 2), False), (1, False), (Q(9, 8), True)):
+                        moment = vertex.moment + inward * offset * reach * delta
+                        crowded = S1Graph(
+                            graph.vertices + (isolated(-1, moment, (1, -1)),), graph.edges
+                        )
+                        if validate(crowded)[0]:
+                            slabs += 1
+                            ok, reason = can_blow_up(crowded, vertex.id, delta)
+                            assert ok == feasible, reason
+                            if feasible:
+                                assert_valid(blow_up(crowded, vertex.id, delta))
+                            else:
+                                assert reason == (
+                                    "extremal blow-up needs moment distance to vertex -1"
+                                    f" to exceed {reach} delta"
+                                )
+    assert admitted > 10000
+    assert wide > 1000
+    assert slabs > 1000
+
+
 def test_each_refusal_keeps_its_exact_message():
     # One site per reason code of circle_graph._feasible; can_blow_up and
     # blow_up word each refusal exactly so.
@@ -630,6 +725,12 @@ def test_each_refusal_keeps_its_exact_message():
         (points, 0, Q(3, 2), "Z_2 sphere area 3/2 must exceed delta"),
         (points, 3, Q(1), "interior blow-up needs min < mu - delta and mu + delta < max"),
         (points, 2, Q(2), "extremal blow-up needs moment distance to vertex 1 to exceed delta"),
+        (
+            WIDE_MINIMUM_NEAR_POINT,
+            0,
+            Q(1),
+            "extremal blow-up needs moment distance to vertex 1 to exceed 2 delta",
+        ),
     ]
     for graph, vertex_id, delta, message in refusals:
         assert can_blow_up(graph, vertex_id, delta) == (False, message)
@@ -857,43 +958,6 @@ def test_interchangeable_edgeless_vertices_canonicalise():
         assert canonical_form(copy) == base
 
 
-def _searched_serialization(graph, flip, keys, budget=5000):
-    """The least serialization over every ordering of the tied vertices with
-    edges, or None when there are more than `budget` orderings.
-
-    The exhaustive reference for `_serialize`: it permutes each class of
-    vertices with equal key and equal (k, pole, key at the other end)
-    edges, and keeps the least (verts, links)."""
-    local = {v.id: [] for v in graph.vertices}
-    for north, south, k in graph.edges:
-        local[north].append((k, 1, keys[south]))
-        local[south].append((k, 0, keys[north]))
-    label = {i: (keys[i], tuple(sorted(links))) for i, links in local.items()}
-    ordered = sorted(graph.vertices, key=lambda v: label[v.id])
-    groups = []
-    for index, vertex in enumerate(ordered):
-        if index and label[vertex.id] == label[ordered[index - 1].id]:
-            groups[-1].append(index)
-        else:
-            groups.append([index])
-    tied = [g for g in groups if len(g) > 1 and label[ordered[g[0]].id][1]]
-    if math.prod(math.factorial(len(g)) for g in tied) > budget:
-        return None
-    best = None
-    for perms in itertools.product(*(itertools.permutations(g) for g in tied)):
-        order = list(ordered)
-        for group, perm in zip(tied, perms):
-            for slot, source in zip(group, perm):
-                order[slot] = ordered[source]
-        position = {v.id: i for i, v in enumerate(order)}
-        poles = ((s, n, k) if flip else (n, s, k) for n, s, k in graph.edges)
-        links = tuple(sorted((position[a], position[b], k) for a, b, k in poles))
-        serialized = (tuple(keys[v.id] for v in order), links)
-        if best is None or serialized < best:
-            best = serialized
-    return best
-
-
 def _coprime_ks(rng, length):
     ks = [rng.choice((2, 3, 4, 5, 7))]
     while len(ks) < length:
@@ -997,12 +1061,12 @@ def test_tie_breaking_matches_the_permutation_search():
         assert_valid(graph)
         for flip in (False, True):
             keys = _vertex_keys(graph, flip)
-            searched = _searched_serialization(graph, flip, keys)
+            searched = searched_serialization(graph, flip, keys)
             if searched is None:
                 continue
             assert repr(_serialize(graph, flip, keys)) == repr(searched)
             compared += 1
-            tied += _searched_serialization(graph, flip, keys, budget=1) is None
+            tied += searched_serialization(graph, flip, keys, budget=1) is None
     assert compared > 250
     assert tied > 200
 
@@ -1027,19 +1091,60 @@ def test_many_like_linked_pairs_canonicalise():
             assert canonical_form(_moved(graph, rng)) == form
 
 
-def test_serialization_shortcut_matches_both_reflections():
-    # _canonical_serialization serializes one reflection alone when the
-    # sorted vertex keys of the two differ; the oracle serializes both.
-    # A degree-0 ruled base graph is its own reflection.
-    branches = {"keys differ": 0, "keys equal": 0}
+def _second_lowest(graph):
+    return sorted(graph.vertices, key=lambda v: v.moment)[1].id
+
+
+def _like_extrema_graphs():
+    """Valid graphs whose minimum and maximum have the same key but whose
+    reflections have different sorted keys: a rectangle projected along
+    (1, 1), or a degree-0 ruled base with both sections blown up alike,
+    with its lowest interior point blown up."""
+    graphs = []
+    for width, height in ((2, 1), (3, 1), (3, 2)):
+        rectangle = RationalPolygon(((0, 0), (width, 0), (width, height), (0, height)))
+        projected = graph_from_polygon(rectangle, (1, 1))
+        for delta in (Q(1, 4), Q(1, 3)):
+            graphs.append(blow_up(projected, _second_lowest(projected), delta))
+    for genus in (0, 2):
+        base = ruled_base_graph(genus, 0, Q(3, 2), False)
+        sections = blow_up(blow_up(base, 0, Q(1, 3)), 1, Q(1, 3))
+        graphs.append(blow_up(sections, _second_lowest(sections), Q(1, 5)))
+    return graphs
+
+
+def test_serialization_shortcut_matches_both_reflections(monkeypatch):
+    # _canonical_serialization keys one reflection alone where the keys of
+    # the minimum and the maximum differ, and _serialize orders by key
+    # alone where no two keys tie; the oracle searches both reflections in
+    # full.  A degree-0 ruled base graph is its own reflection.
     projections, blow_ups = _graphs_as_built()
-    for graph in projections + blow_ups + [ruled_base_graph(2, 0, Q(1), False)]:
-        sides = [_serialize(graph, flip, _vertex_keys(graph, flip)) for flip in (False, True)]
+    like_extrema = _like_extrema_graphs()
+    graphs = projections + blow_ups + like_extrema + [ruled_base_graph(2, 0, Q(1), False)]
+    calls = {"_serialize": 0, "_tie_broken": 0}
+    for name in calls:
+        original = getattr(circle_graph, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(circle_graph, name, counted)
+    branches = {"extrema differ": 0, "keys differ": 0, "keys equal": 0}
+    for graph in graphs:
+        plain, mirror = (sorted(_vertex_keys(graph, flip).values()) for flip in (False, True))
+        if plain[0] != mirror[0]:
+            branches["extrema differ"] += 1
+        else:
+            branches["keys differ" if plain != mirror else "keys equal"] += 1
         fresh = S1Graph(graph.vertices, graph.edges)
-        assert fresh._canonical_serialization == min(sides)
-        branches["keys differ" if sides[0][0] != sides[1][0] else "keys equal"] += 1
-    assert branches["keys differ"] > 3000
+        assert fresh._canonical_serialization == least_serialization(graph)
+    assert len(graphs) > 4000
+    assert branches["extrema differ"] > 3000
+    assert branches["keys differ"] > len(like_extrema)
     assert branches["keys equal"] > 40
+    assert calls["_tie_broken"] > 0
+    assert calls["_serialize"] - calls["_tie_broken"] > 3000
 
 
 def test_opposite_projections_are_equivalent():
