@@ -118,12 +118,23 @@ class S1Graph:
     # Graphs are immutable, so derived facts are computed once per instance.
 
     @cached_property
+    def _extrema(self) -> tuple[FixedComponent, FixedComponent]:
+        """A component of least moment and one of greatest, in one scan."""
+        bottom = top = self.vertices[0]
+        for v in self.vertices:
+            if v.moment < bottom.moment:
+                bottom = v
+            elif v.moment > top.moment:
+                top = v
+        return bottom, top
+
+    @cached_property
     def min_moment(self) -> Q:
-        return min(v.moment for v in self.vertices)
+        return self._extrema[0].moment
 
     @cached_property
     def max_moment(self) -> Q:
-        return max(v.moment for v in self.vertices)
+        return self._extrema[1].moment
 
     @cached_property
     def _diagnostics(self) -> tuple[str, ...]:
@@ -141,7 +152,8 @@ class S1Graph:
         the reflection, and only the winning side is keyed.  Where they are
         equal, both sides are keyed and compared in full.
         """
-        plain, mirror = _extremal_key(self, False), _extremal_key(self, True)
+        bottom, top = self._extrema
+        plain, mirror = _extremal_key(bottom, False), _extremal_key(top, True)
         if plain != mirror:
             flip = mirror < plain
             return _serialize(self, flip, _vertex_keys(self, flip))
@@ -558,10 +570,9 @@ def _vertex_keys(graph: S1Graph, flip: bool) -> dict[int, tuple]:
     }
 
 
-def _extremal_key(graph: S1Graph, flip: bool) -> tuple:
-    """The `_vertex_keys` key of the minimum (of the maximum when flipped)."""
-    moment = graph.max_moment if flip else graph.min_moment
-    v = next(v for v in graph.vertices if v.moment == moment)
+def _extremal_key(v: FixedComponent, flip: bool) -> tuple:
+    """The `_vertex_keys` key of the minimum v (of the maximum v when
+    flipped), whose moment offset is 0."""
     if v.genus is not None:
         return (0, 1, v.genus, v.area)
     m, n = v.weights

@@ -548,6 +548,31 @@ def test_census_diagnoses_nothing_and_canonicalises_each_parent_once(monkeypatch
     assert 0 < len(canonicalised) <= len(parents)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        plane(1, "1/3", "1/4", "1/5"),
+        ruled("product_ruled", 2, 2, "1/3", "1/4", "1/5"),
+        ruled("twisted_ruled", 1, "5/2", "1/3", "1/4"),
+    ],
+)
+def test_census_formats_and_parses_nothing(monkeypatch, spec):
+    # The ruled seed degrees are bounded by the bottom section area, not by
+    # catching ruled_base_graph's refusal, whose text would be discarded.
+    calls = []
+    for module, name in ((cg, "format_rational"), (cg, "parse_exact"), (census, "format_rational")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    result = run_census(spec)
+    assert calls == []
+    assert result.counts.total_maximal_tori > 0
+
+
 def _reference_census(spec):
     """Toric and maximal-circle entries, projecting every edge of every stage.
 
