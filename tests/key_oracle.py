@@ -49,11 +49,8 @@ def searched_serialization(graph, flip, keys, budget=5000):
     return best
 
 
-def least_serialization(graph, budget=5000):
+def least_serialization(graph):
     """The least searched serialization of both reflections, or None when
-    either side has more than `budget` orderings."""
-    sides = [
-        searched_serialization(graph, flip, _vertex_keys(graph, flip), budget)
-        for flip in (False, True)
-    ]
+    either side has more orderings than the search's default budget."""
+    sides = [searched_serialization(graph, flip, _vertex_keys(graph, flip)) for flip in (False, True)]
     return None if None in sides else min(sides)
