@@ -12,10 +12,9 @@ to circle subactions, builds the base graphs of ruled surfaces, performs
 equivariant blow-ups with the full case analysis, tests whether an
 action extends to a toric one, and computes canonical forms under moment
 translation and reflection.  A canonical form is a complete invariant:
-like vertices are told apart by refining ranks along the edges, with no
-search and no refusal.  Only ties cost extra: the keys of the minimum and
-the maximum pick the reflection unless they are equal, and neighbour
-signatures and rank refinement run only on vertices whose keys tie.
+the keys of the minimum and the maximum pick the reflection unless they
+are equal, and where two vertex keys tie, `_refined` tells like vertices
+apart by refining ranks along the edges, with no search and no refusal.
 
 Graphs are validated where they enter.  Every public function validates
 the graphs it is given, and `blow_up`, `can_blow_up`, `canonical_form`,
@@ -144,26 +143,17 @@ class S1Graph:
     def _canonical_serialization(self) -> tuple:
         """The least `_serialize` of the two reflections.
 
-        A serialization's verts are its sorted key list, so keys that
-        differ decide the least (verts, links) before any links are built.
-        The unique minimum is the one vertex whose plain key has moment
-        offset 0, and the unique maximum the one whose mirrored key has, so
-        their keys lead the two sorted lists: where they differ they decide
-        the reflection, and only the winning side is keyed.  Where they are
-        equal, both sides are keyed and compared in full.
+        A serialization's verts are its sorted key list.  The unique minimum
+        is the one vertex whose plain key has moment offset 0, and the
+        unique maximum the one whose mirrored key has, so their keys lead
+        the two lists: where they differ they decide the reflection, and
+        only the winning side is serialized.
         """
         bottom, top = self._extrema
         plain, mirror = _extremal_key(bottom, False), _extremal_key(top, True)
         if plain != mirror:
-            flip = mirror < plain
-            return _serialize(self, flip, _vertex_keys(self, flip))
-        keys, mirrored = _vertex_keys(self, False), _vertex_keys(self, True)
-        plain, mirror = sorted(keys.values()), sorted(mirrored.values())
-        if plain < mirror:
-            return _serialize(self, False, keys)
-        if mirror < plain:
-            return _serialize(self, True, mirrored)
-        return min(_serialize(self, False, keys), _serialize(self, True, mirrored))
+            return _serialize(self, mirror < plain)
+        return min(_serialize(self, False), _serialize(self, True))
 
 
 def edge_area(graph: S1Graph, edge: tuple[int, int, int]) -> Q:
@@ -183,11 +173,12 @@ def _diagnose(graph: S1Graph) -> tuple[str, ...]:
     ids = [v.id for v in graph.vertices]
     if len(set(ids)) != len(ids):
         return ("vertex ids must be distinct",)
-    problems: list[str] = []
-    by_id = {v.id: v for v in graph.vertices}
-
     lo = graph.min_moment
     hi = graph.max_moment
+    if lo == hi:
+        return ("min moment equals max moment",)
+    problems: list[str] = []
+    by_id = {v.id: v for v in graph.vertices}
     for bound, name in ((lo, "min"), (hi, "max")):
         attained = [v for v in graph.vertices if v.moment == bound]
         if len(attained) != 1:
@@ -579,16 +570,16 @@ def _extremal_key(v: FixedComponent, flip: bool) -> tuple:
     return (0, 0, -n, -m) if flip else (0, 0, m, n)
 
 
-def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:
-    """The least (verts, links) of one reflection, given its `_vertex_keys`.
-    Where the keys are distinct, the verts are the sorted keys and each
-    vertex's position is its key's place among them, with no neighbour
-    signature built; only where two keys tie does `_tie_broken` order the
-    vertices further.  The links are the sorted (later position, earlier
-    position, k)."""
+def _serialize(graph: S1Graph, flip: bool) -> tuple:
+    """The least (verts, links) of one reflection: the verts are the sorted
+    `_vertex_keys`, and the links the sorted (later position, earlier
+    position, k).  Where the keys are distinct, each vertex's position is
+    its key's place among them; only where two keys tie does `_refined`
+    order the vertices further."""
+    keys = _vertex_keys(graph, flip)
     ordered = sorted(keys, key=keys.__getitem__)
     if any(keys[a] == keys[b] for a, b in zip(ordered, ordered[1:])):
-        ordered = _tie_broken(graph, keys)
+        ordered = _refined(graph, keys)
     position = {vertex_id: i for i, vertex_id in enumerate(ordered)}
     verts = tuple(keys[i] for i in ordered)
     # Reflection swaps the poles of every edge.
@@ -597,51 +588,41 @@ def _serialize(graph: S1Graph, flip: bool, keys: dict[int, tuple]) -> tuple:
     return (verts, links)
 
 
-def _tie_broken(graph: S1Graph, keys: dict[int, tuple]) -> list[int]:
+def _refined(graph: S1Graph, keys: dict[int, tuple]) -> list[int]:
     """The vertex ids in the order of the least serialization, where some
-    keys tie.  Vertices are ordered by key, then by the sorted (k, pole,
-    key at the other end) of their edges; `_refined` breaks the ties left
-    among vertices with edges.  Sorted links read each vertex's edges
-    toward earlier vertices in turn, and only the unique minimum and
-    maximum, which have keys of their own, have two edges one way; so the
-    least links order like vertices by their earlier ends, and where those
-    tie all the way down, by their later ends, as swapping the chains below
-    two like vertices changes only the links at their later ends.  Like
-    vertices that neither end splits lie on monotone paths that match rank
-    for rank and end alike, so an automorphism exchanges them.  Vertices
-    with no edge are in no link."""
+    keys tie: by key, then by the sorted (k, pole, key at the other end) of
+    their edges.  Ties left among vertices with edges are broken by ranks
+    refined by the sorted (rank, k) at the earlier ends of each vertex's
+    edges until stable, then by those at the later ends, until neither
+    splits a class; then the least tied class's first vertex is ranked
+    alone, and so on.  A rank is its class's first position, so the order
+    is only split.  Sorted links read each vertex's edges toward earlier
+    vertices in turn, and only the unique minimum and maximum, which have
+    keys of their own, have two edges one way; so the least links order
+    like vertices by their earlier ends, and where those tie all the way
+    down, by their later ends, as swapping the chains below two like
+    vertices changes only the links at their later ends.  Like vertices
+    that neither end splits lie on monotone paths that match rank for rank
+    and end alike, so an automorphism exchanges them.  Vertices with no
+    edge are in no link."""
     local: dict[int, list] = {vertex_id: [] for vertex_id in keys}
+    ends: dict[int, tuple] = {vertex_id: ([], []) for vertex_id in keys}
     for north, south, k in graph.edges:
         local[north].append((k, 1, keys[south]))
         local[south].append((k, 0, keys[north]))
-    neighbour = {vertex_id: tuple(sorted(links)) for vertex_id, links in local.items()}
-
-    ordered = sorted(keys, key=lambda i: (keys[i], neighbour[i]))
-    if any(
-        neighbour[a] and neighbour[a] == neighbour[b] and keys[a] == keys[b]
-        for a, b in zip(ordered, ordered[1:])
-    ):
-        ordered = _refined(graph, ordered, keys, neighbour)
-    return ordered
-
-
-def _refined(graph: S1Graph, ordered: list[int], keys: dict, neighbour: dict) -> list[int]:
-    """`ordered` with no two vertices with edges tied.  Ranks are refined by
-    the sorted (rank, k) at the earlier ends of each vertex's edges until
-    stable, then by those at the later ends, until neither splits a class;
-    then the least tied class's first vertex is ranked alone, and so on.
-    A rank is its class's first position, so `ordered` is only split."""
-    ends: dict[int, tuple] = {i: ([], []) for i in ordered}
-    for north, south, k in graph.edges:
         late, early = (north, south) if keys[south] < keys[north] else (south, north)
         ends[late][0].append((k, early))
         ends[early][1].append((k, late))
+    label = {i: (keys[i], tuple(sorted(links))) for i, links in local.items()}
+    ordered = sorted(keys, key=label.__getitem__)
+    if not any(label[a][1] and label[a] == label[b] for a, b in zip(ordered, ordered[1:])):
+        return ordered
 
     def ranks(signature: dict) -> dict:
         order = sorted(signature.values())
         return {i: bisect_left(order, s) for i, s in signature.items()}
 
-    rank, side = ranks({i: (keys[i], neighbour[i]) for i in ordered}), 0
+    rank, side = ranks(label), 0
     while True:
         split = ranks({i: (r, sorted((rank[j], k) for k, j in ends[i][side])) for i, r in rank.items()})
         if split != rank:

@@ -476,11 +476,7 @@ def _passes_positivity(basis: Basis, coeffs: Sequence[int]) -> bool:
     Ruled genus >= 1: pairing with F exactly zero, since every sphere maps
     trivially to a positive-genus base.
     """
-    if basis.kind == RATIONAL:
-        return coeffs[0] >= 0
-    if basis.genus == 0:
-        return coeffs[0] >= 0
-    return coeffs[0] == 0
+    return coeffs[0] >= 0 if basis.genus == 0 else coeffs[0] == 0
 
 
 def enumerate_exceptional_candidates(
@@ -820,26 +816,29 @@ def _blowdown_chains(omega: SymplecticData, every_tie: bool) -> list[BlowdownCha
 
     With every_tie each tie branches into its own chain; otherwise only the
     lexicographically least minimal class is followed.  Tie branches meet
-    the same stage again, so each stage's minimal classes are looked up in
-    a table that lives for this call.
+    the same stage again, so each stage's minimal classes, and each class's
+    blow-down once taken, are looked up in a table that lives for this
+    call.
     """
     if omega.basis.blowups < 1:
         raise PreconditionError("recipe has no blow-ups")
     chains: list[BlowdownChain] = []
-    minimal: dict[SymplecticData, MinimalClassData] = {}
+    stages: dict[SymplecticData, tuple[MinimalClassData, dict]] = {}
 
     def walk(data: SymplecticData, transport: list[list[int]], steps: list[ChainStep]) -> None:
         if data.basis.blowups == 0:
             chains.append(BlowdownChain(tuple(steps), data, omega))
             return
-        if data not in minimal:
-            minimal[data] = minimal_exceptional_classes(data)
-        epsilon, classes = minimal[data]
+        if data not in stages:
+            stages[data] = (minimal_exceptional_classes(data), {})
+        (epsilon, classes), blown = stages[data]
         if not every_tie:
             classes = (min(classes, key=lambda cls: cls.coeffs),)
         for choice in classes:
             original = tuple(mat_mul([choice.coeffs], transport)[0])
-            smaller, frame = _blow_down_with_frame(data, choice)
+            if choice not in blown:
+                blown[choice] = _blow_down_with_frame(data, choice)
+            smaller, frame = blown[choice]
             step = ChainStep(len(steps) + 1, choice, epsilon, original)
             walk(smaller, mat_mul(frame, transport), steps + [step])
 
@@ -893,18 +892,14 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
     if basis.blowups < 1:
         raise PreconditionError("no exceptional divisor")
     small = Basis(basis.kind, basis.genus, basis.blowups - 1)
-    fixed = SymplecticData(
-        small,
-        omega.capacities[:-1],
-        lam=omega.lam,
-        mu=omega.mu,
-        fiber=None if basis.kind == RATIONAL else omega.fiber,
-    )
     gram = small.gram()
-    whole, scale = fixed.integer_area
-    quantity = fixed.volume_quantity()
+    # The fixed part is omega without Ek: its areas are omega's but the
+    # last, and blowing Ek down adds c_k^2 to the volume quantity.
+    whole, scale = omega.integer_area
+    whole = whole[:-1]
+    quantity = omega.volume_quantity() + omega.capacities[-1] ** 2
 
-    seed = _threshold_seed(omega, fixed)
+    seed = _threshold_seed(omega)
     if 2 * seed * seed >= quantity:
         raise EnumerationError("bound not certified")
 
@@ -935,14 +930,14 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
     return CapacityThreshold(threshold, classes)
 
 
-def _threshold_seed(omega: SymplecticData, fixed: SymplecticData) -> Q:
+def _threshold_seed(omega: SymplecticData) -> Q:
     """Cheap upper bound for the threshold from structural competitors."""
     values: list[Q] = []
-    if fixed.basis.blowups >= 1:
-        values.append(fixed.capacities[-1])
+    if omega.basis.blowups >= 2:
+        values.append(omega.capacities[-2])
     if omega.basis.kind == RATIONAL:
         values.append(omega.lam / 2)
-        if fixed.basis.blowups >= 1:
+        if omega.basis.blowups >= 2:
             # L - E1 - Ek, the line through the largest and the last point.
             values.append((omega.lam - omega.capacities[0]) / 2)
     else:

@@ -234,6 +234,9 @@ DIAGNOSTIC_CASES = {
         S1Graph((isolated(0, Q(0), (1, 3)), isolated(1, Q(1), (-1, -1)))),
         ("vertex 0: weight 3 has no matching Z_k edge",),
     ),
+    # A moment map with one value is constant: no circle acts.
+    "lone-surface": (S1Graph((surface(0, Q(0), 1, Q(2)),)), ("min moment equals max moment",)),
+    "lone-point": (S1Graph((MIN_POINT,)), ("min moment equals max moment",)),
 }
 
 
@@ -1064,7 +1067,7 @@ def test_tie_breaking_matches_the_permutation_search():
             searched = searched_serialization(graph, flip, keys)
             if searched is None:
                 continue
-            assert repr(_serialize(graph, flip, keys)) == repr(searched)
+            assert repr(_serialize(graph, flip)) == repr(searched)
             compared += 1
             tied += searched_serialization(graph, flip, keys, budget=1) is None
     assert compared > 250
@@ -1113,16 +1116,10 @@ def _like_extrema_graphs():
     return graphs
 
 
-def test_serialization_shortcut_matches_both_reflections(monkeypatch):
-    # _canonical_serialization keys one reflection alone where the keys of
-    # the minimum and the maximum differ, and _serialize orders by key
-    # alone where no two keys tie; the oracle searches both reflections in
-    # full.  A degree-0 ruled base graph is its own reflection.
-    projections, blow_ups = _graphs_as_built()
-    like_extrema = _like_extrema_graphs()
-    graphs = projections + blow_ups + like_extrema + [ruled_base_graph(2, 0, Q(1), False)]
-    calls = {"_serialize": 0, "_tie_broken": 0}
-    for name in calls:
+def _counted(monkeypatch, *names):
+    """Calls of each named `circle_graph` function, counted as they happen."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(circle_graph, name)
 
         def counted(*args, name=name, original=original):
@@ -1130,6 +1127,18 @@ def test_serialization_shortcut_matches_both_reflections(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(circle_graph, name, counted)
+    return calls
+
+
+def test_serialization_shortcut_matches_both_reflections(monkeypatch):
+    # _canonical_serialization serializes one reflection alone where the
+    # keys of the minimum and the maximum differ, and _serialize orders by
+    # key alone where no two keys tie; the oracle searches both reflections
+    # in full.  A degree-0 ruled base graph is its own reflection.
+    projections, blow_ups = _graphs_as_built()
+    like_extrema = _like_extrema_graphs()
+    graphs = projections + blow_ups + like_extrema + [ruled_base_graph(2, 0, Q(1), False)]
+    calls = _counted(monkeypatch, "_serialize", "_refined")
     branches = {"extrema differ": 0, "keys differ": 0, "keys equal": 0}
     for graph in graphs:
         plain, mirror = (sorted(_vertex_keys(graph, flip).values()) for flip in (False, True))
@@ -1143,8 +1152,34 @@ def test_serialization_shortcut_matches_both_reflections(monkeypatch):
     assert branches["extrema differ"] > 3000
     assert branches["keys differ"] > len(like_extrema)
     assert branches["keys equal"] > 40
-    assert calls["_tie_broken"] > 0
-    assert calls["_serialize"] - calls["_tie_broken"] > 3000
+    # Graphs with equal extremal keys are serialized in both reflections.
+    both = branches["keys differ"] + branches["keys equal"]
+    assert calls["_serialize"] == len(graphs) + both
+    assert calls["_refined"] > 0
+    assert calls["_serialize"] - calls["_refined"] > 3000
+
+
+def test_edgeless_ties_and_like_extrema_match_the_search(monkeypatch):
+    # Blowing the bottom section of a degree-0 ruled base up twice alike
+    # leaves two (1, -1) points at one level, the only tied vertices, with
+    # no edges; blowing both sections up alike gives the minimum and the
+    # maximum equal keys, so both reflections are serialized.
+    base = ruled_base_graph(0, 0, Q(3, 2), False)
+    edgeless = blow_up(blow_up(base, 0, Q(1, 4)), 0, Q(1, 4))
+    like = blow_up(blow_up(base, 0, Q(1, 3)), 1, Q(1, 3))
+    calls = _counted(monkeypatch, "_serialize", "_refined")
+    rng = random.Random(79)
+    for graph, serialized, refined in ((edgeless, 1, 1), (like, 2, 0)):
+        assert_valid(graph)
+        key = least_serialization(graph)
+        for _ in range(5):
+            calls.update(_serialize=0, _refined=0)
+            assert canonical_serialization(graph) == key
+            assert calls == {"_serialize": serialized, "_refined": refined}
+            graph = _moved(graph, rng)
+    assert [v.moment for v in edgeless.vertices].count(Q(1, 4)) == 2
+    bottom, top = like._extrema
+    assert circle_graph._extremal_key(bottom, False) == circle_graph._extremal_key(top, True)
 
 
 def test_opposite_projections_are_equivalent():

@@ -842,6 +842,22 @@ def test_precondition_failures_are_exit_two(capsys):
     assert err.strip() == "capacities must be weakly decreasing"
 
 
+LONE_SURFACE = '{"vertices": [{"id": 0, "moment": "0", "surface": {"genus": 1, "area": "2"}}]}'
+LONE_POINT = '{"vertices": [{"id": 0, "moment": "0", "weights": [1, 1]}]}'
+
+
+@pytest.mark.parametrize("graph", [LONE_SURFACE, LONE_POINT])
+def test_one_level_graph_is_refused(capsys, graph):
+    code, out, err = run(capsys, "check", "--graph", graph)
+    assert (code, out, err) == (0, "valid circle-action graph: no\n  min moment equals max moment\n", "")
+    for argv in (
+        ["canon", "--graph", graph],
+        ["invariants", "--graph", graph],
+        ["blowup", "--graph", graph, "--vertex", "0", "--delta", "1/2"],
+    ):
+        assert run(capsys, *argv) == (2, "", "graph invalid: min moment equals max moment\n")
+
+
 def test_recipe_outside_cone_is_exit_two(capsys):
     # L - E1 - E2 has area 1 - 1/2 - 1/2 = 0 although the volume is positive.
     spec = '{"base":{"kind":"cp2","lambda":"1"},"capacities":["1/2","1/2"]}'

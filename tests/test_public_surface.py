@@ -9,6 +9,9 @@ anywhere there, so the scan is coarse for common names.  A string counts
 only in `bench/`, whose tracer names functions by dotted strings; a
 string elsewhere is data, such as a JSON key.  The package `__init__`
 re-exports names and does not count as a caller.
+
+A private module-level function must be referenced in `src/` outside its
+own body, so that no helper is reached only from the tests.
 """
 
 import ast
@@ -119,6 +122,30 @@ def test_every_public_function_has_a_caller_outside_the_tests():
             for where, tree in trees.items()
         ):
             unused.append(f"{owner}: {name}")
+    assert unused == []
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    private = [
+        (where, node.name)
+        for where, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    ]
+    assert ("src/torus_census/circle_graph.py", "_refined") in private
+    unused = [
+        f"{owner}: {name}"
+        for owner, name in private
+        if not any(
+            name in _references(tree, name if where == owner else None)
+            for where, tree in trees.items()
+        )
+    ]
     assert unused == []
 
 
