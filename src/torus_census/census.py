@@ -2,10 +2,11 @@
 
 A recipe names a minimal base (a projective plane of given line area, or
 a genus-g sphere bundle with fiber area 1) and a weakly decreasing list
-of blow-up capacities.  A cp2 recipe is first brought to Cremona-reduced
-form (line area at least the sum of the three largest capacities), which
-names the same manifold; a recipe that reduction shows to lie outside
-the symplectic cone is refused.  The toric census folds polygon corner
+of blow-up capacities.  The census reads the recipe through its homology
+form, `SymplecticData`, whose construction refuses a recipe outside the
+symplectic cone.  A cp2 recipe is then brought to Cremona-reduced form
+(line area at least the sum of the three largest capacities), which
+names the same manifold.  The toric census folds polygon corner
 chops over the capacities starting from all model polygons of the base,
 keeping canonical forms only.  The circle census grows a frontier of
 decorated graphs in lock-step.  Stage 0 projects every model polygon
@@ -81,15 +82,16 @@ no entry and no provenance.  Edges of length delta that some other chop
 left are still projected.
 
 Both censuses run on whole numbers: every area of the reduced recipe is
-multiplied by D, twice the lcm of its denominators, so every polygon
-vertex, moment and graph area is a Python int, and the results are
-divided by D back to Fractions.  A positive scale commutes with the
-integral affine maps, translations and reflections of the canonical
-forms and keeps every comparison, so the answer is the same.  It also
-keeps a valid polygon or graph valid, so the divided results are built
-without re-validation: polygons by `pg._polygon`, graphs straight from
-their canonical keys by `cg._graph_from_key`, every value through one
-table per census that holds one Fraction per scaled int.
+multiplied by D, twice the lcm of its denominators (the lcm is the scale
+of its `integer_area`), so every polygon vertex, moment and graph area
+is a Python int, and the results are divided by D back to Fractions.  A
+positive scale commutes with the integral affine maps, translations and
+reflections of the canonical forms and keeps every comparison, so the
+answer is the same.  It also keeps a valid polygon or graph valid, so
+the divided results are built without re-validation: polygons by
+`pg._polygon`, graphs straight from their canonical keys by
+`cg._graph_from_key`, every value through one table per census that
+holds one Fraction per scaled int.
 """
 
 from __future__ import annotations
@@ -97,13 +99,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import count
-from math import lcm
 from typing import NamedTuple
 
 from . import circle_graph as cg
 from . import polygon as pg
 from .errors import CapacityError, FormatError, PreconditionError
-from .homology import Basis, SymplecticData, cremona_reduced, require_in_cone
+from .homology import RATIONAL, Basis, SymplecticData, cremona_reduced
+from .linalg import dot
 from .rationals import format_rational, halve, is_int, parse_rational
 
 CP2 = "cp2"
@@ -155,34 +157,31 @@ class ManifoldSpec:
 
     @property
     def volume(self) -> Q:
-        if self.base == CP2:
-            base = self.base_area * self.base_area / 2
-        elif self.base == PRODUCT_RULED:
-            base = self.base_area * self.fiber
-        else:
-            # The twisted section squares to -1, so the dual of the area
-            # functional picks up an extra half fiber-square.
-            base = self.base_area * self.fiber + self.fiber * self.fiber / 2
-        return base - sum((c * c for c in self.capacities), Q(0)) / 2
+        """w . G^-1 w / 2 for the area covector w: the same form as homology's."""
+        basis = _basis(self)
+        w = (self.base_area, self.fiber)[: basis.base_rank] + self.capacities
+        return dot(w, basis.dual(w)) / 2
 
     @property
     def rational_base(self) -> bool:
         return self.base == CP2 or self.genus == 0
 
 
-def spec_to_symplectic(spec: ManifoldSpec) -> SymplecticData:
-    """The homology-level form of a recipe, for chains and enumeration.
+def _basis(spec: ManifoldSpec) -> Basis:
+    """The recipe's homology basis: L, E1..Ek on cp2, else B, F, E1..Ek."""
+    return Basis(RATIONAL if spec.base == CP2 else spec.base, spec.genus, spec.blowups)
 
-    Recipes outside the symplectic cone are refused, as by the census:
-    SymplecticData runs the same check.
+
+def spec_to_symplectic(spec: ManifoldSpec) -> SymplecticData:
+    """The homology-level form of a recipe, for the census, chains and enumeration.
+
+    Building SymplecticData refuses a recipe outside the symplectic cone,
+    so every verb reaches the cone check by this one route.
     """
+    basis = _basis(spec)
     if spec.base == CP2:
-        basis = Basis("rational", 0, spec.blowups)
         return SymplecticData(basis, spec.capacities, lam=spec.base_area)
-    basis = Basis(spec.base, spec.genus, spec.blowups)
-    return SymplecticData(
-        basis, spec.capacities, mu=spec.base_area, fiber=spec.fiber
-    )
+    return SymplecticData(basis, spec.capacities, mu=spec.base_area, fiber=spec.fiber)
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +411,13 @@ def _step(recorded: Q):
     return record
 
 
-def _in_cone_model(spec: ManifoldSpec) -> ManifoldSpec:
-    """The Cremona-reduced form of a recipe, refusing one outside the cone.
-
-    A cp2 recipe comes back reduced; a ruled recipe comes back as given.
-    """
-    if spec.base == CP2:
-        lam, caps = cremona_reduced(spec.base_area, spec.capacities)
-        return ManifoldSpec(CP2, 0, lam, Q(1), caps)
-    basis = Basis(spec.base, spec.genus, spec.blowups)
-    require_in_cone(basis, spec.base_area, spec.fiber, spec.capacities)
-    return spec
-
-
-def _scale(model: ManifoldSpec) -> int:
-    """D = 2 lcm of the model's denominators: D times any of its areas, and
-    D/2 times the fiber (a twisted model's half fiber), is an int."""
-    areas = (model.base_area, model.fiber, *model.capacities)
-    return 2 * lcm(*(x.denominator for x in areas))
+def _reduced_form(spec: ManifoldSpec) -> SymplecticData:
+    """The recipe's homology form, Cremona-reduced on a cp2 base."""
+    data = spec_to_symplectic(spec)
+    if spec.base != CP2:
+        return data
+    lam, caps = cremona_reduced(data.lam, data.capacities)
+    return SymplecticData(data.basis, caps, lam=lam)
 
 
 class _Unscaled(dict):
@@ -447,27 +435,32 @@ class _Unscaled(dict):
 def run_census(spec: ManifoldSpec) -> CensusResult:
     """Full toric and maximal-circle census of a recipe, with provenance.
 
-    A cp2 recipe is censused in its Cremona-reduced form, so the answer
-    depends on the manifold rather than on how the recipe names it; the
-    result still carries the recipe as given, and its warnings.
+    The census folds the recipe's SymplecticData (spec_to_symplectic, which
+    refuses a recipe outside the cone), Cremona-reduced on a cp2 base, so
+    the answer depends on the manifold rather than on how the recipe names
+    it; the result still carries the recipe as given, and its warnings.
     """
     warnings = _regime_warnings(spec)
-    model = _in_cone_model(spec)
-    scale = _scale(model)
-    area, fiber = int(model.base_area * scale), int(model.fiber * scale)
-    capacities = tuple((int(c * scale), c) for c in model.capacities)
-    seeds = _model_polygons(model.base, area, fiber) if model.rational_base else ()
+    model = _reduced_form(spec)
+    # The area covector is W / lcd.  Scaled by D = 2 lcd, every area of the
+    # model, and half its fiber (a twisted model's half fiber), is an int;
+    # a cp2 model has no fiber in its covector, and its fiber is 1.
+    whole, lcd = model.integer_area
+    scale, head = 2 * lcd, model.basis.base_rank
+    area, fiber = 2 * whole[0], 2 * whole[1] if head == 2 else scale
+    capacities = tuple((2 * w, c) for w, c in zip(whole[head:], model.capacities))
+    seeds = _model_polygons(spec.base, area, fiber) if spec.rational_base else ()
     toric = {p.vertices: (p, ToricProvenance(p, ())) for p in seeds}
 
     frontier: dict[tuple, tuple[cg.S1Graph, CircleProvenance]] = {}
-    if not model.rational_base:
-        twisted = model.base == TWISTED_RULED
+    if not spec.rational_base:
+        twisted = spec.base == TWISTED_RULED
         # Each admissible degree keeps the bottom section's area positive.
         for degree in count(1 if twisted else 0, 2):
             bottom = area - halve((degree - twisted) * fiber)
             if bottom <= 0:
                 break
-            graph = cg._ruled_base(model.genus, degree, bottom, fiber)
+            graph = cg._ruled_base(spec.genus, degree, bottom, fiber)
             frontier[_serial(graph)] = (graph, CircleProvenance("ruled_base", 0, degree))
 
     def project(stage: int, delta: int | None = None) -> None:

@@ -811,14 +811,14 @@ class BlowdownChain:
         _invariant(self.terminal.basis.blowups == 0, "a chain ends on a minimal model")
 
 
-def _blowdown_chains(omega: SymplecticData, every_tie: bool) -> list[BlowdownChain]:
-    """Blow down a minimal-area class at every stage until none is left.
+def minimal_blowdown_chains(omega: SymplecticData) -> tuple[BlowdownChain, ...]:
+    """All maximal chains of minimal-area blow-downs, ties branching.
 
-    With every_tie each tie branches into its own chain; otherwise only the
-    lexicographically least minimal class is followed.  Tie branches meet
-    the same stage again, so each stage's minimal classes, and each class's
-    blow-down once taken, are looked up in a table that lives for this
-    call.
+    Each stage blows down a class of least area until none is left, and
+    each tie branches into its own chain.  Tie branches meet the same stage
+    again, so each stage's minimal classes, and each class's blow-down once
+    taken, are looked up in a table that lives for this call.  The chains
+    come sorted by their classes in the recipe's basis.
     """
     if omega.basis.blowups < 1:
         raise PreconditionError("recipe has no blow-ups")
@@ -832,8 +832,6 @@ def _blowdown_chains(omega: SymplecticData, every_tie: bool) -> list[BlowdownCha
         if data not in stages:
             stages[data] = (minimal_exceptional_classes(data), {})
         (epsilon, classes), blown = stages[data]
-        if not every_tie:
-            classes = (min(classes, key=lambda cls: cls.coeffs),)
         for choice in classes:
             original = tuple(mat_mul([choice.coeffs], transport)[0])
             if choice not in blown:
@@ -843,27 +841,21 @@ def _blowdown_chains(omega: SymplecticData, every_tie: bool) -> list[BlowdownCha
             walk(smaller, mat_mul(frame, transport), steps + [step])
 
     walk(omega, identity_matrix(omega.basis.rank), [])
-    return chains
-
-
-def minimal_blowdown_chains(omega: SymplecticData) -> tuple[BlowdownChain, ...]:
-    """All maximal chains of minimal-area blow-downs, ties branching."""
-    chains = _blowdown_chains(omega, every_tie=True)
     chains.sort(key=lambda chain: tuple(s.original_coeffs for s in chain.steps))
     return tuple(chains)
 
 
 def canonical_blowdown_chain(omega: SymplecticData) -> BlowdownChain:
-    """One deterministic chain: the lexicographically least choice per stage."""
-    (chain,) = _blowdown_chains(omega, every_tie=False)
-    return chain
+    """The canonical chain of omega: canonical_chain_among all of its chains."""
+    return canonical_chain_among(minimal_blowdown_chains(omega))
 
 
 def canonical_chain_among(chains: Sequence[BlowdownChain]) -> BlowdownChain:
-    """The chain canonical_blowdown_chain returns, picked out of all chains.
+    """The chain that takes the lexicographically least class at every stage.
 
     Two chains agree up to the first stage where their classes differ, and
-    there the canonical walk takes the lesser class.
+    the least chain by its sequence of chosen classes takes the lesser one
+    there.  The classes are read in each stage's own basis.
     """
     return min(chains, key=lambda chain: tuple(step.chosen.coeffs for step in chain.steps))
 

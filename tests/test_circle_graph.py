@@ -352,6 +352,30 @@ def test_ruled_base_graph_parity_check():
         ruled_base_graph(0, 2, Q(2), True)
 
 
+@pytest.mark.parametrize(
+    "genus, degree, mu, fiber, message",
+    [
+        (-1, 0, Q(2), Q(1), "genus must be a nonnegative integer"),
+        (0, -2, Q(2), Q(1), "degree must be a nonnegative integer"),
+        (0, 0, Q(0), Q(1), "section and fiber areas must be positive"),
+        (1, 0, Q(-1), Q(1), "section and fiber areas must be positive"),
+        (0, 0, Q(2), Q(0), "section and fiber areas must be positive"),
+    ],
+)
+def test_ruled_base_graph_refuses_bad_parameters(genus, degree, mu, fiber, message):
+    with pytest.raises(PreconditionError) as excinfo:
+        ruled_base_graph(genus, degree, mu, False, fiber)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("data", [{"area": "1"}, {"genus": 0}, {}, "sphere"])
+def test_graph_json_surface_needs_genus_and_area(data):
+    payload = {"vertices": [{"id": 0, "moment": "0", "surface": data}], "edges": []}
+    with pytest.raises(FormatError) as excinfo:
+        graph_from_json(payload)
+    assert str(excinfo.value) == "surface data needs genus and area"
+
+
 def test_twisted_base_graph_odd_degrees():
     graph = ruled_base_graph(0, 1, Q(3, 2), True)
     areas = sorted(v.area for v in graph.vertices)

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -570,6 +571,30 @@ def test_closed_stdout_pipe_ends_without_a_traceback():
     assert (first, code, err) == (b"{\n", 1, b"")
 
 
+def test_reader_closing_after_one_byte_is_exit_one(capsys, monkeypatch):
+    # In process, so the handler's own lines run here: a reader thread takes
+    # one byte and closes the pipe while the census JSON (about 360 kB, more
+    # than a pipe holds) is still being written.
+    caps = ", ".join(f'"1/{q}"' for q in range(6, 11))
+    spec = f'{{"base": {{"kind": "product_ruled", "genus": 1, "mu": "1"}}, "capacities": [{caps}]}}'
+    read_end, write_end = os.pipe()
+    first = []
+
+    def reader():
+        first.append(os.read(read_end, 1))
+        os.close(read_end)
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        code = main(["census", "--format", "json", "--spec", spec])
+        monkeypatch.undo()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert (first, code, capsys.readouterr().err) == ([b"{"], 1, "")
+
+
 _RULED_GENUS_ONE = (
     '{"base": {"kind": "product_ruled", "genus": 1, "mu": "1", "fiber": "1"},'
     ' "capacities": ["1/5", "1/7"]}'
@@ -810,6 +835,32 @@ def test_blowup_requires_vertex_and_delta(capsys):
     code, out, err = run(capsys, "blowup", "--polygon", SQUARE, "--delta", "1/4")
     assert code == 1
     assert err.strip() == "blowup needs --vertex"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("blowdown", "--edge", "0"), "blowdown needs --polygon"),
+        (("blowdown", "--polygon", SQUARE), "blowdown needs --edge"),
+        (("project", "--xi", "1,0"), "project needs --polygon"),
+        (("project", "--polygon", SQUARE), "project needs --xi"),
+        (("project", "--polygon", SQUARE, "--xi", "1,x"), "direction must be two integers a,b, got '1,x'"),
+        (("feasibility",), "feasibility needs --spec, or --k and --delta"),
+        (("feasibility", "--k", "3"), "feasibility needs --spec, or --k and --delta"),
+        (
+            ("check", "--graph", '{"vertices": [{"id": 0, "moment": "0", "surface": {"genus": 0}}]}'),
+            "surface data needs genus and area",
+        ),
+    ],
+)
+def test_missing_or_malformed_arguments_are_exit_one(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("delta", ["0", "-1/4"])
+def test_nonpositive_blowup_capacity_is_exit_two(capsys, delta):
+    argv = ("blowup", "--polygon", SQUARE, "--vertex", "0", f"--delta={delta}")
+    assert run(capsys, *argv) == (2, "", "blow-up capacity must be positive\n")
 
 
 def test_malformed_direction_is_exit_one(capsys):

@@ -4,9 +4,11 @@ The census keeps graphs it builds by projection, from ruled bases and by
 blow-up.  `_expand` is hooked to collect every graph a stage keeps, as
 built, with the stage it belongs to: a graph is at stage
 provenance.stage + len(provenance.steps), so its manifold is the model's
-base blown up at the first that many capacities.  The check runs in the
-census's scaled units (`census._scale`), where the volume is D^2 times the
-stage's.  The returned graphs are checked too, in the recipe's units.
+base blown up at the first that many capacities of the census's reduced
+form (`census._reduced_form`).  The check runs in the census's scaled
+units, D = 2 lcd for the lcd of `integer_area`, where the volume is D^2
+times the stage's.  The returned graphs are checked too, in the recipe's
+units.
 Three corpora: the golden recipes, the criterion-03 grid and a seeded
 fuzz over all three bases.  A mutation pin shows that the DH check sees
 what `validate` does not.
@@ -25,16 +27,19 @@ from torus_census import census
 from torus_census import circle_graph as cg
 from torus_census.census import ManifoldSpec, run_census, spec_from_json
 from torus_census.errors import PreconditionError
+from torus_census.homology import Basis, SymplecticData
 
 GOLDEN = json.loads((Path(__file__).parent / "census_golden.json").read_text())
 
 
 def _stage(model, i):
-    """The model's manifold after its first i blow-ups, and its Euler number."""
-    base = 3 if model.base == census.CP2 else 4 - 4 * model.genus
+    """The volume of the model's manifold after its first i blow-ups, and
+    its Euler number."""
+    kind, genus = model.basis.kind, model.basis.genus
+    base = 3 if kind == "rational" else 4 - 4 * genus
     caps = model.capacities[:i]
-    stage = ManifoldSpec(model.base, model.genus, model.base_area, model.fiber, caps)
-    return stage.volume, base + i
+    stage = SymplecticData(Basis(kind, genus, i), caps, model.lam, model.mu, model.fiber)
+    return stage.volume_quantity() / 2, base + i
 
 
 def _oracle_failures(monkeypatch, specs):
@@ -54,8 +59,8 @@ def _oracle_failures(monkeypatch, specs):
     for spec in specs:
         kept.clear()
         result = run_census(spec)
-        model = census._in_cone_model(spec)
-        scale = census._scale(model)
+        model = census._reduced_form(spec)
+        scale = 2 * model.integer_area[1]
         graphs = {id(graph): (graph, p.stage + len(p.steps)) for graph, p in kept}
         for graph, i in graphs.values():
             volume, euler = _stage(model, i)
@@ -63,7 +68,7 @@ def _oracle_failures(monkeypatch, specs):
             if problems:
                 failures.append((spec, i, problems))
         for graph in result.maximal_circles:
-            volume, euler = _stage(model, model.blowups)
+            volume, euler = _stage(model, spec.blowups)
             problems = cg.validate(graph)[1] or dh_problems(graph, volume, euler)
             if problems:
                 failures.append((spec, "result", problems))
@@ -85,7 +90,7 @@ def _fuzz_recipes(seed, count):
         area = rng.choice(areas)
         try:
             spec = ManifoldSpec(kind, genus, area, Q(1), tuple(caps))
-            census._in_cone_model(spec)
+            census._reduced_form(spec)
         except PreconditionError:
             continue
         recipes.append(spec)
@@ -127,7 +132,7 @@ def test_dh_flags_every_shifted_point_that_validate_accepts():
     # axioms still hold, the areas no longer add up.
     spec = ManifoldSpec("product_ruled", 1, Q(2), Q(1), (Q(1, 3), Q(1, 4), Q(1, 5)))
     result = run_census(spec)
-    volume, euler = _stage(spec, spec.blowups)
+    volume, euler = _stage(census._reduced_form(spec), spec.blowups)
     assert len(result.maximal_circles) == 33
     shifted = []
     for graph in result.maximal_circles:

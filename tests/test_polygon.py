@@ -127,6 +127,16 @@ def test_blow_up_rejects_large_capacity():
     assert "capacity too large" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("delta", [Q(0), Q(-1, 4), 0])
+def test_blow_up_refuses_nonpositive_capacity(delta):
+    # A plain precondition, not a CapacityError: the census skips only sites
+    # whose edges are too short.
+    with pytest.raises(PreconditionError) as excinfo:
+        blow_up(SQUARE, 0, delta)
+    assert type(excinfo.value) is PreconditionError
+    assert str(excinfo.value) == "blow-up capacity must be positive"
+
+
 def test_blow_down_round_trip():
     chopped = blow_up(delzant_triangle(Q(1)), 0, Q(1, 4))
     restored, _ = canonical_form(blow_down(chopped, 0))
