@@ -1,9 +1,9 @@
 """Differential harness: the same CLI requests through two source trees.
 
 From a seed it builds a corpus of `census`, `chains`, `exceptional`,
-`threshold`, `canon` and `check` requests, runs each through `cli.main`
-for the working tree and for `git archive <rev>` unpacked into a
-temporary directory, under `python` and `python -O`, and prints, per
+`threshold`, `canon`, `check` and `blowup` requests, runs each through
+`cli.main` for the working tree and for `git archive <rev>` unpacked into
+a temporary directory, under `python` and `python -O`, and prints, per
 verb, how many requests differ in exit code, stdout or stderr, and which.
 
     python3 tests/differential.py [--rev REV] [--seed N] [--size N]
@@ -11,11 +11,12 @@ verb, how many requests differ in exit code, stdout or stderr, and which.
 The exit status is 0 when no request differs.  Recipes cover all three
 bases, genus 0-2 and 0-4 capacities, half of them equal, some outside the
 symplectic cone; `chains` also runs the recipes of `chains_golden.json`.
-Graphs for `canon` and `check` come from small censuses and projections
-that this tree computes while it builds the corpus, then relabelled,
-moved or spoiled; one corpus goes to every run.  Each run is one child
-process that imports the package from the tree under test and reads the
-corpus on stdin.
+Graphs for `canon`, `check` and `blowup` come from small censuses and
+projections that this tree computes while it builds the corpus, then
+relabelled, moved or spoiled; `blowup` picks any vertex, extremal or
+interior, and a capacity that may be too large.  One corpus goes to
+every run.  Each run is one child process that imports the package from
+the tree under test and reads the corpus on stdin.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
-VERBS = ("census", "chains", "exceptional", "threshold", "canon", "check")
+VERBS = ("census", "chains", "exceptional", "threshold", "canon", "check", "blowup")
 
 POOL = [Q(1, q) for q in range(2, 9)] + [Q(2, 3), Q(2, 5), Q(2, 7), Q(3, 10)]
 # Small censuses whose graphs, and the projections of whose polygons,
-# feed `canon` and `check`.
+# feed `canon`, `check` and `blowup`.
 GRAPH_RECIPES = (
     ("cp2", 0, Q(1), (Q(1, 3), Q(1, 4), Q(1, 5))),
     ("product_ruled", 0, Q(1), (Q(1, 3), Q(1, 5))),
@@ -168,6 +169,10 @@ def build_corpus(seed: int, size: int) -> list[list[str]]:
             change = rng.choice((None, _relabelled, _moved, _spoiled))
             graph = graph if change is None else change(rng, graph)
             argv = [verb, "--graph", json.dumps(graph)] + form
+            if verb == "blowup":
+                vertex = rng.choice(graph["vertices"])["id"]
+                delta = rng.choice(("1/1000", "1/9", "1/5", "1/3", "1"))
+                argv += ["--vertex", str(vertex), "--delta", delta]
         corpus.append(argv)
     return corpus
 

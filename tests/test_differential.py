@@ -9,7 +9,7 @@ import differential
 
 def test_small_corpus_runs_alike_twice_on_one_tree():
     corpus = differential.build_corpus(seed=0, size=36)
-    assert [argv[0] for argv in corpus[:6]] == list(differential.VERBS)
+    assert [argv[0] for argv in corpus[:7]] == list(differential.VERBS)
     src = differential.REPO / "src"
     plain = differential.run_corpus(src, corpus, optimize=False)
     optimized = differential.run_corpus(src, corpus, optimize=True)
@@ -18,5 +18,5 @@ def test_small_corpus_runs_alike_twice_on_one_tree():
     assert differential.differing(corpus, plain, optimized) == {}
     # A changed exit code, digest or message is reported under its verb.
     changed = [list(result) for result in plain]
-    changed[7][2] += "!"
-    assert differential.differing(corpus, plain, changed) == {"chains": [7]}
+    changed[8][2] += "!"
+    assert differential.differing(corpus, plain, changed) == {"chains": [8]}
