@@ -89,9 +89,10 @@ positive scale commutes with the integral affine maps, translations and
 reflections of the canonical forms and keeps every comparison, so the
 answer is the same.  It also keeps a valid polygon or graph valid, so
 the divided results are built without re-validation: polygons by
-`pg._polygon`, graphs straight from their canonical keys by
-`cg._graph_from_key`, every value through one table per census that
-holds one Fraction per scaled int.
+`pg._polygon`, graphs from their canonical keys.  One table per census
+holds one Fraction per scaled int, and another one `FixedComponent` per
+(position, key entry), built by `cg._key_component`: the returned graphs
+share these frozen components.
 """
 
 from __future__ import annotations
@@ -417,19 +418,21 @@ def _reduced_form(spec: ManifoldSpec) -> SymplecticData:
     if spec.base != CP2:
         return data
     lam, caps = cremona_reduced(data.lam, data.capacities)
+    if (lam, caps) == (data.lam, data.capacities):
+        return data
     return SymplecticData(data.basis, caps, lam=lam)
 
 
-class _Unscaled(dict):
-    """The one Fraction x/scale of each scaled int x a census returns."""
+class _Table(dict):
+    """One object per key for a whole census: build(key), made on first use."""
 
-    def __init__(self, scale: int) -> None:
+    def __init__(self, build) -> None:
         super().__init__()
-        self.scale = scale
+        self.build = build
 
-    def __missing__(self, x: int) -> Q:
-        self[x] = value = Q(x, self.scale)
-        return value
+    def __missing__(self, key):
+        self[key] = made = self.build(key)
+        return made
 
 
 def run_census(spec: ManifoldSpec) -> CensusResult:
@@ -489,16 +492,19 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         if not frontier and not toric:
             break
 
-    # One Fraction per scaled value; toric entries and provenance share
-    # polygons, so each polygon is divided once.
-    value = _Unscaled(scale)
-    shared: dict[pg.RationalPolygon, pg.RationalPolygon] = {}
+    # One Fraction per scaled value, one component per (position, key entry)
+    # and one polygon per scaled polygon, as toric entries and provenance
+    # share polygons.
+    value = _Table(lambda x: Q(x, scale))
+    components = _Table(lambda item: cg._key_component(*item, value))
+    unscaled = _Table(
+        lambda polygon: pg._polygon(tuple((value[x], value[y]) for x, y in polygon.vertices))
+    )
 
-    def unscaled(polygon: pg.RationalPolygon) -> pg.RationalPolygon:
-        if polygon not in shared:
-            points = tuple((value[x], value[y]) for x, y in polygon.vertices)
-            shared[polygon] = pg._polygon(points)
-        return shared[polygon]
+    def returned(key: tuple) -> cg.S1Graph:
+        # Vertex ids are key positions: one component per (position, entry).
+        verts, links = key
+        return cg.S1Graph(tuple(components[item] for item in enumerate(verts)), links)
 
     toric_entries = [toric[key] for key in sorted(toric)]
     # Translation and reflection keep the verdict, so it is read off the
@@ -510,17 +516,17 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     counts = ConjugacyCounts(toric_count, circle_count, toric_count + circle_count)
     return CensusResult(
         spec=spec,
-        toric=tuple(unscaled(entry[0]) for entry in toric_entries),
-        maximal_circles=tuple(cg._graph_from_key(key, value) for key in circle_keys),
+        toric=tuple(unscaled[entry[0]] for entry in toric_entries),
+        maximal_circles=tuple(returned(key) for key in circle_keys),
         counts=counts,
         toric_provenance=tuple(
-            ToricProvenance(unscaled(p.base), p.steps) for _, p in toric_entries
+            ToricProvenance(unscaled[p.base], p.steps) for _, p in toric_entries
         ),
         circle_provenance=tuple(
             p
             if p.polygon is None
             else CircleProvenance(
-                p.origin, p.stage, p.degree, unscaled(p.polygon), p.xi, p.steps
+                p.origin, p.stage, p.degree, unscaled[p.polygon], p.xi, p.steps
             )
             for p in (frontier[key][1] for key in circle_keys)
         ),

@@ -659,18 +659,24 @@ def _canonical(graph: S1Graph) -> S1Graph:
     return _graph_from_key(graph._canonical_serialization)
 
 
-def _graph_from_key(key: tuple, value: dict | None = None) -> S1Graph:
+def _graph_from_key(key: tuple) -> S1Graph:
     """The graph a canonical serialization names, its vertex ids their
-    positions, each moment and area x read as value[x] if value is given.
-    A reflected pair (-n, -m) of a descending pair stays descending."""
+    positions."""
     verts, links = key
+    return S1Graph(tuple(_key_component(i, v, None) for i, v in enumerate(verts)), links)
+
+
+def _key_component(position: int, entry: tuple, value: dict | None) -> FixedComponent:
+    """The component that a canonical key's entry (moment, tag, a, b) names
+    at a position, each moment and area x read as value[x] if value is
+    given.  A reflected pair (-n, -m) of a descending pair stays
+    descending."""
+    m, tag, a, b = entry
     if value is not None:
-        verts = [(value[m], tag, a, value[b] if tag else b) for m, tag, a, b in verts]
-    components = (
-        _component(i, m, None, int(a), b) if tag else _component(i, m, (int(a), int(b)))
-        for i, (m, tag, a, b) in enumerate(verts)
-    )
-    return S1Graph(tuple(components), links)
+        m, b = value[m], value[b] if tag else b
+    if tag:
+        return _component(position, m, None, int(a), b)
+    return _component(position, m, (int(a), int(b)))
 
 
 # ---------------------------------------------------------------------------

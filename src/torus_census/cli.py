@@ -96,28 +96,33 @@ def _joined(items: list[str], indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
-def _graph_text(graph: cg.S1Graph, indent: str = "\n") -> str:
+def _graph_text(graph: cg.S1Graph, indent: str = "\n", memo: dict | None = None) -> str:
     """`_json_text(cg.graph_to_json(graph), indent)`, one f-string per
     vertex and per edge.  Ids, genera, weights and k are ints, as
-    `cg.graph_from_json` and the builders leave them."""
+    `cg.graph_from_json` and the builders leave them.  memo maps the id of
+    a component, kept alive while memo is in use, to its text at indent."""
     inner = indent + "  "
     at = inner + "  "
     field = at + "  "
     nested = field + "  "
+    memo = {} if memo is None else memo
     vertices = []
     for v in graph.vertices:
-        if v.is_surface:
-            data = (
-                f'"surface": {{{nested}"area": "{format_rational(v.area)}",'
-                f'{nested}"genus": {v.genus}{field}}}'
+        text = memo.get(id(v))
+        if text is None:
+            if v.is_surface:
+                data = (
+                    f'"surface": {{{nested}"area": "{format_rational(v.area)}",'
+                    f'{nested}"genus": {v.genus}{field}}}'
+                )
+            else:
+                m, n = v.weights
+                data = f'"weights": [{nested}{m},{nested}{n}{field}]'
+            memo[id(v)] = text = (
+                f'{{{field}"id": {v.id},{field}"moment": "{format_rational(v.moment)}",'
+                f"{field}{data}{at}}}"
             )
-        else:
-            m, n = v.weights
-            data = f'"weights": [{nested}{m},{nested}{n}{field}]'
-        vertices.append(
-            f'{{{field}"id": {v.id},{field}"moment": "{format_rational(v.moment)}",'
-            f"{field}{data}{at}}}"
-        )
+        vertices.append(text)
     edges = [
         f'{{{field}"k": {k},{field}"north": {n},{field}"south": {s}{at}}}'
         for n, s, k in graph.edges
@@ -300,7 +305,9 @@ def _census_text(result: cs.CensusResult) -> str:
     Byte for byte `json.dumps(payload, indent=2, sort_keys=True)` of the
     census payload: graphs and provenance steps are written one f-string
     per record, the small fields (spec, counts, polygons, xi, warnings)
-    by `_json_text`.
+    by `_json_text`.  The returned graphs share their components, so one
+    memo of vertex text, which lives for this call while the result holds
+    every component, writes each component once.
     """
     top, entry, field = "\n  ", "\n    ", "\n      "
     toric_prov = [
@@ -331,7 +338,8 @@ def _census_text(result: cs.CensusResult) -> str:
         "maximal_circles": result.counts.maximal_circle_count,
         "total_maximal_tori": result.counts.total_maximal_tori,
     }
-    graphs = [_graph_text(g, entry) for g in result.maximal_circles]
+    memo: dict[int, str] = {}
+    graphs = [_graph_text(g, entry, memo) for g in result.maximal_circles]
     polygons = [pg.polygon_to_json(p) for p in result.toric]
     return _joined(
         [
@@ -566,7 +574,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed the pipe (`| head`).  Python flushes stdout again
         # at exit, so point it at devnull to keep that flush quiet too; the
         # exit code is the one Python gives a broken pipe.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 0
 

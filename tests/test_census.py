@@ -14,6 +14,7 @@ import pytest
 
 from torus_census import census
 from torus_census import circle_graph as cg
+from torus_census import homology as hm
 from torus_census import polygon as pg
 from torus_census.census import (
     BlowUpStep,
@@ -588,6 +589,34 @@ def test_census_formats_and_parses_nothing(monkeypatch, spec):
     assert calls == []
     assert result.counts.total_maximal_tori > 0
 
+
+
+@pytest.mark.parametrize(
+    "spec, reductions, lam",
+    [
+        # Already reduced: the cone check and cremona_reduced, no second form.
+        (plane(1, "1/3", "1/4"), 2, Q(1)),
+        # Reduced to line area 4/5: the reduced form is built and checked.
+        (plane(1, "2/5", "2/5", "2/5"), 3, Q(4, 5)),
+        (ruled("product_ruled", 1, 1, "1/3"), 0, None),
+        # A genus-0 ruled recipe is cone-checked through its plane form.
+        (ruled("product_ruled", 0, 1, "1/3"), 1, None),
+    ],
+)
+def test_census_reduces_a_recipe_once(monkeypatch, spec, reductions, lam):
+    calls = []
+    reduce = hm._cremona_reduce
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(hm, "_cremona_reduce", counted)
+    model = census._reduced_form(spec)
+    assert (len(calls), model.lam) == (reductions, lam)
+    calls.clear()
+    run_census(spec)
+    assert len(calls) == reductions
 
 def _reference_census(spec):
     """Toric and maximal-circle entries, projecting every edge of every stage.

@@ -507,6 +507,22 @@ def test_graph_text_matches_json_text():
             assert cli._graph_text(graph, indent) == expected
 
 
+def test_returned_graphs_share_components_and_their_text():
+    # The golden genus-2 recipe with 230 maximal circles.
+    caps = tuple(Fraction(1, q) for q in (5, 6, 7, 8))
+    spec = cs.ManifoldSpec("product_ruled", 2, Fraction(5, 2), Fraction(1), caps)
+    result = cs.run_census(spec)
+    vertices = [v for g in result.maximal_circles for v in g.vertices]
+    values = {(v.id, v.moment, v.weights, v.genus, v.area) for v in vertices}
+    assert len({id(v) for v in vertices}) == len(values) < len(vertices)
+    assert result.counts.maximal_circle_count == 230
+    # One memo over the whole result, at the indent _census_text uses.
+    memo = {}
+    for graph in result.maximal_circles:
+        assert cli._graph_text(graph, "\n    ", memo) == cli._graph_text(graph, "\n    ")
+    assert len(memo) == len(values)
+
+
 def test_graph_json_refuses_booleans_for_integers(capsys):
     # Python's bools are ints, but JSON true and false are not integers.
     surface = '{"genus": 0, "area": "1"}'
@@ -593,6 +609,21 @@ def test_reader_closing_after_one_byte_is_exit_one(capsys, monkeypatch):
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert (first, code, capsys.readouterr().err) == ([b"{"], 1, "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    # The handler points stdout at devnull through a descriptor of its own,
+    # which it closes once stdout holds a copy.
+    spec = '{"base": {"kind": "product_ruled", "genus": 1, "mu": "1"}, "capacities": ["1/6"]}'
+    before = set(os.listdir("/proc/self/fd"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        code = main(["census", "--format", "json", "--spec", spec])
+        monkeypatch.undo()
+    assert (code, set(os.listdir("/proc/self/fd")) - before) == (1, set())
 
 
 _RULED_GENUS_ONE = (
