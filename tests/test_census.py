@@ -590,7 +590,6 @@ def test_census_formats_and_parses_nothing(monkeypatch, spec):
     assert result.counts.total_maximal_tori > 0
 
 
-
 @pytest.mark.parametrize(
     "spec, reductions, lam",
     [
@@ -603,7 +602,7 @@ def test_census_formats_and_parses_nothing(monkeypatch, spec):
         (ruled("product_ruled", 0, 1, "1/3"), 1, None),
     ],
 )
-def test_census_reduces_a_recipe_once(monkeypatch, spec, reductions, lam):
+def test_census_cremona_reductions_per_recipe(monkeypatch, spec, reductions, lam):
     calls = []
     reduce = hm._cremona_reduce
 
@@ -617,6 +616,7 @@ def test_census_reduces_a_recipe_once(monkeypatch, spec, reductions, lam):
     calls.clear()
     run_census(spec)
     assert len(calls) == reductions
+
 
 def _reference_census(spec):
     """Toric and maximal-circle entries, projecting every edge of every stage.
