@@ -18,12 +18,15 @@ census keeps the graphs that do not extend to a toric action.  Both
 censuses are exact and deterministic, and every entry carries a
 replayable provenance.  One routine, `_expand`, runs every stage of both
 and the projection seeding.  Public functions check their arguments; the
-census validates no graph.  It builds every graph through the unchecked
-cores of `circle_graph` (`_projected`, `_ruled_base`, `_blow_up`,
-`_canonical`, `_extends_to_toric`), keys it, and keeps the first graph per
-key as built; a graph is canonicalised only when it becomes a parent, and
-the returned graphs are built from their keys.  The tests run `validate`
-and a Duistermaat-Heckman check on every graph the census keeps.
+census checks no polygon and validates no graph.  It chops polygons
+through the unchecked cores of `polygon` (`_chop`, `_canonical`), builds
+every graph through those of `circle_graph` (`_projected`, `_ruled_base`,
+`_blow_up`, `_canonical`, `_extends_to_toric`), keys it, and keeps the
+first graph per key as built; a graph is canonicalised only when it
+becomes a parent, and the returned graphs are built from their keys.  The
+model triangle and trapezoids (integer slope) are Delzant, and a chop of
+a Delzant polygon is Delzant.  The tests run `validate` and a
+Duistermaat-Heckman check on every graph the census keeps.
 
 Each builder gives a graph that meets every axiom `cg._diagnose` checks.
 - `graph_from_polygon` of a Delzant polygon along an edge normal xi (a
@@ -104,7 +107,7 @@ from typing import NamedTuple
 
 from . import circle_graph as cg
 from . import polygon as pg
-from .errors import CapacityError, FormatError, PreconditionError
+from .errors import FormatError, PreconditionError
 from .homology import RATIONAL, Basis, SymplecticData, cremona_reduced
 from .linalg import dot
 from .rationals import format_rational, halve, is_int, parse_rational
@@ -303,13 +306,13 @@ def _model_polygons(
     """Canonical model polygons of a rational base of the given areas."""
     if base == CP2:
         triangle = pg.delzant_triangle(area)
-        return (pg.canonical_form(triangle)[0],)
+        return (pg._canonical(triangle)[0],)
     width, height, twisted = _ruled_model_box(base, area, fiber)
     models = {}
     m = 1 if twisted else 0
     while 2 * width > m * height:
         trapezoid = pg._trapezoid(width, height, m)
-        canonical = pg.canonical_form(trapezoid)[0]
+        canonical = pg._canonical(trapezoid)[0]
         models[canonical.vertices] = canonical
         m += 2
     return tuple(models[key] for key in sorted(models))
@@ -365,20 +368,12 @@ def _serial(graph: cg.S1Graph) -> tuple:
     return graph._canonical_serialization
 
 
-def _chopped(polygon: pg.RationalPolygon, vertex: int, delta) -> pg.RationalPolygon | None:
-    """The canonical chop of a corner, or None where an edge is too short."""
-    try:
-        return pg.canonical_form(pg.blow_up(polygon, vertex, delta))[0]
-    except CapacityError:
-        return None
-
-
 def _chop_all(parents: dict, delta, record) -> dict:
     """Every corner chop of capacity delta, as canonical polygons."""
     return _expand(
         parents,
         lambda polygon: range(polygon.edge_count),
-        lambda polygon, i: _chopped(polygon, i, delta),
+        lambda polygon, i: (chop := pg._chop(polygon, i, delta)) and pg._canonical(chop)[0],
         lambda polygon: polygon.vertices,
         record,
     )

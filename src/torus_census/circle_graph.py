@@ -43,7 +43,7 @@ from math import gcd
 from typing import Iterable
 
 from .errors import CapacityError, FormatError, PreconditionError
-from .polygon import RationalPolygon, edges as polygon_edges, is_delzant
+from .polygon import RationalPolygon, _require_delzant, edges as polygon_edges
 from .rationals import format_rational, halve, is_int, parse_exact, parse_rational
 
 
@@ -127,11 +127,11 @@ class S1Graph:
                 top = v
         return bottom, top
 
-    @cached_property
+    @property
     def min_moment(self) -> Q:
         return self._extrema[0].moment
 
-    @cached_property
+    @property
     def max_moment(self) -> Q:
         return self._extrema[1].moment
 
@@ -266,9 +266,7 @@ def graph_from_polygon(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph
     the pairings of the outgoing primitive directions with xi, and a
     polygon edge pairing to +-k with k >= 2 becomes a Z_k-sphere edge.
     """
-    ok, diagnostics = is_delzant(polygon)
-    if not ok:
-        raise PreconditionError(f"polygon is not Delzant: {diagnostics[0]}")
+    _require_delzant(polygon)
     if len(xi) != 2 or not all(isinstance(c, int) for c in xi):
         raise PreconditionError("projection direction must be an integer vector")
     if gcd(abs(xi[0]), abs(xi[1])) != 1:
@@ -647,15 +645,11 @@ def canonical_serialization(graph: S1Graph) -> tuple:
 def canonical_form(graph: S1Graph) -> S1Graph:
     """Least representative under moment translation and reflection."""
     _require_valid(graph)
-    form = _canonical(graph)
-    # The source has just been validated; its relabelled, translated copy
-    # inherits that verdict instead of being diagnosed again.
-    vars(form)["_diagnostics"] = graph._diagnostics
-    return form
+    return _canonical(graph)
 
 
 def _canonical(graph: S1Graph) -> S1Graph:
-    """`canonical_form` with no check of the graph and no verdict passed on."""
+    """`canonical_form` with no check of the graph."""
     return _graph_from_key(graph._canonical_serialization)
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -203,7 +202,9 @@ class SymplecticData:
     the areas of E1..Ek and must be weakly decreasing and positive; the
     squared-volume quantity (the square of the dual of the area functional)
     must be positive, and the data must lie in the symplectic cone
-    (require_in_cone).
+    (require_in_cone).  Construction stores integer_area, (W, D) with the
+    area covector W / D, W integral and D the least such, and the volume
+    quantity.
     """
 
     basis: Basis
@@ -239,34 +240,19 @@ class SymplecticData:
             raise PreconditionError("capacities must be positive")
         if any(caps[i] < caps[i + 1] for i in range(len(caps) - 1)):
             raise PreconditionError("capacities must be weakly decreasing")
-        if self.volume_quantity() <= 0:
+        whole, scale = _integral(self.area_vector())
+        volume = Q(dot(whole, self.basis.dual(whole)), scale * scale)
+        if volume <= 0:
             raise PreconditionError("volume quantity must be positive")
         area = self.lam if self.basis.kind == RATIONAL else self.mu
         require_in_cone(self.basis, area, self.fiber, caps)
-
-    @cached_property
-    def _weight(self) -> tuple[Q, ...]:
-        head = (self.lam,) if self.basis.kind == RATIONAL else (self.mu, self.fiber)
-        return head + self.capacities
-
-    @cached_property
-    def integer_area(self) -> tuple[tuple[int, ...], int]:
-        """(W, D): the area covector is W / D, W integral and D the least such."""
-        return _integral(self._weight)
-
-    @cached_property
-    def _volume_quantity(self) -> Q:
-        whole, scale = self.integer_area
-        return Q(dot(whole, self.basis.dual(whole)), scale * scale)
-
-    @cached_property
-    def _chern_pairing(self) -> Q:
-        whole, scale = self.integer_area
-        return Q(dot(whole, self.basis.dual(self.basis.chern_vector())), scale)
+        object.__setattr__(self, "integer_area", (whole, scale))
+        object.__setattr__(self, "_volume_quantity", volume)
 
     def area_vector(self) -> list[Q]:
         """Covector w with area(x) = w . coeffs(x)."""
-        return list(self._weight)
+        head = (self.lam,) if self.basis.kind == RATIONAL else (self.mu, self.fiber)
+        return list(head + self.capacities)
 
     def volume_quantity(self) -> Q:
         """Square of the dual of the area functional; twice the volume."""
@@ -274,7 +260,8 @@ class SymplecticData:
 
     def chern_pairing(self) -> Q:
         """Total area of the anticanonical class."""
-        return self._chern_pairing
+        whole, scale = self.integer_area
+        return Q(dot(whole, self.basis.dual(self.basis.chern_vector())), scale)
 
 
 def _free_section(basis: Basis) -> bool:

@@ -15,8 +15,11 @@ The public `RationalPolygon` and `polygon_from_json` check every point,
 distinctness and strict convexity.  `_polygon` skips those checks; it is
 for vertices the package already knows to be valid: a census's
 whole-number polygons divided back by their positive scale, the unimodular
-image `canonical_form` returns, and a corner chop strictly inside both
-incident edges.
+image `_canonical` returns, and the results of `_chop` and `blow_down`.
+Public functions check that a polygon they are given is Delzant;
+`blow_up` and `canonical_form` are checked wrappers over the unchecked
+cores `_chop` (None where delta reaches an edge at the vertex) and
+`_canonical`, which the census calls on polygons it built itself.
 
 Rational length means length measured against the primitive integer
 direction of the edge; it equals the symplectic area of the invariant
@@ -235,7 +238,13 @@ def _inverse_of_columns(u: tuple[int, int], v: tuple[int, int]) -> tuple[tuple[i
 
 
 def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, UnimodularAffineMap]:
-    """Least representative of the integral affine equivalence class.
+    """Least representative of the integral affine equivalence class."""
+    _require_delzant(polygon)
+    return _canonical(polygon)
+
+
+def _canonical(polygon: RationalPolygon) -> tuple[RationalPolygon, UnimodularAffineMap]:
+    """`canonical_form` of a Delzant polygon, not checked.
 
     For each vertex and each traversal direction, map the vertex to the
     origin and its two outgoing primitive edge directions to the standard
@@ -244,7 +253,6 @@ def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, Unimodula
     the rational length of the edge it starts along, so only the starts
     along a shortest edge are compared.
     """
-    _require_delzant(polygon)
     n = polygon.edge_count
     edge_list = edges(polygon)
     shortest = min(e.rational_length for e in edge_list)
@@ -283,30 +291,35 @@ def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, Unimodula
 def blow_up(polygon: RationalPolygon, vertex: int, delta: Q) -> RationalPolygon:
     """Chop the corner at a vertex, creating an edge of rational length delta."""
     _require_delzant(polygon)
-    n = polygon.edge_count
-    if not (0 <= vertex < n):
+    if not (0 <= vertex < polygon.edge_count):
         raise PreconditionError(f"vertex index out of range: {vertex}")
     delta = parse_exact(delta)
     if delta <= 0:
         raise PreconditionError("blow-up capacity must be positive")
-    edge_list = edges(polygon)
-    incoming = edge_list[vertex - 1]
-    outgoing = edge_list[vertex]
-    for edge in (incoming, outgoing):
+    for edge in (edges(polygon)[vertex - 1], edges(polygon)[vertex]):
         if delta >= edge.rational_length:
             raise CapacityError(
                 f"capacity too large: edge {edge.index} has rational length "
                 f"{format_rational(edge.rational_length)}"
             )
+    return _chop(polygon, vertex, delta)
+
+
+def _chop(polygon: RationalPolygon, vertex: int, delta: Q | int) -> RationalPolygon | None:
+    """`blow_up` with no check, or None where delta reaches an edge at the vertex.
+
+    The cut runs along u + v for the edge directions u, v at the vertex, and
+    det(u, u + v) = det(u + v, v) = det(u, v) = 1: the chop stays Delzant.
+    """
+    edge_list = edges(polygon)
+    incoming = edge_list[vertex - 1]
+    outgoing = edge_list[vertex]
+    if delta >= incoming.rational_length or delta >= outgoing.rational_length:
+        return None
     v = polygon.vertices[vertex]
     enter = (v[0] - delta * incoming.direction[0], v[1] - delta * incoming.direction[1])
     leave = (v[0] + delta * outgoing.direction[0], v[1] + delta * outgoing.direction[1])
-    points = (
-        polygon.vertices[:vertex] + (enter, leave) + polygon.vertices[vertex + 1 :]
-    )
-    result = _polygon(points)
-    _require_delzant(result)
-    return result
+    return _polygon(polygon.vertices[:vertex] + (enter, leave) + polygon.vertices[vertex + 1 :])
 
 
 def blow_down(polygon: RationalPolygon, index: int) -> RationalPolygon:
@@ -322,7 +335,8 @@ def blow_down(polygon: RationalPolygon, index: int) -> RationalPolygon:
     tail = polygon.vertices[(index + 1) % n]
     # Solve start + t * before.direction = tail + u * after.direction.  The
     # neighbours of a -1 edge form a lattice basis, so the solve needs no
-    # division and an integer polygon stays integer.
+    # division and an integer polygon stays integer; the -1 edge's direction
+    # is the sum of theirs, so both grow and the result is Delzant.
     det = _cross(before.direction, after.direction)
     if det != 1:
         raise AssertionError("the neighbours of a -1 edge form a lattice basis")
@@ -336,9 +350,7 @@ def blow_down(polygon: RationalPolygon, index: int) -> RationalPolygon:
             continue
         else:
             points.append(polygon.vertices[j])
-    result = RationalPolygon(tuple(points))
-    _require_delzant(result)
-    return result
+    return _polygon(tuple(points))
 
 
 def delzant_triangle(lam: Q) -> RationalPolygon:

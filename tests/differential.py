@@ -1,21 +1,27 @@
 """Differential harness: the same CLI requests through two source trees.
 
 From a seed it builds a corpus of `census`, `chains`, `exceptional`,
-`threshold`, `canon`, `check` and `blowup` requests, runs each through
-`cli.main` for the working tree and for `git archive <rev>` unpacked into
-a temporary directory, under `python` and `python -O`, and prints, per
-verb, how many requests differ in exit code, stdout or stderr, and which.
+`threshold`, `canon`, `check`, `blowup`, `invariants`, `blowdown` and
+`project` requests, runs each through `cli.main` for the working tree and
+for `git archive <rev>` unpacked into a temporary directory, under
+`python` and `python -O`, and prints, per verb, how many requests differ
+in exit code, stdout or stderr, and which.
 
     python3 tests/differential.py [--rev REV] [--seed N] [--size N]
 
 The exit status is 0 when no request differs.  Recipes cover all three
 bases, genus 0-2 and 0-4 capacities, half of them equal, some outside the
 symplectic cone; `chains` also runs the recipes of `chains_golden.json`.
-Graphs for `canon`, `check` and `blowup` come from small censuses and
-projections that this tree computes while it builds the corpus, then
-relabelled, moved or spoiled; `blowup` picks any vertex, extremal or
-interior, and a capacity that may be too large.  One corpus goes to
-every run.  Each run is one child process that imports the package from
+Graphs and polygons come from the toric polygons of small censuses, and
+their projections, that this tree computes while it builds the corpus.
+`canon`, `check`, `invariants` and `blowup` take a graph or a polygon,
+`blowdown` and `project` a polygon.  Graphs are relabelled, moved or
+spoiled; polygons are moved by an integral affine map, their vertex list
+rotated, or spoiled.  `blowup` picks any vertex, extremal or interior, or a polygon
+vertex index out of range, and a capacity that may be zero or too large;
+`blowdown` picks a -1 edge or any edge index; `project` an edge normal or
+a small direction that may not be primitive.  One corpus goes to every
+run.  Each run is one child process that imports the package from
 the tree under test and reads the corpus on stdin.
 """
 
@@ -38,11 +44,14 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
-VERBS = ("census", "chains", "exceptional", "threshold", "canon", "check", "blowup")
+VERBS = (
+    "census", "chains", "exceptional", "threshold", "canon", "check", "blowup",
+    "invariants", "blowdown", "project",
+)
 
 POOL = [Q(1, q) for q in range(2, 9)] + [Q(2, 3), Q(2, 5), Q(2, 7), Q(3, 10)]
-# Small censuses whose graphs, and the projections of whose polygons,
-# feed `canon`, `check` and `blowup`.
+# Small censuses whose polygons, graphs, and the projections of whose
+# polygons feed the polygon and graph verbs.
 GRAPH_RECIPES = (
     ("cp2", 0, Q(1), (Q(1, 3), Q(1, 4), Q(1, 5))),
     ("product_ruled", 0, Q(1), (Q(1, 3), Q(1, 5))),
@@ -70,20 +79,21 @@ def _recipe(rng: random.Random, most: int = 4) -> str:
     return json.dumps({"base": base, "capacities": [_text(c) for c in caps]})
 
 
-def _graph_pool() -> list[dict]:
+def _pools() -> tuple[list[dict], list[dict]]:
     """Maximal circle graphs and projections of the toric polygons of
-    GRAPH_RECIPES, as this tree computes them."""
+    GRAPH_RECIPES, and those polygons, as this tree computes them."""
     from torus_census import circle_graph as cg
     from torus_census import polygon as pg
     from torus_census.census import ManifoldSpec, run_census
 
-    graphs = []
+    graphs, polygons = [], []
     for kind, genus, area, caps in GRAPH_RECIPES:
         result = run_census(ManifoldSpec(kind, genus, area, Q(1), caps))
         graphs += result.maximal_circles
+        polygons += result.toric
         for polygon in result.toric[:4]:
             graphs += [cg.graph_from_polygon(polygon, e.normal) for e in pg.edges(polygon)]
-    return [cg.graph_to_json(graph) for graph in graphs]
+    return [cg.graph_to_json(g) for g in graphs], [pg.polygon_to_json(p) for p in polygons]
 
 
 def _crowd(pairs: int) -> dict:
@@ -142,11 +152,74 @@ def _spoiled(rng: random.Random, graph: dict) -> dict:
     return {"vertices": vertices, "edges": graph["edges"]}
 
 
+def _moved_polygon(rng: random.Random, polygon: dict) -> dict:
+    """The image under a random unimodular map and translation, its vertex
+    list rotated and, where the map reverses orientation, reversed."""
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    sign = rng.choice((1, -1))
+    matrix = rng.choice((((1, a), (0, 1)), ((1, 0), (b, 1)), ((a * b + 1, a), (b, 1))))
+    matrix = ((sign * matrix[0][0], sign * matrix[0][1]), matrix[1])
+    shift = (Q(rng.randint(-9, 9), rng.randint(1, 5)), Q(rng.randint(-9, 9), rng.randint(1, 5)))
+    points = [(Q(x), Q(y)) for x, y in polygon["vertices"]]
+    (p, q), (r, t) = matrix
+    image = [(p * x + q * y + shift[0], r * x + t * y + shift[1]) for x, y in points]
+    if sign < 0:
+        image.reverse()
+    turn = rng.randrange(len(image))
+    image = image[turn:] + image[:turn]
+    return {"vertices": [[_text(x), _text(y)] for x, y in image]}
+
+
+def _spoiled_polygon(rng: random.Random, polygon: dict) -> dict:
+    """One vertex moved by 1/1000 along an axis: not Delzant, or not convex."""
+    rows = [list(row) for row in polygon["vertices"]]
+    row = rng.choice(rows)
+    axis = rng.randrange(2)
+    row[axis] = _text(Q(row[axis]) + rng.choice((Q(1, 1000), Q(-1, 1000))))
+    return {"vertices": rows}
+
+
+def _polygon_request(rng: random.Random, verb: str, polygons: list[dict]) -> list[str]:
+    from torus_census import polygon as pg
+    from torus_census.errors import PreconditionError
+
+    polygon = rng.choice(polygons)
+    change = rng.choice((None, _moved_polygon, _spoiled_polygon))
+    polygon = polygon if change is None else change(rng, polygon)
+    argv = [verb, "--polygon", json.dumps(polygon)]
+    n = len(polygon["vertices"])
+    if verb == "blowup":
+        vertex = rng.randint(-1, n) if rng.random() < 0.2 else rng.randrange(n)
+        delta = rng.choice(("0", "1/1000", "1/100", "1/30", "1/9", "1"))
+        argv += ["--vertex", str(vertex), "--delta", delta]
+    elif verb in ("blowdown", "project"):
+        try:
+            shape = pg.polygon_from_json(polygon)
+            minus_one = [
+                e.index for e in pg.edges(shape) if pg.self_intersection(shape, e.index) == -1
+            ]
+            normals = [e.normal for e in pg.edges(shape)]
+        except PreconditionError:
+            minus_one, normals = [], []
+        aimed = rng.random() < 0.5
+        if verb == "blowdown":
+            edge = rng.choice(minus_one) if aimed and minus_one else rng.randint(-1, n)
+            argv += ["--edge", str(edge)]
+        else:
+            xi = (rng.randint(-2, 2), rng.randint(-2, 2))
+            if aimed and normals:
+                xi = rng.choice(normals)
+            # One token, as a leading minus sign would read as an option.
+            argv.append(f"--xi={xi[0]},{xi[1]}")
+    return argv
+
+
 def build_corpus(seed: int, size: int) -> list[list[str]]:
     """size requests, taking the verbs in turn, drawn from seed."""
     rng = random.Random(seed)
     golden = json.loads((HERE / "chains_golden.json").read_text())
-    pool = _graph_pool() + [_crowd(pairs) for pairs in range(1, 9)]
+    graphs, polygons = _pools()
+    pool = graphs + [_crowd(pairs) for pairs in range(1, 9)]
     corpus = []
     for i in range(size):
         verb = VERBS[i % len(VERBS)]
@@ -164,6 +237,8 @@ def build_corpus(seed: int, size: int) -> list[list[str]]:
             argv = [verb, "--spec", _recipe(rng), *bound] + form
         elif verb == "threshold":
             argv = [verb, "--spec", _recipe(rng)] + form
+        elif verb in ("blowdown", "project") or rng.random() < 0.5:
+            argv = _polygon_request(rng, verb, polygons) + form
         else:
             graph = rng.choice(pool)
             change = rng.choice((None, _relabelled, _moved, _spoiled))

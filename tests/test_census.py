@@ -541,9 +541,11 @@ def test_census_is_deterministic():
 def test_census_diagnoses_nothing_and_canonicalises_each_parent_once(monkeypatch, spec):
     # The census builds every graph through the unchecked cores of
     # circle_graph and validates none; it canonicalises a graph only when
-    # the graph becomes a parent, through cg._canonical.
+    # the graph becomes a parent, through cg._canonical.  It chops polygons
+    # through the cores of polygon and checks none of them either.
     diagnose, canonical, blow_up_all = cg._diagnose, cg._canonical, census._blow_up_all
-    diagnosed, canonicalised, parents = [], [], []
+    is_delzant = pg.is_delzant
+    diagnosed, canonicalised, parents, checked = [], [], [], []
 
     def counted_diagnose(graph):
         diagnosed.append(graph)
@@ -557,11 +559,17 @@ def test_census_diagnoses_nothing_and_canonicalises_each_parent_once(monkeypatch
         parents.extend(frontier)
         return blow_up_all(frontier, *args)
 
+    def counted_is_delzant(polygon):
+        checked.append(polygon)
+        return is_delzant(polygon)
+
     monkeypatch.setattr(cg, "_diagnose", counted_diagnose)
     monkeypatch.setattr(cg, "_canonical", counted_canonical)
     monkeypatch.setattr(census, "_blow_up_all", counted_blow_up_all)
+    monkeypatch.setattr(pg, "is_delzant", counted_is_delzant)
     run_census(spec)
     assert diagnosed == []
+    assert checked == []
     assert 0 < len(canonicalised) <= len(parents)
 
 
@@ -575,9 +583,15 @@ def test_census_diagnoses_nothing_and_canonicalises_each_parent_once(monkeypatch
 )
 def test_census_formats_and_parses_nothing(monkeypatch, spec):
     # The ruled seed degrees are bounded by the bottom section area, not by
-    # catching ruled_base_graph's refusal, whose text would be discarded.
+    # catching ruled_base_graph's refusal, whose text would be discarded;
+    # a corner too close to an edge's end is refused with no text either.
     calls = []
-    for module, name in ((cg, "format_rational"), (cg, "parse_exact"), (census, "format_rational")):
+    for module, name in (
+        (cg, "format_rational"),
+        (cg, "parse_exact"),
+        (census, "format_rational"),
+        (pg, "format_rational"),
+    ):
         original = getattr(module, name)
 
         def counted(*args, name=name, original=original):

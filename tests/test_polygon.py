@@ -89,6 +89,13 @@ def test_hirzebruch_rejects_bad_parameters():
         hirzebruch(Q(2), Q(1), 5)
 
 
+def _valid_as_built(polygon):
+    # blow_up and blow_down check nothing they return: their results must
+    # pass the public constructor and the Delzant test unchanged.
+    assert RationalPolygon(polygon.vertices).vertices == polygon.vertices
+    return is_delzant(polygon)[0]
+
+
 def test_blow_up_bookkeeping_on_corpus():
     for polygon in build_corpus():
         before = invariants(polygon)
@@ -99,6 +106,7 @@ def test_blow_up_bookkeeping_on_corpus():
             ]
             delta = min(incident) / 2
             blown = blow_up(polygon, vertex, delta)
+            assert _valid_as_built(blown)
             after = invariants(blown)
             assert after.edge_count == before.edge_count + 1
             assert after.euclidean_area == before.euclidean_area - delta * delta / 2
@@ -108,6 +116,9 @@ def test_blow_up_bookkeeping_on_corpus():
                 and self_intersection(blown, e.index) == -1
             )
             assert new_edge is not None
+            for edge in edges(blown):
+                if self_intersection(blown, edge.index) == -1:
+                    assert _valid_as_built(blow_down(blown, edge.index))
 
 
 def test_blow_up_chop_example():
@@ -159,7 +170,9 @@ def test_blow_down_round_trip_on_corpus():
             if self_intersection(blown, e.index) == -1
             and e.rational_length == delta
         )
-        restored, _ = canonical_form(blow_down(blown, exceptional))
+        down = blow_down(blown, exceptional)
+        assert _valid_as_built(down)
+        restored, _ = canonical_form(down)
         assert restored.vertices == canonical_form(polygon)[0].vertices
 
 
