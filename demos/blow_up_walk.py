@@ -15,7 +15,6 @@ from torus_census import (
     Basis,
     SymplecticData,
     blow_up,
-    canonical_chain_among,
     classify_model,
     delzant_triangle,
     invariants,
@@ -73,7 +72,7 @@ def main() -> None:
         "homology-level minimal blow-down chains for the same capacities "
         f"(found {len(chains)}):"
     )
-    print(chains_table(chains, canonical_chain_among(chains)))
+    print(chains_table(chains))
 
 
 if __name__ == "__main__":

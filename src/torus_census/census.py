@@ -625,14 +625,11 @@ def spec_from_json(payload: dict) -> ManifoldSpec:
     if not isinstance(caps, list):
         raise FormatError("capacities must be a list")
     capacities = tuple(parse_rational(c) for c in caps)
-    if kind == CP2:
-        if "lambda" not in base:
-            raise FormatError("cp2 base needs a 'lambda' field")
-        return ManifoldSpec(CP2, 0, parse_rational(base["lambda"]), Q(1), capacities)
-    if "mu" not in base:
-        raise FormatError("ruled base needs a 'mu' field")
+    name, area_key = ("cp2", "lambda") if kind == CP2 else ("ruled", "mu")
+    if area_key not in base:
+        raise FormatError(f"{name} base needs a '{area_key}' field")
     genus = base.get("genus", 0)
     if not is_int(genus):
         raise FormatError("genus must be an integer")
     fiber = parse_rational(base.get("fiber", "1"))
-    return ManifoldSpec(kind, genus, parse_rational(base["mu"]), fiber, capacities)
+    return ManifoldSpec(kind, genus, parse_rational(base[area_key]), fiber, capacities)

@@ -317,32 +317,29 @@ def _projected(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph:
     return S1Graph(tuple(components), tuple(links))
 
 
-def ruled_base_graph(
-    genus: int, degree: int, mu: Q, twisted: bool, fiber: Q = Q(1)
-) -> S1Graph:
+def ruled_base_graph(genus: int, degree: int, mu: Q, twisted: bool) -> S1Graph:
     """Base graph of a fiberwise circle action on a ruled surface.
 
-    The fiber has area 1 unless given, so the two section surfaces sit at
-    moments 0 and fiber; they differ by degree-many fibers, and the
-    admissible degrees of each parity are exactly those keeping the bottom
-    area positive.
+    The fiber has area 1, so the two section surfaces sit at moments 0 and
+    1; they differ by degree-many fibers, and the admissible degrees of
+    each parity are exactly those keeping the bottom area positive.
     """
-    mu, fiber = parse_exact(mu), parse_exact(fiber)
+    mu = parse_exact(mu)
     if not isinstance(genus, int) or genus < 0:
         raise PreconditionError("genus must be a nonnegative integer")
     if not isinstance(degree, int) or degree < 0:
         raise PreconditionError("degree must be a nonnegative integer")
-    if mu <= 0 or fiber <= 0:
-        raise PreconditionError("section and fiber areas must be positive")
+    if mu <= 0:
+        raise PreconditionError("section area must be positive")
     if degree % 2 != (1 if twisted else 0):
         kind = "twisted" if twisted else "product"
         raise PreconditionError(f"{kind} ruling needs degree of matching parity")
-    bottom = mu - halve((degree - 1 if twisted else degree) * fiber)
+    bottom = mu - halve(degree - 1 if twisted else degree)
     if bottom <= 0:
         raise PreconditionError(
             f"section area nonpositive: {format_rational(bottom)}"
         )
-    return _ruled_base(genus, degree, bottom, fiber)
+    return _ruled_base(genus, degree, bottom, 1)
 
 
 def _ruled_base(genus: int, degree: int, bottom: Q | int, fiber: Q | int) -> S1Graph:

@@ -439,17 +439,16 @@ def _run_chains(args: argparse.Namespace) -> None:
     _require_not_svg(args.format, "chains")
     omega = cs.spec_to_symplectic(_spec_arg(args))
     chains = hm.minimal_blowdown_chains(omega)
-    canonical = hm.canonical_chain_among(chains)
     if args.format == "json":
         _emit_json(
             {
                 "count": len(chains),
                 "chains": [_chain_json(c) for c in chains],
-                "canonical": _chain_json(canonical),
+                "canonical": _chain_json(chains[0]),
             }
         )
     else:
-        _emit(render.chains_table(chains, canonical))
+        _emit(render.chains_table(chains))
 
 
 def _run_threshold(args: argparse.Namespace) -> None:

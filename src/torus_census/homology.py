@@ -805,7 +805,7 @@ def minimal_blowdown_chains(omega: SymplecticData) -> tuple[BlowdownChain, ...]:
     each tie branches into its own chain.  Tie branches meet the same stage
     again, so each stage's minimal classes, and each class's blow-down once
     taken, are looked up in a table that lives for this call.  The chains
-    come sorted by their classes in the recipe's basis.
+    come sorted by their classes in the recipe's basis; the first is canonical.
     """
     if omega.basis.blowups < 1:
         raise PreconditionError("recipe has no blow-ups")
@@ -833,18 +833,8 @@ def minimal_blowdown_chains(omega: SymplecticData) -> tuple[BlowdownChain, ...]:
 
 
 def canonical_blowdown_chain(omega: SymplecticData) -> BlowdownChain:
-    """The canonical chain of omega: canonical_chain_among all of its chains."""
-    return canonical_chain_among(minimal_blowdown_chains(omega))
-
-
-def canonical_chain_among(chains: Sequence[BlowdownChain]) -> BlowdownChain:
-    """The chain that takes the lexicographically least class at every stage.
-
-    Two chains agree up to the first stage where their classes differ, and
-    the least chain by its sequence of chosen classes takes the lesser one
-    there.  The classes are read in each stage's own basis.
-    """
-    return min(chains, key=lambda chain: tuple(step.chosen.coeffs for step in chain.steps))
+    """The canonical chain of omega: the first of its minimal blow-down chains."""
+    return minimal_blowdown_chains(omega)[0]
 
 
 # ---------------------------------------------------------------------------

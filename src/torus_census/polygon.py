@@ -15,11 +15,13 @@ The public `RationalPolygon` and `polygon_from_json` check every point,
 distinctness and strict convexity.  `_polygon` skips those checks; it is
 for vertices the package already knows to be valid: a census's
 whole-number polygons divided back by their positive scale, the unimodular
-image `_canonical` returns, and the results of `_chop` and `blow_down`.
+image `_canonical` returns, and the results of `_chop` and `_blown_down`.
 Public functions check that a polygon they are given is Delzant;
-`blow_up` and `canonical_form` are checked wrappers over the unchecked
-cores `_chop` (None where delta reaches an edge at the vertex) and
-`_canonical`, which the census calls on polygons it built itself.
+`blow_up`, `canonical_form`, `self_intersection` and `blow_down` are
+checked wrappers over the unchecked cores `_chop` (None where delta
+reaches an edge at the vertex), `_canonical`, `_self_intersection` and
+`_blown_down`, which the census and `classify_model` call on polygons
+they built themselves.
 
 Rational length means length measured against the primitive integer
 direction of the edge; it equals the symplectic area of the invariant
@@ -195,11 +197,15 @@ def _require_delzant(polygon: RationalPolygon) -> None:
 def self_intersection(polygon: RationalPolygon, index: int) -> int:
     """Self-intersection of the sphere represented by edge index."""
     _require_delzant(polygon)
-    n = polygon.edge_count
-    if not (0 <= index < n):
+    if not (0 <= index < polygon.edge_count):
         raise PreconditionError(f"edge index out of range: {index}")
+    return _self_intersection(polygon, index)
+
+
+def _self_intersection(polygon: RationalPolygon, index: int) -> int:
+    """`self_intersection` of an edge of a Delzant polygon, not checked."""
     edge_list = edges(polygon)
-    after = edge_list[(index + 1) % n].normal
+    after = edge_list[(index + 1) % polygon.edge_count].normal
     before = edge_list[index - 1].normal
     return after[0] * before[1] - after[1] * before[0]
 
@@ -327,6 +333,11 @@ def blow_down(polygon: RationalPolygon, index: int) -> RationalPolygon:
     value = self_intersection(polygon, index)
     if value != -1:
         raise PreconditionError(f"edge not exceptional: self-intersection {value}")
+    return _blown_down(polygon, index)
+
+
+def _blown_down(polygon: RationalPolygon, index: int) -> RationalPolygon:
+    """`blow_down` of a -1 edge of a Delzant polygon, not checked."""
     n = polygon.edge_count
     edge_list = edges(polygon)
     before = edge_list[index - 1]
@@ -467,7 +478,7 @@ def classify_model(polygon: RationalPolygon) -> ModelIdentification:
     cache: dict[tuple, frozenset] = {}
 
     def walk(p: RationalPolygon) -> frozenset:
-        canon = canonical_form(p)[0]
+        canon = _canonical(p)[0]
         if canon.vertices in cache:
             return cache[canon.vertices]
         if canon.edge_count <= 4:
@@ -476,8 +487,8 @@ def classify_model(polygon: RationalPolygon) -> ModelIdentification:
         else:
             readings: set = set()
             for index in range(canon.edge_count):
-                if self_intersection(canon, index) == -1:
-                    readings |= walk(blow_down(canon, index))
+                if _self_intersection(canon, index) == -1:
+                    readings |= walk(_blown_down(canon, index))
             if not readings:
                 raise PreconditionError("no -1 edge and not a model polygon")
             answer = frozenset(readings)

@@ -243,15 +243,13 @@ def chain_lines(chain: hm.BlowdownChain) -> list[str]:
     return lines
 
 
-def chains_table(
-    chains: tuple[hm.BlowdownChain, ...], canonical: hm.BlowdownChain
-) -> str:
+def chains_table(chains: tuple[hm.BlowdownChain, ...]) -> str:
     lines = [f"minimal blow-down chains: {len(chains)}"]
     for index, chain in enumerate(chains):
         lines.append(f"chain {index}:")
         lines.extend(chain_lines(chain))
     lines.append("canonical chain:")
-    lines.extend(chain_lines(canonical))
+    lines.extend(chain_lines(chains[0]))
     return "\n".join(lines)
 
 

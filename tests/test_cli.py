@@ -252,14 +252,13 @@ def test_chains_come_from_one_walk(capsys):
         omega = cs.spec_to_symplectic(cs.spec_from_json(spec))
         text = json.dumps(spec)
         chains = hm.minimal_blowdown_chains(omega)
-        canonical = hm.canonical_blowdown_chain(omega)
         code, out, err = run(capsys, "chains", "--spec", text, "--format", "json")
         assert (code, err) == (0, "")
         payload = json.loads(out)
-        assert payload["canonical"] == cli._chain_json(canonical)
         assert payload["chains"] == [cli._chain_json(c) for c in chains]
+        assert payload["canonical"] == payload["chains"][0]
         code, out, err = run(capsys, "chains", "--spec", text)
-        assert out == render.chains_table(chains, canonical) + "\n"
+        assert out == render.chains_table(chains) + "\n"
         counts.append(payload["count"])
     assert counts[0] == 48
     assert sum(count > 1 for count in counts) >= 8
@@ -543,6 +542,8 @@ def test_recipe_json_refuses_a_boolean_genus(capsys):
     spec = '{"base": {"kind": "product_ruled", "genus": true, "mu": "1"}, "capacities": []}'
     code, out, err = run(capsys, "census", "--spec", spec)
     assert (code, out, err) == (1, "", "genus must be an integer\n")
+    spec = '{"base": {"kind": "cp2", "genus": true, "lambda": "1"}, "capacities": []}'
+    assert run(capsys, "census", "--spec", spec) == (1, "", "genus must be an integer\n")
     with pytest.raises(PreconditionError):
         cs.ManifoldSpec(cs.PRODUCT_RULED, True)
 
@@ -922,6 +923,11 @@ def test_precondition_failures_are_exit_two(capsys):
     code, out, err = run(capsys, "census", "--spec", bad_spec)
     assert code == 2
     assert err.strip() == "capacities must be weakly decreasing"
+    # A cp2 recipe's genus and fiber are refused as ManifoldSpec refuses them.
+    for key, value in (("genus", "2"), ("fiber", '"3"')):
+        spec = f'{{"base": {{"kind": "cp2", "lambda": "1", "{key}": {value}}}, "capacities": ["1/4"]}}'
+        message = f"a cp2 base has no {key} parameter\n"
+        assert run(capsys, "census", "--spec", spec) == (2, "", message)
 
 
 LONE_SURFACE = '{"vertices": [{"id": 0, "moment": "0", "surface": {"genus": 1, "area": "2"}}]}'

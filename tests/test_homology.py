@@ -786,20 +786,18 @@ def test_largest_family_count_and_canonical_branch():
     chains = minimal_blowdown_chains(data)
     assert len(chains) == 48
     canonical = canonical_blowdown_chain(data)
+    assert canonical == chains[0]
+    # Classes in each stage's own basis; the third L - E1 - E2 is a class
+    # of the two-point blow-up the second stage leaves.
     assert [str(s.chosen) for s in canonical.steps] == [
         "L - E1 - E2",
         "E3",
-        "E2",
-        "E1",
+        "L - E1 - E2",
     ]
-    assert [s.area for s in canonical.steps] == [
-        Q(1, 5),
-        Q(1, 5),
-        Q(1, 5),
-        Q(2, 5),
-    ]
-    assert canonical.terminal.lam == Q(4, 5)
-    assert canonical in chains
+    assert [s.area for s in canonical.steps] == [Q(1, 5)] * 3
+    terminal = canonical.terminal
+    assert terminal.basis.kind == "product_ruled"
+    assert (terminal.mu, terminal.fiber) == (Q(3, 5), Q(2, 5))
 
 
 def test_pair_chain_terminates_in_sphere_product():

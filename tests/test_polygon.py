@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from polygon_corpus import build_chopped_corpus, build_corpus, random_unimodular_image
+from torus_census import polygon as pg
 from torus_census.census import _chop_all
 from torus_census.errors import CapacityError, PreconditionError
 from torus_census.polygon import (
@@ -366,12 +367,16 @@ def test_classify_two_chop_pentagon_takes_least_reading():
     assert model.blowdowns == 1
 
 
-def test_classify_equal_chop_hexagon():
+def test_classify_equal_chop_hexagon(monkeypatch):
     # Every hexagon edge is a -1 sphere, so branches reach both readings of
     # the one-chop quadrilateral; the sphere-product reading sorts first.
     # Reduction stops at the first quadrilateral, hence two blow-downs.
+    # The walk checks its argument once and trusts the polygons it builds.
     hexagon = build_corpus()[-1]
+    checked = []
+    monkeypatch.setattr(pg, "is_delzant", lambda p: checked.append(p) or is_delzant(p))
     model = classify_model(hexagon)
+    assert checked == [hexagon]
     assert model.kind == "product_ruled"
     assert (model.a, model.b) == (Q(2, 3), Q(2, 3))
     assert model.blowdowns == 2
