@@ -4,7 +4,7 @@
 For the projective plane of line area 1, blow up k times with equal
 capacity delta and count the surviving maximal torus and circle
 actions.  The cell k = 5, delta = 2/5 is not a manifold: the class
-2L - E1 - ... - E5 has area 0, and the census refuses it.  Two
+2L - E1 - ... - E5 has area 0, and the recipe is refused.  Two
 closed-form tests ride along: the small-capacity toric test (k <= 3 and
 delta < 1/3) and the circle-existence test ((k - 1) delta < 1).  The
 survey prints the full table, then shows where each test tracks the
@@ -32,8 +32,8 @@ def main() -> None:
     for k in KS:
         cells = []
         for delta in DELTAS:
-            spec = ManifoldSpec("cp2", 0, Q(1), Q(1), (delta,) * k)
             try:
+                spec = ManifoldSpec("cp2", 0, Q(1), Q(1), (delta,) * k)
                 counts = run_census(spec).counts
             except PreconditionError:
                 cells.append("outside")

@@ -2,8 +2,8 @@
 
 A recipe names a minimal base (a projective plane of given line area, or
 a genus-g sphere bundle with fiber area 1) and a weakly decreasing list
-of blow-up capacities.  The census reads the recipe through its homology
-form, `SymplecticData`, whose construction refuses a recipe outside the
+of blow-up capacities, and carries its homology form, `SymplecticData`,
+built when it is made, which alone checks capacities, volume and the
 symplectic cone.  A cp2 recipe is then brought to Cremona-reduced form
 (line area at least the sum of the three largest capacities), which
 names the same manifold.  The toric census folds polygon corner
@@ -108,13 +108,11 @@ from typing import NamedTuple
 from . import circle_graph as cg
 from . import polygon as pg
 from .errors import FormatError, PreconditionError
-from .homology import RATIONAL, Basis, SymplecticData, cremona_reduced
-from .linalg import dot
+from .homology import PRODUCT_RULED, RATIONAL, TWISTED_RULED, Basis, SymplecticData
+from .homology import cremona_reduced
 from .rationals import format_rational, halve, is_int, parse_rational
 
 CP2 = "cp2"
-PRODUCT_RULED = "product_ruled"
-TWISTED_RULED = "twisted_ruled"
 BASE_KINDS = (CP2, PRODUCT_RULED, TWISTED_RULED)
 
 
@@ -141,51 +139,37 @@ class ManifoldSpec:
         object.__setattr__(self, "base_area", area)
         object.__setattr__(self, "fiber", fiber)
         object.__setattr__(self, "capacities", caps)
+        # The form lets a twisted positive-genus section have area <= 0.
         if area <= 0:
             raise PreconditionError("base area must be positive")
         if self.base == CP2:
             if fiber != 1:
                 raise PreconditionError("a cp2 base has no fiber parameter")
+            form = SymplecticData(Basis(RATIONAL, 0, len(caps)), caps, lam=area)
         elif fiber != 1:
             raise PreconditionError("ruled bases are normalized to fiber area 1")
-        if any(c <= 0 for c in caps):
-            raise PreconditionError("capacities must be positive")
-        if any(a < b for a, b in zip(caps, caps[1:])):
-            raise PreconditionError("capacities must be weakly decreasing")
-        if self.volume <= 0:
-            raise PreconditionError("recipe volume must be positive")
+        else:
+            basis = Basis(self.base, self.genus, len(caps))
+            form = SymplecticData(basis, caps, mu=area, fiber=fiber)
+        # Not a field: equality, hashing and repr read the fields only.
+        object.__setattr__(self, "_form", form)
 
     @property
     def blowups(self) -> int:
         return len(self.capacities)
 
     @property
-    def volume(self) -> Q:
-        """w . G^-1 w / 2 for the area covector w: the same form as homology's."""
-        basis = _basis(self)
-        w = (self.base_area, self.fiber)[: basis.base_rank] + self.capacities
-        return dot(w, basis.dual(w)) / 2
-
-    @property
     def rational_base(self) -> bool:
         return self.base == CP2 or self.genus == 0
 
 
-def _basis(spec: ManifoldSpec) -> Basis:
-    """The recipe's homology basis: L, E1..Ek on cp2, else B, F, E1..Ek."""
-    return Basis(RATIONAL if spec.base == CP2 else spec.base, spec.genus, spec.blowups)
-
-
 def spec_to_symplectic(spec: ManifoldSpec) -> SymplecticData:
-    """The homology-level form of a recipe, for the census, chains and enumeration.
+    """The recipe's homology form, for the census, chains and enumeration.
 
-    Building SymplecticData refuses a recipe outside the symplectic cone,
-    so every verb reaches the cone check by this one route.
+    It was built, and the recipe checked against the symplectic cone,
+    when the recipe was made; every call returns that one form.
     """
-    basis = _basis(spec)
-    if spec.base == CP2:
-        return SymplecticData(basis, spec.capacities, lam=spec.base_area)
-    return SymplecticData(basis, spec.capacities, mu=spec.base_area, fiber=spec.fiber)
+    return spec._form
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +417,8 @@ class _Table(dict):
 def run_census(spec: ManifoldSpec) -> CensusResult:
     """Full toric and maximal-circle census of a recipe, with provenance.
 
-    The census folds the recipe's SymplecticData (spec_to_symplectic, which
-    refuses a recipe outside the cone), Cremona-reduced on a cp2 base, so
+    The census folds the recipe's SymplecticData (spec_to_symplectic, made
+    and cone-checked with the recipe), Cremona-reduced on a cp2 base, so
     the answer depends on the manifold rather than on how the recipe names
     it; the result still carries the recipe as given, and its warnings.
     """

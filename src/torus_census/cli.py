@@ -38,12 +38,19 @@ def _load_document(source: str) -> dict:
     text = source
     if not source.lstrip().startswith("{"):
         path = Path(source)
-        if not path.is_file():
-            raise FormatError(f"no such file: {source}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            if not path.is_file():
+                raise FormatError(f"no such file: {source}")
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:  # a name too long, a file we may not read
+            raise FormatError(f"cannot read {source}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is a number past the
+        # interpreter's digit limit; deep nesting is a RecursionError.
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FormatError("top-level JSON value must be an object")
@@ -183,17 +190,11 @@ def _emit_graph(graph: cg.S1Graph, fmt: str) -> None:
         _emit(render.graph_text(graph))
 
 
-def _require_not_svg(fmt: str, verb: str) -> None:
-    if fmt == "svg":
-        raise FormatError(f"--format svg is not available for {verb}")
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 
 
 def _run_check(args: argparse.Namespace) -> None:
-    _require_not_svg(args.format, "check")
     subject = _one_subject(args)
     if isinstance(subject, pg.RationalPolygon):
         ok, diagnostics = pg.is_delzant(subject)
@@ -217,7 +218,6 @@ def _run_canon(args: argparse.Namespace) -> None:
 
 
 def _run_invariants(args: argparse.Namespace) -> None:
-    _require_not_svg(args.format, "invariants")
     subject = _one_subject(args)
     if isinstance(subject, pg.RationalPolygon):
         inv = pg.invariants(subject)
@@ -357,7 +357,6 @@ def _census_text(result: cs.CensusResult) -> str:
 
 
 def _run_census(args: argparse.Namespace) -> None:
-    _require_not_svg(args.format, "census")
     result = cs.run_census(_spec_arg(args))
     if args.format == "json":
         _emit(_census_text(result))
@@ -380,7 +379,6 @@ def _feasibility_spec(args: argparse.Namespace) -> cs.ManifoldSpec:
 
 
 def _run_feasibility(args: argparse.Namespace) -> None:
-    _require_not_svg(args.format, "feasibility")
     report = cs.feasibility_report(_feasibility_spec(args))
     if args.format == "json":
         _emit_json(dict(asdict(report), delta=format_rational(report.delta)))
@@ -389,7 +387,6 @@ def _run_feasibility(args: argparse.Namespace) -> None:
 
 
 def _run_exceptional(args: argparse.Namespace) -> None:
-    _require_not_svg(args.format, "exceptional")
     omega = cs.spec_to_symplectic(_spec_arg(args))
     bound = None if args.bound is None else parse_rational(args.bound)
     minimal = None
@@ -436,7 +433,6 @@ def _chain_json(chain: hm.BlowdownChain) -> dict:
 
 
 def _run_chains(args: argparse.Namespace) -> None:
-    _require_not_svg(args.format, "chains")
     omega = cs.spec_to_symplectic(_spec_arg(args))
     chains = hm.minimal_blowdown_chains(omega)
     if args.format == "json":
@@ -452,7 +448,6 @@ def _run_chains(args: argparse.Namespace) -> None:
 
 
 def _run_threshold(args: argparse.Namespace) -> None:
-    _require_not_svg(args.format, "threshold")
     omega = cs.spec_to_symplectic(_spec_arg(args))
     threshold = hm.min_capacity_threshold(omega)
     if args.format == "json":
@@ -465,6 +460,9 @@ def _run_threshold(args: argparse.Namespace) -> None:
     else:
         _emit(render.threshold_table(threshold))
 
+
+# The verbs whose output is a polygon or a graph.
+_SVG_VERBS = {"canon", "blowup", "blowdown", "project"}
 
 _HANDLERS = {
     "check": _run_check,
@@ -561,6 +559,8 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.format == "svg" and args.verb not in _SVG_VERBS:
+            raise FormatError(f"--format svg is not available for {args.verb}")
         _HANDLERS[args.verb](args)
         sys.stdout.flush()
     except FormatError as exc:

@@ -243,7 +243,7 @@ class SymplecticData:
         whole, scale = _integral(self.area_vector())
         volume = Q(dot(whole, self.basis.dual(whole)), scale * scale)
         if volume <= 0:
-            raise PreconditionError("volume quantity must be positive")
+            raise PreconditionError("recipe volume must be positive")
         area = self.lam if self.basis.kind == RATIONAL else self.mu
         require_in_cone(self.basis, area, self.fiber, caps)
         object.__setattr__(self, "integer_area", (whole, scale))

@@ -41,10 +41,11 @@ def parse_rational(text: str | int | Q) -> Q:
     body = text.strip()
     if not _RATIONAL_RE.match(body):
         raise FormatError(f"malformed rational literal: {text!r}")
-    if "/" in body:
-        num, den = body.split("/")
-        return Q(int(num), int(den))
-    return Q(int(body))
+    num, _, den = body.partition("/")
+    try:
+        return Q(int(num), int(den or 1))
+    except ValueError as exc:  # a literal past the interpreter's digit limit
+        raise FormatError(f"malformed rational literal: {text!r}") from exc
 
 
 def is_int(value: object) -> bool:

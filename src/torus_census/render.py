@@ -222,9 +222,9 @@ def exceptional_table(
 
 def _terminal_line(terminal: hm.SymplecticData) -> str:
     basis = terminal.basis
-    if basis.kind == "rational":
+    if basis.kind == hm.RATIONAL:
         return f"cp2 with line area {format_rational(terminal.lam)}"
-    kind = "product" if basis.kind == "product_ruled" else "twisted"
+    kind = "product" if basis.kind == hm.PRODUCT_RULED else "twisted"
     return (
         f"{kind} ruled surface, genus {basis.genus}, "
         f"section area {format_rational(terminal.mu)}, "

@@ -1,17 +1,18 @@
 """Differential harness: the same CLI requests through two source trees.
 
 From a seed it builds a corpus of `census`, `chains`, `exceptional`,
-`threshold`, `canon`, `check`, `blowup`, `invariants`, `blowdown` and
-`project` requests, runs each through `cli.main` for the working tree and
-for `git archive <rev>` unpacked into a temporary directory, under
-`python` and `python -O`, and prints, per verb, how many requests differ
-in exit code, stdout or stderr, and which.
+`threshold`, `feasibility`, `canon`, `check`, `blowup`, `invariants`,
+`blowdown` and `project` requests, runs each through `cli.main` for the
+working tree and for `git archive <rev>` unpacked into a temporary
+directory, under `python` and `python -O`, and prints, per verb, how many
+requests differ in exit code, stdout or stderr, and which.
 
     python3 tests/differential.py [--rev REV] [--seed N] [--size N]
 
 The exit status is 0 when no request differs.  Recipes cover all three
 bases, genus 0-2 and 0-4 capacities, half of them equal, some outside the
-symplectic cone; `chains` also runs the recipes of `chains_golden.json`.
+symplectic cone; `chains` also runs the recipes of `chains_golden.json`,
+and half the `feasibility` requests give `--k` and `--delta` instead.
 Graphs and polygons come from the toric polygons of small censuses, and
 their projections, that this tree computes while it builds the corpus.
 `canon`, `check`, `invariants` and `blowup` take a graph or a polygon,
@@ -45,8 +46,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 VERBS = (
-    "census", "chains", "exceptional", "threshold", "canon", "check", "blowup",
-    "invariants", "blowdown", "project",
+    "census", "chains", "exceptional", "threshold", "feasibility", "canon", "check",
+    "blowup", "invariants", "blowdown", "project",
 )
 
 POOL = [Q(1, q) for q in range(2, 9)] + [Q(2, 3), Q(2, 5), Q(2, 7), Q(3, 10)]
@@ -237,6 +238,12 @@ def build_corpus(seed: int, size: int) -> list[list[str]]:
             argv = [verb, "--spec", _recipe(rng), *bound] + form
         elif verb == "threshold":
             argv = [verb, "--spec", _recipe(rng)] + form
+        elif verb == "feasibility":
+            if rng.random() < 0.5:
+                argv = [verb, "--spec", _recipe(rng)] + form
+            else:
+                k, delta = rng.randint(0, 5), _text(rng.choice(POOL))
+                argv = [verb, "--k", str(k), "--delta", delta] + form
         elif verb in ("blowdown", "project") or rng.random() < 0.5:
             argv = _polygon_request(rng, verb, polygons) + form
         else:

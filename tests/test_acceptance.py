@@ -154,11 +154,11 @@ def test_criterion_03_equal_capacity_grid_formulas():
     circle_bad = set()
     in_cone = 0
     for k, delta in cartesian(GRID_KS, GRID_DELTAS):
-        spec = plane(1, *[delta] * k)
         if (k, delta) in OUTSIDE_CONE:
             with pytest.raises(PreconditionError):
-                run_census(spec)
+                plane(1, *[delta] * k)
             continue
+        spec = plane(1, *[delta] * k)
         in_cone += 1
         result = run_census(spec)
         counts = result.counts

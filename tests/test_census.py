@@ -7,6 +7,7 @@ enumeration; the tables here pin those runs exactly.
 
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -104,10 +105,11 @@ def test_spec_parses_string_fields():
 
 def test_spec_volume_and_perimeter():
     spec = plane(1, "1/3", "1/4", "1/5")
-    assert spec.volume == Q(1, 2) - (Q(1, 9) + Q(1, 16) + Q(1, 25)) / 2
+    volume = spec_to_symplectic(spec).volume_quantity() / 2
+    assert volume == Q(1, 2) - (Q(1, 9) + Q(1, 16) + Q(1, 25)) / 2
     assert spec_to_symplectic(spec).chern_pairing() == 3 - Q(1, 3) - Q(1, 4) - Q(1, 5)
     spec = ruled("twisted_ruled", 1, "3/2")
-    assert spec.volume == Q(2)
+    assert spec_to_symplectic(spec).volume_quantity() / 2 == Q(2)
     assert spec_to_symplectic(spec).chern_pairing() == 4
     assert not spec.rational_base
     assert ruled("product_ruled", 0, 2).rational_base
@@ -128,8 +130,8 @@ def _closed_form_volume(spec):
 
 
 def test_spec_volume_matches_lattice_dual():
-    # The recipe's volume and twice the volume the homology layer reads
-    # off the Gram inverse must both give the hand-written closed form.
+    # Half the volume quantity the homology layer reads off the Gram
+    # inverse must give the hand-written closed form.
     specs = [
         plane(1, "1/3", "1/4"),
         plane("7/3"),
@@ -142,9 +144,8 @@ def test_spec_volume_matches_lattice_dual():
     ]
     assert {spec.base for spec in specs} == set(census.BASE_KINDS)
     for spec in specs:
-        expected = _closed_form_volume(spec)
-        assert spec.volume == expected, spec
-        assert spec_to_symplectic(spec).volume_quantity() / 2 == expected, spec
+        volume = spec_to_symplectic(spec).volume_quantity() / 2
+        assert volume == _closed_form_volume(spec), spec
 
 
 def test_spec_to_symplectic_maps_bases():
@@ -157,6 +158,20 @@ def test_spec_to_symplectic_maps_bases():
     assert data.basis.genus == 2
     assert data.mu == Q(5, 2)
     assert data.fiber == Q(1)
+
+
+def test_spec_carries_one_form_outside_its_fields():
+    # The form is built once, when the recipe is made; it is no field, so
+    # equality, hashing and repr read the fields only.
+    spec = plane("7/3", "1/3")
+    assert spec_to_symplectic(spec) is spec_to_symplectic(spec)
+    twin = plane("7/3", "1/3")
+    assert spec_to_symplectic(twin) is not spec_to_symplectic(spec)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert [f.name for f in fields(spec)] == [
+        "base", "genus", "base_area", "fiber", "capacities"
+    ]
+    assert "SymplecticData" not in repr(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +218,8 @@ def test_ruled_base_models_are_canonical_and_distinct():
             seen.add(polygon.vertices)
             assert polygon.edge_count == 4
             data = pg.invariants(polygon)
-            assert data.euclidean_area == spec.volume
+            volume = spec_to_symplectic(spec).volume_quantity() / 2
+            assert data.euclidean_area == volume
             assert data.perimeter == spec_to_symplectic(spec).chern_pairing()
 
 
@@ -379,28 +395,30 @@ def test_reduced_provenance_replays():
 
 def test_recipes_outside_cone_are_rejected():
     # 2L - E1 - ... - E5 has area 0, and so has L - E1 - E2 below.
-    for spec in (plane(1, *["2/5"] * 5), plane(1, "1/2", "1/2")):
+    for caps in (["2/5"] * 5, ["1/2", "1/2"]):
         with pytest.raises(PreconditionError):
-            run_census(spec)
+            plane(1, *caps)
 
 
 def test_ruled_recipes_outside_cone_are_rejected():
-    for spec in (
-        ruled("product_ruled", 0, "1/2", "3/4"),  # S - E1 has area -1/4
-        ruled("product_ruled", 0, "2", "1"),  # F - E1 has area 0
-        ruled("twisted_ruled", 0, "1/2", "3/4", "3/4"),  # L - E1 - E2 has area 0
-        ruled("product_ruled", 1, "3", "3/2"),  # F - E1 has area -1/2
-        ruled("twisted_ruled", 2, "3", "1"),  # F - E1 has area 0
+    for recipe in (
+        ("product_ruled", 0, "1/2", "3/4"),  # S - E1 has area -1/4
+        ("product_ruled", 0, "2", "1"),  # F - E1 has area 0
+        ("twisted_ruled", 0, "1/2", "3/4", "3/4"),  # L - E1 - E2 has area 0
+        ("product_ruled", 1, "3", "3/2"),  # F - E1 has area -1/2
+        ("twisted_ruled", 2, "3", "1"),  # F - E1 has area 0
     ):
         with pytest.raises(PreconditionError, match="outside the symplectic cone"):
-            run_census(spec)
+            ruled(*recipe)
 
 
 def test_random_ruled_recipes_are_censused_or_refused():
     # Every ruled recipe either runs, with toric entries of the recipe's
-    # volume, or is refused with PreconditionError; a refused genus-0
-    # product recipe with one cap has d >= min(mu, 1).
+    # volume, or is refused where it is made, by its volume or by the cone;
+    # a genus-0 product recipe with one cap refused by the cone has
+    # d >= min(mu, 1).
     rng = random.Random(73)
+    outcomes = {"censused": 0, "outside the cone": 0}
     for _ in range(40):
         kind = rng.choice(("product_ruled", "twisted_ruled"))
         genus = rng.choice((0, 0, 1))
@@ -411,17 +429,19 @@ def test_random_ruled_recipes_are_censused_or_refused():
         )
         try:
             spec = ruled(kind, genus, mu, *caps)
-        except PreconditionError:
-            continue
-        try:
-            result = run_census(spec)
         except PreconditionError as error:
-            assert "outside the symplectic cone" in str(error)
+            if "outside the symplectic cone" not in str(error):
+                assert str(error) == "recipe volume must be positive"
+                continue
+            outcomes["outside the cone"] += 1
             if kind == "product_ruled" and genus == 0 and len(caps) == 1:
                 assert caps[0] >= min(mu, 1)
-        else:
-            for polygon in result.toric:
-                assert pg.invariants(polygon).euclidean_area == spec.volume
+            continue
+        outcomes["censused"] += 1
+        volume = spec_to_symplectic(spec).volume_quantity() / 2
+        for polygon in run_census(spec).toric:
+            assert pg.invariants(polygon).euclidean_area == volume
+    assert all(outcomes.values()), outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +453,7 @@ def test_toric_entries_carry_recipe_bookkeeping():
     result = run_census(spec)
     for polygon in result.toric:
         data = pg.invariants(polygon)
-        assert data.euclidean_area == spec.volume
+        assert data.euclidean_area == spec_to_symplectic(spec).volume_quantity() / 2
         assert data.perimeter == spec_to_symplectic(spec).chern_pairing()
         assert polygon.edge_count == 3 + spec.blowups
         assert pg.canonical_form(polygon)[0].vertices == polygon.vertices
@@ -607,13 +627,14 @@ def test_census_formats_and_parses_nothing(monkeypatch, spec):
 @pytest.mark.parametrize(
     "spec, reductions, lam",
     [
-        # Already reduced: the cone check and cremona_reduced, no second form.
-        (plane(1, "1/3", "1/4"), 2, Q(1)),
+        # The recipe was cone-checked when it was made, so the census runs
+        # only cremona_reduced on a cp2 recipe and no reduction otherwise.
+        # Already reduced: no second form.
+        (plane(1, "1/3", "1/4"), 1, Q(1)),
         # Reduced to line area 4/5: the reduced form is built and checked.
-        (plane(1, "2/5", "2/5", "2/5"), 3, Q(4, 5)),
+        (plane(1, "2/5", "2/5", "2/5"), 2, Q(4, 5)),
         (ruled("product_ruled", 1, 1, "1/3"), 0, None),
-        # A genus-0 ruled recipe is cone-checked through its plane form.
-        (ruled("product_ruled", 0, 1, "1/3"), 1, None),
+        (ruled("product_ruled", 0, 1, "1/3"), 0, None),
     ],
 )
 def test_census_cremona_reductions_per_recipe(monkeypatch, spec, reductions, lam):

@@ -843,6 +843,45 @@ def test_invalid_json_is_exit_one(capsys):
     assert err.startswith("invalid JSON:")
 
 
+def _not_utf8(tmp_path):
+    target = tmp_path / "latin1.json"
+    target.write_bytes(b'{"base": {"kind": "cp2", "lambda": "1\xe9"}}')
+    return ("census", "--spec", str(target))
+
+
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Capacities nested past the decoder's recursion limit.
+        (
+            "census", "--spec",
+            '{"base": {"kind": "cp2", "lambda": "1"}, "capacities": '
+            + "[" * 5000 + "]" * 5000 + "}",
+        ),
+        # A JSON number past the interpreter's digit limit.
+        ("census", "--spec", '{"base": {"kind": "cp2", "lambda": ' + _LONG + "}}"),
+        # Rational strings past the digit limit, in a recipe, a polygon and an option.
+        ("census", "--spec", '{"base": {"kind": "cp2", "lambda": "' + _LONG + '"}}'),
+        ("check", "--polygon", SQUARE.replace('"1"', '"' + _LONG + '"', 1)),
+        ("blowup", "--polygon", SQUARE, "--vertex", "0", "--delta", _LONG),
+        # A path too long for the file system.
+        ("check", "--polygon", "x" * 5000),
+        _not_utf8,
+    ],
+    ids=["deep-nesting", "long-number", "long-lambda", "long-coordinate",
+         "long-delta", "long-path", "not-utf8"],
+)
+def test_oversized_or_undecodable_input_is_exit_one(capsys, tmp_path, argv):
+    if callable(argv):
+        argv = argv(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith("\n") and err.count("\n") == 1, err[:200]
+
+
 def test_non_object_document_is_exit_one(capsys, tmp_path):
     target = tmp_path / "array.json"
     target.write_text("[1, 2]", encoding="utf-8")
@@ -953,6 +992,19 @@ def test_recipe_outside_cone_is_exit_two(capsys):
     assert code == 2
     assert out == ""
     assert "outside the symplectic cone" in err
+
+
+def test_feasibility_refuses_a_recipe_outside_the_cone_first(capsys):
+    # The recipe is refused where it is made, before feasibility asks for a
+    # cp2 base or equal capacities: S - E1 has area 1/2 - 3/4 < 0 on the
+    # product base, and L - E1 - E2 has area 0 on the plane.
+    for spec in (
+        '{"base":{"kind":"product_ruled","mu":"1/2"},"capacities":["3/4"]}',
+        '{"base":{"kind":"cp2","lambda":"1"},"capacities":["3/5","2/5"]}',
+    ):
+        code, out, err = run(capsys, "feasibility", "--spec", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("recipe outside the symplectic cone"), err
 
 
 @pytest.mark.parametrize(
