@@ -21,9 +21,9 @@ and the projection seeding.  Public functions check their arguments; the
 census checks no polygon and validates no graph.  It chops polygons
 through the unchecked cores of `polygon` (`_chop`, `_canonical`), builds
 every graph through those of `circle_graph` (`_projected`, `_ruled_base`,
-`_blow_up`, `_canonical`, `_extends_to_toric`), keys it, and keeps the
-first graph per key as built; a graph is canonicalised only when it
-becomes a parent, and the returned graphs are built from their keys.  The
+`_blow_up`, `_extends_to_toric`), keys it once by `_key`, and keeps the
+first graph per key as built; parents and returned graphs are rebuilt
+from the keys they are stored under, by `_graph_from_key`.  The
 model triangle and trapezoids (integer slope) are Delzant, and a chop of
 a Delzant polygon is Delzant.  The tests run `validate` and a
 Duistermaat-Heckman check on every graph the census keeps.
@@ -63,7 +63,8 @@ Each builder gives a graph that meets every axiom `cg._diagnose` checks.
   `_feasible` asks that every other component lie farther away than
   that, so it is the one new extremum; the other new point lies
   max(|m|, |n|) delta inward, short of the far end of its Z_k edge.
-- `_canonical` translates, reflects and relabels, which keeps every axiom.
+- `_graph_from_key` of a graph's key translates, reflects and relabels it,
+  which keeps every axiom.
 
 The projection rule loses nothing.  A stage polygon Q is the canonical
 form of a chop of a previous-stage polygon P at a vertex v, and every
@@ -330,9 +331,8 @@ def _expand(parents, sites, blow, key, record, stage=None) -> dict:
     parents maps a key to (object, provenance) and is walked in key order;
     a site where blow(parent, site) is None is refused and skipped.  The
     first entry per key(blown) is kept, as built, with provenance
-    record(parent, provenance, site); a graph is canonicalised only if it
-    becomes a parent.  Entries go into stage, a new dict unless one is
-    given.
+    record(parent, provenance, site).  Entries go into stage, a new dict
+    unless one is given.
     """
     stage = {} if stage is None else stage
     for parent_key in sorted(parents):
@@ -345,11 +345,6 @@ def _expand(parents, sites, blow, key, record, stage=None) -> dict:
             if child_key not in stage:
                 stage[child_key] = (blown, record(parent, provenance, site))
     return stage
-
-
-def _serial(graph: cg.S1Graph) -> tuple:
-    # A graph the census built itself is trusted: keyed with no check.
-    return graph._canonical_serialization
 
 
 def _chop_all(parents: dict, delta, record) -> dict:
@@ -366,15 +361,15 @@ def _chop_all(parents: dict, delta, record) -> dict:
 def _blow_up_all(parents: dict, delta, record) -> dict:
     """Every feasible equivariant blow-up of capacity delta, kept as built.
 
-    The parents are canonicalised just before they are blown up, so the
+    Each parent is rebuilt from its key just before it is blown up, so the
     sites, and the provenance that records them, are canonical vertex ids.
     """
-    canonical = {key: (cg._canonical(graph), p) for key, (graph, p) in parents.items()}
+    canonical = {key: (cg._graph_from_key(key), p) for key, (_, p) in parents.items()}
     return _expand(
         canonical,
         lambda graph: [vertex.id for vertex in graph.vertices],
         lambda graph, vertex_id: cg._blow_up(graph, vertex_id, delta),
-        _serial,
+        cg._key,
         record,
     )
 
@@ -443,7 +438,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             if bottom <= 0:
                 break
             graph = cg._ruled_base(spec.genus, degree, bottom, fiber)
-            frontier[_serial(graph)] = (graph, CircleProvenance("ruled_base", 0, degree))
+            frontier[cg._key(graph)] = (graph, CircleProvenance("ruled_base", 0, degree))
 
     def project(stage: int, delta: int | None = None) -> None:
         # The graph of -xi is the mirror image: the same canonical key.
@@ -456,7 +451,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
                 if delta is None or edge.rational_length == delta
             ],
             cg._projected,
-            _serial,
+            cg._key,
             lambda polygon, _, xi: CircleProvenance(
                 "projection", stage, None, polygon, xi
             ),

@@ -19,13 +19,12 @@ apart by refining ranks along the edges, with no search and no refusal.
 Graphs are validated where they enter.  Every public function validates
 the graphs it is given, and `blow_up`, `can_blow_up`, `canonical_form`,
 `extends_to_toric`, `graph_from_polygon` and `ruled_base_graph` are thin
-checked wrappers over unchecked cores (`_blow_up`, `_feasible`,
-`_canonical`, `_extends_to_toric`, `_projected`, `_ruled_base`) that parse
-and check nothing.  The census calls the cores on graphs it built itself,
-which are valid by construction (the argument is in the `census`
-docstring), so it validates no graph.  `blow_up` and `graph_from_polygon`
-do not check the graphs they return; the tests run `validate` on them as
-built.
+checked wrappers over unchecked cores (`_blow_up`, `_feasible`, `_key`,
+`_extends_to_toric`, `_projected`, `_ruled_base`) that parse and check
+nothing.  The census calls the cores on graphs it built itself, which are
+valid by construction (the argument is in the `census` docstring), so it
+validates no graph.  `blow_up` and `graph_from_polygon` do not check the
+graphs they return; the tests run `validate` on them as built.
 
 Components are normalised (exact moment and area, weights in descending
 order) by the public `FixedComponent`, `isolated` and `surface`; the
@@ -114,7 +113,7 @@ class S1Graph:
                 return vertex
         raise PreconditionError(f"unknown vertex: {vertex_id}")
 
-    # Graphs are immutable, so derived facts are computed once per instance.
+    # Every blow-up site reads the extrema, so they are found once per graph.
 
     @cached_property
     def _extrema(self) -> tuple[FixedComponent, FixedComponent]:
@@ -135,26 +134,6 @@ class S1Graph:
     def max_moment(self) -> Q:
         return self._extrema[1].moment
 
-    @cached_property
-    def _diagnostics(self) -> tuple[str, ...]:
-        return _diagnose(self)
-
-    @cached_property
-    def _canonical_serialization(self) -> tuple:
-        """The least `_serialize` of the two reflections.
-
-        A serialization's verts are its sorted key list.  The unique minimum
-        is the one vertex whose plain key has moment offset 0, and the
-        unique maximum the one whose mirrored key has, so their keys lead
-        the two lists: where they differ they decide the reflection, and
-        only the winning side is serialized.
-        """
-        bottom, top = self._extrema
-        plain, mirror = _extremal_key(bottom, False), _extremal_key(top, True)
-        if plain != mirror:
-            return _serialize(self, mirror < plain)
-        return min(_serialize(self, False), _serialize(self, True))
-
 
 def edge_area(graph: S1Graph, edge: tuple[int, int, int]) -> Q:
     north, south, k = edge
@@ -163,7 +142,7 @@ def edge_area(graph: S1Graph, edge: tuple[int, int, int]) -> Q:
 
 def validate(graph: S1Graph) -> tuple[bool, tuple[str, ...]]:
     """Check every graph axiom; returns (ok, diagnostics)."""
-    problems = graph._diagnostics
+    problems = _diagnose(graph)
     return (not problems, problems)
 
 
@@ -634,20 +613,32 @@ def _refined(graph: S1Graph, keys: dict[int, tuple]) -> list[int]:
             rank, side = {i: r + (r == least and i != first) for i, r in rank.items()}, 0
 
 
+def _key(graph: S1Graph) -> tuple:
+    """`canonical_serialization` with no check of the graph: the least
+    `_serialize` of the two reflections.
+
+    A serialization's verts are its sorted key list.  The unique minimum
+    is the one vertex whose plain key has moment offset 0, and the unique
+    maximum the one whose mirrored key has, so their keys lead the two
+    lists: where they differ they decide the reflection, and only the
+    winning side is serialized.
+    """
+    bottom, top = graph._extrema
+    plain, mirror = _extremal_key(bottom, False), _extremal_key(top, True)
+    if plain != mirror:
+        return _serialize(graph, mirror < plain)
+    return min(_serialize(graph, False), _serialize(graph, True))
+
+
 def canonical_serialization(graph: S1Graph) -> tuple:
     _require_valid(graph)
-    return graph._canonical_serialization
+    return _key(graph)
 
 
 def canonical_form(graph: S1Graph) -> S1Graph:
     """Least representative under moment translation and reflection."""
     _require_valid(graph)
-    return _canonical(graph)
-
-
-def _canonical(graph: S1Graph) -> S1Graph:
-    """`canonical_form` with no check of the graph."""
-    return _graph_from_key(graph._canonical_serialization)
+    return _graph_from_key(_key(graph))
 
 
 def _graph_from_key(key: tuple) -> S1Graph:

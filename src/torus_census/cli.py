@@ -230,7 +230,7 @@ def _run_invariants(args: argparse.Namespace) -> None:
                     "anticanonical_perimeter": format_rational(inv.perimeter),
                     "edge_areas": [format_rational(a) for a in inv.edge_areas],
                     "self_intersections": [
-                        pg.self_intersection(subject, i)
+                        pg._self_intersection(subject, i)
                         for i in range(inv.edge_count)
                     ],
                 }
@@ -247,7 +247,7 @@ def _run_invariants(args: argparse.Namespace) -> None:
                     "edges": len(graph.edges),
                     "min_moment": format_rational(graph.min_moment),
                     "max_moment": format_rational(graph.max_moment),
-                    "extends_to_toric": cg.extends_to_toric(graph),
+                    "extends_to_toric": cg._extends_to_toric(graph),
                 }
             )
         else:

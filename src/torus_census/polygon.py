@@ -83,7 +83,8 @@ class RationalPolygon:
     def edge_count(self) -> int:
         return len(self.vertices)
 
-    # Polygons are immutable, so edge data and the Delzant test run once.
+    # Every chop, projection and canonical form reads the edge data, so it
+    # is found once per polygon.
 
     @cached_property
     def _edges(self) -> tuple[EdgeData, ...]:
@@ -95,22 +96,6 @@ class RationalPolygon:
             normal = (direction[1], -direction[0])
             out.append(EdgeData(i, direction, normal, length))
         return tuple(out)
-
-    @cached_property
-    def _delzant_diagnostics(self) -> tuple[str, ...]:
-        edge_list = self._edges
-        diagnostics = []
-        for i in range(self.edge_count):
-            incoming = edge_list[i - 1].direction
-            outgoing = edge_list[i].direction
-            det = incoming[0] * outgoing[1] - incoming[1] * outgoing[0]
-            if det != 1:
-                diagnostics.append(
-                    f"vertex {i} at ({format_rational(self.vertices[i][0])}, "
-                    f"{format_rational(self.vertices[i][1])}): "
-                    f"edge direction determinant {det}"
-                )
-        return tuple(diagnostics)
 
 
 def _polygon(vertices: tuple[Point, ...]) -> RationalPolygon:
@@ -184,8 +169,18 @@ def edges(polygon: RationalPolygon) -> tuple[EdgeData, ...]:
 
 def is_delzant(polygon: RationalPolygon) -> tuple[bool, tuple[str, ...]]:
     """Whether each vertex's primitive edge directions form a lattice basis."""
-    diagnostics = polygon._delzant_diagnostics
-    return (not diagnostics, diagnostics)
+    edge_list = polygon._edges
+    diagnostics = []
+    for i, (x, y) in enumerate(polygon.vertices):
+        incoming = edge_list[i - 1].direction
+        outgoing = edge_list[i].direction
+        det = incoming[0] * outgoing[1] - incoming[1] * outgoing[0]
+        if det != 1:
+            diagnostics.append(
+                f"vertex {i} at ({format_rational(x)}, {format_rational(y)}): "
+                f"edge direction determinant {det}"
+            )
+    return (not diagnostics, tuple(diagnostics))
 
 
 def _require_delzant(polygon: RationalPolygon) -> None:
@@ -407,18 +402,6 @@ class ModelIdentification:
     a: Q
     b: Q | None
     blowdowns: int
-
-    @property
-    def section_area(self) -> Q:
-        if self.kind == "cp2":
-            raise PreconditionError("cp2 models have no section")
-        return self.a if self.kind == "product_ruled" else self.a - Q(self.b, 2)
-
-    @property
-    def fiber_area(self) -> Q:
-        if self.kind == "cp2":
-            raise PreconditionError("cp2 models have no fiber")
-        return self.b
 
     @property
     def line_area(self) -> Q:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction as Q
 
-from .errors import FormatError
+from .errors import FormatError, PreconditionError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -72,14 +73,25 @@ def halve(x: int | Q) -> int | Q:
 
 
 def format_rational(x: Q | int) -> str:
-    """Format an exact rational as "p/q" in lowest terms ("p" if integral)."""
-    if type(x) is int:
-        return str(x)
-    if not isinstance(x, Q):
-        x = Q(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Format an exact rational as "p/q" in lowest terms ("p" if integral).
+
+    A number past the interpreter's digit limit for int-to-text conversion
+    is a PreconditionError; the limit guards against quadratic time, so it
+    is not raised here.
+    """
+    try:
+        if type(x) is int:
+            return str(x)
+        if not isinstance(x, Q):
+            x = Q(x)
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise PreconditionError(
+            "answer too long to print: a number has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def floor_sqrt(x: Q | int) -> int:

@@ -47,7 +47,7 @@ def polygon_table(polygon: pg.RationalPolygon) -> str:
                 f"({edge.direction[0]}, {edge.direction[1]})",
                 f"({edge.normal[0]}, {edge.normal[1]})",
                 format_rational(edge.rational_length),
-                str(pg.self_intersection(polygon, edge.index)),
+                str(pg._self_intersection(polygon, edge.index)),
             ]
         )
     lines.extend(
@@ -94,12 +94,13 @@ def graph_text(graph: cg.S1Graph) -> str:
 
 
 def graph_invariants_table(graph: cg.S1Graph) -> str:
+    """The table of a graph its caller has validated."""
     lines = [graph_text(graph)]
     lines.append(f"moment span [{format_rational(graph.min_moment)}, "
                  f"{format_rational(graph.max_moment)}]")
     lines.append(
         "extends to toric: "
-        + ("yes" if cg.extends_to_toric(graph) else "no")
+        + ("yes" if cg._extends_to_toric(graph) else "no")
     )
     return "\n".join(lines)
 

@@ -13,6 +13,8 @@ The exit status is 0 when no request differs.  Recipes cover all three
 bases, genus 0-2 and 0-4 capacities, half of them equal, some outside the
 symplectic cone; `chains` also runs the recipes of `chains_golden.json`,
 and half the `feasibility` requests give `--k` and `--delta` instead.
+Every verb draws its `--format` from table, JSON and SVG, so the verbs
+that print no polygon or graph are also asked for the SVG they refuse.
 Graphs and polygons come from the toric polygons of small censuses, and
 their projections, that this tree computes while it builds the corpus.
 `canon`, `check`, `invariants` and `blowup` take a graph or a polygon,
@@ -224,7 +226,7 @@ def build_corpus(seed: int, size: int) -> list[list[str]]:
     corpus = []
     for i in range(size):
         verb = VERBS[i % len(VERBS)]
-        form = ["--format", rng.choice(("table", "json"))]
+        form = ["--format", rng.choice(("table", "json", "svg"))]
         if verb == "census":
             argv = [verb, "--spec", _recipe(rng)] + form
         elif verb == "chains":

@@ -4,7 +4,7 @@
 and keeps the least (verts, links); it shares no code with
 `circle_graph._serialize` beyond the vertex keys it is given.
 `least_serialization` is the least of both reflections, the key
-`S1Graph._canonical_serialization` must equal.
+`circle_graph._key` must equal.
 """
 
 import itertools

@@ -558,39 +558,36 @@ def test_census_is_deterministic():
         ruled("product_ruled", 2, 2, "1/3", "1/4", "1/5"),
     ],
 )
-def test_census_diagnoses_nothing_and_canonicalises_each_parent_once(monkeypatch, spec):
+def test_census_diagnoses_nothing_and_keys_each_graph_once(monkeypatch, spec):
     # The census builds every graph through the unchecked cores of
-    # circle_graph and validates none; it canonicalises a graph only when
-    # the graph becomes a parent, through cg._canonical.  It chops polygons
-    # through the cores of polygon and checks none of them either.
-    diagnose, canonical, blow_up_all = cg._diagnose, cg._canonical, census._blow_up_all
-    is_delzant = pg.is_delzant
-    diagnosed, canonicalised, parents, checked = [], [], [], []
+    # circle_graph and validates none.  It keys each graph it builds once,
+    # by cg._key, and rebuilds each parent from the key it is stored under,
+    # so no other graph is keyed.  It chops polygons through the cores of
+    # polygon and checks none of them either.
+    built, keyed, diagnosed, checked = [], [], [], []
 
-    def counted_diagnose(graph):
-        diagnosed.append(graph)
-        return diagnose(graph)
+    def counted(module, name, calls, builds=False):
+        # Records each graph built, or each argument given.
+        original = getattr(module, name)
 
-    def counted_canonical(graph):
-        canonicalised.append(graph)
-        return canonical(graph)
+        def wrapper(*args):
+            result = original(*args)
+            calls.append(result if builds else args[0])
+            return result
 
-    def counted_blow_up_all(frontier, *args):
-        parents.extend(frontier)
-        return blow_up_all(frontier, *args)
+        monkeypatch.setattr(module, name, wrapper)
 
-    def counted_is_delzant(polygon):
-        checked.append(polygon)
-        return is_delzant(polygon)
-
-    monkeypatch.setattr(cg, "_diagnose", counted_diagnose)
-    monkeypatch.setattr(cg, "_canonical", counted_canonical)
-    monkeypatch.setattr(census, "_blow_up_all", counted_blow_up_all)
-    monkeypatch.setattr(pg, "is_delzant", counted_is_delzant)
+    for name in ("_blow_up", "_projected", "_ruled_base"):
+        counted(cg, name, built, builds=True)
+    counted(cg, "_key", keyed)
+    counted(cg, "_diagnose", diagnosed)
+    counted(pg, "is_delzant", checked)
     run_census(spec)
     assert diagnosed == []
     assert checked == []
-    assert 0 < len(canonicalised) <= len(parents)
+    built = [graph for graph in built if graph is not None]
+    assert built
+    assert sorted(map(id, keyed)) == sorted(map(id, built))
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,10 @@
 stage keeps: the census's key and the graph as built, in the census's
 scaled units.  The key must equal `key_oracle.least_serialization` of the
 graph, which permutes every class of like vertices with edges in both
-reflections and shares none of the shortcuts of
-`S1Graph._canonical_serialization`.  Three corpora: the golden recipes, a
-seeded fuzz over all three bases, and the square-base genus-0 recipes with
-three or more equal capacities, the only census inputs seen to reach
-`circle_graph._refined`.
+reflections and shares none of the shortcuts of `circle_graph._key`.
+Three corpora: the golden recipes, a seeded fuzz over all three bases,
+and the square-base genus-0 recipes with three or more equal capacities,
+the only census inputs seen to reach `circle_graph._refined`.
 """
 
 import json

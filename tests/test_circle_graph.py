@@ -19,6 +19,7 @@ from torus_census.census import ManifoldSpec, _blow_up_all, run_census
 from torus_census.circle_graph import (
     FixedComponent,
     S1Graph,
+    _key,
     _serialize,
     _vertex_keys,
     blow_up,
@@ -447,7 +448,7 @@ def test_surface_blow_up_needs_moment_span():
 
 def _blowups(graph, delta):
     """Every feasible blow-up of one capacity, as built, in key order."""
-    stage = _blow_up_all({(): (graph, None)}, delta, lambda *_: None)
+    stage = _blow_up_all({_key(graph): (graph, None)}, delta, lambda *_: None)
     return [stage[key][0] for key in sorted(stage)]
 
 
@@ -1160,10 +1161,10 @@ def _counted(monkeypatch, *names):
 
 
 def test_serialization_shortcut_matches_both_reflections(monkeypatch):
-    # _canonical_serialization serializes one reflection alone where the
-    # keys of the minimum and the maximum differ, and _serialize orders by
-    # key alone where no two keys tie; the oracle searches both reflections
-    # in full.  A degree-0 ruled base graph is its own reflection.
+    # _key serializes one reflection alone where the keys of the minimum
+    # and the maximum differ, and _serialize orders by key alone where no
+    # two keys tie; the oracle searches both reflections in full.  A
+    # degree-0 ruled base graph is its own reflection.
     projections, blow_ups = _graphs_as_built()
     like_extrema = _like_extrema_graphs()
     graphs = projections + blow_ups + like_extrema + [ruled_base_graph(2, 0, Q(1), False)]
@@ -1175,8 +1176,7 @@ def test_serialization_shortcut_matches_both_reflections(monkeypatch):
             branches["extrema differ"] += 1
         else:
             branches["keys differ" if plain != mirror else "keys equal"] += 1
-        fresh = S1Graph(graph.vertices, graph.edges)
-        assert fresh._canonical_serialization == least_serialization(graph)
+        assert _key(graph) == least_serialization(graph)
     assert len(graphs) > 4000
     assert branches["extrema differ"] > 3000
     assert branches["keys differ"] > len(like_extrema)

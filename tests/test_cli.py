@@ -882,6 +882,26 @@ def test_oversized_or_undecodable_input_is_exit_one(capsys, tmp_path, argv):
     assert err.endswith("\n") and err.count("\n") == 1, err[:200]
 
 
+def _cp2_recipe(lam, *capacities):
+    return json.dumps({"base": {"kind": "cp2", "lambda": lam}, "capacities": list(capacities)})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The areas parse, but the toric entries' areas outgrow the limit.
+        ("census", "--spec", _cp2_recipe("1" * 4000, "1/2")),
+        ("census", "--format", "json", "--spec", _cp2_recipe("1" * 3000, "1/" + "7" * 3000)),
+    ],
+    ids=["table", "json"],
+)
+def test_answer_past_the_digit_limit_is_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"answer too long to print: a number has more than {limit} digits\n"
+
+
 def test_non_object_document_is_exit_one(capsys, tmp_path):
     target = tmp_path / "array.json"
     target.write_text("[1, 2]", encoding="utf-8")

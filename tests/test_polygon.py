@@ -305,8 +305,6 @@ def test_classify_cp2():
 def test_classify_product_trapezoid():
     model = classify_model(hirzebruch(Q(5, 2), Q(1), 0))
     assert (model.kind, model.a, model.b) == ("product_ruled", Q(5, 2), Q(1))
-    assert model.section_area == Q(5, 2)
-    assert model.fiber_area == Q(1)
 
 
 def test_classify_twisted_trapezoid():

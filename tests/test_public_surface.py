@@ -30,11 +30,6 @@ ALLOWED = {
         "the one operation of the exported witness type that polygon.canonical_form "
         "returns; tests/test_polygon.py checks the witness through it"
     ),
-    "ModelIdentification.section_area": (
-        "the ruled areas of the exported classify_model result, beside the twisted "
-        "line_area and exceptional_area that README reads"
-    ),
-    "ModelIdentification.fiber_area": "as section_area",
 }
 
 
