@@ -3,31 +3,32 @@
 Small dense matrices only: the lattices in this package have rank at most a
 dozen or so.  Everything is exact: products, sums and the bilinear form
 keep integer inputs integer, inverses are computed over
-`fractions.Fraction`, and the LDL^T factorization eliminates on ints and
-returns Fractions, so results are deterministic.
+`fractions.Fraction`, and the LDL^T factorization is fraction-free: it
+eliminates on ints and returns its factor as ints (a scale, the leading
+minors and the eliminated columns), so results are deterministic.
 
 The workhorse is :func:`enumerate_quadratic_ball`: given a positive definite
 rational Gram matrix M and a rational cutoff C, it yields every integer
-vector x with x^T M x <= C.  It factors M once as an exact LDL^T and walks
-the classic lattice-point recursion (Fincke-Pohst) on Python ints: each
-level has one fixed denominator, so its interval endpoints and the budget
-left for the levels below are integer operations, no solution is ever
-missed and no float or Fraction appears inside the walk.  The walk can be
-sliced: optional bounds on the last coordinate, the one walked first, clip
-the top level's interval, so a caller that puts a linear functional in that
-coordinate walks only its levels of interest (homology fixes the Chern
-number this way).
+vector x with x^T M x <= C.  It factors M once and walks the classic
+lattice-point enumeration (Fincke-Pohst) on Python ints, as one loop over
+per-level arrays: each level has one fixed step, read off the integer
+factor, so its interval endpoints and the budget left for the levels below
+are integer operations, no solution is ever missed and no float or
+Fraction appears inside the walk.  The walk can be sliced: optional bounds
+on the last coordinate, the one walked first, clip the top level's
+interval, so a caller that puts a linear functional in that coordinate
+walks only its levels of interest (homology fixes the Chern number this
+way).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
 Matrix = list[list[Q]]
-Vector = list[Q]
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -72,35 +73,41 @@ def mat_inverse(m: Sequence[Sequence[Q]]) -> Matrix:
     return [row[n:] for row in work]
 
 
-def ldl_decomposition(m: Sequence[Sequence[Q]]) -> tuple[Matrix, Vector]:
-    """Factor a symmetric positive definite M as L D L^T.
+def ldl_decomposition(m: Sequence[Sequence[Q]]) -> tuple[int, list[int], list[list[int]]]:
+    """Factor a symmetric positive definite M as L D L^T, fraction-free.
 
-    L is unit lower triangular, D a vector of positive pivots; only the
-    lower triangle of M is read.  Raises ValueError("matrix is not
-    positive definite") on any nonpositive pivot.  The elimination runs
-    fraction-free (Bareiss) on s M, s the lcm of the denominators: every
-    working entry is an integer minor, each division by the previous
-    pivot is exact (Sylvester's identity), and pivot k is the leading
-    minor Delta_k, so D_k = Delta_k / (s Delta_{k-1}) and L_ik is the
-    column entry over the pivot.
+    Returns (scale, pivots, columns), all ints: scale s is the lcm of the
+    denominators of M's lower triangle, pivots[k] is Delta_k, the leading
+    (k+1)-minor of s M, and columns[k] holds the entries a_ik for i > k.
+    Then L_ik = a_ik / Delta_k and D_k = Delta_k / (s Delta_{k-1}), with
+    Delta_{-1} = 1.  Only the lower triangle of M is read.  Raises
+    ValueError("matrix is not positive definite") on any nonpositive
+    pivot.  The elimination is Bareiss's on s M: every working entry is
+    an integer minor, and each division by the previous pivot is exact
+    (Sylvester's identity).
     """
     n = len(m)
     scale = lcm(*(m[i][j].denominator for i in range(n) for j in range(i + 1)))
-    work = [[int(m[i][j] * scale) for j in range(i + 1)] for i in range(n)]
-    lower = identity_matrix(n)
-    diag: Vector = [Q(0)] * n
+    work = [
+        [m[i][j].numerator * (scale // m[i][j].denominator) for j in range(i + 1)]
+        for i in range(n)
+    ]
+    pivots: list[int] = []
+    columns: list[list[int]] = []
     previous = 1
     for k in range(n):
         pivot = work[k][k]
         if pivot <= 0:
             raise ValueError("matrix is not positive definite")
-        diag[k] = Q(pivot, previous * scale)
-        for i in range(k + 1, n):
-            lower[i][k] = Q(work[i][k], pivot)
-            for j in range(k + 1, i + 1):
-                work[i][j] = (pivot * work[i][j] - work[i][k] * work[j][k]) // previous
+        column = [work[i][k] for i in range(k + 1, n)]
+        for i, a in enumerate(column, k + 1):
+            row = work[i]
+            for j, b in enumerate(column[: i - k], k + 1):
+                row[j] = (pivot * row[j] - a * b) // previous
+        pivots.append(pivot)
+        columns.append(column)
         previous = pivot
-    return lower, diag
+    return scale, pivots, columns
 
 
 def enumerate_quadratic_ball(
@@ -114,51 +121,82 @@ def enumerate_quadratic_ball(
 
     Requires gram symmetric positive definite.  With gram = L D L^T the
     form is sum(D_i * (x_i + sum_{j>i} L_ji x_j)^2), walked from the last
-    coordinate to the first.  Each level runs on ints: q_i, the lcm of the
-    denominators below the diagonal in column i of L, turns the shift into
-    the integer p_i = sum_{j>i} (q_i L_ji) x_j, and one common multiplier
-    T turns the weights T D_i / q_i^2 and the budget T * cutoff into ints.
-    A remaining budget r admits exactly the x_i with
+    coordinate to the first, on the integer factor of ldl_decomposition.
+    Level i has step q_i = Delta_i / g_i, g_i = gcd(Delta_i, a_ji for j > i),
+    the lcm of the denominators of column i of L; its shift is the integer
+    p_i = sum_{j>i} (a_ji / g_i) x_j = q_i sum_{j>i} L_ji x_j, and one
+    common multiplier T, the lcm of the reduced denominators, turns the
+    weights T D_i / q_i^2 and the budget T * cutoff into ints.  A
+    remaining budget r admits exactly the x_i with
     |q_i x_i + p_i| <= isqrt(r // w_i), so every value of the interval is
-    a point of the ball.  Deterministic ascending order at every level.
-    The last level has q = 1 and p = 0, and its interval is the one the
-    bounds clip.
+    a point of the ball.  The last level has q = 1 and p = 0, and its
+    interval is the one the bounds clip.
+
+    The walk is one loop over per-level arrays: each level keeps its
+    current value, the end of its interval, and its budget and shift.
+    Level 0 yields its whole interval; an empty interval, or an exhausted
+    one, moves back up to the next value of the nearest level above.
+    Deterministic ascending order at every level.
     """
-    lower, diag = ldl_decomposition(gram)
+    scale, pivots, columns = ldl_decomposition(gram)
     if cutoff < 0:
         return
-    n = len(diag)
+    n = len(pivots)
     if n == 0:
         yield ()
         return
-    steps = [lcm(*(lower[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
-    shifts = [
-        [(j, int(lower[j][i] * q)) for j in range(i + 1, n) if lower[j][i] != 0]
-        for i, q in enumerate(steps)
-    ]
-    weights = [d / (q * q) for d, q in zip(diag, steps)]
-    scale = lcm(Q(cutoff).denominator, *(w.denominator for w in weights))
-    weights = [int(w * scale) for w in weights]
-    x = [0] * n
+    steps, shifts, numerators, denominators = [], [], [], []
+    previous = 1
+    for i, (pivot, column) in enumerate(zip(pivots, columns)):
+        g = gcd(pivot, *column)
+        q = pivot // g
+        steps.append(q)
+        # Zeros through level i: the shift is one dot product with all of x.
+        shifts.append([0] * (i + 1) + [a // g for a in column])
+        # D_i / q_i^2 = g / (scale * Delta_{i-1} * q), in lowest terms.
+        den = scale * previous * q
+        common = gcd(g, den)
+        numerators.append(g // common)
+        denominators.append(den // common)
+        previous = pivot
+    cutoff = Q(cutoff)
+    multiplier = lcm(cutoff.denominator, *denominators)
+    weights = [u * (multiplier // v) for u, v in zip(numerators, denominators)]
     top = n - 1
-
-    def recurse(level: int, budget: int) -> Iterator[tuple[int, ...]]:
+    x = [0] * n
+    stops = [0] * n
+    budgets = [0] * n
+    offsets = [0] * n
+    budgets[top] = cutoff.numerator * (multiplier // cutoff.denominator)
+    level = top
+    while True:
         q, w = steps[level], weights[level]
-        p = sum(c * x[j] for j, c in shifts[level])
-        m = isqrt(budget // w)
+        p = sum(map(mul, shifts[level], x))
+        m = isqrt(budgets[level] // w)
         start, stop = -((m + p) // q), (m - p) // q + 1
         if level == top:
             start = start if low is None else max(start, low)
             stop = stop if high is None else min(stop, high + 1)
-        values = range(start, stop)
         if level == 0:
-            for value in values:
+            for value in range(start, stop):
                 x[0] = value
                 yield tuple(x)
-        else:
-            for value in values:
+        elif start < stop:
+            x[level], stops[level], offsets[level] = start, stop, p
+            t = q * start + p
+            budgets[level - 1] = budgets[level] - w * t * t
+            level -= 1
+            continue
+        # Back up to the nearest level above with a value left.
+        level += 1
+        while level < n:
+            value = x[level] + 1
+            if value < stops[level]:
                 x[level] = value
-                t = q * value + p
-                yield from recurse(level - 1, budget - w * t * t)
-
-    yield from recurse(top, int(scale * cutoff))
+                t = steps[level] * value + offsets[level]
+                budgets[level - 1] = budgets[level] - weights[level] * t * t
+                level -= 1
+                break
+            level += 1
+        else:
+            return

@@ -13,8 +13,10 @@ The exit status is 0 when no request differs.  Recipes cover all three
 bases, genus 0-2 and 0-4 capacities, half of them equal, some outside the
 symplectic cone; `chains` also runs the recipes of `chains_golden.json`,
 and half the `feasibility` requests give `--k` and `--delta` instead.
-Every verb draws its `--format` from table, JSON and SVG, so the verbs
-that print no polygon or graph are also asked for the SVG they refuse.
+The verbs that print a polygon or graph (`cli._SVG_VERBS`) draw their
+`--format` from table, JSON and SVG, the others from table and JSON; the
+corpus ends with one SVG request per other verb, which it refuses with
+exit 1 before any work.
 Graphs and polygons come from the toric polygons of small censuses, and
 their projections, that this tree computes while it builds the corpus.
 `canon`, `check`, `invariants` and `blowup` take a graph or a polygon,
@@ -51,6 +53,11 @@ VERBS = (
     "census", "chains", "exceptional", "threshold", "feasibility", "canon", "check",
     "blowup", "invariants", "blowdown", "project",
 )
+
+SPEC_VERBS = ("census", "chains", "exceptional", "threshold", "feasibility")
+# The source of each fixed SVG refusal; the refusal comes before it is read.
+REFUSED_RECIPE = json.dumps({"base": {"kind": "cp2", "lambda": "1"}, "capacities": ["1/3"]})
+REFUSED_GRAPH = json.dumps({"vertices": [], "edges": []})
 
 POOL = [Q(1, q) for q in range(2, 9)] + [Q(2, 3), Q(2, 5), Q(2, 7), Q(3, 10)]
 # Small censuses whose polygons, graphs, and the projections of whose
@@ -218,7 +225,10 @@ def _polygon_request(rng: random.Random, verb: str, polygons: list[dict]) -> lis
 
 
 def build_corpus(seed: int, size: int) -> list[list[str]]:
-    """size requests, taking the verbs in turn, drawn from seed."""
+    """size requests, taking the verbs in turn, drawn from seed, then one
+    SVG refusal per verb that prints no SVG."""
+    from torus_census.cli import _SVG_VERBS
+
     rng = random.Random(seed)
     golden = json.loads((HERE / "chains_golden.json").read_text())
     graphs, polygons = _pools()
@@ -226,7 +236,8 @@ def build_corpus(seed: int, size: int) -> list[list[str]]:
     corpus = []
     for i in range(size):
         verb = VERBS[i % len(VERBS)]
-        form = ["--format", rng.choice(("table", "json", "svg"))]
+        formats = ("table", "json", "svg") if verb in _SVG_VERBS else ("table", "json")
+        form = ["--format", rng.choice(formats)]
         if verb == "census":
             argv = [verb, "--spec", _recipe(rng)] + form
         elif verb == "chains":
@@ -258,6 +269,11 @@ def build_corpus(seed: int, size: int) -> list[list[str]]:
                 delta = rng.choice(("1/1000", "1/9", "1/5", "1/3", "1"))
                 argv += ["--vertex", str(vertex), "--delta", delta]
         corpus.append(argv)
+    for verb in VERBS:
+        if verb in _SVG_VERBS:
+            continue
+        source = ["--spec", REFUSED_RECIPE] if verb in SPEC_VERBS else ["--graph", REFUSED_GRAPH]
+        corpus.append([verb, *source, "--format", "svg"])
     return corpus
 
 

@@ -1,5 +1,6 @@
 """Rational parsing, integer square roots, and the exact linear algebra."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -103,8 +104,69 @@ def test_inverse_rejects_singular():
         mat_inverse([[Q(1), Q(2)], [Q(2), Q(4)]])
 
 
+def _fraction_ldl(m):
+    """L unit lower triangular and D with m = L D L^T, by plain Gaussian
+    elimination over the Fractions: the reference for the integer factor."""
+    n = len(m)
+    work = [[Q(v) for v in row] for row in m]
+    lower = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    diag = []
+    for k in range(n):
+        if work[k][k] <= 0:
+            raise ValueError("matrix is not positive definite")
+        diag.append(work[k][k])
+        for i in range(k + 1, n):
+            lower[i][k] = work[i][k] / work[k][k]
+            for j in range(k + 1, n):
+                work[i][j] -= lower[i][k] * work[k][j]
+    return lower, diag
+
+
+def _determinant(m):
+    """By the permutation expansion, sharing nothing with elimination."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _integer_factor_as_fractions(factor):
+    """L and D from ldl_decomposition's (scale, pivots, columns)."""
+    scale, pivots, columns = factor
+    n = len(pivots)
+    lower = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for k, column in enumerate(columns):
+        assert len(column) == n - 1 - k
+        for i, a in enumerate(column, k + 1):
+            lower[i][k] = Q(a, pivots[k])
+    diag = [Q(pivot, scale * before) for pivot, before in zip(pivots, [1] + pivots)]
+    return lower, diag
+
+
+def _assert_integer_factor(m):
+    """The integer factor of m rebuilds m exactly, agrees with the Fraction
+    reference, and its pivots are the leading minors of scale * m."""
+    n = len(m)
+    factor = ldl_decomposition(m)
+    scale, pivots, columns = factor
+    assert all(type(v) is int for v in [scale, *pivots, *itertools.chain(*columns)])
+    assert scale == math.lcm(*(Q(m[i][j]).denominator for i in range(n) for j in range(i + 1)))
+    lower, diag = _integer_factor_as_fractions(factor)
+    d = [[diag[i] if i == j else Q(0) for j in range(n)] for i in range(n)]
+    assert mat_mul(mat_mul(lower, d), transpose(lower)) == m
+    assert (lower, diag) == _fraction_ldl(m)
+    scaled = [[scale * v for v in row] for row in m]
+    assert pivots == [_determinant([row[:k] for row in scaled[:k]]) for k in range(1, n + 1)]
+    return factor
+
+
 def test_ldl_reconstructs_symmetric_matrices():
     rng = random.Random(13)
+    checked = 0
     for trial in range(60):
         n = 1 + trial % 6
         a = _random_matrix(rng, n)
@@ -113,9 +175,10 @@ def test_ldl_reconstructs_symmetric_matrices():
             m[i][i] += Q(rng.randrange(0, 3))
         if signature(m) != (n, 0, 0):
             continue
-        lower, diag = ldl_decomposition(m)
-        d = [[diag[i] if i == j else Q(0) for j in range(n)] for i in range(n)]
-        assert mat_mul(mat_mul(lower, d), transpose(lower)) == m
+        _assert_integer_factor(m)
+        checked += 1
+    assert checked > 30
+    assert ldl_decomposition([]) == (1, [], [])
 
 
 def test_ldl_rejects_exactly_the_matrices_that_are_not_positive_definite():
@@ -128,21 +191,21 @@ def test_ldl_rejects_exactly_the_matrices_that_are_not_positive_definite():
             for j in range(i + 1):
                 m[i][j] = m[j][i] = Q(rng.randrange(-3, 6), rng.randrange(1, 4))
         if signature(m) == (n, 0, 0):
-            lower, diag = ldl_decomposition(m)
-            assert all(d > 0 for d in diag)
+            _, pivots, _ = _assert_integer_factor(m)
+            assert all(pivot > 0 for pivot in pivots)
         else:
             refused += 1
             with pytest.raises(ValueError, match="not positive definite"):
                 ldl_decomposition(m)
+            with pytest.raises(ValueError, match="not positive definite"):
+                _fraction_ldl(m)
     assert 20 < refused < 180
 
 
 def _brute_ball(gram, cutoff, box):
     hits = set()
     n = len(gram)
-    from itertools import product
-
-    for coeffs in product(range(-box, box + 1), repeat=n):
+    for coeffs in itertools.product(range(-box, box + 1), repeat=n):
         value = sum(
             gram[i][j] * coeffs[i] * coeffs[j] for i in range(n) for j in range(n)
         )
@@ -179,6 +242,82 @@ def test_quadratic_ball_matches_brute_force():
         assert got == expected
 
 
+def _form(gram, x):
+    return sum(gram[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+
+
+def _brute_in_walk_order(gram, cutoff, low=None, high=None):
+    """Every point of the ball, low <= x_last <= high, in the walk's order:
+    ascending in the last coordinate, then the one before it, down to the
+    first.  The search box |x_i| <= sqrt(cutoff (gram^-1)_ii) is certified."""
+    inverse = mat_inverse(gram)
+    n = len(gram)
+    bounds = [floor_sqrt(cutoff * inverse[i][i]) if cutoff >= 0 else -1 for i in range(n)]
+    hits = []
+    for backwards in itertools.product(*(range(-b, b + 1) for b in reversed(bounds))):
+        x = backwards[::-1]
+        if low is not None and x[-1] < low or high is not None and x[-1] > high:
+            continue
+        if _form(gram, x) <= cutoff:
+            hits.append(x)
+    return hits
+
+
+def test_walk_on_one_by_one_grams():
+    grams = ([[Q(3, 2)]], [[Q(5)]], [[Q(1, 7)]], [[2]])
+    for gram in grams:
+        for cutoff in (Q(0), Q(4), Q(6), Q(25, 3)):
+            for low, high in ((None, None), (-1, None), (None, 0), (1, 1), (2, 1)):
+                got = list(enumerate_quadratic_ball(gram, cutoff, low, high))
+                assert got == _brute_in_walk_order(gram, cutoff, low, high)
+    assert list(enumerate_quadratic_ball([[Q(3, 2)]], Q(6))) == [(-2,), (-1,), (0,), (1,), (2,)]
+
+
+def test_clip_that_empties_the_top_interval():
+    rng = random.Random(37)
+    for trial in range(30):
+        n = 1 + trial % 4
+        gram = _positive_definite(rng, n, span=rng.choice((2, 4)))
+        cutoff = Q(rng.randrange(1, 30), rng.randrange(1, 4))
+        top = max(abs(x[-1]) for x in enumerate_quadratic_ball(gram, cutoff))
+        clips = [(top + 1, None), (None, -top - 1), (top + 1, top + 4), (-top - 4, -top - 1)]
+        inside = rng.randrange(-top, top + 1)
+        clips.append((inside, inside - 1))  # low above high
+        for low, high in clips:
+            assert list(enumerate_quadratic_ball(gram, cutoff, low, high)) == []
+            assert _brute_in_walk_order(gram, cutoff, low, high) == []
+
+
+def test_cutoff_on_a_point_value_includes_the_point():
+    rng = random.Random(31)
+    for trial in range(40):
+        n = 1 + trial % 3
+        gram = _positive_definite(rng, n)
+        point = tuple(rng.randrange(-2, 3) for _ in range(n))
+        cutoff = _form(gram, point)
+        got = list(enumerate_quadratic_ball(gram, cutoff))
+        assert point in got and tuple(-v for v in point) in got
+        assert got == _brute_in_walk_order(gram, cutoff)
+        below = list(enumerate_quadratic_ball(gram, cutoff - Q(1, 10**9)))
+        assert point not in below
+        assert below == [x for x in got if _form(gram, x) < cutoff]
+
+
+def test_dead_ends_where_most_upper_values_leave_the_level_below_empty():
+    # (7 x0 + x1)^2 + x1^2 / 400: level 0 has step 7, so only x1 near a
+    # multiple of 7 leaves it a value.
+    skewed = [[Q(49), Q(7)], [Q(7), 1 + Q(1, 400)]]
+    # (7 x0 + x1 + 3 x2)^2 + (5 x1 + 2 x2)^2 + x2^2 / 100: steps 7 and 5.
+    deeper = [[49, 7, 21], [7, 26, 13], [21, 13, 13 + Q(1, 100)]]
+    for gram in (skewed, deeper):
+        inverse = mat_inverse(gram)
+        for cutoff in (Q(1, 2), Q(1), Q(2)):
+            got = list(enumerate_quadratic_ball(gram, cutoff))
+            assert got == _brute_in_walk_order(gram, cutoff)
+            top = floor_sqrt(cutoff * inverse[-1][-1])
+            assert 2 * len({x[-1] for x in got}) < 2 * top + 1
+
+
 # The Fraction walk the integer walk replaced, kept as the order-exact
 # reference: per-level interval ends from floor_sqrt_plus, and a per-value
 # test of the remaining budget.
@@ -199,7 +338,7 @@ def _reference_floor_sqrt_plus(q, c):
 
 
 def _reference_ball(gram, cutoff):
-    lower, diag = ldl_decomposition(gram)
+    lower, diag = _fraction_ldl(gram)
     n = len(diag)
 
     def recurse(level, x, spent):
@@ -334,8 +473,9 @@ def test_quadratic_ball_on_companion_forms_with_large_denominators():
 
 def test_quadratic_ball_requires_positive_definite():
     gram = [[Q(1), Q(0)], [Q(0), Q(-1)]]
-    with pytest.raises(ValueError):
-        list(enumerate_quadratic_ball(gram, Q(4)))
+    for cutoff in (Q(4), Q(-1)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            list(enumerate_quadratic_ball(gram, cutoff))
 
 
 def test_dot_and_mat_vec():
