@@ -15,7 +15,7 @@ symplectic cone; `chains` also runs the recipes of `chains_golden.json`,
 and half the `feasibility` requests give `--k` and `--delta` instead.
 The verbs that print a polygon or graph (`cli._SVG_VERBS`) draw their
 `--format` from table, JSON and SVG, the others from table and JSON; the
-corpus ends with one SVG request per other verb, which it refuses with
+corpus ends with one SVG request per other verb, which the CLI refuses with
 exit 1 before any work.
 Graphs and polygons come from the toric polygons of small censuses, and
 their projections, that this tree computes while it builds the corpus.
