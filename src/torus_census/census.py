@@ -9,24 +9,32 @@ symplectic cone.  A cp2 recipe is then brought to Cremona-reduced form
 names the same manifold.  The toric census folds polygon corner
 chops over the capacities starting from all model polygons of the base,
 keeping canonical forms only.  The circle census grows a frontier of
-decorated graphs in lock-step.  Stage 0 projects every model polygon
-along every edge normal (the circle subactions with fixed surfaces).
-Each later stage, of capacity delta, blows up the previous frontier at
-every feasible component, then projects each of the stage's toric
-polygons along its edges of rational length delta only.  Finally the
-census keeps the graphs that do not extend to a toric action.  Both
-censuses are exact and deterministic, and every entry carries a
-replayable provenance.  One routine, `_expand`, runs every stage of both
-and the projection seeding.  Public functions check their arguments; the
-census checks no polygon and validates no graph.  It chops polygons
-through the unchecked cores of `polygon` (`_chop`, `_canonical`), builds
-every graph through those of `circle_graph` (`_projected`, `_ruled_base`,
-`_blow_up`, `_extends_to_toric`), keys it once by `_key`, and keeps the
+decorated graphs in lock-step, and keeps only maximal circle actions:
+those that do not extend to a toric action.  A projection of a polygon
+is a subaction of its torus, so it extends: projections only seed later
+blow-ups.  With at least one capacity, stage 0 projects every model
+polygon along every edge normal (the circle subactions with fixed
+surfaces).  Each later stage, of capacity delta, blows up the previous
+frontier at every feasible component; every stage but the last then
+projects each of the stage's toric polygons along its edges of rational
+length delta only.  On a rational base the last stage refuses each
+blow-up that `_extends_to_toric` accepts before it is keyed; on a
+positive-genus base no graph extends, as a blow-up keeps the genus-g
+fixed surfaces, and no verdict is asked.  Equal keys give equal
+verdicts, so the frontier the last stage leaves is the answer, with the
+provenance it had.  Both censuses are exact and deterministic, and every
+entry carries a replayable provenance.  One routine, `_expand`, runs
+every stage of both and the projection seeding.  Public functions check
+their arguments; the census checks no polygon and validates no graph.
+It chops polygons through the unchecked cores of `polygon` (`_chop`,
+`_canonical`), builds every graph through those of `circle_graph`
+(`_projected`, `_ruled_base`, `_blow_up`, and `_extends_to_toric` at
+the last stage), keys each graph it keeps once by `_key`, and keeps the
 first graph per key as built; parents and returned graphs are rebuilt
 from the keys they are stored under, by `_graph_from_key`.  The
 model triangle and trapezoids (integer slope) are Delzant, and a chop of
 a Delzant polygon is Delzant.  The tests run `validate` and a
-Duistermaat-Heckman check on every graph the census keeps.
+Duistermaat-Heckman check on every graph the census builds.
 
 Each builder gives a graph that meets every axiom `cg._diagnose` checks.
 - `graph_from_polygon` of a Delzant polygon along an edge normal xi (a
@@ -83,7 +91,8 @@ frontier already holds the key of every projection along an edge of
 length other than delta.  The frontier keeps the first entry per key and
 the blow-ups run before the projections, so skipping those edges changes
 no entry and no provenance.  Edges of length delta that some other chop
-left are still projected.
+left are still projected.  The frontiers before the last stage keep
+every graph, so the induction holds at every stage that projects.
 
 Both censuses run on whole numbers: every area of the reduced recipe is
 multiplied by D, twice the lcm of its denominators (the lcm is the scale
@@ -358,17 +367,26 @@ def _chop_all(parents: dict, delta, record) -> dict:
     )
 
 
-def _blow_up_all(parents: dict, delta, record) -> dict:
+def _blow_up_all(parents: dict, delta, record, maximal: bool = False) -> dict:
     """Every feasible equivariant blow-up of capacity delta, kept as built.
 
     Each parent is rebuilt from its key just before it is blown up, so the
     sites, and the provenance that records them, are canonical vertex ids.
+    With maximal set, a blow-up that extends to a toric action is refused
+    before it is keyed, so only maximal circle actions are kept.
     """
+
+    def blow(graph, vertex_id):
+        blown = cg._blow_up(graph, vertex_id, delta)
+        if maximal and blown is not None and cg._extends_to_toric(blown):
+            return None
+        return blown
+
     canonical = {key: (cg._graph_from_key(key), p) for key, (_, p) in parents.items()}
     return _expand(
         canonical,
         lambda graph: [vertex.id for vertex in graph.vertices],
-        lambda graph, vertex_id: cg._blow_up(graph, vertex_id, delta),
+        blow,
         cg._key,
         record,
     )
@@ -458,13 +476,19 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             frontier,
         )
 
-    project(0)
+    # Projections extend, so they only seed later blow-ups; the last stage
+    # keeps the blow-ups that do not extend (on a positive-genus base, all).
+    last = len(capacities)
+    if last:
+        project(0)
     for index, (delta, recorded) in enumerate(capacities, start=1):
         toric = _chop_all(toric, delta, _step(recorded))
-        frontier = _blow_up_all(frontier, delta, _step(recorded))
-        project(index, delta)
+        maximal = index == last and spec.rational_base
+        frontier = _blow_up_all(frontier, delta, _step(recorded), maximal)
         if not frontier and not toric:
             break
+        if index < last:
+            project(index, delta)
 
     # One Fraction per scaled value, one component per (position, key entry)
     # and one polygon per scaled polygon, as toric entries and provenance
@@ -481,11 +505,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         return cg.S1Graph(tuple(components[item] for item in enumerate(verts)), links)
 
     toric_entries = [toric[key] for key in sorted(toric)]
-    # Translation and reflection keep the verdict, so it is read off the
-    # graph as built; the returned graph is built from its key.
-    circle_keys = [
-        key for key in sorted(frontier) if not cg._extends_to_toric(frontier[key][0])
-    ]
+    circle_keys = sorted(frontier)
     toric_count, circle_count = len(toric_entries), len(circle_keys)
     counts = ConjugacyCounts(toric_count, circle_count, toric_count + circle_count)
     return CensusResult(

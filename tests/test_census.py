@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from polygon_corpus import build_corpus
+from test_dh_oracle import GOLDEN, _fuzz_recipes, hook_census_builds
 from torus_census import census
 from torus_census import circle_graph as cg
 from torus_census import homology as hm
@@ -560,34 +562,38 @@ def test_census_is_deterministic():
 )
 def test_census_diagnoses_nothing_and_keys_each_graph_once(monkeypatch, spec):
     # The census builds every graph through the unchecked cores of
-    # circle_graph and validates none.  It keys each graph it builds once,
-    # by cg._key, and rebuilds each parent from the key it is stored under,
-    # so no other graph is keyed.  It chops polygons through the cores of
-    # polygon and checks none of them either.
-    built, keyed, diagnosed, checked = [], [], [], []
+    # circle_graph and validates none.  It asks the toric verdict only of
+    # the last stage's blow-ups on a rational base, and keys each graph it
+    # builds once, by cg._key, but for those that extend, which it drops.
+    # It rebuilds each parent from the key it is stored under, so no other
+    # graph is keyed.  It chops polygons through the cores of polygon and
+    # checks none of them either.
+    keyed, judged, diagnosed, checked = [], [], [], []
 
-    def counted(module, name, calls, builds=False):
-        # Records each graph built, or each argument given.
+    def counted(module, name, calls):
+        # Records the graph or polygon each call is given.
         original = getattr(module, name)
 
         def wrapper(*args):
-            result = original(*args)
-            calls.append(result if builds else args[0])
-            return result
+            calls.append(args[0])
+            return original(*args)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_blow_up", "_projected", "_ruled_base"):
-        counted(cg, name, built, builds=True)
+    run = hook_census_builds(monkeypatch)
+    extends = cg._extends_to_toric
     counted(cg, "_key", keyed)
+    counted(cg, "_extends_to_toric", judged)
     counted(cg, "_diagnose", diagnosed)
     counted(pg, "is_delzant", checked)
-    run_census(spec)
+    _, built = run(spec)
     assert diagnosed == []
     assert checked == []
-    built = [graph for graph in built if graph is not None]
-    assert built
-    assert sorted(map(id, keyed)) == sorted(map(id, built))
+    last = [g for g, stage in built if stage == spec.blowups and spec.rational_base]
+    dropped = {id(g) for g in last if extends(g)}
+    assert sorted(map(id, judged)) == sorted(map(id, last))
+    assert bool(dropped) == spec.rational_base
+    assert sorted(map(id, keyed)) == sorted(id(g) for g, _ in built if id(g) not in dropped)
 
 
 @pytest.mark.parametrize(
@@ -749,19 +755,22 @@ def test_census_matches_the_reference_that_projects_every_edge():
 
 
 def test_census_projects_later_stages_along_new_edges_only(monkeypatch):
-    # Stage 0 projects every edge; stage k only edges of length delta_k,
-    # here also the earlier chop's edges of the equal capacity 1/4.
+    # Stage 0 projects every edge; a later stage k only edges of length
+    # delta_k, here also the earlier chop's edges of the equal capacity 1/4.
+    # The last stage projects none: a projection extends to its toric
+    # action, so it only seeds later blow-ups.
     spec = ruled("product_ruled", 0, 1, "1/3", "1/4", "1/4")
     polygons = base_toric_actions(spec)
     expected = every_edge = sum(p.edge_count for p in polygons)
-    for delta in spec.capacities:
+    for index, delta in enumerate(spec.capacities, start=1):
         polygons = {
             child.vertices: child
             for parent in polygons
             for child, _ in _chop_all({(): (parent, None)}, delta, lambda *_: None).values()
         }.values()
         lengths = [e.rational_length for p in polygons for e in pg.edges(p)]
-        expected += lengths.count(delta)
+        if index < spec.blowups:
+            expected += lengths.count(delta)
         every_edge += len(lengths)
     projections = []
     project = cg._projected
@@ -773,6 +782,45 @@ def test_census_projects_later_stages_along_new_edges_only(monkeypatch):
     monkeypatch.setattr(cg, "_projected", counted_projection)
     run_census(spec)
     assert len(projections) == expected < every_edge
+
+
+def test_every_projection_extends_to_a_toric_action():
+    # The census projects only to seed blow-ups and keeps no projection:
+    # the circle of a projection is a subaction of the polygon's torus.
+    golden = [spec_from_json(row["spec"]) for row in GOLDEN]
+    polygons = build_corpus() + [p for spec in golden for p in run_census(spec).toric]
+    projections = [cg._projected(p, e.normal) for p in polygons for e in pg.edges(p)]
+    assert len(projections) > 800
+    assert all(cg._extends_to_toric(graph) for graph in projections)
+
+
+def test_no_graph_a_positive_genus_census_builds_extends(monkeypatch):
+    # A blow-up keeps the genus-g surfaces of a ruled base, so the census
+    # asks no toric verdict on a positive-genus base.
+    specs = [spec_from_json(row["spec"]) for row in GOLDEN]
+    specs += _fuzz_recipes(0, 30) + _fuzz_recipes(1, 30)
+    run = hook_census_builds(monkeypatch)
+    built = [g for spec in specs if not spec.rational_base for g, _ in run(spec)[1]]
+    assert len(built) > 1200
+    assert not any(cg._extends_to_toric(graph) for graph in built)
+
+
+def test_a_recipe_with_no_blow_ups_keeps_only_ruled_bases():
+    # Every model projection extends, so a rational base with no blow-ups
+    # has no maximal circle; a positive-genus one keeps its ruled bases.
+    for spec in (plane(1), plane(3), ruled("product_ruled", 0, 2), ruled("twisted_ruled", 0, 2)):
+        result = run_census(spec)
+        assert result.maximal_circles == result.circle_provenance == ()
+        assert result.counts.toric_count == len(base_toric_actions(spec)) > 0
+    for spec, degrees in (
+        (ruled("product_ruled", 2, "5/2"), (0, 2, 4)),
+        (ruled("twisted_ruled", 1, "3/2"), (1, 3)),
+    ):
+        result = run_census(spec)
+        assert sorted(p.degree for p in result.circle_provenance) == list(degrees)
+        for graph, provenance in zip(result.maximal_circles, result.circle_provenance):
+            assert (provenance.origin, provenance.steps) == ("ruled_base", ())
+            assert replay_circle(spec, provenance) == graph
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Every key the census keeps is the exhaustive search's least serialization.
+"""Every graph the census builds is keyed to the exhaustive search's least
+serialization.
 
-`_expand` is hooked, as in `test_dh_oracle.py`, to collect every entry a
-stage keeps: the census's key and the graph as built, in the census's
-scaled units.  The key must equal `key_oracle.least_serialization` of the
-graph, which permutes every class of like vertices with edges in both
-reflections and shares none of the shortcuts of `circle_graph._key`.
-Three corpora: the golden recipes, a seeded fuzz over all three bases,
+The census's graph builders are hooked, as in `test_dh_oracle.py`, to
+collect every graph the census builds, in the census's scaled units: the
+ones it keys and keeps, and the last-stage blow-ups it drops unkeyed for
+extending to a toric action.  `circle_graph._key` of each must equal
+`key_oracle.least_serialization` of the graph, which permutes every class
+of like vertices with edges in both reflections and shares none of the
+shortcuts of `circle_graph._key`.
+Three corpora: the golden recipes with the genus-0 recipes of the
+reference census in `test_census.py`, a seeded fuzz over all three bases,
 and the square-base genus-0 recipes with three or more equal capacities,
 the only census inputs seen to reach `circle_graph._refined`.
 """
@@ -17,25 +21,20 @@ from pathlib import Path
 import pytest
 
 from key_oracle import least_serialization
-from test_dh_oracle import _fuzz_recipes
+from test_census import _oracle_recipes
+from test_dh_oracle import _fuzz_recipes, hook_census_builds
 from torus_census import census
 from torus_census import circle_graph as cg
-from torus_census.census import ManifoldSpec, run_census, spec_from_json
+from torus_census.census import ManifoldSpec, spec_from_json
 
 GOLDEN = json.loads((Path(__file__).parent / "census_golden.json").read_text())
 
 
 def _key_mismatches(monkeypatch, specs):
-    """(spec, key) for each kept graph whose key is not the oracle's; the
-    number of keys checked; and the number of `_refined` calls made."""
-    kept = []
-    expand = census._expand
-
-    def recording_expand(*args, **kwargs):
-        stage = expand(*args, **kwargs)
-        kept.extend((key, entry[0]) for key, entry in stage.items() if type(entry[0]) is cg.S1Graph)
-        return stage
-
+    """(spec, key) for each built graph whose key is not the oracle's; the
+    number of keys checked; and the number of `_refined` calls made in
+    keying them."""
+    run = hook_census_builds(monkeypatch)
     refined = [0]
     refine = cg._refined
 
@@ -43,30 +42,30 @@ def _key_mismatches(monkeypatch, specs):
         refined[0] += 1
         return refine(*args)
 
-    monkeypatch.setattr(census, "_expand", recording_expand)
-    monkeypatch.setattr(cg, "_refined", counted_refined)
     mismatches, checked = [], 0
     for spec in specs:
-        kept.clear()
-        run_census(spec)
-        for key, graph in kept:
+        _, built = run(spec)
+        monkeypatch.setattr(cg, "_refined", counted_refined)
+        for graph, _ in built:
+            key = cg._key(graph)
             if key != least_serialization(graph):
                 mismatches.append((spec, key))
-        checked += len(kept)
+        monkeypatch.setattr(cg, "_refined", refine)
+        checked += len(built)
     return mismatches, checked, refined[0]
 
 
 def test_golden_census_keys_match_the_search(monkeypatch):
     specs = [spec_from_json(row["spec"]) for row in GOLDEN]
-    mismatches, checked, _ = _key_mismatches(monkeypatch, specs)
     assert len(specs) == 13
+    mismatches, checked, _ = _key_mismatches(monkeypatch, specs + _oracle_recipes())
     assert mismatches == []
     assert checked > 1500
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_seeded_census_keys_match_the_search(monkeypatch, seed):
-    specs = _fuzz_recipes(seed, 30)
+    specs = _fuzz_recipes(seed, 100)
     assert {spec.base for spec in specs} == set(census.BASE_KINDS)
     mismatches, checked, _ = _key_mismatches(monkeypatch, specs)
     assert mismatches == []

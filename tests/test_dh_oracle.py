@@ -1,14 +1,16 @@
-"""Every graph the census keeps passes `validate` and the DH check.
+"""Every graph the census builds passes `validate` and the DH check.
 
-The census keeps graphs it builds by projection, from ruled bases and by
-blow-up.  `_expand` is hooked to collect every graph a stage keeps, as
-built, with the stage it belongs to: a graph is at stage
-provenance.stage + len(provenance.steps), so its manifold is the model's
-base blown up at the first that many capacities of the census's reduced
-form (`census._reduced_form`).  The check runs in the census's scaled
-units, D = 2 lcd for the lcd of `integer_area`, where the volume is D^2
-times the stage's.  The returned graphs are checked too, in the recipe's
-units.
+The census builds graphs by projection, from ruled bases and by blow-up,
+through `cg._projected`, `cg._ruled_base` and `cg._blow_up`.  These are
+hooked to collect every graph built, kept or not (the last stage of a
+rational base drops the blow-ups that extend to a toric action before
+keying them), with the stage it belongs to: the number of
+`census._blow_up_all` calls begun when it was built, so its manifold is
+the model's base blown up at the first that many capacities of the
+census's reduced form (`census._reduced_form`).  The check runs in the
+census's scaled units, D = 2 lcd for the lcd of `integer_area`, where the
+volume is D^2 times the stage's.  The returned graphs are checked too, in
+the recipe's units.
 Three corpora: the golden recipes, the criterion-03 grid and a seeded
 fuzz over all three bases.  A mutation pin shows that the DH check sees
 what `validate` does not.
@@ -42,27 +44,51 @@ def _stage(model, i):
     return stage.volume_quantity() / 2, base + i
 
 
+def hook_census_builds(monkeypatch):
+    """Hook the census's graph builders.  Returns run(spec), which runs the
+    census and gives its result and a (graph, stage) pair for every graph
+    `cg._blow_up`, `cg._projected` or `cg._ruled_base` built for it, in the
+    census's scaled units.  The stage is the number of `_blow_up_all` calls
+    begun: 0 for the seeds, i for stage i's blow-ups and the projections
+    that follow them."""
+    built, stage = [], [0]
+    blow_up_all = census._blow_up_all
+
+    def staged(*args):
+        stage[0] += 1
+        return blow_up_all(*args)
+
+    monkeypatch.setattr(census, "_blow_up_all", staged)
+    for name in ("_blow_up", "_projected", "_ruled_base"):
+
+        def recorded(*args, original=getattr(cg, name)):
+            graph = original(*args)
+            if graph is not None:
+                built.append((graph, stage[0]))
+            return graph
+
+        monkeypatch.setattr(cg, name, recorded)
+
+    def run(spec):
+        built.clear()
+        stage[0] = 0
+        result = run_census(spec)
+        return result, list(built)
+
+    return run
+
+
 def _oracle_failures(monkeypatch, specs):
-    """(spec, stage, problems) for each kept or returned graph that fails
-    `validate` or, when it passes, the DH check; and the number of kept
+    """(spec, stage, problems) for each built or returned graph that fails
+    `validate` or, when it passes, the DH check; and the number of built
     graphs checked."""
-    kept = []
-    expand = census._expand
-
-    def recording_expand(*args, **kwargs):
-        stage = expand(*args, **kwargs)
-        kept.extend(entry for entry in stage.values() if type(entry[0]) is cg.S1Graph)
-        return stage
-
-    monkeypatch.setattr(census, "_expand", recording_expand)
+    run = hook_census_builds(monkeypatch)
     failures, checked = [], 0
     for spec in specs:
-        kept.clear()
-        result = run_census(spec)
+        result, built = run(spec)
         model = census._reduced_form(spec)
         scale = 2 * model.integer_area[1]
-        graphs = {id(graph): (graph, p.stage + len(p.steps)) for graph, p in kept}
-        for graph, i in graphs.values():
+        for graph, i in built:
             volume, euler = _stage(model, i)
             problems = cg.validate(graph)[1] or dh_problems(graph, volume * scale**2, euler)
             if problems:
@@ -72,7 +98,7 @@ def _oracle_failures(monkeypatch, specs):
             problems = cg.validate(graph)[1] or dh_problems(graph, volume, euler)
             if problems:
                 failures.append((spec, "result", problems))
-        checked += len(graphs)
+        checked += len(built)
     return failures, checked
 
 
