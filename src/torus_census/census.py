@@ -28,8 +28,8 @@ every stage of both and the projection seeding.  Public functions check
 their arguments; the census checks no polygon and validates no graph.
 It chops polygons through the unchecked cores of `polygon` (`_chop`,
 `_canonical`), builds every graph through those of `circle_graph`
-(`_projected`, `_ruled_base`, `_blow_up`, and `_extends_to_toric` at
-the last stage), keys each graph it keeps once by `_key`, and keeps the
+(`_projected`, `_ruled_base`, `_blow_up`), asks `_extends_to_toric` at
+the last stage only, keys each graph it keeps once by `_key`, and keeps the
 first graph per key as built; parents and returned graphs are rebuilt
 from the keys they are stored under, by `_graph_from_key`.  The
 model triangle and trapezoids (integer slope) are Delzant, and a chop of
