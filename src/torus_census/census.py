@@ -29,9 +29,11 @@ their arguments; the census checks no polygon and validates no graph.
 It chops polygons through the unchecked cores of `polygon` (`_chop`,
 `_canonical`), builds every graph through those of `circle_graph`
 (`_projected`, `_ruled_base`, `_blow_up`), asks `_extends_to_toric` at
-the last stage only, keys each graph it keeps once by `_key`, and keeps the
-first graph per key as built; parents and returned graphs are rebuilt
-from the keys they are stored under, by `_graph_from_key`.  The
+the last stage only, keys each graph it keeps once by `_key`, and stores
+that key, with the first provenance per key, in place of the graph, which
+dies once keyed; parents and returned graphs are rebuilt from the keys,
+by `_graph_from_key`.  Provenance recorded at a stage shares that stage's
+steps.  The
 model triangle and trapezoids (integer slope) are Delzant, and a chop of
 a Delzant polygon is Delzant.  The tests run `validate` and a
 Duistermaat-Heckman check on every graph the census builds.
@@ -339,9 +341,9 @@ def _expand(parents, sites, blow, key, record, stage=None) -> dict:
 
     parents maps a key to (object, provenance) and is walked in key order;
     a site where blow(parent, site) is None is refused and skipped.  The
-    first entry per key(blown) is kept, as built, with provenance
-    record(parent, provenance, site).  Entries go into stage, a new dict
-    unless one is given.
+    first entry per key(blown) is kept as (blown, provenance), with
+    provenance record(parent, provenance, site).  Entries go into stage, a
+    new dict unless one is given.
     """
     stage = {} if stage is None else stage
     for parent_key in sorted(parents):
@@ -368,38 +370,45 @@ def _chop_all(parents: dict, delta, record) -> dict:
 
 
 def _blow_up_all(parents: dict, delta, record, maximal: bool = False) -> dict:
-    """Every feasible equivariant blow-up of capacity delta, kept as built.
+    """Every feasible equivariant blow-up of capacity delta, by key.
 
-    Each parent is rebuilt from its key just before it is blown up, so the
-    sites, and the provenance that records them, are canonical vertex ids.
-    With maximal set, a blow-up that extends to a toric action is refused
-    before it is keyed, so only maximal circle actions are kept.
+    A circle stage maps each key to (key, provenance): the graph a blow-up
+    builds lives only until it is keyed.  Each parent is rebuilt from its
+    key just before it is blown up, so the sites, and the provenance that
+    records them, are canonical vertex ids.  With maximal set, a blow-up
+    that extends to a toric action is refused before it is keyed, so only
+    maximal circle actions are kept.
     """
 
     def blow(graph, vertex_id):
         blown = cg._blow_up(graph, vertex_id, delta)
-        if maximal and blown is not None and cg._extends_to_toric(blown):
+        if blown is None or maximal and cg._extends_to_toric(blown):
             return None
-        return blown
+        return cg._key(blown)
 
     canonical = {key: (cg._graph_from_key(key), p) for key, (_, p) in parents.items()}
     return _expand(
         canonical,
         lambda graph: [vertex.id for vertex in graph.vertices],
         blow,
-        cg._key,
+        lambda key: key,
         record,
     )
 
 
 def _step(recorded: Q):
-    """The parent's provenance, one recorded blow-up longer."""
+    """The parent's provenance, one recorded blow-up longer.
+
+    Every provenance recorded at a stage shares that stage's one
+    `BlowUpStep` per site; a child is its parent's fields with the step
+    appended, built without the frozen `__init__`.
+    """
+    steps = _Table(lambda site: BlowUpStep(recorded, site))
 
     def record(parent, p, site):
-        steps = p.steps + (BlowUpStep(recorded, site),)
-        if type(p) is ToricProvenance:
-            return ToricProvenance(p.base, steps)
-        return CircleProvenance(p.origin, p.stage, p.degree, p.polygon, p.xi, steps)
+        child = object.__new__(type(p))
+        vars(child).update(vars(p), steps=p.steps + (steps[site],))
+        return child
 
     return record
 
@@ -447,7 +456,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     seeds = _model_polygons(spec.base, area, fiber) if spec.rational_base else ()
     toric = {p.vertices: (p, ToricProvenance(p, ())) for p in seeds}
 
-    frontier: dict[tuple, tuple[cg.S1Graph, CircleProvenance]] = {}
+    frontier: dict[tuple, tuple[tuple, CircleProvenance]] = {}
     if not spec.rational_base:
         twisted = spec.base == TWISTED_RULED
         # Each admissible degree keeps the bottom section's area positive.
@@ -455,8 +464,8 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             bottom = area - halve((degree - twisted) * fiber)
             if bottom <= 0:
                 break
-            graph = cg._ruled_base(spec.genus, degree, bottom, fiber)
-            frontier[cg._key(graph)] = (graph, CircleProvenance("ruled_base", 0, degree))
+            key = cg._key(cg._ruled_base(spec.genus, degree, bottom, fiber))
+            frontier[key] = (key, CircleProvenance("ruled_base", 0, degree))
 
     def project(stage: int, delta: int | None = None) -> None:
         # The graph of -xi is the mirror image: the same canonical key.
@@ -468,8 +477,8 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
                 for edge in pg.edges(polygon)
                 if delta is None or edge.rational_length == delta
             ],
-            cg._projected,
-            cg._key,
+            lambda polygon, xi: cg._key(cg._projected(polygon, xi)),
+            lambda key: key,
             lambda polygon, _, xi: CircleProvenance(
                 "projection", stage, None, polygon, xi
             ),
@@ -482,9 +491,10 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     if last:
         project(0)
     for index, (delta, recorded) in enumerate(capacities, start=1):
-        toric = _chop_all(toric, delta, _step(recorded))
+        record = _step(recorded)
+        toric = _chop_all(toric, delta, record)
         maximal = index == last and spec.rational_base
-        frontier = _blow_up_all(frontier, delta, _step(recorded), maximal)
+        frontier = _blow_up_all(frontier, delta, record, maximal)
         if not frontier and not toric:
             break
         if index < last:

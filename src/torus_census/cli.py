@@ -285,18 +285,22 @@ def _run_project(args: argparse.Namespace) -> None:
     _emit_graph(cg.graph_from_polygon(polygon, _parse_xi(args.xi)), args.format)
 
 
-def _steps_text(steps: tuple[cs.BlowUpStep, ...], indent: str) -> str:
-    """A provenance's steps as `_json_text` writes them, one f-string each."""
+def _steps_text(steps: tuple[cs.BlowUpStep, ...], indent: str, memo: dict) -> str:
+    """A provenance's steps as `_json_text` writes them, one f-string each.
+    memo maps the id of a step, kept alive while memo is in use, to its
+    text at indent."""
     at = indent + "  "
     field = at + "  "
-    return _joined(
-        [
-            f'{{{field}"delta": "{format_rational(s.delta)}",'
-            f'{field}"site": {s.site}{at}}}'
-            for s in steps
-        ],
-        indent,
-    )
+    texts = []
+    for s in steps:
+        text = memo.get(id(s))
+        if text is None:
+            memo[id(s)] = text = (
+                f'{{{field}"delta": "{format_rational(s.delta)}",'
+                f'{field}"site": {s.site}{at}}}'
+            )
+        texts.append(text)
+    return _joined(texts, indent)
 
 
 def _census_text(result: cs.CensusResult) -> str:
@@ -305,16 +309,18 @@ def _census_text(result: cs.CensusResult) -> str:
     Byte for byte `json.dumps(payload, indent=2, sort_keys=True)` of the
     census payload: graphs and provenance steps are written one f-string
     per record, the small fields (spec, counts, polygons, xi, warnings)
-    by `_json_text`.  The returned graphs share their components, so one
-    memo of vertex text, which lives for this call while the result holds
-    every component, writes each component once.
+    by `_json_text`.  The returned graphs share their components, and
+    the provenances their steps, so one memo of vertex text and one of
+    step text, which live for this call while the result holds every
+    component and step, write each component and each step once.
     """
     top, entry, field = "\n  ", "\n    ", "\n      "
+    step_memo: dict[int, str] = {}
     toric_prov = [
         _joined(
             [
                 f'"base": {_json_text(pg.polygon_to_json(p.base), field)}',
-                f'"steps": {_steps_text(p.steps, field)}',
+                f'"steps": {_steps_text(p.steps, field, step_memo)}',
             ],
             entry,
             "{}",
@@ -329,7 +335,7 @@ def _census_text(result: cs.CensusResult) -> str:
             polygon = pg.polygon_to_json(p.polygon)
             fields.append(f'"polygon": {_json_text(polygon, field)}')
         fields.append(f'"stage": {p.stage}')
-        fields.append(f'"steps": {_steps_text(p.steps, field)}')
+        fields.append(f'"steps": {_steps_text(p.steps, field, step_memo)}')
         if p.xi is not None:
             fields.append(f'"xi": {_json_text(p.xi, field)}')
         circle_prov.append(_joined(fields, entry, "{}"))
@@ -500,8 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return sub
 
-    for verb in ("check", "canon", "invariants"):
-        sub = add(verb, f"{verb} a polygon or circle-action graph")
+    for verb, help_text in (
+        ("check", "check whether a polygon is Delzant or a circle-action graph is valid"),
+        ("canon", "canonical form of a polygon or circle-action graph"),
+        ("invariants", "invariants of a polygon or circle-action graph"),
+    ):
+        sub = add(verb, help_text)
         sub.add_argument("--polygon", help="polygon JSON, inline or a file path")
         sub.add_argument("--graph", help="graph JSON, inline or a file path")
 

@@ -241,11 +241,18 @@ def _inverse_of_columns(u: tuple[int, int], v: tuple[int, int]) -> tuple[tuple[i
 def canonical_form(polygon: RationalPolygon) -> tuple[RationalPolygon, UnimodularAffineMap]:
     """Least representative of the integral affine equivalence class."""
     _require_delzant(polygon)
-    return _canonical(polygon)
+    canonical, matrix, origin = _canonical(polygon)
+    translation = (
+        -(matrix[0][0] * origin[0] + matrix[0][1] * origin[1]),
+        -(matrix[1][0] * origin[0] + matrix[1][1] * origin[1]),
+    )
+    return canonical, UnimodularAffineMap(matrix, translation)
 
 
-def _canonical(polygon: RationalPolygon) -> tuple[RationalPolygon, UnimodularAffineMap]:
-    """`canonical_form` of a Delzant polygon, not checked.
+def _canonical(polygon: RationalPolygon) -> tuple[RationalPolygon, tuple, Point]:
+    """`canonical_form` of a Delzant polygon, not checked, with the map's
+    matrix and the vertex it sends to the origin in place of the map:
+    only `canonical_form` builds the checked map.
 
     For each vertex and each traversal direction, map the vertex to the
     origin and its two outgoing primitive edge directions to the standard
@@ -282,11 +289,7 @@ def _canonical(polygon: RationalPolygon) -> tuple[RationalPolygon, UnimodularAff
     if best is None:
         raise AssertionError("some edge has the shortest rational length")
     _, points, matrix, origin = best
-    translation = (
-        -(matrix[0][0] * origin[0] + matrix[0][1] * origin[1]),
-        -(matrix[1][0] * origin[0] + matrix[1][1] * origin[1]),
-    )
-    return _polygon(points), UnimodularAffineMap(matrix, translation)
+    return _polygon(points), matrix, origin
 
 
 def blow_up(polygon: RationalPolygon, vertex: int, delta: Q) -> RationalPolygon:

@@ -5,8 +5,10 @@ checking the small cells by hand against direct polygon and graph
 enumeration; the tables here pin those runs exactly.
 """
 
+import gc
 import json
 import random
+import weakref
 from dataclasses import fields
 from fractions import Fraction as Q
 from pathlib import Path
@@ -596,6 +598,51 @@ def test_census_diagnoses_nothing_and_keys_each_graph_once(monkeypatch, spec):
     assert sorted(map(id, keyed)) == sorted(id(g) for g, _ in built if id(g) not in dropped)
 
 
+def test_no_built_graph_outlives_its_stage(monkeypatch):
+    # A frontier stores keys, not graphs.  When a stage's blow-ups begin,
+    # every graph built before them (the previous stage's blow-ups, the
+    # projections and ruled seeds) is gone, freed by reference counting
+    # alone, and once the census returns every graph it built is gone.
+    built, stage, alive = [], [0], []
+    blow_up_all = census._blow_up_all
+
+    def staged(*args):
+        stage[0] += 1
+        alive.extend((spec, i) for ref, i in built if ref() is not None)
+        return blow_up_all(*args)
+
+    monkeypatch.setattr(census, "_blow_up_all", staged)
+    for name in ("_blow_up", "_projected", "_ruled_base"):
+
+        def recorded(*args, original=getattr(cg, name)):
+            graph = original(*args)
+            if graph is not None:
+                built.append((weakref.ref(graph), stage[0]))
+            return graph
+
+        monkeypatch.setattr(cg, name, recorded)
+
+    specs = [spec_from_json(row["spec"]) for row in GOLDEN]
+    assert {spec.base for spec in specs} == set(census.BASE_KINDS)
+    checked, stages = 0, 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for spec in specs:
+            built.clear()
+            stage[0] = 0
+            run_census(spec)
+            alive.extend((spec, "returned") for ref, _ in built if ref() is not None)
+            checked += len(built)
+            stages += stage[0]
+    finally:
+        if enabled:
+            gc.enable()
+    assert alive == []
+    assert stages == sum(spec.blowups for spec in specs)
+    assert checked > 900
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -608,12 +655,15 @@ def test_census_formats_and_parses_nothing(monkeypatch, spec):
     # The ruled seed degrees are bounded by the bottom section area, not by
     # catching ruled_base_graph's refusal, whose text would be discarded;
     # a corner too close to an edge's end is refused with no text either.
+    # Canonical polygons come without the checked map, which parses its
+    # translation.
     calls = []
     for module, name in (
         (cg, "format_rational"),
         (cg, "parse_exact"),
         (census, "format_rational"),
         (pg, "format_rational"),
+        (pg, "UnimodularAffineMap"),
     ):
         original = getattr(module, name)
 

@@ -15,10 +15,12 @@ from dh_oracle import dh_problems
 from key_oracle import least_serialization, searched_serialization
 from polygon_corpus import build_chopped_corpus, build_corpus, random_unimodular_image
 from torus_census import circle_graph
-from torus_census.census import ManifoldSpec, _blow_up_all, run_census
+from torus_census.census import ManifoldSpec, run_census
 from torus_census.circle_graph import (
     FixedComponent,
     S1Graph,
+    _blow_up,
+    _graph_from_key,
     _key,
     _serialize,
     _vertex_keys,
@@ -447,9 +449,16 @@ def test_surface_blow_up_needs_moment_span():
 
 
 def _blowups(graph, delta):
-    """Every feasible blow-up of one capacity, as built, in key order."""
-    stage = _blow_up_all({_key(graph): (graph, None)}, delta, lambda *_: None)
-    return [stage[key][0] for key in sorted(stage)]
+    """Every feasible blow-up of one capacity, as built, in key order: the
+    first per key at the canonical parent's vertex ids, as a census stage
+    keys them."""
+    parent = _graph_from_key(_key(graph))
+    stage = {}
+    for vertex in parent.vertices:
+        blown = _blow_up(parent, vertex.id, delta)
+        if blown is not None:
+            stage.setdefault(_key(blown), blown)
+    return [stage[key] for key in sorted(stage)]
 
 
 def _small_frontiers():

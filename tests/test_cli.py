@@ -522,6 +522,45 @@ def test_returned_graphs_share_components_and_their_text():
     assert len(memo) == len(values)
 
 
+def test_provenance_shares_its_steps_and_their_text():
+    # One step per (stage, site): every provenance recorded at a stage, toric
+    # or circle, shares that stage's steps, so one memo writes each once.
+    caps = tuple(Fraction(1, q) for q in (5, 6, 7, 8))
+    for spec in (
+        cs.ManifoldSpec("product_ruled", 2, Fraction(5, 2), Fraction(1), caps),
+        cs.ManifoldSpec("cp2", 0, Fraction(2), Fraction(1), caps),
+    ):
+        result = cs.run_census(spec)
+        provenance = result.toric_provenance + result.circle_provenance
+        steps = [s for p in provenance for s in p.steps]
+        values = {(i, s) for p in provenance for i, s in enumerate(p.steps)}
+        assert len({id(s) for s in steps}) == len(values) < len(steps)
+        memo = {}
+        for p in provenance:
+            payload = [{"delta": cli.format_rational(s.delta), "site": s.site} for s in p.steps]
+            text = cli._json_text(payload, "\n      ")
+            assert cli._steps_text(p.steps, "\n      ", memo) == text
+        assert len(memo) == len(values)
+
+
+def test_help_says_what_each_verb_does(capsys, monkeypatch):
+    # argparse wraps the list by the terminal's width: make it wide enough
+    # to keep each phrase whole, and read the list as words.
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    listing = (
+        "check check whether a polygon is Delzant or a circle-action graph is valid",
+        "canon canonical form of a polygon or circle-action graph",
+        "invariants invariants of a polygon or circle-action graph",
+        "blowup equivariant blow-up",
+    )
+    assert " ".join(listing) in text
+    assert "canon a polygon" not in text and "invariants a polygon" not in text
+
+
 def test_graph_json_refuses_booleans_for_integers(capsys):
     # Python's bools are ints, but JSON true and false are not integers.
     surface = '{"genus": 0, "area": "1"}'
