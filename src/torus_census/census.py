@@ -31,12 +31,12 @@ It chops polygons through the unchecked cores of `polygon` (`_chop`,
 (`_projected`, `_ruled_base`, `_blow_up`), asks `_extends_to_toric` at
 the last stage only, keys each graph it keeps once by `_key`, and stores
 that key, with the first provenance per key, in place of the graph, which
-dies once keyed; parents and returned graphs are rebuilt from the keys,
-by `_graph_from_key`.  Provenance recorded at a stage shares that stage's
-steps.  The
-model triangle and trapezoids (integer slope) are Delzant, and a chop of
-a Delzant polygon is Delzant.  The tests run `validate` and a
-Duistermaat-Heckman check on every graph the census builds.
+dies once keyed; parents, one at a time, and returned graphs are rebuilt
+from the keys, by `_graph_from_key`.  Provenance recorded at a stage
+shares that stage's steps.  The model triangle and trapezoids (integer
+slope) are Delzant, and a chop of a Delzant polygon is Delzant.  The
+tests run `validate` and a Duistermaat-Heckman check on every graph the
+census builds.
 
 Each builder gives a graph that meets every axiom `cg._diagnose` checks.
 - `graph_from_polygon` of a Delzant polygon along an edge normal xi (a
@@ -339,15 +339,14 @@ def ruled_base_count(spec: ManifoldSpec) -> int:
 def _expand(parents, sites, blow, key, record, stage=None) -> dict:
     """One induction step: blow every parent up at every site.
 
-    parents maps a key to (object, provenance) and is walked in key order;
-    a site where blow(parent, site) is None is refused and skipped.  The
-    first entry per key(blown) is kept as (blown, provenance), with
-    provenance record(parent, provenance, site).  Entries go into stage, a
-    new dict unless one is given.
+    parents gives (object, provenance) pairs in key order; a site where
+    blow(parent, site) is None is refused and skipped.  The first entry
+    per key(blown) is kept as (blown, provenance), with provenance
+    record(parent, provenance, site).  Entries go into stage, a new dict
+    unless one is given.
     """
     stage = {} if stage is None else stage
-    for parent_key in sorted(parents):
-        parent, provenance = parents[parent_key]
+    for parent, provenance in parents:
         for site in sites(parent):
             blown = blow(parent, site)
             if blown is None:
@@ -361,7 +360,7 @@ def _expand(parents, sites, blow, key, record, stage=None) -> dict:
 def _chop_all(parents: dict, delta, record) -> dict:
     """Every corner chop of capacity delta, as canonical polygons."""
     return _expand(
-        parents,
+        (parents[key] for key in sorted(parents)),
         lambda polygon: range(polygon.edge_count),
         lambda polygon, i: (chop := pg._chop(polygon, i, delta)) and pg._canonical(chop)[0],
         lambda polygon: polygon.vertices,
@@ -374,10 +373,10 @@ def _blow_up_all(parents: dict, delta, record, maximal: bool = False) -> dict:
 
     A circle stage maps each key to (key, provenance): the graph a blow-up
     builds lives only until it is keyed.  Each parent is rebuilt from its
-    key just before it is blown up, so the sites, and the provenance that
-    records them, are canonical vertex ids.  With maximal set, a blow-up
-    that extends to a toric action is refused before it is keyed, so only
-    maximal circle actions are kept.
+    key just before it is blown up, and dropped after, so the sites, and
+    the provenance that records them, are canonical vertex ids.  With
+    maximal set, a blow-up that extends to a toric action is refused
+    before it is keyed, so only maximal circle actions are kept.
     """
 
     def blow(graph, vertex_id):
@@ -386,9 +385,8 @@ def _blow_up_all(parents: dict, delta, record, maximal: bool = False) -> dict:
             return None
         return cg._key(blown)
 
-    canonical = {key: (cg._graph_from_key(key), p) for key, (_, p) in parents.items()}
     return _expand(
-        canonical,
+        ((cg._graph_from_key(key), parents[key][1]) for key in sorted(parents)),
         lambda graph: [vertex.id for vertex in graph.vertices],
         blow,
         lambda key: key,
@@ -471,7 +469,7 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         # The graph of -xi is the mirror image: the same canonical key.
         # Past stage 0 only edges of length delta can give a new key.
         _expand(
-            toric,
+            (toric[key] for key in sorted(toric)),
             lambda polygon: [
                 edge.normal
                 for edge in pg.edges(polygon)

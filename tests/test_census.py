@@ -602,9 +602,19 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
     # A frontier stores keys, not graphs.  When a stage's blow-ups begin,
     # every graph built before them (the previous stage's blow-ups, the
     # projections and ruled seeds) is gone, freed by reference counting
-    # alone, and once the census returns every graph it built is gone.
+    # alone, and once the census returns every graph it built is gone.  A
+    # stage rebuilds its parents one at a time: when one is rebuilt, at
+    # most the one before it is still alive.
     built, stage, alive = [], [0], []
+    parents, most_alive = [], [0]
     blow_up_all = census._blow_up_all
+    graph_from_key = cg._graph_from_key
+
+    def rebuilt(key):
+        most_alive[0] = max(most_alive[0], sum(ref() is not None for ref in parents))
+        graph = graph_from_key(key)
+        parents.append(weakref.ref(graph))
+        return graph
 
     def staged(*args):
         stage[0] += 1
@@ -612,6 +622,7 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
         return blow_up_all(*args)
 
     monkeypatch.setattr(census, "_blow_up_all", staged)
+    monkeypatch.setattr(cg, "_graph_from_key", rebuilt)
     for name in ("_blow_up", "_projected", "_ruled_base"):
 
         def recorded(*args, original=getattr(cg, name)):
@@ -630,6 +641,7 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
     try:
         for spec in specs:
             built.clear()
+            parents.clear()
             stage[0] = 0
             run_census(spec)
             alive.extend((spec, "returned") for ref, _ in built if ref() is not None)
@@ -639,6 +651,7 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
         if enabled:
             gc.enable()
     assert alive == []
+    assert most_alive == [1]
     assert stages == sum(spec.blowups for spec in specs)
     assert checked > 900
 
