@@ -24,19 +24,20 @@ fixed surfaces, and no verdict is asked.  Equal keys give equal
 verdicts, so the frontier the last stage leaves is the answer, with the
 provenance it had.  Both censuses are exact and deterministic, and every
 entry carries a replayable provenance.  One routine, `_expand`, runs
-every stage of both and the projection seeding.  Public functions check
-their arguments; the census checks no polygon and validates no graph.
-It chops polygons through the unchecked cores of `polygon` (`_chop`,
-`_canonical`), builds every graph through those of `circle_graph`
-(`_projected`, `_ruled_base`, `_blow_up`), asks `_extends_to_toric` at
-the last stage only, keys each graph it keeps once by `_key`, and stores
-that key, with the first provenance per key, in place of the graph, which
-dies once keyed; parents, one at a time, and returned graphs are rebuilt
-from the keys, by `_graph_from_key`.  Provenance recorded at a stage
-shares that stage's steps.  The model triangle and trapezoids (integer
-slope) are Delzant, and a chop of a Delzant polygon is Delzant.  The
-tests run `validate` and a Duistermaat-Heckman check on every graph the
-census builds.
+every stage of both and the projection seeding, and alone walks a stage:
+each stage maps a canonical key, a polygon's canonical vertices or a
+graph's `_key`, to the first provenance found for it, and its parents
+are rebuilt from their keys one at a time.  Public functions check their
+arguments; the census checks no polygon and validates no graph.  It
+builds polygons and graphs through the unchecked cores of `polygon`
+(`_chop`, `_canonical`, `_polygon`) and `circle_graph` (`_projected`,
+`_ruled_base`, `_blow_up`, `_graph_from_key`), and asks
+`_extends_to_toric` at the last stage only; each chop, projection and
+blow-up dies once keyed.  Provenance recorded at a stage shares that
+stage's steps.  The model triangle and trapezoids (integer slope) are
+Delzant, a chop of a Delzant polygon is Delzant, and canonical vertices
+are a valid polygon's.  The tests run `validate` and a
+Duistermaat-Heckman check on every graph the census builds.
 
 Each builder gives a graph that meets every axiom `cg._diagnose` checks.
 - `graph_from_polygon` of a Delzant polygon along an edge normal xi (a
@@ -93,8 +94,8 @@ frontier already holds the key of every projection along an edge of
 length other than delta.  The frontier keeps the first entry per key and
 the blow-ups run before the projections, so skipping those edges changes
 no entry and no provenance.  Edges of length delta that some other chop
-left are still projected.  The frontiers before the last stage keep
-every graph, so the induction holds at every stage that projects.
+left are still projected.  The frontiers before the last stage keep the
+key of every graph, so the induction holds at every stage that projects.
 
 Both censuses run on whole numbers: every area of the reduced recipe is
 multiplied by D, twice the lcm of its denominators (the lcm is the scale
@@ -336,34 +337,32 @@ def ruled_base_count(spec: ManifoldSpec) -> int:
 # The census
 
 
-def _expand(parents, sites, blow, key, record, stage=None) -> dict:
+def _expand(parents: dict, build, sites, blow, record, stage=None) -> dict:
     """One induction step: blow every parent up at every site.
 
-    parents gives (object, provenance) pairs in key order; a site where
-    blow(parent, site) is None is refused and skipped.  The first entry
-    per key(blown) is kept as (blown, provenance), with provenance
-    record(parent, provenance, site).  Entries go into stage, a new dict
-    unless one is given.
+    parents, like every stage, maps canonical keys to provenance.  Each
+    parent, in key order, is rebuilt by build(key) just before its sites
+    are visited.  blow(parent, site) gives the child's key, or None for a
+    refused site; the first record(parent, provenance, site) per key is
+    kept, in stage, a new dict unless one is given.
     """
     stage = {} if stage is None else stage
-    for parent, provenance in parents:
+    for key in sorted(parents):
+        parent = build(key)
         for site in sites(parent):
-            blown = blow(parent, site)
-            if blown is None:
-                continue
-            child_key = key(blown)
-            if child_key not in stage:
-                stage[child_key] = (blown, record(parent, provenance, site))
+            child = blow(parent, site)
+            if child is not None and child not in stage:
+                stage[child] = record(parent, parents[key], site)
     return stage
 
 
 def _chop_all(parents: dict, delta, record) -> dict:
-    """Every corner chop of capacity delta, as canonical polygons."""
+    """Every corner chop of capacity delta, by canonical vertices."""
     return _expand(
-        (parents[key] for key in sorted(parents)),
+        parents,
+        pg._polygon,
         lambda polygon: range(polygon.edge_count),
-        lambda polygon, i: (chop := pg._chop(polygon, i, delta)) and pg._canonical(chop)[0],
-        lambda polygon: polygon.vertices,
+        lambda polygon, i: (chop := pg._chop(polygon, i, delta)) and pg._canonical(chop)[0].vertices,
         record,
     )
 
@@ -371,12 +370,11 @@ def _chop_all(parents: dict, delta, record) -> dict:
 def _blow_up_all(parents: dict, delta, record, maximal: bool = False) -> dict:
     """Every feasible equivariant blow-up of capacity delta, by key.
 
-    A circle stage maps each key to (key, provenance): the graph a blow-up
-    builds lives only until it is keyed.  Each parent is rebuilt from its
-    key just before it is blown up, and dropped after, so the sites, and
-    the provenance that records them, are canonical vertex ids.  With
-    maximal set, a blow-up that extends to a toric action is refused
-    before it is keyed, so only maximal circle actions are kept.
+    Each parent is rebuilt from its key by `cg._graph_from_key`, so the
+    sites, and the provenance that records them, are canonical vertex ids;
+    the graph a blow-up builds lives only until it is keyed.  With maximal
+    set, a blow-up that extends to a toric action is refused before it is
+    keyed, so only maximal circle actions are kept.
     """
 
     def blow(graph, vertex_id):
@@ -386,10 +384,10 @@ def _blow_up_all(parents: dict, delta, record, maximal: bool = False) -> dict:
         return cg._key(blown)
 
     return _expand(
-        ((cg._graph_from_key(key), parents[key][1]) for key in sorted(parents)),
+        parents,
+        cg._graph_from_key,
         lambda graph: [vertex.id for vertex in graph.vertices],
         blow,
-        lambda key: key,
         record,
     )
 
@@ -452,9 +450,9 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
     area, fiber = 2 * whole[0], 2 * whole[1] if head == 2 else scale
     capacities = tuple((2 * w, c) for w, c in zip(whole[head:], model.capacities))
     seeds = _model_polygons(spec.base, area, fiber) if spec.rational_base else ()
-    toric = {p.vertices: (p, ToricProvenance(p, ())) for p in seeds}
+    toric = {p.vertices: ToricProvenance(p, ()) for p in seeds}
 
-    frontier: dict[tuple, tuple[tuple, CircleProvenance]] = {}
+    frontier: dict[tuple, CircleProvenance] = {}
     if not spec.rational_base:
         twisted = spec.base == TWISTED_RULED
         # Each admissible degree keeps the bottom section's area positive.
@@ -463,20 +461,20 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             if bottom <= 0:
                 break
             key = cg._key(cg._ruled_base(spec.genus, degree, bottom, fiber))
-            frontier[key] = (key, CircleProvenance("ruled_base", 0, degree))
+            frontier[key] = CircleProvenance("ruled_base", 0, degree)
 
     def project(stage: int, delta: int | None = None) -> None:
         # The graph of -xi is the mirror image: the same canonical key.
         # Past stage 0 only edges of length delta can give a new key.
         _expand(
-            (toric[key] for key in sorted(toric)),
+            toric,
+            pg._polygon,
             lambda polygon: [
                 edge.normal
                 for edge in pg.edges(polygon)
                 if delta is None or edge.rational_length == delta
             ],
             lambda polygon, xi: cg._key(cg._projected(polygon, xi)),
-            lambda key: key,
             lambda polygon, _, xi: CircleProvenance(
                 "projection", stage, None, polygon, xi
             ),
@@ -499,12 +497,12 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             project(index, delta)
 
     # One Fraction per scaled value, one component per (position, key entry)
-    # and one polygon per scaled polygon, as toric entries and provenance
+    # and one polygon per vertex tuple, as toric entries and provenance
     # share polygons.
     value = _Table(lambda x: Q(x, scale))
     components = _Table(lambda item: cg._key_component(*item, value))
     unscaled = _Table(
-        lambda polygon: pg._polygon(tuple((value[x], value[y]) for x, y in polygon.vertices))
+        lambda vertices: pg._polygon(tuple((value[x], value[y]) for x, y in vertices))
     )
 
     def returned(key: tuple) -> cg.S1Graph:
@@ -512,25 +510,24 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         verts, links = key
         return cg.S1Graph(tuple(components[item] for item in enumerate(verts)), links)
 
-    toric_entries = [toric[key] for key in sorted(toric)]
-    circle_keys = sorted(frontier)
-    toric_count, circle_count = len(toric_entries), len(circle_keys)
-    counts = ConjugacyCounts(toric_count, circle_count, toric_count + circle_count)
+    toric_keys, circle_keys = sorted(toric), sorted(frontier)
+    counts = ConjugacyCounts(len(toric), len(frontier), len(toric) + len(frontier))
     return CensusResult(
         spec=spec,
-        toric=tuple(unscaled[entry[0]] for entry in toric_entries),
+        toric=tuple(unscaled[key] for key in toric_keys),
         maximal_circles=tuple(returned(key) for key in circle_keys),
         counts=counts,
         toric_provenance=tuple(
-            ToricProvenance(unscaled[p.base], p.steps) for _, p in toric_entries
+            ToricProvenance(unscaled[p.base.vertices], p.steps)
+            for p in (toric[key] for key in toric_keys)
         ),
         circle_provenance=tuple(
             p
             if p.polygon is None
             else CircleProvenance(
-                p.origin, p.stage, p.degree, unscaled[p.polygon], p.xi, p.steps
+                p.origin, p.stage, p.degree, unscaled[p.polygon.vertices], p.xi, p.steps
             )
-            for p in (frontier[key][1] for key in circle_keys)
+            for p in (frontier[key] for key in circle_keys)
         ),
         warnings=warnings,
     )

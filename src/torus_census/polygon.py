@@ -217,6 +217,11 @@ class PolygonInvariants:
 def invariants(polygon: RationalPolygon) -> PolygonInvariants:
     """Counts and exact areas: edge spheres, total volume, anticanonical area."""
     _require_delzant(polygon)
+    return _invariants(polygon)
+
+
+def _invariants(polygon: RationalPolygon) -> PolygonInvariants:
+    """`invariants` of a Delzant polygon, not checked."""
     n = polygon.edge_count
     doubled = sum(
         _cross(polygon.vertices[i], polygon.vertices[(i + 1) % n]) for i in range(n)

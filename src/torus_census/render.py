@@ -119,32 +119,40 @@ def _spec_line(spec: cs.ManifoldSpec) -> str:
     return f"{base}; capacities: {caps}"
 
 
-def _toric_provenance_line(provenance: cs.ToricProvenance) -> str:
+def _steps_line(steps: tuple[cs.BlowUpStep, ...], noun: str, memo: dict) -> str:
+    """The steps as "delta at noun site", comma-separated.  memo maps the
+    id of a step, kept alive while memo is in use, to its text."""
+    texts = []
+    for s in steps:
+        text = memo.get(id(s))
+        if text is None:
+            memo[id(s)] = text = f"{format_rational(s.delta)} at {noun} {s.site}"
+        texts.append(text)
+    return ", ".join(texts)
+
+
+def _toric_provenance_line(provenance: cs.ToricProvenance, memo: dict) -> str:
     if not provenance.steps:
         return "base model, no chops"
-    steps = ", ".join(
-        f"{format_rational(s.delta)} at vertex {s.site}" for s in provenance.steps
-    )
-    return f"chops: {steps}"
+    return f"chops: {_steps_line(provenance.steps, 'vertex', memo)}"
 
 
-def _circle_provenance_line(provenance: cs.CircleProvenance) -> str:
+def _circle_provenance_line(provenance: cs.CircleProvenance, memo: dict) -> str:
     if provenance.origin == "ruled_base":
         head = f"ruled base graph of degree {provenance.degree}"
     else:
         xi = provenance.xi
         head = f"projection at stage {provenance.stage} along ({xi[0]}, {xi[1]})"
     if provenance.steps:
-        steps = ", ".join(
-            f"{format_rational(s.delta)} at component {s.site}"
-            for s in provenance.steps
-        )
-        return f"{head}; blow-ups: {steps}"
+        return f"{head}; blow-ups: {_steps_line(provenance.steps, 'component', memo)}"
     return head
 
 
 def census_table(result: cs.CensusResult) -> str:
+    """The table of a census result, whose polygons the census built Delzant."""
     lines = [f"census for {_spec_line(result.spec)}"]
+    # A stage's provenances share its steps: one memo of step text per noun.
+    toric_memo, circle_memo = {}, {}
     lines.append(
         f"counts: toric {result.counts.toric_count}, "
         f"maximal circles {result.counts.maximal_circle_count}, "
@@ -157,13 +165,13 @@ def census_table(result: cs.CensusResult) -> str:
         for index, (polygon, provenance) in enumerate(
             zip(result.toric, result.toric_provenance)
         ):
-            inv = pg.invariants(polygon)
+            inv = pg._invariants(polygon)
             lines.append(
                 f"  [{index}] {inv.edge_count} edges, "
                 f"area {format_rational(inv.euclidean_area)}, "
                 f"perimeter {format_rational(inv.perimeter)}"
             )
-            lines.append(f"      {_toric_provenance_line(provenance)}")
+            lines.append(f"      {_toric_provenance_line(provenance, toric_memo)}")
     else:
         lines.append("toric entries: none")
     if result.maximal_circles:
@@ -176,7 +184,7 @@ def census_table(result: cs.CensusResult) -> str:
                 f"{len(graph.edges)} Z_k edges, moment span "
                 f"{format_rational(graph.max_moment - graph.min_moment)}"
             )
-            lines.append(f"      {_circle_provenance_line(provenance)}")
+            lines.append(f"      {_circle_provenance_line(provenance, circle_memo)}")
     else:
         lines.append("maximal circle entries: none")
     return "\n".join(lines)

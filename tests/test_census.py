@@ -599,16 +599,18 @@ def test_census_diagnoses_nothing_and_keys_each_graph_once(monkeypatch, spec):
 
 
 def test_no_built_graph_outlives_its_stage(monkeypatch):
-    # A frontier stores keys, not graphs.  When a stage's blow-ups begin,
-    # every graph built before them (the previous stage's blow-ups, the
-    # projections and ruled seeds) is gone, freed by reference counting
-    # alone, and once the census returns every graph it built is gone.  A
-    # stage rebuilds its parents one at a time: when one is rebuilt, at
-    # most the one before it is still alive.
+    # A stage stores keys, not polygons or graphs.  When a stage's blow-ups
+    # begin, every graph built before them (the previous stage's blow-ups,
+    # the projections and ruled seeds) is gone, and when a stage's chops
+    # begin, every canonical polygon the earlier chops gave is gone, freed
+    # by reference counting alone; once the census returns, every graph
+    # and chop it built is gone.  A stage rebuilds its parents one at a
+    # time: when one is rebuilt, at most the one before it is still alive.
     built, stage, alive = [], [0], []
+    chopped, chopping = [], [False]
     parents, most_alive = [], [0]
-    blow_up_all = census._blow_up_all
-    graph_from_key = cg._graph_from_key
+    blow_up_all, chop_all = census._blow_up_all, census._chop_all
+    graph_from_key, canonical = cg._graph_from_key, pg._canonical
 
     def rebuilt(key):
         most_alive[0] = max(most_alive[0], sum(ref() is not None for ref in parents))
@@ -621,8 +623,23 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
         alive.extend((spec, i) for ref, i in built if ref() is not None)
         return blow_up_all(*args)
 
+    def chop_staged(*args):
+        alive.extend((spec, "chop", i) for ref, i in chopped if ref() is not None)
+        chopping[0] = True
+        chops = chop_all(*args)
+        chopping[0] = False
+        return chops
+
+    def canonical_recorded(polygon):
+        result = canonical(polygon)
+        if chopping[0]:
+            chopped.append((weakref.ref(result[0]), stage[0]))
+        return result
+
     monkeypatch.setattr(census, "_blow_up_all", staged)
+    monkeypatch.setattr(census, "_chop_all", chop_staged)
     monkeypatch.setattr(cg, "_graph_from_key", rebuilt)
+    monkeypatch.setattr(pg, "_canonical", canonical_recorded)
     for name in ("_blow_up", "_projected", "_ruled_base"):
 
         def recorded(*args, original=getattr(cg, name)):
@@ -635,17 +652,20 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
 
     specs = [spec_from_json(row["spec"]) for row in GOLDEN]
     assert {spec.base for spec in specs} == set(census.BASE_KINDS)
-    checked, stages = 0, 0
+    checked, polygons, stages = 0, 0, 0
     enabled = gc.isenabled()
     gc.disable()
     try:
         for spec in specs:
             built.clear()
+            chopped.clear()
             parents.clear()
             stage[0] = 0
             run_census(spec)
             alive.extend((spec, "returned") for ref, _ in built if ref() is not None)
+            alive.extend((spec, "chop") for ref, _ in chopped if ref() is not None)
             checked += len(built)
+            polygons += len(chopped)
             stages += stage[0]
     finally:
         if enabled:
@@ -654,6 +674,7 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
     assert most_alive == [1]
     assert stages == sum(spec.blowups for spec in specs)
     assert checked > 900
+    assert polygons > 150
 
 
 @pytest.mark.parametrize(
@@ -826,11 +847,8 @@ def test_census_projects_later_stages_along_new_edges_only(monkeypatch):
     polygons = base_toric_actions(spec)
     expected = every_edge = sum(p.edge_count for p in polygons)
     for index, delta in enumerate(spec.capacities, start=1):
-        polygons = {
-            child.vertices: child
-            for parent in polygons
-            for child, _ in _chop_all({(): (parent, None)}, delta, lambda *_: None).values()
-        }.values()
+        chops = _chop_all(dict.fromkeys(p.vertices for p in polygons), delta, lambda *_: None)
+        polygons = [pg._polygon(key) for key in chops]
         lengths = [e.rational_length for p in polygons for e in pg.edges(p)]
         if index < spec.blowups:
             expected += lengths.count(delta)

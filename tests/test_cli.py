@@ -5,6 +5,7 @@ output by eye; they pin byte-for-byte behavior of the table and JSON
 formats.  Larger JSON payloads are re-parsed and checked field by field.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -541,6 +542,48 @@ def test_provenance_shares_its_steps_and_their_text():
             text = cli._json_text(payload, "\n      ")
             assert cli._steps_text(p.steps, "\n      ", memo) == text
         assert len(memo) == len(values)
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (
+            cs.ManifoldSpec(
+                "product_ruled", 2, Fraction(5, 2), Fraction(1),
+                tuple(Fraction(1, q) for q in (5, 6, 7, 8)),
+            ),
+            "3efe8ee544eeaa4b9a4c6deff4cd7f22ecc52868d416caad28daf1da3a590cdc",
+        ),
+        (
+            cs.ManifoldSpec(
+                "cp2", 0, Fraction(1), Fraction(1),
+                (Fraction(1, 6), Fraction(2, 13), Fraction(1, 7), Fraction(2, 15)),
+            ),
+            "846375d39647f4d08c389656d45e3d4cd09fd317cde8fcc3855abc153769db31",
+        ),
+    ],
+)
+def test_census_table_writes_each_step_once_and_checks_no_polygon(monkeypatch, spec, digest):
+    # The table writes each shared step's text once per noun (a chop names a
+    # vertex, a blow-up a component), and reads the invariants of polygons
+    # the census built Delzant unchecked, as the JSON answer does.  The
+    # digest pins the bytes the table printed when it did neither.
+    result = cs.run_census(spec)
+    formatted, checked = [], []
+    format_rational, is_delzant = render.format_rational, pg.is_delzant
+    monkeypatch.setattr(render, "format_rational", lambda x: formatted.append(x) or format_rational(x))
+    monkeypatch.setattr(pg, "is_delzant", lambda p: checked.append(p) or is_delzant(p))
+    table = render.census_table(result)
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
+    assert checked == []
+    steps = {("vertex", id(s)) for p in result.toric_provenance for s in p.steps}
+    steps |= {("component", id(s)) for p in result.circle_provenance for s in p.steps}
+    # The spec line's areas and capacities, two areas per toric entry, a
+    # span per circle entry and one delta per distinct step.
+    areas = 1 if spec.base == cs.CP2 else 2
+    expected = areas + spec.blowups + 2 * len(result.toric) + len(result.maximal_circles)
+    assert len(formatted) == expected + len(steps)
+    assert len(steps) < sum(len(p.steps) for p in result.toric_provenance + result.circle_provenance)
 
 
 def test_help_says_what_each_verb_does(capsys, monkeypatch):

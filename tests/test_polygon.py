@@ -274,20 +274,29 @@ def test_canonical_form_distinguishes_hirzebruch_parity():
 # Equivariant blow-up enumeration
 
 
+def _canonical_keys(stage):
+    # A toric stage is keyed by canonical vertices: each rebuilds a Delzant
+    # polygon that is its own canonical form.
+    return all(canonical_form(pg._polygon(key))[0].vertices == key for key in stage)
+
+
 def test_enumerate_blowups_square():
     # All four corners of the square are equivalent, so one class remains.
-    results = _chop_all({(): (SQUARE, None)}, Q(1, 3), lambda *_: None)
+    results = _chop_all({SQUARE.vertices: None}, Q(1, 3), lambda *_: None)
     assert len(results) == 1
+    assert _canonical_keys(results)
 
 
 def test_enumerate_blowups_trapezoid():
     # Hirzebruch(2,1,2) has two corner classes at capacity 1/2.
-    results = _chop_all({(): (hirzebruch(Q(2), Q(1), 2), None)}, Q(1, 2), lambda *_: None)
+    trapezoid = hirzebruch(Q(2), Q(1), 2)
+    results = _chop_all({trapezoid.vertices: None}, Q(1, 2), lambda *_: None)
     assert len(results) == 2
+    assert _canonical_keys(results)
 
 
 def test_enumerate_blowups_capacity_filter():
-    assert _chop_all({(): (SQUARE, None)}, Q(2), lambda *_: None) == {}
+    assert _chop_all({SQUARE.vertices: None}, Q(2), lambda *_: None) == {}
 
 
 # ---------------------------------------------------------------------------
