@@ -300,19 +300,18 @@ def base_toric_actions(spec: ManifoldSpec) -> tuple[pg.RationalPolygon, ...]:
 def _model_polygons(
     base: str, area: Q | int, fiber: Q | int
 ) -> tuple[pg.RationalPolygon, ...]:
-    """Canonical model polygons of a rational base of the given areas."""
+    """Canonical model polygons of a rational base, sorted by vertices: each
+    slope m gives its own model, whose parallel edges square to m and -m."""
     if base == CP2:
         triangle = pg.delzant_triangle(area)
         return (pg._canonical(triangle)[0],)
     width, height, twisted = _ruled_model_box(base, area, fiber)
-    models = {}
+    models = []
     m = 1 if twisted else 0
     while 2 * width > m * height:
-        trapezoid = pg._trapezoid(width, height, m)
-        canonical = pg._canonical(trapezoid)[0]
-        models[canonical.vertices] = canonical
+        models.append(pg._canonical(pg._trapezoid(width, height, m))[0])
         m += 2
-    return tuple(models[key] for key in sorted(models))
+    return tuple(sorted(models, key=lambda model: model.vertices))
 
 
 def _ruled_model_box(
@@ -421,7 +420,7 @@ def _reduced_form(spec: ManifoldSpec) -> SymplecticData:
 
 
 class _Table(dict):
-    """One object per key for a whole census: build(key), made on first use."""
+    """One object per key: build(key), made on first use."""
 
     def __init__(self, build) -> None:
         super().__init__()
@@ -491,8 +490,6 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
         toric = _chop_all(toric, delta, record)
         maximal = index == last and spec.rational_base
         frontier = _blow_up_all(frontier, delta, record, maximal)
-        if not frontier and not toric:
-            break
         if index < last:
             project(index, delta)
 

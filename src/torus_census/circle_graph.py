@@ -482,30 +482,32 @@ def extends_to_toric(graph: S1Graph) -> bool:
     every fixed surface must have genus 0 and no interior moment level
     may meet more than two nonfree orbits, counting interior fixed
     points at the level and Z_k-spheres whose open moment span crosses it.
+    Only the levels of interior fixed points can fail (`_extends_to_toric`).
     """
     _require_valid(graph)
     return _extends_to_toric(graph)
 
 
 def _extends_to_toric(graph: S1Graph) -> bool:
-    """`extends_to_toric` with no check of the graph."""
+    """`extends_to_toric` with no check of the graph, counting only at the
+    moments of interior points: only points lie strictly between the
+    extrema, and surfaces carry no edge.  An interior point has one negative
+    weight, so it is the north pole of at most one sphere (`_diagnose`'s
+    slot rule): each sphere open over the gap below an interior moment m
+    crosses m or ends at its own point at m, so the gap meets no more orbits
+    than m does.  The gap below the maximum meets only the spheres that end
+    there: at most two for a point, none for a surface."""
     if all(not v.is_surface for v in graph.vertices):
         return True
     if any(v.is_surface and v.genus > 0 for v in graph.vertices):
         return False
-    # Levels are sampled doubled, so a midpoint needs no division.
     lo, hi = graph.min_moment, graph.max_moment
-    critical = sorted({v.moment for v in graph.vertices if lo < v.moment < hi})
-    samples = [2 * m for m in critical]
-    cuts = sorted({lo, hi, *critical})
-    for left, right in zip(cuts, cuts[1:]):
-        samples.append(left + right)
-    doubled = {v.id: 2 * v.moment for v in graph.vertices}
-    points = [doubled[v.id] for v in graph.vertices if not v.is_surface]
-    spans = [(doubled[south], doubled[north]) for north, south, _ in graph.edges]
-    for level in samples:
+    moment = {v.id: v.moment for v in graph.vertices}
+    interior = [m for m in moment.values() if lo < m < hi]
+    spans = [(moment[south], moment[north]) for north, south, _ in graph.edges]
+    for level in set(interior):
         crossing = sum(1 for low, high in spans if low < level < high)
-        if points.count(level) + crossing > 2:
+        if interior.count(level) + crossing > 2:
             return False
     return True
 

@@ -261,15 +261,15 @@ def _canonical(polygon: RationalPolygon) -> tuple[RationalPolygon, tuple, Point]
 
     For each vertex and each traversal direction, map the vertex to the
     origin and its two outgoing primitive edge directions to the standard
-    basis; the smallest flattened vertex list among the 2N candidates is a
-    complete invariant.  A candidate flattens to (0, 0, L, 0, ...) with L
-    the rational length of the edge it starts along, so only the starts
-    along a shortest edge are compared.
+    basis; the smallest vertex list among the 2N candidates (lists of
+    pairs order as their flattenings do) is a complete invariant.  A
+    candidate begins (0, 0), (L, 0), ... with L the rational length of
+    the edge it starts along, so only the starts along a shortest edge count.
     """
     n = polygon.edge_count
     edge_list = edges(polygon)
     shortest = min(e.rational_length for e in edge_list)
-    best: tuple[tuple[Q, ...], tuple[Point, ...], tuple, Point] | None = None
+    best: tuple[list[Point], tuple, Point] | None = None
     for i in range(n):
         outgoing = edge_list[i].direction
         backwards = tuple(-c for c in edge_list[i - 1].direction)
@@ -288,13 +288,12 @@ def _canonical(polygon: RationalPolygon) -> tuple[RationalPolygon, tuple, Point]
                 seq.append(
                     (matrix[0][0] * x + matrix[0][1] * y, matrix[1][0] * x + matrix[1][1] * y)
                 )
-            flat = tuple(c for p in seq for c in p)
-            if best is None or flat < best[0]:
-                best = (flat, tuple(seq), matrix, origin)
+            if best is None or seq < best[0]:
+                best = (seq, matrix, origin)
     if best is None:
         raise AssertionError("some edge has the shortest rational length")
-    _, points, matrix, origin = best
-    return _polygon(points), matrix, origin
+    points, matrix, origin = best
+    return _polygon(tuple(points)), matrix, origin
 
 
 def blow_up(polygon: RationalPolygon, vertex: int, delta: Q) -> RationalPolygon:

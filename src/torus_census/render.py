@@ -176,13 +176,14 @@ def census_table(result: cs.CensusResult) -> str:
         lines.append("toric entries: none")
     if result.maximal_circles:
         lines.append("maximal circle entries:")
+        spans = cs._Table(format_rational)  # each distinct span, written once
         for index, (graph, provenance) in enumerate(
             zip(result.maximal_circles, result.circle_provenance)
         ):
             lines.append(
                 f"  [{index}] {len(graph.vertices)} components, "
                 f"{len(graph.edges)} Z_k edges, moment span "
-                f"{format_rational(graph.max_moment - graph.min_moment)}"
+                f"{spans[graph.max_moment - graph.min_moment]}"
             )
             lines.append(f"      {_circle_provenance_line(provenance, circle_memo)}")
     else:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from polygon_corpus import build_corpus
+from test_bench_pins import workloads
 from test_dh_oracle import GOLDEN, _fuzz_recipes, hook_census_builds
 from torus_census import census
 from torus_census import circle_graph as cg
@@ -873,6 +874,38 @@ def test_every_projection_extends_to_a_toric_action():
     projections = [cg._projected(p, e.normal) for p in polygons for e in pg.edges(p)]
     assert len(projections) > 800
     assert all(cg._extends_to_toric(graph) for graph in projections)
+
+
+def test_a_last_stage_blow_up_with_a_surface_extends_iff_it_is_a_projection(monkeypatch):
+    # A circle action with a fixed surface extends to a toric action exactly
+    # when it is the projection of one of the manifold's toric polygons along
+    # an edge normal.  Where the toric census is complete, that is an oracle
+    # for the verdict that shares neither Karshon's count nor a level scan.
+    # The census keys graphs in its units, the recipe's scaled by D = 2 lcd.
+    specs = [
+        plane(1, "1/3", "1/4", "1/5"),
+        plane(1, "1/6", "2/13", "1/7", "2/15"),
+        ruled("product_ruled", 0, 1, "1/6", "2/13"),
+        ruled("twisted_ruled", 0, 2, "1/2", "1/3"),
+    ]
+    specs += [
+        spec_from_json(request["recipe"])
+        for request in workloads.generate("rational_fold", 0)
+    ]
+    run = hook_census_builds(monkeypatch)
+    verdicts = []
+    for spec in specs:
+        result, built = run(spec)
+        scale = 2 * census._reduced_form(spec).integer_area[1]
+        projections = set()
+        for polygon in result.toric:
+            scaled = pg._polygon(tuple((x * scale, y * scale) for x, y in polygon.vertices))
+            projections |= {cg._key(cg._projected(scaled, e.normal)) for e in pg.edges(scaled)}
+        for graph, stage in built:
+            if stage == spec.blowups and any(v.is_surface for v in graph.vertices):
+                verdicts.append(cg._extends_to_toric(graph))
+                assert verdicts[-1] == (cg._key(graph) in projections)
+    assert len(verdicts) > 900 and verdicts.count(False) > 10
 
 
 def test_no_graph_a_positive_genus_census_builds_extends(monkeypatch):

@@ -565,9 +565,10 @@ def test_provenance_shares_its_steps_and_their_text():
 )
 def test_census_table_writes_each_step_once_and_checks_no_polygon(monkeypatch, spec, digest):
     # The table writes each shared step's text once per noun (a chop names a
-    # vertex, a blow-up a component), and reads the invariants of polygons
-    # the census built Delzant unchecked, as the JSON answer does.  The
-    # digest pins the bytes the table printed when it did neither.
+    # vertex, a blow-up a component) and each distinct circle span once, and
+    # reads the invariants of polygons the census built Delzant unchecked, as
+    # the JSON answer does.  The digest pins the bytes the table printed when
+    # it did none of these.
     result = cs.run_census(spec)
     formatted, checked = [], []
     format_rational, is_delzant = render.format_rational, pg.is_delzant
@@ -578,10 +579,11 @@ def test_census_table_writes_each_step_once_and_checks_no_polygon(monkeypatch, s
     assert checked == []
     steps = {("vertex", id(s)) for p in result.toric_provenance for s in p.steps}
     steps |= {("component", id(s)) for p in result.circle_provenance for s in p.steps}
-    # The spec line's areas and capacities, two areas per toric entry, a
-    # span per circle entry and one delta per distinct step.
+    # The spec line's areas and capacities, two areas per toric entry, one
+    # per distinct circle span and one delta per distinct step.
     areas = 1 if spec.base == cs.CP2 else 2
-    expected = areas + spec.blowups + 2 * len(result.toric) + len(result.maximal_circles)
+    spans = {g.max_moment - g.min_moment for g in result.maximal_circles}
+    expected = areas + spec.blowups + 2 * len(result.toric) + len(spans)
     assert len(formatted) == expected + len(steps)
     assert len(steps) < sum(len(p.steps) for p in result.toric_provenance + result.circle_provenance)
 

@@ -11,6 +11,11 @@ census's reduced form (`census._reduced_form`).  The check runs in the
 census's scaled units, D = 2 lcd for the lcd of `integer_area`, where the
 volume is D^2 times the stage's.  The returned graphs are checked too, in
 the recipe's units.
+The same passes check the census's two hottest cores against references
+that share none of their pruning: every built graph's toric verdict
+against a scan of every gap's midpoint (`_extends_by_component_scan`),
+and every polygon `pg._canonical` is given against the least flattened
+vertex list over all 2N starts (`_reference_canonical_form`).
 Three corpora: the golden recipes, the criterion-03 grid and a seeded
 fuzz over all three bases.  A mutation pin shows that the DH check sees
 what `validate` does not.
@@ -25,8 +30,11 @@ import pytest
 
 from dh_oracle import dh_problems
 from test_acceptance import GRID_DELTAS, GRID_KS, OUTSIDE_CONE
+from test_circle_graph import _extends_by_component_scan
+from test_polygon import _reference_canonical_form
 from torus_census import census
 from torus_census import circle_graph as cg
+from torus_census import polygon as pg
 from torus_census.census import ManifoldSpec, run_census, spec_from_json
 from torus_census.errors import PreconditionError
 from torus_census.homology import Basis, SymplecticData
@@ -80,11 +88,16 @@ def hook_census_builds(monkeypatch):
 
 def _oracle_failures(monkeypatch, specs):
     """(spec, stage, problems) for each built or returned graph that fails
-    `validate` or, when it passes, the DH check; and the number of built
-    graphs checked."""
+    `validate` or, when it passes, the DH check, for each built graph whose
+    toric verdict differs from the reference scan, and for each polygon
+    whose canonical form differs from the reference search; and the number
+    of built graphs checked."""
     run = hook_census_builds(monkeypatch)
+    canonicalised, canonical = [], pg._canonical
+    monkeypatch.setattr(pg, "_canonical", lambda p: canonicalised.append(p) or canonical(p))
     failures, checked = [], 0
     for spec in specs:
+        canonicalised.clear()
         result, built = run(spec)
         model = census._reduced_form(spec)
         scale = 2 * model.integer_area[1]
@@ -93,6 +106,12 @@ def _oracle_failures(monkeypatch, specs):
             problems = cg.validate(graph)[1] or dh_problems(graph, volume * scale**2, euler)
             if problems:
                 failures.append((spec, i, problems))
+            elif cg._extends_to_toric(graph) != _extends_by_component_scan(graph):
+                failures.append((spec, i, ("toric verdict differs from the scan",)))
+        for polygon in canonicalised:
+            form, matrix, _ = canonical(polygon)
+            if (form.vertices, matrix) != _reference_canonical_form(polygon)[:2]:
+                failures.append((spec, "canonical", polygon.vertices))
         for graph in result.maximal_circles:
             volume, euler = _stage(model, spec.blowups)
             problems = cg.validate(graph)[1] or dh_problems(graph, volume, euler)
