@@ -24,22 +24,24 @@ fixed surfaces, and no verdict is asked.  Equal keys give equal
 verdicts, so the frontier the last stage leaves is the answer, with the
 provenance it had.  Both censuses are exact and deterministic, and every
 entry carries a replayable provenance.  One routine, `_expand`, runs
-every stage of both and the projection seeding, and alone walks a stage:
-each stage maps a canonical key, a polygon's canonical vertices or a
-graph's `_key`, to the first provenance found for it, and its parents
-are rebuilt from their keys one at a time.  Public functions check their
-arguments; the census checks no polygon and validates no graph.  It
-builds polygons and graphs through the unchecked cores of `polygon`
-(`_chop`, `_canonical`, `_polygon`) and `circle_graph` (`_projected`,
-`_ruled_base`, `_blow_up`, `_graph_from_key`), and asks
-`_extends_to_toric` at the last stage only; each chop, projection and
-blow-up dies once keyed.  Provenance recorded at a stage shares that
-stage's steps.  The model triangle and trapezoids (integer slope) are
-Delzant, a chop of a Delzant polygon is Delzant, and canonical vertices
-are a valid polygon's.  The tests run `validate` and a
-Duistermaat-Heckman check on every graph the census builds.
+every stage of both, and alone walks a stage: each stage maps a
+canonical key, a polygon's canonical vertices or a graph table's `_key`,
+to the first provenance found for it.  A circle stage walks its parents
+as their keys, since a key is a table; a toric stage rebuilds its
+parents one at a time, and projects each as it is rebuilt, before its
+chops.  Public functions check their arguments; the census checks no
+polygon and validates no graph.  It builds polygons through the
+unchecked cores of `polygon` (`_chop`, `_canonical`, `_polygon`) and
+tables through those of `circle_graph` (`_projected`, `_ruled_base`,
+`_blow_up`), and asks `_extends_to_toric` at the last stage only; each
+chop, projection and blow-up dies once keyed.  Provenance recorded at a
+stage shares that stage's steps.  The model triangle and trapezoids
+(integer slope) are Delzant, a chop of a Delzant polygon is Delzant, and
+canonical vertices are a valid polygon's.  The tests run `validate` and a
+Duistermaat-Heckman check on the graph of every table the census builds.
 
-Each builder gives a graph that meets every axiom `cg._diagnose` checks.
+Each builder gives a table whose graph meets every axiom `cg._diagnose`
+checks.
 - `graph_from_polygon` of a Delzant polygon along an edge normal xi (a
   primitive integer vector).  The moment <v, xi> is linear on a convex
   polygon, so each extremum is one vertex or one edge orthogonal to xi,
@@ -74,8 +76,9 @@ Each builder gives a graph that meets every axiom `cg._diagnose` checks.
   `_feasible` asks that every other component lie farther away than
   that, so it is the one new extremum; the other new point lies
   max(|m|, |n|) delta inward, short of the far end of its Z_k edge.
-- `_graph_from_key` of a graph's key translates, reflects and relabels it,
-  which keeps every axiom.
+- `_key` of a table translates, reflects and reorders it, which keeps
+  every axiom: a key is the table of a valid graph, so a stage blows up
+  its keys themselves.
 
 The projection rule loses nothing.  A stage polygon Q is the canonical
 form of a chop of a previous-stage polygon P at a vertex v, and every
@@ -336,16 +339,16 @@ def ruled_base_count(spec: ManifoldSpec) -> int:
 # The census
 
 
-def _expand(parents: dict, build, sites, blow, record, stage=None) -> dict:
+def _expand(parents: dict, build, sites, blow, record) -> dict:
     """One induction step: blow every parent up at every site.
 
     parents, like every stage, maps canonical keys to provenance.  Each
-    parent, in key order, is rebuilt by build(key) just before its sites
-    are visited.  blow(parent, site) gives the child's key, or None for a
+    parent, in key order, is built by build(key) just before its sites are
+    visited.  blow(parent, site) gives the child's key, or None for a
     refused site; the first record(parent, provenance, site) per key is
-    kept, in stage, a new dict unless one is given.
+    kept in the new stage.
     """
-    stage = {} if stage is None else stage
+    stage = {}
     for key in sorted(parents):
         parent = build(key)
         for site in sites(parent):
@@ -355,11 +358,19 @@ def _expand(parents: dict, build, sites, blow, record, stage=None) -> dict:
     return stage
 
 
-def _chop_all(parents: dict, delta, record) -> dict:
-    """Every corner chop of capacity delta, by canonical vertices."""
+def _chop_all(parents: dict, delta, record, project) -> dict:
+    """Every corner chop of capacity delta, by canonical vertices.  Each
+    parent polygon is built once, and given to project(polygon) before it
+    is chopped."""
+
+    def build(vertices):
+        polygon = pg._polygon(vertices)
+        project(polygon)
+        return polygon
+
     return _expand(
         parents,
-        pg._polygon,
+        build,
         lambda polygon: range(polygon.edge_count),
         lambda polygon, i: (chop := pg._chop(polygon, i, delta)) and pg._canonical(chop)[0].vertices,
         record,
@@ -369,26 +380,20 @@ def _chop_all(parents: dict, delta, record) -> dict:
 def _blow_up_all(parents: dict, delta, record, maximal: bool = False) -> dict:
     """Every feasible equivariant blow-up of capacity delta, by key.
 
-    Each parent is rebuilt from its key by `cg._graph_from_key`, so the
-    sites, and the provenance that records them, are canonical vertex ids;
-    the graph a blow-up builds lives only until it is keyed.  With maximal
+    A key is a table, so each parent is walked as its key, and its sites,
+    and the provenance that records them, are the key's positions; the
+    table a blow-up builds lives only until it is keyed.  With maximal
     set, a blow-up that extends to a toric action is refused before it is
     keyed, so only maximal circle actions are kept.
     """
 
-    def blow(graph, vertex_id):
-        blown = cg._blow_up(graph, vertex_id, delta)
+    def blow(key, i):
+        blown = cg._blow_up(key, i, delta)
         if blown is None or maximal and cg._extends_to_toric(blown):
             return None
         return cg._key(blown)
 
-    return _expand(
-        parents,
-        cg._graph_from_key,
-        lambda graph: [vertex.id for vertex in graph.vertices],
-        blow,
-        record,
-    )
+    return _expand(parents, lambda key: key, lambda key: range(len(key[0])), blow, record)
 
 
 def _step(recorded: Q):
@@ -462,36 +467,31 @@ def run_census(spec: ManifoldSpec) -> CensusResult:
             key = cg._key(cg._ruled_base(spec.genus, degree, bottom, fiber))
             frontier[key] = CircleProvenance("ruled_base", 0, degree)
 
-    def project(stage: int, delta: int | None = None) -> None:
+    def projector(stage: int, delta: int | None = None):
         # The graph of -xi is the mirror image: the same canonical key.
         # Past stage 0 only edges of length delta can give a new key.
-        _expand(
-            toric,
-            pg._polygon,
-            lambda polygon: [
-                edge.normal
-                for edge in pg.edges(polygon)
-                if delta is None or edge.rational_length == delta
-            ],
-            lambda polygon, xi: cg._key(cg._projected(polygon, xi)),
-            lambda polygon, _, xi: CircleProvenance(
-                "projection", stage, None, polygon, xi
-            ),
-            frontier,
-        )
+        def project(polygon: pg.RationalPolygon) -> None:
+            for edge in pg.edges(polygon):
+                if delta is None or edge.rational_length == delta:
+                    key = cg._key(cg._projected(polygon, edge.normal))
+                    if key not in frontier:
+                        frontier[key] = CircleProvenance(
+                            "projection", stage, None, polygon, edge.normal
+                        )
+
+        return project
 
     # Projections extend, so they only seed later blow-ups; the last stage
     # keeps the blow-ups that do not extend (on a positive-genus base, all).
-    last = len(capacities)
-    if last:
-        project(0)
+    # Stage i's polygons are projected as stage i + 1 chops them, after
+    # stage i's blow-ups and before stage i + 1's.
+    last, project = len(capacities), projector(0)
     for index, (delta, recorded) in enumerate(capacities, start=1):
         record = _step(recorded)
-        toric = _chop_all(toric, delta, record)
+        toric = _chop_all(toric, delta, record, project)
         maximal = index == last and spec.rational_base
         frontier = _blow_up_all(frontier, delta, record, maximal)
-        if index < last:
-            project(index, delta)
+        project = projector(index, delta)
 
     # One Fraction per scaled value, one component per (position, key entry)
     # and one polygon per vertex tuple, as toric entries and provenance

@@ -17,11 +17,16 @@ are equal, and where two vertex keys tie, `_refined` tells like vertices
 apart by refining ranks along the edges, with no search and no refusal.
 
 Graphs are validated where they enter.  Every public function validates
-the graphs it is given, and `blow_up`, `can_blow_up`, `canonical_form`,
-`extends_to_toric`, `graph_from_polygon` and `ruled_base_graph` are thin
-checked wrappers over unchecked cores (`_blow_up`, `_feasible`, `_key`,
-`_extends_to_toric`, `_projected`, `_ruled_base`) that parse and check
-nothing.  The census calls the cores on graphs it built itself, which are
+the graphs it is given.  The unchecked cores (`_feasible`, `_blow_up`,
+`_extends_to_toric`, `_key`, `_projected`, `_ruled_base`) parse and check
+nothing and read and build tables: a table (verts, links) holds
+verts[i] = (moment, 0, m, n) for a point of weights m >= n or
+(moment, 1, genus, area) for a surface, and links (north, south, k) by
+position.  A canonical key is a table.  `blow_up`, `can_blow_up`,
+`canonical_serialization`, `canonical_form`, `extends_to_toric`,
+`graph_from_polygon` and `ruled_base_graph` convert between `S1Graph` and
+table once (`_table`, `_graph`), keeping ids, vertex order and refusal
+text.  The census runs the cores on tables it built itself, which are
 valid by construction (the argument is in the `census` docstring), so it
 validates no graph.  `blow_up` and `graph_from_polygon` do not check the
 graphs they return; the tests run `validate` on them as built.
@@ -36,9 +41,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction as Q
+from itertools import count
 from math import gcd
+from operator import eq
 from typing import Iterable
 
 from .errors import CapacityError, FormatError, PreconditionError
@@ -113,26 +119,13 @@ class S1Graph:
                 return vertex
         raise PreconditionError(f"unknown vertex: {vertex_id}")
 
-    # Every blow-up site reads the extrema, so they are found once per graph.
-
-    @cached_property
-    def _extrema(self) -> tuple[FixedComponent, FixedComponent]:
-        """A component of least moment and one of greatest, in one scan."""
-        bottom = top = self.vertices[0]
-        for v in self.vertices:
-            if v.moment < bottom.moment:
-                bottom = v
-            elif v.moment > top.moment:
-                top = v
-        return bottom, top
-
     @property
     def min_moment(self) -> Q:
-        return self._extrema[0].moment
+        return min(v.moment for v in self.vertices)
 
     @property
     def max_moment(self) -> Q:
-        return self._extrema[1].moment
+        return max(v.moment for v in self.vertices)
 
 
 def edge_area(graph: S1Graph, edge: tuple[int, int, int]) -> Q:
@@ -233,6 +226,43 @@ def _require_valid(graph: S1Graph) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Tables
+
+
+def _table(graph: S1Graph) -> tuple:
+    """The table of a valid graph, its positions the order of its vertices."""
+    position = {v.id: i for i, v in enumerate(graph.vertices)}
+    verts = tuple(
+        (v.moment, 1, v.genus, v.area) if v.is_surface else (v.moment, 0, *v.weights)
+        for v in graph.vertices
+    )
+    return verts, tuple((position[n], position[s], k) for n, s, k in graph.edges)
+
+
+def _graph(table: tuple, ids: list[int] | None = None) -> S1Graph:
+    """The graph a table names, each vertex id ids[position] (the position
+    itself if no ids are given), in the order of the positions."""
+    verts, links = table
+    ids = ids or range(len(verts))
+    return S1Graph(
+        tuple(_key_component(ids[i], entry, None) for i, entry in enumerate(verts)),
+        tuple((ids[north], ids[south], k) for north, south, k in links),
+    )
+
+
+def _key_component(id: int, entry: tuple, value: dict | None) -> FixedComponent:
+    """The component that a table's entry (moment, tag, a, b) names with an
+    id, each moment and area x read as value[x] if value is given.  A
+    reflected pair (-n, -m) of a descending pair stays descending."""
+    m, tag, a, b = entry
+    if value is not None:
+        m, b = value[m], value[b] if tag else b
+    if tag:
+        return _component(id, m, None, int(a), b)
+    return _component(id, m, (int(a), int(b)))
+
+
+# ---------------------------------------------------------------------------
 # Constructors
 
 
@@ -250,12 +280,13 @@ def graph_from_polygon(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph
         raise PreconditionError("projection direction must be an integer vector")
     if gcd(abs(xi[0]), abs(xi[1])) != 1:
         raise PreconditionError("projection direction must be a primitive integer vector")
-    return _projected(polygon, xi)
+    return _graph(_projected(polygon, xi))
 
 
-def _projected(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph:
-    """`graph_from_polygon` of a Delzant polygon and a primitive integer xi,
-    neither of them checked."""
+def _projected(polygon: RationalPolygon, xi: tuple[int, int]) -> tuple:
+    """The table of `graph_from_polygon` of a Delzant polygon and a
+    primitive integer xi, neither of them checked: the points in polygon
+    order, then the surfaces."""
     edge_list = polygon_edges(polygon)
     n = polygon.edge_count
     pairings = [e.direction[0] * xi[0] + e.direction[1] * xi[1] for e in edge_list]
@@ -267,18 +298,16 @@ def _projected(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph:
             absorbed.add(i)
             absorbed.add((i + 1) % n)
 
-    components: list[FixedComponent] = []
-    ids: dict[int, int] = {}
+    verts: list[tuple] = []
+    position: dict[int, int] = {}
     for i in range(n):
         if i in absorbed:
             continue
-        ids[i] = len(components)
-        weights = _descending(pairings[i], -pairings[i - 1])
-        components.append(_component(ids[i], moments[i], weights))
+        position[i] = len(verts)
+        verts.append((moments[i], 0, *_descending(pairings[i], -pairings[i - 1])))
     for i in range(n):
         if pairings[i] == 0:
-            area = edge_list[i].rational_length
-            components.append(_component(len(components), moments[i], None, 0, area))
+            verts.append((moments[i], 1, 0, edge_list[i].rational_length))
 
     links = []
     for i in range(n):
@@ -286,14 +315,14 @@ def _projected(polygon: RationalPolygon, xi: tuple[int, int]) -> S1Graph:
         if k < 2:
             continue
         head, tail = (i + 1) % n, i
-        if head not in ids or tail not in ids:
+        if head not in position or tail not in position:
             raise AssertionError("Z_k edges never touch absorbed vertices")
         if moments[head] > moments[tail]:
-            links.append((ids[head], ids[tail], k))
+            links.append((position[head], position[tail], k))
         else:
-            links.append((ids[tail], ids[head], k))
+            links.append((position[tail], position[head], k))
 
-    return S1Graph(tuple(components), tuple(links))
+    return tuple(verts), tuple(links)
 
 
 def ruled_base_graph(genus: int, degree: int, mu: Q, twisted: bool) -> S1Graph:
@@ -318,24 +347,20 @@ def ruled_base_graph(genus: int, degree: int, mu: Q, twisted: bool) -> S1Graph:
         raise PreconditionError(
             f"section area nonpositive: {format_rational(bottom)}"
         )
-    return _ruled_base(genus, degree, bottom, 1)
+    return _graph(_ruled_base(genus, degree, bottom, 1))
 
 
-def _ruled_base(genus: int, degree: int, bottom: Q | int, fiber: Q | int) -> S1Graph:
-    """`ruled_base_graph` from its exact bottom section area, nothing checked."""
-    return S1Graph(
-        (
-            _component(0, fiber - fiber, None, genus, bottom),
-            _component(1, fiber, None, genus, bottom + degree * fiber),
-        )
-    )
+def _ruled_base(genus: int, degree: int, bottom: Q | int, fiber: Q | int) -> tuple:
+    """The table of `ruled_base_graph` from its exact bottom section area,
+    nothing checked."""
+    return ((fiber - fiber, 1, genus, bottom), (fiber, 1, genus, bottom + degree * fiber)), ()
 
 
 # ---------------------------------------------------------------------------
 # Blow-ups
 
 
-# Refusal codes of `_feasible` and the messages `can_blow_up` gives them.
+# Refusal codes of `_site` and `_feasible` and the messages `can_blow_up` gives them.
 _REFUSALS = {
     "delta": "capacity must be positive",
     "surface_area": "fixed surface area {} must exceed delta",
@@ -350,125 +375,143 @@ _REFUSALS = {
 def can_blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> tuple[bool, str]:
     """Feasibility of an equivariant blow-up of capacity delta at a vertex."""
     _require_valid(graph)
-    refusal = _feasible(graph, vertex_id, parse_exact(delta))
-    return (True, "") if refusal is None else (False, _refusal_text(refusal))
+    reason = _site(graph, vertex_id, parse_exact(delta))[2]
+    return not reason, reason
 
 
-def _refusal_text(refusal: tuple) -> str:
+def _site(graph: S1Graph, vertex_id: int, delta: Q | int) -> tuple:
+    """The table of a valid graph, the vertex's position in it, and why
+    `_feasible` refuses a blow-up of capacity delta there ("" where it does
+    not).  A capacity that is not positive is refused before the vertex is
+    looked up."""
+    if delta <= 0:
+        return None, None, _REFUSALS["delta"]
+    table = _table(graph)
+    position = graph.vertices.index(graph.component(vertex_id))
+    refusal = _feasible(table, position, delta)
+    if refusal is None:
+        return table, position, ""
     code, *values = refusal
     if code == "sphere_area":
         k, gap = values
         values = [k, Q(gap, k)]
-    return _REFUSALS[code].format(*map(format_rational, values))
+    elif code.startswith("extremal"):
+        values[0] = graph.vertices[values[0]].id
+    return table, position, _REFUSALS[code].format(*map(format_rational, values))
 
 
-def _feasible(graph: S1Graph, vertex_id: int, delta: Q | int) -> tuple | None:
-    """None where a blow-up of capacity delta at the vertex is feasible, else
-    the refusal: its code in `_REFUSALS` and the values its message names.
+def _feasible(table: tuple, i: int, delta: Q | int) -> tuple | None:
+    """None where a blow-up of positive capacity delta at position i is
+    feasible, else the refusal: its code in `_REFUSALS` and the values its
+    message names, a vertex by its position.
 
     Nothing is checked or parsed, and no text is built.
     """
-    if delta <= 0:
-        return ("delta",)
-    vertex = graph.component(vertex_id)
-    lo, hi = graph.min_moment, graph.max_moment
+    verts, links = table
+    moment, tag, a, b = verts[i]
 
-    if vertex.is_surface:
-        if vertex.area <= delta:
-            return ("surface_area", vertex.area)
+    if tag:
+        if b <= delta:
+            return ("surface_area", b)
         # The new (1,-1) point sits delta inside the surface's extremum.
-        if hi - lo <= delta:
-            return ("span", hi - lo)
+        span = max(verts)[0] - min(verts)[0]
+        if span <= delta:
+            return ("span", span)
         return None
 
-    for north, south, k in graph.edges:
-        if vertex_id in (north, south):
-            gap = graph.component(north).moment - graph.component(south).moment
+    for north, south, k in links:
+        if i == north or i == south:
+            gap = verts[north][0] - verts[south][0]
             if gap <= k * delta:
                 return ("sphere_area", k, gap)
-    if lo < vertex.moment < hi:
-        if not (lo < vertex.moment - delta and vertex.moment + delta < hi):
+    # Interior points, and only they, have weights of both signs.
+    if a > 0 > b:
+        if not (min(verts)[0] < moment - delta and moment + delta < max(verts)[0]):
             return ("interior",)
         return None
     # The new extremum lands min(|m|, |n|) delta inward.
-    reach = min(map(abs, vertex.weights))
-    for other in graph.vertices:
-        if other.id != vertex_id and abs(other.moment - vertex.moment) <= reach * delta:
+    reach = min(abs(a), abs(b))
+    for j, other in enumerate(verts):
+        if j != i and abs(other[0] - moment) <= reach * delta:
             if reach == 1:
-                return ("extremal", other.id)
-            return ("extremal_reach", other.id, reach)
+                return ("extremal", j)
+            return ("extremal_reach", j, reach)
     return None
-
-
-def _fresh_ids(graph: S1Graph, count: int) -> list[int]:
-    top = max(v.id for v in graph.vertices)
-    return [top + 1 + i for i in range(count)]
 
 
 def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
     """Equivariant blow-up of capacity delta at a fixed component.
 
     The graph is validated and the site tested here: CapacityError where
-    can_blow_up refuses it.  The result is not validated; the census calls
-    `_blow_up` on graphs it built and trusts the result (see the `census`
-    docstring), and the tests validate what both return.
+    can_blow_up refuses it.  The untouched components keep their ids and
+    order; the changed component follows them, and then the new one, each
+    new point taking the next unused id.  The result is not validated; the
+    census calls `_blow_up` on tables it built and trusts the result (see
+    the `census` docstring), and the tests validate what both return.
     """
     delta = parse_exact(delta)
     _require_valid(graph)
-    blown = _blow_up(graph, vertex_id, delta)
-    if blown is None:
-        reason = _refusal_text(_feasible(graph, vertex_id, delta))
+    table, i, reason = _site(graph, vertex_id, delta)
+    if reason:
         raise CapacityError(f"blow-up infeasible: {reason}")
-    return blown
+    blown = _blow_up(table, i, delta)
+    n = len(graph.vertices)
+    ids = [v.id for v in graph.vertices]
+    fresh = count(max(ids) + 1)
+    # A point that splits leaves two new points; a surface or an extremal
+    # (1, 1) point keeps its id.
+    if graph.vertices[i].weights is not None and len(blown[0]) > n:
+        ids[i] = next(fresh)
+    ids += [next(fresh) for _ in blown[0][n:]]
+    result = _graph(blown, ids)
+    v = result.vertices
+    return S1Graph(v[:i] + v[i + 1:n] + v[i:i + 1] + v[n:], result.edges)
 
 
-def _blow_up(graph: S1Graph, vertex_id: int, delta: Q | int) -> S1Graph | None:
-    """`blow_up` with an exact delta and no check of the graph, or None
-    where `_feasible` refuses the site."""
-    if _feasible(graph, vertex_id, delta) is not None:
+def _blow_up(table: tuple, i: int, delta: Q | int) -> tuple | None:
+    """`blow_up` of a table at position i, with an exact delta and nothing
+    checked, or None where `_feasible` refuses the site.  The changed entry
+    keeps position i and a new one is appended."""
+    if _feasible(table, i, delta) is not None:
         return None
-    vertex = graph.component(vertex_id)
-    others = tuple(v for v in graph.vertices if v.id != vertex_id)
+    verts, links = table
+    moment, tag, a, b = verts[i]
+    verts = list(verts)
 
-    if vertex.is_surface:
+    if tag:
         # Proper transform keeps the surface with area reduced by delta;
         # the free exceptional sphere ends at a new interior point.
-        inward = 1 if vertex.moment == graph.min_moment else -1
-        new_id = _fresh_ids(graph, 1)[0]
-        shrunk = _component(
-            vertex.id, vertex.moment, None, vertex.genus, vertex.area - delta
-        )
-        point = _component(new_id, vertex.moment + inward * delta, (1, -1))
-        return S1Graph(others + (shrunk, point), graph.edges)
+        inward = 1 if moment == min(verts)[0] else -1
+        verts[i] = (moment, 1, a, b - delta)
+        verts.append((moment + inward * delta, 0, 1, -1))
+        return verts, links
 
-    m, n = vertex.weights
-    if m == n:
+    if a == b:
         # Extremal point with weights (1,1) or (-1,-1): the exceptional
         # sphere becomes a fixed surface of area delta.
-        inward = 1 if m > 0 else -1
-        replacement = _component(
-            vertex.id, vertex.moment + inward * delta, None, 0, delta
-        )
-        return S1Graph(others + (replacement,), graph.edges)
+        inward = 1 if a > 0 else -1
+        verts[i] = (moment + inward * delta, 1, 0, delta)
+        return verts, links
 
-    high_id, low_id = _fresh_ids(graph, 2)
-    high = _component(high_id, vertex.moment + m * delta, _descending(m, n - m))
-    low = _component(low_id, vertex.moment + n * delta, _descending(n, m - n))
-    new_edges = []
-    for north, south, k in graph.edges:
-        if north == vertex_id:
+    # The point of weights (m, n) = (a, b) splits: the high point of
+    # weights (m, n - m) keeps position i and the low one, of weights
+    # (n, m - n), is appended at position j.
+    j = len(verts)
+    verts[i] = (moment + a * delta, 0, *_descending(a, b - a))
+    verts.append((moment + b * delta, 0, *_descending(b, a - b)))
+    new_links = []
+    for north, south, k in links:
+        if north == i:
             # The vertex was a north pole with weight -k; the edge keeps
             # that weight, so it reattaches where -k survives in the pair.
-            target = high_id if m == -k else low_id
-            new_edges.append((target, south, k))
-        elif south == vertex_id:
-            target = high_id if m == k else low_id
-            new_edges.append((north, target, k))
+            new_links.append((i if a == -k else j, south, k))
+        elif south == i:
+            new_links.append((north, i if a == k else j, k))
         else:
-            new_edges.append((north, south, k))
-    if m - n >= 2:
-        new_edges.append((high_id, low_id, m - n))
-    return S1Graph(others + (high, low), tuple(new_edges))
+            new_links.append((north, south, k))
+    if a - b >= 2:
+        new_links.append((i, j, a - b))
+    return verts, tuple(new_links)
 
 
 # ---------------------------------------------------------------------------
@@ -485,26 +528,27 @@ def extends_to_toric(graph: S1Graph) -> bool:
     Only the levels of interior fixed points can fail (`_extends_to_toric`).
     """
     _require_valid(graph)
-    return _extends_to_toric(graph)
+    return _extends_to_toric(_table(graph))
 
 
-def _extends_to_toric(graph: S1Graph) -> bool:
-    """`extends_to_toric` with no check of the graph, counting only at the
-    moments of interior points: only points lie strictly between the
+def _extends_to_toric(table: tuple) -> bool:
+    """`extends_to_toric` of a table with nothing checked, counting only at
+    the moments of interior points: only points lie strictly between the
     extrema, and surfaces carry no edge.  An interior point has one negative
     weight, so it is the north pole of at most one sphere (`_diagnose`'s
     slot rule): each sphere open over the gap below an interior moment m
     crosses m or ends at its own point at m, so the gap meets no more orbits
     than m does.  The gap below the maximum meets only the spheres that end
     there: at most two for a point, none for a surface."""
-    if all(not v.is_surface for v in graph.vertices):
+    verts, links = table
+    if not any(entry[1] for entry in verts):
         return True
-    if any(v.is_surface and v.genus > 0 for v in graph.vertices):
+    if any(tag and genus > 0 for _, tag, genus, _ in verts):
         return False
-    lo, hi = graph.min_moment, graph.max_moment
-    moment = {v.id: v.moment for v in graph.vertices}
-    interior = [m for m in moment.values() if lo < m < hi]
-    spans = [(moment[south], moment[north]) for north, south, _ in graph.edges]
+    moments = [entry[0] for entry in verts]
+    lo, hi = min(moments), max(moments)
+    interior = [m for m in moments if lo < m < hi]
+    spans = [(moments[south], moments[north]) for north, south, _ in links]
     for level in set(interior):
         crossing = sum(1 for low, high in spans if low < level < high)
         if interior.count(level) + crossing > 2:
@@ -516,63 +560,45 @@ def _extends_to_toric(graph: S1Graph) -> bool:
 # Canonical forms
 
 
-def _vertex_keys(graph: S1Graph, flip: bool) -> dict[int, tuple]:
-    """Each vertex's key: moment above the minimum (below the maximum when
-    flipped), then (1, genus, area) for a surface or (0, weights) for a
-    point, a flipped pair (m, n) read as (-n, -m)."""
+def _serialize(table: tuple, flip: bool) -> tuple:
+    """The least (verts, links) of one reflection.  Each entry's key is its
+    moment above the minimum (below the maximum when flipped), then
+    (1, genus, area) for a surface or (0, weights) for a point, a flipped
+    pair (m, n) read as (-n, -m); the verts are the sorted keys, and the
+    links the sorted (later position, earlier position, k).  Where the keys
+    are distinct, one sort of the positions by key places each entry; only
+    where two keys tie does `_refined` order the positions further."""
+    verts, links = table
     if flip:
-        top = graph.max_moment
-        return {
-            v.id: (top - v.moment, 1, v.genus, v.area)
-            if v.genus is not None
-            else (top - v.moment, 0, -v.weights[1], -v.weights[0])
-            for v in graph.vertices
-        }
-    low = graph.min_moment
-    return {
-        v.id: (v.moment - low, 1, v.genus, v.area)
-        if v.genus is not None
-        else (v.moment - low, 0, *v.weights)
-        for v in graph.vertices
-    }
+        top = max(verts)[0]
+        keys = [
+            (top - m, 1, a, b) if tag else (top - m, 0, -b, -a) for m, tag, a, b in verts
+        ]
+    else:
+        low = min(verts)[0]
+        keys = [(m - low, tag, a, b) for m, tag, a, b in verts]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = tuple(map(keys.__getitem__, order))
+    if any(map(eq, ordered, ordered[1:])):
+        order = _refined(links, keys)
+        ordered = tuple(map(keys.__getitem__, order))
+    # The inverse of order: each entry's place.
+    position = sorted(range(len(order)), key=order.__getitem__)
+    # Reflection swaps the poles of every link.
+    if flip:
+        return ordered, tuple(sorted((position[s], position[n], k) for n, s, k in links))
+    return ordered, tuple(sorted((position[n], position[s], k) for n, s, k in links))
 
 
-def _extremal_key(v: FixedComponent, flip: bool) -> tuple:
-    """The `_vertex_keys` key of the minimum v (of the maximum v when
-    flipped), whose moment offset is 0."""
-    if v.genus is not None:
-        return (0, 1, v.genus, v.area)
-    m, n = v.weights
-    return (0, 0, -n, -m) if flip else (0, 0, m, n)
-
-
-def _serialize(graph: S1Graph, flip: bool) -> tuple:
-    """The least (verts, links) of one reflection: the verts are the sorted
-    `_vertex_keys`, and the links the sorted (later position, earlier
-    position, k).  Where the keys are distinct, each vertex's position is
-    its key's place among them; only where two keys tie does `_refined`
-    order the vertices further."""
-    keys = _vertex_keys(graph, flip)
-    ordered = sorted(keys, key=keys.__getitem__)
-    if any(keys[a] == keys[b] for a, b in zip(ordered, ordered[1:])):
-        ordered = _refined(graph, keys)
-    position = {vertex_id: i for i, vertex_id in enumerate(ordered)}
-    verts = tuple(keys[i] for i in ordered)
-    # Reflection swaps the poles of every edge.
-    poles = ((s, n, k) if flip else (n, s, k) for n, s, k in graph.edges)
-    links = tuple(sorted((position[a], position[b], k) for a, b, k in poles))
-    return (verts, links)
-
-
-def _refined(graph: S1Graph, keys: dict[int, tuple]) -> list[int]:
-    """The vertex ids in the order of the least serialization, where some
+def _refined(links: tuple, keys: list) -> list[int]:
+    """The positions in the order of the least serialization, where some
     keys tie: by key, then by the sorted (k, pole, key at the other end) of
-    their edges.  Ties left among vertices with edges are broken by ranks
-    refined by the sorted (rank, k) at the earlier ends of each vertex's
-    edges until stable, then by those at the later ends, until neither
-    splits a class; then the least tied class's first vertex is ranked
-    alone, and so on.  A rank is its class's first position, so the order
-    is only split.  Sorted links read each vertex's edges toward earlier
+    their links.  Ties left among entries with links are broken by ranks
+    refined by the sorted (rank, k) at the earlier ends of each entry's
+    links until stable, then by those at the later ends, until neither
+    splits a class; then the least tied class's first position is ranked
+    alone, and so on.  A rank is its class's first place, so the order is
+    only split.  Sorted links read each vertex's edges toward earlier
     vertices in turn, and only the unique minimum and maximum, which have
     keys of their own, have two edges one way; so the least links order
     like vertices by their earlier ends, and where those tie all the way
@@ -581,86 +607,69 @@ def _refined(graph: S1Graph, keys: dict[int, tuple]) -> list[int]:
     that neither end splits lie on monotone paths that match rank for rank
     and end alike, so an automorphism exchanges them.  Vertices with no
     edge are in no link."""
-    local: dict[int, list] = {vertex_id: [] for vertex_id in keys}
-    ends: dict[int, tuple] = {vertex_id: ([], []) for vertex_id in keys}
-    for north, south, k in graph.edges:
+    local: list[list] = [[] for _ in keys]
+    ends: list[tuple] = [([], []) for _ in keys]
+    for north, south, k in links:
         local[north].append((k, 1, keys[south]))
         local[south].append((k, 0, keys[north]))
         late, early = (north, south) if keys[south] < keys[north] else (south, north)
         ends[late][0].append((k, early))
         ends[early][1].append((k, late))
-    label = {i: (keys[i], tuple(sorted(links))) for i, links in local.items()}
-    ordered = sorted(keys, key=label.__getitem__)
+    label = [(key, tuple(sorted(near))) for key, near in zip(keys, local)]
+    ordered = sorted(range(len(keys)), key=label.__getitem__)
     if not any(label[a][1] and label[a] == label[b] for a, b in zip(ordered, ordered[1:])):
         return ordered
 
-    def ranks(signature: dict) -> dict:
-        order = sorted(signature.values())
-        return {i: bisect_left(order, s) for i, s in signature.items()}
+    def ranks(signature: list) -> list:
+        order = sorted(signature)
+        return [bisect_left(order, s) for s in signature]
 
     rank, side = ranks(label), 0
     while True:
-        split = ranks({i: (r, sorted((rank[j], k) for k, j in ends[i][side])) for i, r in rank.items()})
+        split = ranks([(r, sorted((rank[j], k) for k, j in ends[i][side])) for i, r in enumerate(rank)])
         if split != rank:
             rank, side = split, 0
         elif not side:
             side = 1
         else:
-            ranked = sorted((r, i) for i, r in rank.items() if any(ends[i]))
+            ranked = sorted((r, i) for i, r in enumerate(rank) if any(ends[i]))
             tied = [p for p, q in zip(ranked, ranked[1:]) if p[0] == q[0]]
             if not tied:
                 return sorted(ordered, key=rank.__getitem__)
             # The rest of the class moves one place up, still below the next.
             least, first = tied[0]
-            rank, side = {i: r + (r == least and i != first) for i, r in rank.items()}, 0
+            rank, side = [r + (r == least and i != first) for i, r in enumerate(rank)], 0
 
 
-def _key(graph: S1Graph) -> tuple:
-    """`canonical_serialization` with no check of the graph: the least
-    `_serialize` of the two reflections.
+def _key(table: tuple) -> tuple:
+    """`canonical_serialization` of a table with nothing checked: the least
+    `_serialize` of the two reflections, itself a table.
 
-    A serialization's verts are its sorted key list.  The unique minimum
-    is the one vertex whose plain key has moment offset 0, and the unique
-    maximum the one whose mirrored key has, so their keys lead the two
-    lists: where they differ they decide the reflection, and only the
-    winning side is serialized.
+    A serialization's verts are its sorted keys.  The unique minimum is the
+    one entry whose plain key has moment offset 0, and the unique maximum
+    the one whose mirrored key has, so their keys lead the two lists: where
+    they differ they decide the reflection, and only the winning side is
+    serialized.
     """
-    bottom, top = graph._extrema
-    plain, mirror = _extremal_key(bottom, False), _extremal_key(top, True)
+    verts = table[0]
+    bottom, top = min(verts), max(verts)
+    plain = bottom[1:]
+    mirror = top[1:] if top[1] else (0, -top[3], -top[2])
     if plain != mirror:
-        return _serialize(graph, mirror < plain)
-    return min(_serialize(graph, False), _serialize(graph, True))
+        return _serialize(table, mirror < plain)
+    return min(_serialize(table, False), _serialize(table, True))
 
 
 def canonical_serialization(graph: S1Graph) -> tuple:
     _require_valid(graph)
-    return _key(graph)
+    return _key(_table(graph))
 
 
 def canonical_form(graph: S1Graph) -> S1Graph:
-    """Least representative under moment translation and reflection."""
+    """Least representative under moment translation and reflection, its
+    vertex ids the positions of its canonical serialization."""
     _require_valid(graph)
-    return _graph_from_key(_key(graph))
-
-
-def _graph_from_key(key: tuple) -> S1Graph:
-    """The graph a canonical serialization names, its vertex ids their
-    positions."""
-    verts, links = key
-    return S1Graph(tuple(_key_component(i, v, None) for i, v in enumerate(verts)), links)
-
-
-def _key_component(position: int, entry: tuple, value: dict | None) -> FixedComponent:
-    """The component that a canonical key's entry (moment, tag, a, b) names
-    at a position, each moment and area x read as value[x] if value is
-    given.  A reflected pair (-n, -m) of a descending pair stays
-    descending."""
-    m, tag, a, b = entry
-    if value is not None:
-        m, b = value[m], value[b] if tag else b
-    if tag:
-        return _component(position, m, None, int(a), b)
-    return _component(position, m, (int(a), int(b)))
+    return _graph(_key(_table(graph)))
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ def _run_invariants(args: argparse.Namespace) -> None:
                     "edges": len(graph.edges),
                     "min_moment": format_rational(graph.min_moment),
                     "max_moment": format_rational(graph.max_moment),
-                    "extends_to_toric": cg._extends_to_toric(graph),
+                    "extends_to_toric": cg._extends_to_toric(cg._table(graph)),
                 }
             )
         else:

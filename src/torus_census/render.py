@@ -100,7 +100,7 @@ def graph_invariants_table(graph: cg.S1Graph) -> str:
                  f"{format_rational(graph.max_moment)}]")
     lines.append(
         "extends to toric: "
-        + ("yes" if cg._extends_to_toric(graph) else "no")
+        + ("yes" if cg._extends_to_toric(cg._table(graph)) else "no")
     )
     return "\n".join(lines)
 

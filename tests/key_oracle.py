@@ -2,15 +2,27 @@
 
 `searched_serialization` permutes every class of like vertices with edges
 and keeps the least (verts, links); it shares no code with
-`circle_graph._serialize` beyond the vertex keys it is given.
-`least_serialization` is the least of both reflections, the key
-`circle_graph._key` must equal.
+`circle_graph._serialize`.  `least_serialization` is the least of both
+reflections, the key `circle_graph._key` must equal.
 """
 
 import itertools
 import math
 
-from torus_census.circle_graph import _vertex_keys
+
+def vertex_keys(graph, flip):
+    """Each vertex's key: moment above the minimum (below the maximum when
+    flipped), then (1, genus, area) for a surface or (0, weights) for a
+    point, a flipped pair (m, n) read as (-n, -m)."""
+    keys, lo, hi = {}, graph.min_moment, graph.max_moment
+    for v in graph.vertices:
+        offset = hi - v.moment if flip else v.moment - lo
+        if v.is_surface:
+            keys[v.id] = (offset, 1, v.genus, v.area)
+        else:
+            m, n = v.weights
+            keys[v.id] = (offset, 0, -n, -m) if flip else (offset, 0, m, n)
+    return keys
 
 
 def searched_serialization(graph, flip, keys, budget=5000):
@@ -52,5 +64,5 @@ def searched_serialization(graph, flip, keys, budget=5000):
 def least_serialization(graph):
     """The least searched serialization of both reflections, or None when
     either side has more orderings than the search's default budget."""
-    sides = [searched_serialization(graph, flip, _vertex_keys(graph, flip)) for flip in (False, True)]
+    sides = [searched_serialization(graph, flip, vertex_keys(graph, flip)) for flip in (False, True)]
     return None if None in sides else min(sides)

@@ -564,12 +564,12 @@ def test_census_is_deterministic():
     ],
 )
 def test_census_diagnoses_nothing_and_keys_each_graph_once(monkeypatch, spec):
-    # The census builds every graph through the unchecked cores of
+    # The census builds every graph table through the unchecked cores of
     # circle_graph and validates none.  It asks the toric verdict only of
-    # the last stage's blow-ups on a rational base, and keys each graph it
+    # the last stage's blow-ups on a rational base, and keys each table it
     # builds once, by cg._key, but for those that extend, which it drops.
-    # It rebuilds each parent from the key it is stored under, so no other
-    # graph is keyed.  It chops polygons through the cores of polygon and
+    # It walks each parent as the key it is stored under, so no other
+    # table is keyed.  It chops polygons through the cores of polygon and
     # checks none of them either.
     keyed, judged, diagnosed, checked = [], [], [], []
 
@@ -592,32 +592,34 @@ def test_census_diagnoses_nothing_and_keys_each_graph_once(monkeypatch, spec):
     _, built = run(spec)
     assert diagnosed == []
     assert checked == []
-    last = [g for g, stage in built if stage == spec.blowups and spec.rational_base]
-    dropped = {id(g) for g in last if extends(g)}
+    last = [t for _, stage, t in built if stage == spec.blowups and spec.rational_base]
+    dropped = {id(t) for t in last if extends(t)}
     assert sorted(map(id, judged)) == sorted(map(id, last))
     assert bool(dropped) == spec.rational_base
-    assert sorted(map(id, keyed)) == sorted(id(g) for g, _ in built if id(g) not in dropped)
+    assert sorted(map(id, keyed)) == sorted(id(t) for _, _, t in built if id(t) not in dropped)
+
+
+class _Tracked(list):
+    """A table as a list, which, unlike a tuple, can be weakly referenced."""
 
 
 def test_no_built_graph_outlives_its_stage(monkeypatch):
-    # A stage stores keys, not polygons or graphs.  When a stage's blow-ups
-    # begin, every graph built before them (the previous stage's blow-ups,
-    # the projections and ruled seeds) is gone, and when a stage's chops
-    # begin, every canonical polygon the earlier chops gave is gone, freed
-    # by reference counting alone; once the census returns, every graph
-    # and chop it built is gone.  A stage rebuilds its parents one at a
-    # time: when one is rebuilt, at most the one before it is still alive.
+    # A stage stores keys, not polygons or graph tables.  When a stage's
+    # blow-ups begin, every table built before them (the previous stage's
+    # blow-ups, the projections and ruled seeds) is gone, and when a
+    # stage's chops begin, every canonical polygon the earlier chops gave
+    # is gone, freed by reference counting alone; once the census returns,
+    # every table and chop it built is gone.  A stage walks its parents as
+    # their keys: no graph is built from a key or any other table.
     built, stage, alive = [], [0], []
     chopped, chopping = [], [False]
-    parents, most_alive = [], [0]
+    graphs = []
     blow_up_all, chop_all = census._blow_up_all, census._chop_all
-    graph_from_key, canonical = cg._graph_from_key, pg._canonical
+    graph, canonical = cg._graph, pg._canonical
 
-    def rebuilt(key):
-        most_alive[0] = max(most_alive[0], sum(ref() is not None for ref in parents))
-        graph = graph_from_key(key)
-        parents.append(weakref.ref(graph))
-        return graph
+    def rebuilt(*args):
+        graphs.append(args[0])
+        return graph(*args)
 
     def staged(*args):
         stage[0] += 1
@@ -639,15 +641,17 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
 
     monkeypatch.setattr(census, "_blow_up_all", staged)
     monkeypatch.setattr(census, "_chop_all", chop_staged)
-    monkeypatch.setattr(cg, "_graph_from_key", rebuilt)
+    monkeypatch.setattr(cg, "_graph", rebuilt)
     monkeypatch.setattr(pg, "_canonical", canonical_recorded)
     for name in ("_blow_up", "_projected", "_ruled_base"):
 
         def recorded(*args, original=getattr(cg, name)):
-            graph = original(*args)
-            if graph is not None:
-                built.append((weakref.ref(graph), stage[0]))
-            return graph
+            table = original(*args)
+            if table is None:
+                return None
+            tracked = _Tracked(table)
+            built.append((weakref.ref(tracked), stage[0]))
+            return tracked
 
         monkeypatch.setattr(cg, name, recorded)
 
@@ -660,7 +664,6 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
         for spec in specs:
             built.clear()
             chopped.clear()
-            parents.clear()
             stage[0] = 0
             run_census(spec)
             alive.extend((spec, "returned") for ref, _ in built if ref() is not None)
@@ -672,7 +675,7 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
         if enabled:
             gc.enable()
     assert alive == []
-    assert most_alive == [1]
+    assert graphs == []
     assert stages == sum(spec.blowups for spec in specs)
     assert checked > 900
     assert polygons > 150
@@ -848,7 +851,8 @@ def test_census_projects_later_stages_along_new_edges_only(monkeypatch):
     polygons = base_toric_actions(spec)
     expected = every_edge = sum(p.edge_count for p in polygons)
     for index, delta in enumerate(spec.capacities, start=1):
-        chops = _chop_all(dict.fromkeys(p.vertices for p in polygons), delta, lambda *_: None)
+        parents = dict.fromkeys(p.vertices for p in polygons)
+        chops = _chop_all(parents, delta, lambda *_: None, lambda polygon: None)
         polygons = [pg._polygon(key) for key in chops]
         lengths = [e.rational_length for p in polygons for e in pg.edges(p)]
         if index < spec.blowups:
@@ -901,10 +905,10 @@ def test_a_last_stage_blow_up_with_a_surface_extends_iff_it_is_a_projection(monk
         for polygon in result.toric:
             scaled = pg._polygon(tuple((x * scale, y * scale) for x, y in polygon.vertices))
             projections |= {cg._key(cg._projected(scaled, e.normal)) for e in pg.edges(scaled)}
-        for graph, stage in built:
+        for graph, stage, table in built:
             if stage == spec.blowups and any(v.is_surface for v in graph.vertices):
-                verdicts.append(cg._extends_to_toric(graph))
-                assert verdicts[-1] == (cg._key(graph) in projections)
+                verdicts.append(cg._extends_to_toric(table))
+                assert verdicts[-1] == (cg._key(table) in projections)
     assert len(verdicts) > 900 and verdicts.count(False) > 10
 
 
@@ -914,9 +918,9 @@ def test_no_graph_a_positive_genus_census_builds_extends(monkeypatch):
     specs = [spec_from_json(row["spec"]) for row in GOLDEN]
     specs += _fuzz_recipes(0, 30) + _fuzz_recipes(1, 30)
     run = hook_census_builds(monkeypatch)
-    built = [g for spec in specs if not spec.rational_base for g, _ in run(spec)[1]]
+    built = [t for spec in specs if not spec.rational_base for _, _, t in run(spec)[1]]
     assert len(built) > 1200
-    assert not any(cg._extends_to_toric(graph) for graph in built)
+    assert not any(cg._extends_to_toric(table) for table in built)
 
 
 def test_a_recipe_with_no_blow_ups_keeps_only_ruled_bases():

@@ -1,13 +1,13 @@
 """Every graph the census builds is keyed to the exhaustive search's least
 serialization.
 
-The census's graph builders are hooked, as in `test_dh_oracle.py`, to
-collect every graph the census builds, in the census's scaled units: the
+The census's table builders are hooked, as in `test_dh_oracle.py`, to
+collect every table the census builds, in the census's scaled units: the
 ones it keys and keeps, and the last-stage blow-ups it drops unkeyed for
-extending to a toric action.  `circle_graph._key` of each must equal
-`key_oracle.least_serialization` of the graph, which permutes every class
-of like vertices with edges in both reflections and shares none of the
-shortcuts of `circle_graph._key`.
+extending to a toric action.  `circle_graph._key` of each table must
+equal `key_oracle.least_serialization` of its graph, which permutes every
+class of like vertices with edges in both reflections and shares none of
+the shortcuts of `circle_graph._key`.
 Three corpora: the golden recipes with the genus-0 recipes of the
 reference census in `test_census.py`, a seeded fuzz over all three bases,
 and the square-base genus-0 recipes with three or more equal capacities,
@@ -31,7 +31,7 @@ GOLDEN = json.loads((Path(__file__).parent / "census_golden.json").read_text())
 
 
 def _key_mismatches(monkeypatch, specs):
-    """(spec, key) for each built graph whose key is not the oracle's; the
+    """(spec, key) for each built table whose key is not the oracle's; the
     number of keys checked; and the number of `_refined` calls made in
     keying them."""
     run = hook_census_builds(monkeypatch)
@@ -46,8 +46,8 @@ def _key_mismatches(monkeypatch, specs):
     for spec in specs:
         _, built = run(spec)
         monkeypatch.setattr(cg, "_refined", counted_refined)
-        for graph, _ in built:
-            key = cg._key(graph)
+        for graph, _, table in built:
+            key = cg._key(table)
             if key != least_serialization(graph):
                 mismatches.append((spec, key))
         monkeypatch.setattr(cg, "_refined", refine)

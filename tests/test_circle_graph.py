@@ -12,18 +12,16 @@ import pytest
 
 import torus_census
 from dh_oracle import dh_problems
-from key_oracle import least_serialization, searched_serialization
+from key_oracle import least_serialization, searched_serialization, vertex_keys
 from polygon_corpus import build_chopped_corpus, build_corpus, random_unimodular_image
 from torus_census import circle_graph
 from torus_census.census import ManifoldSpec, run_census
 from torus_census.circle_graph import (
     FixedComponent,
     S1Graph,
-    _blow_up,
-    _graph_from_key,
     _key,
     _serialize,
-    _vertex_keys,
+    _table,
     blow_up,
     can_blow_up,
     canonical_form,
@@ -449,15 +447,15 @@ def test_surface_blow_up_needs_moment_span():
 
 
 def _blowups(graph, delta):
-    """Every feasible blow-up of one capacity, as built, in key order: the
-    first per key at the canonical parent's vertex ids, as a census stage
-    keys them."""
-    parent = _graph_from_key(_key(graph))
+    """Every feasible blow-up of one capacity, as `blow_up` builds it, in
+    key order: the first per key at the canonical parent's vertex ids, as a
+    census stage keys them."""
+    parent = canonical_form(graph)
     stage = {}
     for vertex in parent.vertices:
-        blown = _blow_up(parent, vertex.id, delta)
-        if blown is not None:
-            stage.setdefault(_key(blown), blown)
+        if can_blow_up(parent, vertex.id, delta)[0]:
+            blown = blow_up(parent, vertex.id, delta)
+            stage.setdefault(canonical_serialization(blown), blown)
     return [stage[key] for key in sorted(stage)]
 
 
@@ -570,7 +568,7 @@ def test_built_components_are_as_the_public_constructor_makes_them():
         for degree in range(4)
         for graph in (
             ruled_base_graph(genus, degree, Q(7, 2), degree % 2 == 1),
-            circle_graph._ruled_base(genus, degree, 7 - degree + degree % 2, 2),
+            circle_graph._graph(circle_graph._ruled_base(genus, degree, 7 - degree + degree % 2, 2)),
         )
     ]
     built = projections + blow_ups + bases
@@ -1102,11 +1100,11 @@ def test_tie_breaking_matches_the_permutation_search():
     for graph in [*_BOTH_ENDS_DIFFER, *(_tied_graph(rng) for _ in range(250))]:
         assert_valid(graph)
         for flip in (False, True):
-            keys = _vertex_keys(graph, flip)
+            keys = vertex_keys(graph, flip)
             searched = searched_serialization(graph, flip, keys)
             if searched is None:
                 continue
-            assert repr(_serialize(graph, flip)) == repr(searched)
+            assert repr(_serialize(_table(graph), flip)) == repr(searched)
             compared += 1
             tied += searched_serialization(graph, flip, keys, budget=1) is None
     assert compared > 250
@@ -1180,12 +1178,12 @@ def test_serialization_shortcut_matches_both_reflections(monkeypatch):
     calls = _counted(monkeypatch, "_serialize", "_refined")
     branches = {"extrema differ": 0, "keys differ": 0, "keys equal": 0}
     for graph in graphs:
-        plain, mirror = (sorted(_vertex_keys(graph, flip).values()) for flip in (False, True))
+        plain, mirror = (sorted(vertex_keys(graph, flip).values()) for flip in (False, True))
         if plain[0] != mirror[0]:
             branches["extrema differ"] += 1
         else:
             branches["keys differ" if plain != mirror else "keys equal"] += 1
-        assert _key(graph) == least_serialization(graph)
+        assert _key(_table(graph)) == least_serialization(graph)
     assert len(graphs) > 4000
     assert branches["extrema differ"] > 3000
     assert branches["keys differ"] > len(like_extrema)
@@ -1216,8 +1214,8 @@ def test_edgeless_ties_and_like_extrema_match_the_search(monkeypatch):
             assert calls == {"_serialize": serialized, "_refined": refined}
             graph = _moved(graph, rng)
     assert [v.moment for v in edgeless.vertices].count(Q(1, 4)) == 2
-    bottom, top = like._extrema
-    assert circle_graph._extremal_key(bottom, False) == circle_graph._extremal_key(top, True)
+    plain, mirror = (vertex_keys(like, flip) for flip in (False, True))
+    assert min(plain.values()) == min(mirror.values())
 
 
 def test_opposite_projections_are_equivalent():

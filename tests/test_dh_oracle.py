@@ -1,19 +1,20 @@
 """Every graph the census builds passes `validate` and the DH check.
 
-The census builds graphs by projection, from ruled bases and by blow-up,
-through `cg._projected`, `cg._ruled_base` and `cg._blow_up`.  These are
-hooked to collect every graph built, kept or not (the last stage of a
-rational base drops the blow-ups that extend to a toric action before
-keying them), with the stage it belongs to: the number of
-`census._blow_up_all` calls begun when it was built, so its manifold is
-the model's base blown up at the first that many capacities of the
-census's reduced form (`census._reduced_form`).  The check runs in the
-census's scaled units, D = 2 lcd for the lcd of `integer_area`, where the
-volume is D^2 times the stage's.  The returned graphs are checked too, in
-the recipe's units.
+The census builds graph tables by projection, from ruled bases and by
+blow-up, through `cg._projected`, `cg._ruled_base` and `cg._blow_up`.
+These are hooked to collect every table built, kept or not (the last
+stage of a rational base drops the blow-ups that extend to a toric action
+before keying them), as its graph (`cg._graph`), with the stage it
+belongs to: the number of `census._blow_up_all` calls begun when it was
+built, so its manifold is the model's base blown up at the first that
+many capacities of the census's reduced form (`census._reduced_form`).
+The check runs in the census's scaled units, D = 2 lcd for the lcd of
+`integer_area`, where the volume is D^2 times the stage's.  The returned
+graphs are checked too, in the recipe's units.
 The same passes check the census's two hottest cores against references
-that share none of their pruning: every built graph's toric verdict
-against a scan of every gap's midpoint (`_extends_by_component_scan`),
+that share none of their pruning: every built table's toric verdict
+against a scan of every gap's midpoint on its graph
+(`_extends_by_component_scan`),
 and every polygon `pg._canonical` is given against the least flattened
 vertex list over all 2N starts (`_reference_canonical_form`).
 Three corpora: the golden recipes, the criterion-03 grid and a seeded
@@ -53,12 +54,13 @@ def _stage(model, i):
 
 
 def hook_census_builds(monkeypatch):
-    """Hook the census's graph builders.  Returns run(spec), which runs the
-    census and gives its result and a (graph, stage) pair for every graph
-    `cg._blow_up`, `cg._projected` or `cg._ruled_base` built for it, in the
-    census's scaled units.  The stage is the number of `_blow_up_all` calls
-    begun: 0 for the seeds, i for stage i's blow-ups and the projections
-    that follow them."""
+    """Hook the census's table builders.  Returns run(spec), which runs the
+    census and gives its result and a (graph, stage, table) triple for
+    every table `cg._blow_up`, `cg._projected` or `cg._ruled_base` built
+    for it, in the census's scaled units: the table as built and its graph,
+    `cg._graph(table)`, whose vertex ids are the table's positions.  The
+    stage is the number of `_blow_up_all` calls begun: 0 for the seeds, i
+    for stage i's blow-ups and the projections of stage i's polygons."""
     built, stage = [], [0]
     blow_up_all = census._blow_up_all
 
@@ -70,10 +72,10 @@ def hook_census_builds(monkeypatch):
     for name in ("_blow_up", "_projected", "_ruled_base"):
 
         def recorded(*args, original=getattr(cg, name)):
-            graph = original(*args)
-            if graph is not None:
-                built.append((graph, stage[0]))
-            return graph
+            table = original(*args)
+            if table is not None:
+                built.append((cg._graph(table), stage[0], table))
+            return table
 
         monkeypatch.setattr(cg, name, recorded)
 
@@ -88,10 +90,10 @@ def hook_census_builds(monkeypatch):
 
 def _oracle_failures(monkeypatch, specs):
     """(spec, stage, problems) for each built or returned graph that fails
-    `validate` or, when it passes, the DH check, for each built graph whose
-    toric verdict differs from the reference scan, and for each polygon
-    whose canonical form differs from the reference search; and the number
-    of built graphs checked."""
+    `validate` or, when it passes, the DH check, for each built table whose
+    toric verdict differs from the reference scan of its graph, and for
+    each polygon whose canonical form differs from the reference search;
+    and the number of built graphs checked."""
     run = hook_census_builds(monkeypatch)
     canonicalised, canonical = [], pg._canonical
     monkeypatch.setattr(pg, "_canonical", lambda p: canonicalised.append(p) or canonical(p))
@@ -101,12 +103,12 @@ def _oracle_failures(monkeypatch, specs):
         result, built = run(spec)
         model = census._reduced_form(spec)
         scale = 2 * model.integer_area[1]
-        for graph, i in built:
+        for graph, i, table in built:
             volume, euler = _stage(model, i)
             problems = cg.validate(graph)[1] or dh_problems(graph, volume * scale**2, euler)
             if problems:
                 failures.append((spec, i, problems))
-            elif cg._extends_to_toric(graph) != _extends_by_component_scan(graph):
+            elif cg._extends_to_toric(table) != _extends_by_component_scan(graph):
                 failures.append((spec, i, ("toric verdict differs from the scan",)))
         for polygon in canonicalised:
             form, matrix, _ = canonical(polygon)

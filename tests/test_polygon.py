@@ -282,7 +282,7 @@ def _canonical_keys(stage):
 
 def test_enumerate_blowups_square():
     # All four corners of the square are equivalent, so one class remains.
-    results = _chop_all({SQUARE.vertices: None}, Q(1, 3), lambda *_: None)
+    results = _chop_all({SQUARE.vertices: None}, Q(1, 3), lambda *_: None, lambda polygon: None)
     assert len(results) == 1
     assert _canonical_keys(results)
 
@@ -290,13 +290,13 @@ def test_enumerate_blowups_square():
 def test_enumerate_blowups_trapezoid():
     # Hirzebruch(2,1,2) has two corner classes at capacity 1/2.
     trapezoid = hirzebruch(Q(2), Q(1), 2)
-    results = _chop_all({trapezoid.vertices: None}, Q(1, 2), lambda *_: None)
+    results = _chop_all({trapezoid.vertices: None}, Q(1, 2), lambda *_: None, lambda polygon: None)
     assert len(results) == 2
     assert _canonical_keys(results)
 
 
 def test_enumerate_blowups_capacity_filter():
-    assert _chop_all({SQUARE.vertices: None}, Q(2), lambda *_: None) == {}
+    assert _chop_all({SQUARE.vertices: None}, Q(2), lambda *_: None, lambda polygon: None) == {}
 
 
 # ---------------------------------------------------------------------------
