@@ -387,7 +387,8 @@ def _site(graph: S1Graph, vertex_id: int, delta: Q | int) -> tuple:
     if delta <= 0:
         return None, None, _REFUSALS["delta"]
     table = _table(graph)
-    position = graph.vertices.index(graph.component(vertex_id))
+    graph.component(vertex_id)
+    position = [v.id for v in graph.vertices].index(vertex_id)
     refusal = _feasible(table, position, delta)
     if refusal is None:
         return table, position, ""
@@ -409,30 +410,31 @@ def _feasible(table: tuple, i: int, delta: Q | int) -> tuple | None:
     """
     verts, links = table
     moment, tag, a, b = verts[i]
+    moments = [entry[0] for entry in verts]
 
     if tag:
         if b <= delta:
             return ("surface_area", b)
         # The new (1,-1) point sits delta inside the surface's extremum.
-        span = max(verts)[0] - min(verts)[0]
+        span = max(moments) - min(moments)
         if span <= delta:
             return ("span", span)
         return None
 
     for north, south, k in links:
         if i == north or i == south:
-            gap = verts[north][0] - verts[south][0]
+            gap = moments[north] - moments[south]
             if gap <= k * delta:
                 return ("sphere_area", k, gap)
     # Interior points, and only they, have weights of both signs.
     if a > 0 > b:
-        if not (min(verts)[0] < moment - delta and moment + delta < max(verts)[0]):
+        if not (min(moments) < moment - delta and moment + delta < max(moments)):
             return ("interior",)
         return None
     # The new extremum lands min(|m|, |n|) delta inward.
     reach = min(abs(a), abs(b))
-    for j, other in enumerate(verts):
-        if j != i and abs(other[0] - moment) <= reach * delta:
+    for j, other in enumerate(moments):
+        if j != i and abs(other - moment) <= reach * delta:
             if reach == 1:
                 return ("extremal", j)
             return ("extremal_reach", j, reach)
