@@ -59,7 +59,7 @@ checks.
 - `_ruled_base` at each degree whose bottom section area is positive:
   two genus-g surfaces at moments 0 and fiber > 0 of positive area, and
   no edges.
-- `blow_up` at a site `_feasible` admits.  A fixed surface keeps a
+- `_blow_up` at a site `_feasible` admits.  A fixed surface keeps a
   positive area and gains a (1, -1) point delta inside, short of the other
   extremum as the span exceeds delta.  An extremal (1, 1) or (-1, -1)
   point, which has no edge, becomes a genus-0 surface of area delta,
@@ -381,17 +381,19 @@ def _blow_up_all(parents: dict, delta, record, maximal: bool = False) -> dict:
     """Every feasible equivariant blow-up of capacity delta, by key.
 
     A key is a table, so each parent is walked as its key, and its sites,
-    and the provenance that records them, are the key's positions; the
-    table a blow-up builds lives only until it is keyed.  With maximal
-    set, a blow-up that extends to a toric action is refused before it is
-    keyed, so only maximal circle actions are kept.
+    and the provenance that records them, are the key's positions.  Each
+    site asks `_feasible` once, and `_blow_up`, which refuses nothing, runs
+    at the sites it admits; its table lives only until it is keyed.  With
+    maximal set, a blow-up that extends to a toric action is refused
+    before it is keyed, so only maximal circle actions are kept.
     """
 
     def blow(key, i):
-        blown = cg._blow_up(key, i, delta)
-        if blown is None or maximal and cg._extends_to_toric(blown):
-            return None
-        return cg._key(blown)
+        if cg._feasible(key, i, delta) is None:
+            blown = cg._blow_up(key, i, delta)
+            if not maximal or not cg._extends_to_toric(blown):
+                return cg._key(blown)
+        return None
 
     return _expand(parents, lambda key: key, lambda key: range(len(key[0])), blow, record)
 

@@ -16,20 +16,20 @@ the keys of the minimum and the maximum pick the reflection unless they
 are equal, and where two vertex keys tie, `_refined` tells like vertices
 apart by refining ranks along the edges, with no search and no refusal.
 
-Graphs are validated where they enter.  Every public function validates
-the graphs it is given.  The unchecked cores (`_feasible`, `_blow_up`,
-`_extends_to_toric`, `_key`, `_projected`, `_ruled_base`) parse and check
-nothing and read and build tables: a table (verts, links) holds
-verts[i] = (moment, 0, m, n) for a point of weights m >= n or
-(moment, 1, genus, area) for a surface, and links (north, south, k) by
-position.  A canonical key is a table.  `blow_up`, `can_blow_up`,
-`canonical_serialization`, `canonical_form`, `extends_to_toric`,
-`graph_from_polygon` and `ruled_base_graph` convert between `S1Graph` and
-table once (`_table`, `_graph`), keeping ids, vertex order and refusal
-text.  The census runs the cores on tables it built itself, which are
-valid by construction (the argument is in the `census` docstring), so it
-validates no graph.  `blow_up` and `graph_from_polygon` do not check the
-graphs they return; the tests run `validate` on them as built.
+Graphs are validated where they enter.  The unchecked cores
+(`_feasible`, `_blow_up`, `_extends_to_toric`, `_key`, `_projected`,
+`_ruled_base`) parse and check nothing and read and build tables: a table
+(verts, links) holds verts[i] = (moment, 0, m, n) for a point of weights
+m >= n or (moment, 1, genus, area) for a surface, and links
+(north, south, k) by position.  A canonical key is a table.  A public
+function given a graph gets its table once, from `_checked`, the one
+check, and builds any graph it returns with `_graph`, keeping ids and
+vertex order.  `_blow_up` assumes a site `_feasible` admits: `blow_up`
+asks it once, through `_site`, and so does the census.  The census runs
+the cores on tables it built itself, which are valid by construction (the
+argument is in the `census` docstring), so it validates no graph.
+`blow_up` and `graph_from_polygon` do not check the graphs they return;
+the tests run `validate` on them as built.
 
 Components are normalised (exact moment and area, weights in descending
 order) by the public `FixedComponent`, `isolated` and `surface`; the
@@ -145,16 +145,15 @@ def _diagnose(graph: S1Graph) -> tuple[str, ...]:
     ids = [v.id for v in graph.vertices]
     if len(set(ids)) != len(ids):
         return ("vertex ids must be distinct",)
-    lo = graph.min_moment
-    hi = graph.max_moment
+    moments = [v.moment for v in graph.vertices]
+    lo, hi = min(moments), max(moments)
     if lo == hi:
         return ("min moment equals max moment",)
     problems: list[str] = []
     by_id = {v.id: v for v in graph.vertices}
     for bound, name in ((lo, "min"), (hi, "max")):
-        attained = [v for v in graph.vertices if v.moment == bound]
-        if len(attained) != 1:
-            problems.append(f"{name} moment attained by {len(attained)} components")
+        if (attained := moments.count(bound)) != 1:
+            problems.append(f"{name} moment attained by {attained} components")
 
     incident: dict[int, list[tuple[int, int, int]]] = {v.id: [] for v in graph.vertices}
     for edge in graph.edges:
@@ -219,18 +218,17 @@ def _diagnose(graph: S1Graph) -> tuple[str, ...]:
     return tuple(problems)
 
 
-def _require_valid(graph: S1Graph) -> None:
-    ok, problems = validate(graph)
-    if not ok:
-        raise PreconditionError(f"graph invalid: {problems[0]}")
-
-
 # ---------------------------------------------------------------------------
 # Tables
 
 
-def _table(graph: S1Graph) -> tuple:
-    """The table of a valid graph, its positions the order of its vertices."""
+def _checked(graph: S1Graph) -> tuple:
+    """The table of a graph that meets every axiom, its positions the order
+    of its vertices; PreconditionError naming the first problem of any
+    other graph."""
+    ok, problems = validate(graph)
+    if not ok:
+        raise PreconditionError(f"graph invalid: {problems[0]}")
     position = {v.id: i for i, v in enumerate(graph.vertices)}
     verts = tuple(
         (v.moment, 1, v.genus, v.area) if v.is_surface else (v.moment, 0, *v.weights)
@@ -374,31 +372,29 @@ _REFUSALS = {
 
 def can_blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> tuple[bool, str]:
     """Feasibility of an equivariant blow-up of capacity delta at a vertex."""
-    _require_valid(graph)
-    reason = _site(graph, vertex_id, parse_exact(delta))[2]
+    reason = _site(graph, _checked(graph), vertex_id, parse_exact(delta))[1]
     return not reason, reason
 
 
-def _site(graph: S1Graph, vertex_id: int, delta: Q | int) -> tuple:
-    """The table of a valid graph, the vertex's position in it, and why
+def _site(graph: S1Graph, table: tuple, vertex_id: int, delta: Q | int) -> tuple:
+    """The vertex's position in the table of a valid graph, and why
     `_feasible` refuses a blow-up of capacity delta there ("" where it does
     not).  A capacity that is not positive is refused before the vertex is
     looked up."""
     if delta <= 0:
-        return None, None, _REFUSALS["delta"]
-    table = _table(graph)
+        return None, _REFUSALS["delta"]
     graph.component(vertex_id)
     position = [v.id for v in graph.vertices].index(vertex_id)
     refusal = _feasible(table, position, delta)
     if refusal is None:
-        return table, position, ""
+        return position, ""
     code, *values = refusal
     if code == "sphere_area":
         k, gap = values
         values = [k, Q(gap, k)]
     elif code.startswith("extremal"):
         values[0] = graph.vertices[values[0]].id
-    return table, position, _REFUSALS[code].format(*map(format_rational, values))
+    return position, _REFUSALS[code].format(*map(format_rational, values))
 
 
 def _feasible(table: tuple, i: int, delta: Q | int) -> tuple | None:
@@ -444,16 +440,16 @@ def _feasible(table: tuple, i: int, delta: Q | int) -> tuple | None:
 def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
     """Equivariant blow-up of capacity delta at a fixed component.
 
-    The graph is validated and the site tested here: CapacityError where
-    can_blow_up refuses it.  The untouched components keep their ids and
-    order; the changed component follows them, and then the new one, each
-    new point taking the next unused id.  The result is not validated; the
-    census calls `_blow_up` on tables it built and trusts the result (see
-    the `census` docstring), and the tests validate what both return.
+    The graph is validated and the site tested here, once each:
+    CapacityError where can_blow_up refuses it.  The untouched components
+    keep their ids and order; the changed component follows them, and then
+    the new one, each new point taking the next unused id.  The result is
+    not validated; the census trusts the tables `_blow_up` builds (see the
+    `census` docstring), and the tests validate what both return.
     """
     delta = parse_exact(delta)
-    _require_valid(graph)
-    table, i, reason = _site(graph, vertex_id, delta)
+    table = _checked(graph)
+    i, reason = _site(graph, table, vertex_id, delta)
     if reason:
         raise CapacityError(f"blow-up infeasible: {reason}")
     blown = _blow_up(table, i, delta)
@@ -470,12 +466,10 @@ def blow_up(graph: S1Graph, vertex_id: int, delta: Q) -> S1Graph:
     return S1Graph(v[:i] + v[i + 1:n] + v[i:i + 1] + v[n:], result.edges)
 
 
-def _blow_up(table: tuple, i: int, delta: Q | int) -> tuple | None:
-    """`blow_up` of a table at position i, with an exact delta and nothing
-    checked, or None where `_feasible` refuses the site.  The changed entry
-    keeps position i and a new one is appended."""
-    if _feasible(table, i, delta) is not None:
-        return None
+def _blow_up(table: tuple, i: int, delta: Q | int) -> tuple:
+    """`blow_up` of a table at a position i that `_feasible` admits, with an
+    exact delta and nothing checked.  The changed entry keeps position i
+    and a new one is appended."""
     verts, links = table
     moment, tag, a, b = verts[i]
     verts = list(verts)
@@ -529,8 +523,7 @@ def extends_to_toric(graph: S1Graph) -> bool:
     points at the level and Z_k-spheres whose open moment span crosses it.
     Only the levels of interior fixed points can fail (`_extends_to_toric`).
     """
-    _require_valid(graph)
-    return _extends_to_toric(_table(graph))
+    return _extends_to_toric(_checked(graph))
 
 
 def _extends_to_toric(table: tuple) -> bool:
@@ -663,15 +656,13 @@ def _key(table: tuple) -> tuple:
 
 
 def canonical_serialization(graph: S1Graph) -> tuple:
-    _require_valid(graph)
-    return _key(_table(graph))
+    return _key(_checked(graph))
 
 
 def canonical_form(graph: S1Graph) -> S1Graph:
     """Least representative under moment translation and reflection, its
     vertex ids the positions of its canonical serialization."""
-    _require_valid(graph)
-    return _graph(_key(_table(graph)))
+    return _graph(_key(_checked(graph)))
 
 
 # ---------------------------------------------------------------------------

@@ -239,15 +239,16 @@ def _run_invariants(args: argparse.Namespace) -> None:
             _emit(render.polygon_table(subject))
     else:
         graph = subject
-        cg._require_valid(graph)
         if args.format == "json":
+            # The verdict validates the graph, so it comes first.
+            extends = cg.extends_to_toric(graph)
             _emit_json(
                 {
                     "components": len(graph.vertices),
                     "edges": len(graph.edges),
                     "min_moment": format_rational(graph.min_moment),
                     "max_moment": format_rational(graph.max_moment),
-                    "extends_to_toric": cg._extends_to_toric(cg._table(graph)),
+                    "extends_to_toric": extends,
                 }
             )
         else:

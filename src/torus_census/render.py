@@ -94,14 +94,13 @@ def graph_text(graph: cg.S1Graph) -> str:
 
 
 def graph_invariants_table(graph: cg.S1Graph) -> str:
-    """The table of a graph its caller has validated."""
+    """The table of a graph.  The verdict of `cg.extends_to_toric` comes
+    first and is the one check: PreconditionError for an invalid graph."""
+    extends = cg.extends_to_toric(graph)
     lines = [graph_text(graph)]
     lines.append(f"moment span [{format_rational(graph.min_moment)}, "
                  f"{format_rational(graph.max_moment)}]")
-    lines.append(
-        "extends to toric: "
-        + ("yes" if cg._extends_to_toric(cg._table(graph)) else "no")
-    )
+    lines.append("extends to toric: " + ("yes" if extends else "no"))
     return "\n".join(lines)
 
 

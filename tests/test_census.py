@@ -599,6 +599,45 @@ def test_census_diagnoses_nothing_and_keys_each_graph_once(monkeypatch, spec):
     assert sorted(map(id, keyed)) == sorted(id(t) for _, _, t in built if id(t) not in dropped)
 
 
+def test_feasible_is_asked_once_per_site_and_blow_up_refuses_nothing(monkeypatch):
+    # `_feasible` alone decides a blow-up site and `_blow_up` refuses
+    # nothing.  The public blow_up asks `_feasible` once, whether it blows
+    # up or refuses.  The census calls `_blow_up` at exactly the sites
+    # `_feasible` admits, once each; no `_blow_up` returns None.
+    feasible, blow = cg._feasible, cg._blow_up
+    verdicts, blown = [], []
+
+    def asked(*args):
+        verdicts.append(feasible(*args))
+        return verdicts[-1]
+
+    def blown_up(*args):
+        assert feasible(*args) is None
+        blown.append(blow(*args))
+        return blown[-1]
+
+    monkeypatch.setattr(cg, "_feasible", asked)
+    monkeypatch.setattr(cg, "_blow_up", blown_up)
+    graph = cg.graph_from_polygon(
+        pg.RationalPolygon(((0, 0), (1, 0), (1, 1), (0, 1))), (1, 2)
+    )
+    bottom = min(graph.vertices, key=lambda v: v.moment).id
+    cg.blow_up(graph, bottom, Q(1, 4))
+    assert (len(verdicts), len(blown)) == (1, 1)
+    with pytest.raises(CapacityError):
+        cg.blow_up(graph, bottom, Q(2))
+    assert (len(verdicts), len(blown)) == (2, 1)
+
+    for spec in (plane(1, "1/3", "1/4", "1/5"), ruled("product_ruled", 1, 2, "1/3", "1/4", "1/5")):
+        verdicts.clear()
+        blown.clear()
+        run_census(spec)
+        admitted = verdicts.count(None)
+        assert 0 < admitted < len(verdicts)
+        assert len(blown) == admitted
+        assert None not in blown
+
+
 class _Tracked(list):
     """A table as a list, which, unlike a tuple, can be weakly referenced."""
 
@@ -646,10 +685,7 @@ def test_no_built_graph_outlives_its_stage(monkeypatch):
     for name in ("_blow_up", "_projected", "_ruled_base"):
 
         def recorded(*args, original=getattr(cg, name)):
-            table = original(*args)
-            if table is None:
-                return None
-            tracked = _Tracked(table)
+            tracked = _Tracked(original(*args))
             built.append((weakref.ref(tracked), stage[0]))
             return tracked
 

@@ -21,7 +21,6 @@ from torus_census.circle_graph import (
     S1Graph,
     _key,
     _serialize,
-    _table,
     blow_up,
     can_blow_up,
     canonical_form,
@@ -1104,7 +1103,7 @@ def test_tie_breaking_matches_the_permutation_search():
             searched = searched_serialization(graph, flip, keys)
             if searched is None:
                 continue
-            assert repr(_serialize(_table(graph), flip)) == repr(searched)
+            assert repr(_serialize(circle_graph._checked(graph), flip)) == repr(searched)
             compared += 1
             tied += searched_serialization(graph, flip, keys, budget=1) is None
     assert compared > 250
@@ -1183,7 +1182,7 @@ def test_serialization_shortcut_matches_both_reflections(monkeypatch):
             branches["extrema differ"] += 1
         else:
             branches["keys differ" if plain != mirror else "keys equal"] += 1
-        assert _key(_table(graph)) == least_serialization(graph)
+        assert _key(circle_graph._checked(graph)) == least_serialization(graph)
     assert len(graphs) > 4000
     assert branches["extrema differ"] > 3000
     assert branches["keys differ"] > len(like_extrema)

@@ -1084,6 +1084,7 @@ def test_one_level_graph_is_refused(capsys, graph):
     for argv in (
         ["canon", "--graph", graph],
         ["invariants", "--graph", graph],
+        ["invariants", "--graph", graph, "--format", "json"],
         ["blowup", "--graph", graph, "--vertex", "0", "--delta", "1/2"],
     ):
         assert run(capsys, *argv) == (2, "", "graph invalid: min moment equals max moment\n")

@@ -73,8 +73,7 @@ def hook_census_builds(monkeypatch):
 
         def recorded(*args, original=getattr(cg, name)):
             table = original(*args)
-            if table is not None:
-                built.append((cg._graph(table), stage[0], table))
+            built.append((cg._graph(table), stage[0], table))
             return table
 
         monkeypatch.setattr(cg, name, recorded)

@@ -144,6 +144,42 @@ def test_every_private_function_has_a_caller_in_the_package():
     assert unused == []
 
 
+def _private_graph_names(tree: ast.Module) -> set[str]:
+    """The private `circle_graph` names a module reads: the `_*` attributes
+    of each name it imports the module as (`cg`), and the `_*` names it
+    imports from the module."""
+    aliases, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "circle_graph":
+                    aliases.add(alias.asname or alias.name)
+                elif (node.module or "").endswith("circle_graph") and alias.name.startswith("_"):
+                    found.add(alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+        ):
+            found.add(node.attr)
+    return found
+
+
+def test_front_ends_reach_circle_graph_only_through_its_public_functions():
+    # circle_graph is the one module that turns an S1Graph into a table, and
+    # its public functions are the one place where that graph is validated.
+    # A front end that called a private core would take an unchecked path
+    # around that boundary, so the CLI and the renderer use no `cg._*` name.
+    for name in ("cli.py", "render.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        assert "circle_graph" in _references(tree)
+        assert _private_graph_names(tree) == set(), name
+    census = ast.parse((PACKAGE / "census.py").read_text())
+    assert {"_blow_up", "_feasible", "_key"} <= _private_graph_names(census)
+
+
 def test_the_scan_sees_public_methods():
     names = {name for _, name in _public_functions()}
     assert {"Basis.gram", "UnimodularAffineMap.apply", "S1Graph.component"} <= names
