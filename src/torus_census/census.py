@@ -345,8 +345,8 @@ def _expand(parents: dict, build, sites, blow, record) -> dict:
     parents, like every stage, maps canonical keys to provenance.  Each
     parent, in key order, is built by build(key) just before its sites are
     visited.  blow(parent, site) gives the child's key, or None for a
-    refused site; the first record(parent, provenance, site) per key is
-    kept in the new stage.
+    refused site; record(provenance, site) gives the child's provenance
+    from the parent's, and the first per key is kept in the new stage.
     """
     stage = {}
     for key in sorted(parents):
@@ -354,7 +354,7 @@ def _expand(parents: dict, build, sites, blow, record) -> dict:
         for site in sites(parent):
             child = blow(parent, site)
             if child is not None and child not in stage:
-                stage[child] = record(parent, parents[key], site)
+                stage[child] = record(parents[key], site)
     return stage
 
 
@@ -407,7 +407,7 @@ def _step(recorded: Q):
     """
     steps = _Table(lambda site: BlowUpStep(recorded, site))
 
-    def record(parent, p, site):
+    def record(p, site):
         child = object.__new__(type(p))
         vars(child).update(vars(p), steps=p.steps + (steps[site],))
         return child

@@ -229,10 +229,7 @@ def _run_invariants(args: argparse.Namespace) -> None:
                     "euclidean_area": format_rational(inv.euclidean_area),
                     "anticanonical_perimeter": format_rational(inv.perimeter),
                     "edge_areas": [format_rational(a) for a in inv.edge_areas],
-                    "self_intersections": [
-                        pg._self_intersection(subject, i)
-                        for i in range(inv.edge_count)
-                    ],
+                    "self_intersections": list(inv.self_intersections),
                 }
             )
         else:
@@ -471,20 +468,6 @@ def _run_threshold(args: argparse.Namespace) -> None:
 # The verbs whose output is a polygon or a graph.
 _SVG_VERBS = {"canon", "blowup", "blowdown", "project"}
 
-_HANDLERS = {
-    "check": _run_check,
-    "canon": _run_canon,
-    "invariants": _run_invariants,
-    "blowup": _run_blowup,
-    "blowdown": _run_blowdown,
-    "project": _run_project,
-    "census": _run_census,
-    "feasibility": _run_feasibility,
-    "exceptional": _run_exceptional,
-    "chains": _run_chains,
-    "threshold": _run_threshold,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -497,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="verb", metavar="verb")
     subparsers.required = True
 
-    def add(verb: str, help_text: str) -> argparse.ArgumentParser:
+    def add(verb: str, help_text: str, run) -> argparse.ArgumentParser:
         sub = subparsers.add_parser(verb, help=help_text)
+        sub.set_defaults(run=run)
         sub.add_argument(
             "--format",
             choices=("table", "json", "svg"),
@@ -507,33 +491,33 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return sub
 
-    for verb, help_text in (
-        ("check", "check whether a polygon is Delzant or a circle-action graph is valid"),
-        ("canon", "canonical form of a polygon or circle-action graph"),
-        ("invariants", "invariants of a polygon or circle-action graph"),
+    for verb, help_text, run in (
+        ("check", "check whether a polygon is Delzant or a circle-action graph is valid", _run_check),
+        ("canon", "canonical form of a polygon or circle-action graph", _run_canon),
+        ("invariants", "invariants of a polygon or circle-action graph", _run_invariants),
     ):
-        sub = add(verb, help_text)
+        sub = add(verb, help_text, run)
         sub.add_argument("--polygon", help="polygon JSON, inline or a file path")
         sub.add_argument("--graph", help="graph JSON, inline or a file path")
 
-    sub = add("blowup", "equivariant blow-up at a vertex or fixed component")
+    sub = add("blowup", "equivariant blow-up at a vertex or fixed component", _run_blowup)
     sub.add_argument("--polygon", help="polygon JSON, inline or a file path")
     sub.add_argument("--graph", help="graph JSON, inline or a file path")
     sub.add_argument("--vertex", type=int, help="vertex index or component id")
     sub.add_argument("--delta", help="blow-up capacity, a positive rational")
 
-    sub = add("blowdown", "blow down an exceptional polygon edge")
+    sub = add("blowdown", "blow down an exceptional polygon edge", _run_blowdown)
     sub.add_argument("--polygon", help="polygon JSON, inline or a file path")
     sub.add_argument("--edge", type=int, help="index of the edge to collapse")
 
-    sub = add("project", "project a polygon to a circle-action graph")
+    sub = add("project", "project a polygon to a circle-action graph", _run_project)
     sub.add_argument("--polygon", help="polygon JSON, inline or a file path")
     sub.add_argument("--xi", help="primitive integer direction, as a,b")
 
-    sub = add("census", "count maximal toric and circle actions for a recipe")
+    sub = add("census", "count maximal toric and circle actions for a recipe", _run_census)
     sub.add_argument("--spec", help="manifold recipe JSON, inline or a file path")
 
-    sub = add("feasibility", "compare closed-form tests with the census")
+    sub = add("feasibility", "compare closed-form tests with the census", _run_feasibility)
     sub.add_argument("--spec", help="manifold recipe JSON, inline or a file path")
     sub.add_argument("--k", type=int, help="number of equal-capacity blow-ups")
     sub.add_argument("--delta", help="common blow-up capacity")
@@ -544,12 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="line area of the unblown base (default 1)",
     )
 
-    for verb, help_text in (
-        ("exceptional", "enumerate exceptional homology classes by area"),
-        ("chains", "enumerate minimal blow-down chains to a model surface"),
-        ("threshold", "least capacity at which some exceptional area ties"),
+    for verb, help_text, run in (
+        ("exceptional", "enumerate exceptional homology classes by area", _run_exceptional),
+        ("chains", "enumerate minimal blow-down chains to a model surface", _run_chains),
+        ("threshold", "least capacity at which some exceptional area ties", _run_threshold),
     ):
-        sub = add(verb, help_text)
+        sub = add(verb, help_text, run)
         sub.add_argument("--spec", help="manifold recipe JSON, inline or a file path")
         if verb == "exceptional":
             sub.add_argument("--bound", help="area bound (default: minimal area)")
@@ -572,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         if args.format == "svg" and args.verb not in _SVG_VERBS:
             raise FormatError(f"--format svg is not available for {args.verb}")
-        _HANDLERS[args.verb](args)
+        args.run(args)
         sys.stdout.flush()
     except FormatError as exc:
         print(str(exc), file=sys.stderr)

@@ -588,45 +588,29 @@ def _blow_down_with_frame(
     return _descended_blow_down(omega, exc)
 
 
-def _head_minus_index(coeffs: Sequence[int], head: tuple[int, int]) -> int | None:
-    """Detect head - Ei on a ruled basis (head (0, 1) is F, (1, 0) is B).
-
-    Returns the symbol index of Ei.
-    """
-    if tuple(coeffs[:2]) != head:
-        return None
-    hits = [i for i in range(2, len(coeffs)) if coeffs[i] != 0]
-    if len(hits) != 1 or coeffs[hits[0]] != -1:
-        return None
-    return hits[0]
-
-
 def _ruled_closed_form(
     omega: SymplecticData, exc: HomologyClass
 ) -> tuple[SymplecticData, list[list[int]]] | None:
     """Blow down F - Ei, or B - Ei on a genus-0 product, without a search."""
-    basis = omega.basis
-    index = _head_minus_index(exc.coeffs, (0, 1))
-    if index is not None:
-        cap = omega.capacities[index - 2]
-        fiber_head, fiber = (0, 1), omega.fiber
-        if basis.kind == PRODUCT_RULED:
-            # New section B - Ei has square -1: the twisted shape.
-            kind, mu, section_head = TWISTED_RULED, omega.mu - cap, (1, 0)
-        else:
-            # New section B + F - Ei has square 0: the product shape.
-            kind, mu, section_head = PRODUCT_RULED, omega.mu + omega.fiber - cap, (1, 1)
-    elif basis.kind == PRODUCT_RULED and basis.genus == 0:
-        index = _head_minus_index(exc.coeffs, (1, 0))
-        if index is None:
-            return None
-        # The fibration swaps: F - Ei becomes the twisted section and the
-        # old section B becomes the fiber.
-        cap = omega.capacities[index - 2]
-        kind, mu, section_head = TWISTED_RULED, omega.fiber - cap, (0, 1)
-        fiber_head, fiber = (1, 0), omega.mu
-    else:
+    basis, coeffs = omega.basis, exc.coeffs
+    hits = [i for i in range(2, len(coeffs)) if coeffs[i] != 0]
+    if len(hits) != 1 or coeffs[hits[0]] != -1:
         return None
+    index = hits[0]
+    cap = omega.capacities[index - 2]
+    # On a genus-0 product, B - Ei is F - Ei with B and F swapped: the
+    # fibration swaps, and the old section B becomes the fiber.
+    swap = coeffs[:2] == (1, 0) and basis.kind == PRODUCT_RULED and basis.genus == 0
+    if coeffs[:2] != (0, 1) and not swap:
+        return None
+    section_head, fiber_head = ((0, 1), (1, 0)) if swap else ((1, 0), (0, 1))
+    mu, fiber = (omega.fiber, omega.mu) if swap else (omega.mu, omega.fiber)
+    if basis.kind == PRODUCT_RULED:
+        # New section B - Ei has square -1: the twisted shape.
+        kind, mu = TWISTED_RULED, mu - cap
+    else:
+        # New section B + F - Ei has square 0: the product shape.
+        kind, mu, section_head = PRODUCT_RULED, mu + fiber - cap, (1, 1)
     small = Basis(kind, basis.genus, basis.blowups - 1)
     if mu <= 0 and not _free_section(small):
         raise UnsupportedBlowdownError(
@@ -874,7 +858,7 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
 
     companion = _companion_form(gram, whole, small.dual)
     sliced = _chern_slice(companion[0], small.chern_vector())
-    competitors: list[tuple[Q, tuple[int, ...], int]] = []
+    competitors: list[tuple[Q, tuple[int, ...]]] = []
     s = 0
     while True:
         cutoff = 2 * seed * seed * (s + 1) ** 2 / quantity - (s * s - 1)
@@ -890,11 +874,11 @@ def min_capacity_threshold(omega: SymplecticData) -> CapacityThreshold:
             full = coeffs + (-s,)
             if not _passes_positivity(basis, full):
                 continue
-            competitors.append((Q(fixed_area, scale * (s + 1)), full, s))
+            competitors.append((Q(fixed_area, scale * (s + 1)), full))
         s += 1
     _invariant(bool(competitors), "a section- or fiber-based competitor always exists")
-    threshold = min(value for value, _, _ in competitors)
-    binding = sorted({full for value, full, _ in competitors if value == threshold})
+    threshold = min(value for value, _ in competitors)
+    binding = sorted({full for value, full in competitors if value == threshold})
     classes = tuple(HomologyClass(basis, full) for full in binding)
     return CapacityThreshold(threshold, classes)
 

@@ -21,7 +21,8 @@ Public functions check that a polygon they are given is Delzant;
 checked wrappers over the unchecked cores `_chop` (None where delta
 reaches an edge at the vertex), `_canonical`, `_self_intersection` and
 `_blown_down`, which the census and `classify_model` call on polygons
-they built themselves.
+they built themselves.  `invariants` has no unchecked twin: in the
+package, only the front ends call it.
 
 Rational length means length measured against the primitive integer
 direction of the edge; it equals the symplectic area of the invariant
@@ -212,16 +213,13 @@ class PolygonInvariants:
     euclidean_area: Q
     perimeter: Q
     edge_areas: tuple[Q, ...]
+    self_intersections: tuple[int, ...]
 
 
 def invariants(polygon: RationalPolygon) -> PolygonInvariants:
-    """Counts and exact areas: edge spheres, total volume, anticanonical area."""
+    """Counts, exact areas and self-intersections: edge spheres, total
+    volume, anticanonical area."""
     _require_delzant(polygon)
-    return _invariants(polygon)
-
-
-def _invariants(polygon: RationalPolygon) -> PolygonInvariants:
-    """`invariants` of a Delzant polygon, not checked."""
     n = polygon.edge_count
     doubled = sum(
         _cross(polygon.vertices[i], polygon.vertices[(i + 1) % n]) for i in range(n)
@@ -233,6 +231,7 @@ def _invariants(polygon: RationalPolygon) -> PolygonInvariants:
         euclidean_area=Q(doubled, 2),
         perimeter=sum(areas),
         edge_areas=areas,
+        self_intersections=tuple(_self_intersection(polygon, i) for i in range(n)),
     )
 
 

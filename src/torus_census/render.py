@@ -39,7 +39,7 @@ def polygon_table(polygon: pg.RationalPolygon) -> str:
         f"anticanonical perimeter {format_rational(inv.perimeter)}",
     ]
     rows = []
-    for edge in pg.edges(polygon):
+    for edge, self_intersection in zip(pg.edges(polygon), inv.self_intersections):
         rows.append(
             [
                 str(edge.index),
@@ -47,7 +47,7 @@ def polygon_table(polygon: pg.RationalPolygon) -> str:
                 f"({edge.direction[0]}, {edge.direction[1]})",
                 f"({edge.normal[0]}, {edge.normal[1]})",
                 format_rational(edge.rational_length),
-                str(pg._self_intersection(polygon, edge.index)),
+                str(self_intersection),
             ]
         )
     lines.extend(
@@ -118,40 +118,32 @@ def _spec_line(spec: cs.ManifoldSpec) -> str:
     return f"{base}; capacities: {caps}"
 
 
-def _steps_line(steps: tuple[cs.BlowUpStep, ...], noun: str, memo: dict) -> str:
-    """The steps as "delta at noun site", comma-separated.  memo maps the
-    id of a step, kept alive while memo is in use, to its text."""
-    texts = []
-    for s in steps:
-        text = memo.get(id(s))
-        if text is None:
-            memo[id(s)] = text = f"{format_rational(s.delta)} at {noun} {s.site}"
-        texts.append(text)
-    return ", ".join(texts)
+def _steps_line(steps: tuple[cs.BlowUpStep, ...], noun: str) -> str:
+    """The steps as "delta at noun site", comma-separated."""
+    return ", ".join(f"{format_rational(s.delta)} at {noun} {s.site}" for s in steps)
 
 
-def _toric_provenance_line(provenance: cs.ToricProvenance, memo: dict) -> str:
+def _toric_provenance_line(provenance: cs.ToricProvenance) -> str:
     if not provenance.steps:
         return "base model, no chops"
-    return f"chops: {_steps_line(provenance.steps, 'vertex', memo)}"
+    return f"chops: {_steps_line(provenance.steps, 'vertex')}"
 
 
-def _circle_provenance_line(provenance: cs.CircleProvenance, memo: dict) -> str:
+def _circle_provenance_line(provenance: cs.CircleProvenance) -> str:
     if provenance.origin == "ruled_base":
         head = f"ruled base graph of degree {provenance.degree}"
     else:
         xi = provenance.xi
         head = f"projection at stage {provenance.stage} along ({xi[0]}, {xi[1]})"
     if provenance.steps:
-        return f"{head}; blow-ups: {_steps_line(provenance.steps, 'component', memo)}"
+        return f"{head}; blow-ups: {_steps_line(provenance.steps, 'component')}"
     return head
 
 
 def census_table(result: cs.CensusResult) -> str:
-    """The table of a census result, whose polygons the census built Delzant."""
+    """The table of a census result.  Each toric entry is read through
+    `pg.invariants`, so it is checked Delzant once."""
     lines = [f"census for {_spec_line(result.spec)}"]
-    # A stage's provenances share its steps: one memo of step text per noun.
-    toric_memo, circle_memo = {}, {}
     lines.append(
         f"counts: toric {result.counts.toric_count}, "
         f"maximal circles {result.counts.maximal_circle_count}, "
@@ -164,27 +156,26 @@ def census_table(result: cs.CensusResult) -> str:
         for index, (polygon, provenance) in enumerate(
             zip(result.toric, result.toric_provenance)
         ):
-            inv = pg._invariants(polygon)
+            inv = pg.invariants(polygon)
             lines.append(
                 f"  [{index}] {inv.edge_count} edges, "
                 f"area {format_rational(inv.euclidean_area)}, "
                 f"perimeter {format_rational(inv.perimeter)}"
             )
-            lines.append(f"      {_toric_provenance_line(provenance, toric_memo)}")
+            lines.append(f"      {_toric_provenance_line(provenance)}")
     else:
         lines.append("toric entries: none")
     if result.maximal_circles:
         lines.append("maximal circle entries:")
-        spans = cs._Table(format_rational)  # each distinct span, written once
         for index, (graph, provenance) in enumerate(
             zip(result.maximal_circles, result.circle_provenance)
         ):
             lines.append(
                 f"  [{index}] {len(graph.vertices)} components, "
                 f"{len(graph.edges)} Z_k edges, moment span "
-                f"{spans[graph.max_moment - graph.min_moment]}"
+                f"{format_rational(graph.max_moment - graph.min_moment)}"
             )
-            lines.append(f"      {_circle_provenance_line(provenance, circle_memo)}")
+            lines.append(f"      {_circle_provenance_line(provenance)}")
     else:
         lines.append("maximal circle entries: none")
     return "\n".join(lines)

@@ -20,6 +20,7 @@ from torus_census import homology
 from torus_census.census import ManifoldSpec
 from torus_census.errors import (
     EnumerationError,
+    FormatError,
     PreconditionError,
     UnsupportedBlowdownError,
 )
@@ -101,11 +102,43 @@ def test_twisted_ruled_pairings():
     assert chern(f) == 2
 
 
+def _refusals(cases):
+    """(build, error, message): build() raises exactly that error and message."""
+    for build, error, message in cases:
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_basis_refuses_malformed_fields():
+    _refusals([
+        (lambda: Basis("elliptic"), FormatError, "unknown basis kind: 'elliptic'"),
+        (lambda: Basis("product_ruled", -1), FormatError, "genus must be a nonnegative integer: -1"),
+        (lambda: Basis("product_ruled", "1"), FormatError, "genus must be a nonnegative integer: '1'"),
+        (
+            lambda: Basis("rational", 0, -2), FormatError,
+            "blow-up count must be a nonnegative integer: -2",
+        ),
+        (
+            lambda: Basis("rational", 0, 1.0), FormatError,
+            "blow-up count must be a nonnegative integer: 1.0",
+        ),
+        (lambda: Basis("rational", 1), FormatError, "rational bases have genus 0"),
+    ])
+
+
 def test_intersect_requires_same_basis():
     a = HomologyClass(Basis("rational", 0, 1), (1, 0))
     b = HomologyClass(Basis("rational", 0, 2), (1, 0, 0))
     with pytest.raises(PreconditionError):
         intersect(a, b)
+    # A class is written in its basis's coefficients, and its area needs
+    # the data of that basis.
+    _refusals([
+        (lambda: HomologyClass(Basis("rational", 0, 2), (1, 0)), FormatError,
+         "class needs 3 coefficients, got 2"),
+        (lambda: area(a, rational_data(1, Q(1, 3), Q(1, 4))), PreconditionError, "basis mismatch"),
+    ])
 
 
 def test_intersect_bilinear_and_symmetric():
@@ -496,6 +529,22 @@ def test_ten_caps_blow_down_the_line_through_the_pair():
             if stage.basis.kind == "rational":
                 assert cremona_reduced(stage.lam, stage.capacities) == (stage.lam, stage.capacities)
         assert stage == chain.terminal
+
+
+def test_symplectic_data_refuses_malformed_areas():
+    rational, ruled = Basis("rational", 0, 2), Basis("product_ruled", 0, 0)
+    _refusals([
+        (lambda: SymplecticData(rational, ("1/3", "1/4"), lam=1, mu=1), PreconditionError,
+         "rational data needs lam and no mu/fiber"),
+        (lambda: SymplecticData(rational, ("1/3", "1/4"), lam=0), PreconditionError,
+         "base area must be positive"),
+        (lambda: SymplecticData(rational, ("1/3", "1/4"), lam=-1), PreconditionError,
+         "base area must be positive"),
+        (lambda: SymplecticData(ruled, lam=1, mu=1), PreconditionError,
+         "ruled data needs mu and no lam"),
+        (lambda: SymplecticData(rational, ("1/3",), lam=1), PreconditionError,
+         "expected 2 capacities, got 1"),
+    ])
 
 
 def test_genus_one_chain_ends_on_a_nonpositive_section():

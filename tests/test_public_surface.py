@@ -144,18 +144,29 @@ def test_every_private_function_has_a_caller_in_the_package():
     assert unused == []
 
 
-def _private_graph_names(tree: ast.Module) -> set[str]:
-    """The private `circle_graph` names a module reads: the `_*` attributes
-    of each name it imports the module as (`cg`), and the `_*` names it
-    imports from the module."""
-    aliases, found = set(), set()
+def _private_package_names(tree: ast.Module) -> set[str]:
+    """The private package names a module reads, as "module._name": the
+    `_*` attributes of each name it binds to a package module (`cg` for
+    circle_graph), and the `_*` names it imports from the package."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    aliases, found = {}, set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "circle_graph":
-                    aliases.add(alias.asname or alias.name)
-                elif (node.module or "").endswith("circle_graph") and alias.name.startswith("_"):
-                    found.add(alias.name)
+                package, _, module = alias.name.partition(".")
+                if package == "torus_census" and module in modules and alias.asname:
+                    aliases[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom):
+            package, _, module = (node.module or "").partition(".")
+            if node.level:
+                module = node.module or ""
+            elif package != "torus_census":
+                continue
+            for alias in node.names:
+                if not module and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add(f"{module or 'torus_census'}.{alias.name}")
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -163,21 +174,39 @@ def _private_graph_names(tree: ast.Module) -> set[str]:
             and node.value.id in aliases
             and node.attr.startswith("_")
         ):
-            found.add(node.attr)
+            found.add(f"{aliases[node.value.id]}.{node.attr}")
     return found
 
 
-def test_front_ends_reach_circle_graph_only_through_its_public_functions():
-    # circle_graph is the one module that turns an S1Graph into a table, and
-    # its public functions are the one place where that graph is validated.
-    # A front end that called a private core would take an unchecked path
-    # around that boundary, so the CLI and the renderer use no `cg._*` name.
+def test_front_ends_reach_the_package_only_through_public_names():
+    # A module's public functions are the one place where its inputs are
+    # checked: circle_graph validates a graph there, polygon checks that a
+    # polygon is Delzant.  A front end that called a private core would
+    # take an unchecked path around that boundary, so the CLI and the
+    # renderer read no `_*` name of any package module.
     for name in ("cli.py", "render.py"):
         tree = ast.parse((PACKAGE / name).read_text())
-        assert "circle_graph" in _references(tree)
-        assert _private_graph_names(tree) == set(), name
+        assert {"census", "circle_graph", "polygon"} <= _references(tree)
+        assert _private_package_names(tree) == set(), name
     census = ast.parse((PACKAGE / "census.py").read_text())
-    assert {"_blow_up", "_feasible", "_key"} <= _private_graph_names(census)
+    assert {
+        "circle_graph._blow_up", "circle_graph._feasible", "circle_graph._key", "polygon._chop"
+    } <= _private_package_names(census)
+
+
+def test_the_private_name_scan_sees_every_import_form():
+    tree = ast.parse(
+        "from . import polygon as pg\n"
+        "from .census import _Table\n"
+        "from torus_census import circle_graph\n"
+        "from torus_census.linalg import _hidden\n"
+        "import torus_census.homology as hm\n"
+        "from other import _elsewhere\n"
+        "pg._chop, circle_graph._key, hm._reflect, other._x\n"
+    )
+    assert _private_package_names(tree) == {
+        "census._Table", "linalg._hidden", "polygon._chop", "circle_graph._key", "homology._reflect"
+    }
 
 
 def test_the_scan_sees_public_methods():

@@ -271,6 +271,9 @@ def test_walk_on_one_by_one_grams():
                 got = list(enumerate_quadratic_ball(gram, cutoff, low, high))
                 assert got == _brute_in_walk_order(gram, cutoff, low, high)
     assert list(enumerate_quadratic_ball([[Q(3, 2)]], Q(6))) == [(-2,), (-1,), (0,), (1,), (2,)]
+    # The empty form: its ball is the one point (), and empty below zero.
+    assert list(enumerate_quadratic_ball([], Q(0))) == [()]
+    assert list(enumerate_quadratic_ball([], Q(-1))) == []
 
 
 def test_clip_that_empties_the_top_interval():
